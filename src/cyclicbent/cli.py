@@ -47,6 +47,8 @@ def _parse_ints(s: str) -> tuple[int, ...]:
 
 def _chain_spec(args) -> cn.ChainSpec:
     m = args.m
+    if m is None:
+        raise ValueError("a bent input needs --m")
     e = _parse_ints(args.chain) if args.chain else (1, m - 1)
     gamma = _parse_ints(args.gamma) if args.gamma else (1,) * (len(e) - 1)
     return cn.ChainSpec(m, e, gamma)
@@ -66,6 +68,8 @@ def _eps_vector(args, q: int) -> list[int]:
 
 def _semibent_input(args) -> bf.BoolFun:
     n = args.n
+    if n is None:
+        raise ValueError("a semi-bent input needs --n")
     ctx = mk_field(n)
     if getattr(args, "restrict_bent", False):
         f = cn.kerdock_fn(n + 1)
@@ -236,7 +240,7 @@ def cmd_seqfam(args) -> int:
         "kind": args.kind,
         "family_size": fam.size,
         "period": fam.period,
-        "r_max_sq": sf.r_max_sq(fam),
+        "r_max_sq": dist.r_max_sq,
         "distribution": json.loads(dist.to_json()),
     }
     passed = True

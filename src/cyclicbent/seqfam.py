@@ -61,10 +61,15 @@ class SequenceFamily:
 
 @dataclass
 class CorrDist:
-    """Histogram of exact correlation values over all (member, member, shift)."""
+    """Histogram of exact correlation values over all (member, member, shift).
+
+    r_max_sq is the squared maximum |R| off each member's own zero-shift
+    peak; it is not part of the JSON form or of equality.
+    """
 
     counts: dict[tuple[int, int], int]
     total: int
+    r_max_sq: int
 
     def to_json(self) -> str:
         rows = [
@@ -207,52 +212,56 @@ def correlate(s: Member, s2: Member, tau: int) -> tuple[int, int]:
     return int(r1 @ r2 + i1 @ i2), int(i1 @ r2 - r1 @ i2)
 
 
-def _pair_correlations(s: Member, s2: Member, idx: np.ndarray):
-    """All shifts at once: rows tau of s(t+tau) against conj(s2(t))."""
-    r1 = s.re.astype(np.int64)[idx]
-    i1 = s.im.astype(np.int64)[idx]
-    r2 = s2.re.astype(np.int64)
-    i2 = s2.im.astype(np.int64)
-    return r1 @ r2 + i1 @ i2, i1 @ r2 - r1 @ i2
+def _scan(fam: SequenceFamily) -> CorrDist:
+    """Every R_{i,j}(tau) in one pass of exact int64 matrix products.
 
-
-def _scan(fam: SequenceFamily):
-    k = fam.period
+    For member i, the k x k stack of its shifts (row tau is s_i(t + tau)) is
+    multiplied by the stacked conjugates of all members, giving R_{i,j}(tau)
+    for every j and tau at once.  The symbols are units, so |re|, |im| <= k
+    and the offset key (re + k)(2k + 1) + (im + k) indexes a bincount.
+    """
+    k, size = fam.period, fam.size
+    re = np.array([mem.re for mem in fam.members], dtype=np.int64).reshape(size, k)
+    im = np.array([mem.im for mem in fam.members], dtype=np.int64).reshape(size, k)
+    if np.any(re * re + im * im != 1):
+        raise ValueError("sequence symbols must be 1, i, -1 or -i")
     t = np.arange(k)
     idx = (t[None, :] + t[:, None]) % k  # idx[tau, t] = t + tau
-    counts: dict[tuple[int, int], int] = {}
-    max_sq_nontrivial = 0
-    peak_at = None
-    for i, s in enumerate(fam.members):
-        for j, s2 in enumerate(fam.members):
-            re, im = _pair_correlations(s, s2, idx)
-            mag = re * re + im * im
-            for tau in range(k):
-                key = (int(re[tau]), int(im[tau]))
-                counts[key] = counts.get(key, 0) + 1
-            if i == j:
-                trivial_excluded = mag[1:]
-            else:
-                trivial_excluded = mag
-            if len(trivial_excluded):
-                top = int(trivial_excluded.max())
-                if top > max_sq_nontrivial:
-                    max_sq_nontrivial = top
-                    peak_at = (s.label, s2.label)
-    total = fam.size * fam.size * k
-    assert sum(counts.values()) == total
-    return CorrDist(counts, total), max_sq_nontrivial, peak_at
+    shifts_idx = np.concatenate([idx, idx + k], axis=1)
+    rows = np.concatenate([re, im], axis=1)
+    # [a b] @ [[c, -d], [d, c]] = [ac + bd, bc - ad]: (a + bi) conj(c + di)
+    conj = np.block([[re.T, -im.T], [im.T, re.T]])
+    width = 2 * k + 1
+    hist = np.zeros(width * width, dtype=np.int64)
+    peak = 0
+    for i in range(size):
+        # einsum's integer loop beats matmul's by about a third here
+        prod = np.einsum("tu,uj->tj", rows[i][shifts_idx], conj)
+        cre, cim = prod[:, :size], prod[:, size:]
+        hist += np.bincount(((cre + k) * width + (cim + k)).ravel(), minlength=width * width)
+        mag = cre * cre + cim * cim
+        mag[0, i] = 0  # each member's own zero-shift peak is trivial
+        peak = max(peak, int(mag.max()))
+    total = size * size * k
+    if int(hist.sum()) != total:
+        raise RuntimeError(f"correlation scan counted {int(hist.sum())} values, not {total}")
+    counts = {
+        (int(key) // width - k, int(key) % width - k): int(hist[key])
+        for key in np.flatnonzero(hist)
+    }
+    return CorrDist(counts, total, peak)
 
 
 def full_distribution(fam: SequenceFamily) -> CorrDist:
-    """Exact histogram over all ordered member pairs and all shifts."""
-    return _scan(fam)[0]
+    """Exact histogram over all ordered member pairs and all shifts, with the
+    squared maximum correlation magnitude in ``r_max_sq``."""
+    return _scan(fam)
 
 
 def r_max_sq(fam: SequenceFamily) -> int:
     """Exact squared maximum correlation magnitude, excluding each member's
     own zero-shift peak."""
-    return _scan(fam)[1]
+    return full_distribution(fam).r_max_sq
 
 
 # -- closed-form distributions -------------------------------------------------------

@@ -7,6 +7,7 @@ shortcuts in the hot loop beyond plain context arithmetic).
 
 from __future__ import annotations
 
+from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
 
 
@@ -94,3 +95,22 @@ def is_quadratic(f: BoolFun) -> bool:
                 if b(x ^ y, e) != (b(x, e) ^ b(y, e)):
                     return False
     return True
+
+
+def correlation_scan_by_pairs(fam: sf.SequenceFamily):
+    """(counts, total, r_max_sq) of a family, one ``correlate`` call per
+    (member, member, shift), masking only each member's own zero shift.
+
+    ``correlate`` is the defining sum and shares nothing with the scan's
+    matrix products.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    rmax_sq = 0
+    for i, s in enumerate(fam.members):
+        for j, s2 in enumerate(fam.members):
+            for tau in range(fam.period):
+                re, im = sf.correlate(s, s2, tau)
+                counts[(re, im)] = counts.get((re, im), 0) + 1
+                if i != j or tau != 0:
+                    rmax_sq = max(rmax_sq, re * re + im * im)
+    return counts, sum(counts.values()), rmax_sq

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cyclicbent import seqfam as sf
 from cyclicbent.cli import main
 
 
@@ -144,3 +145,38 @@ def test_mub_csv_export(tmp_path, capsys):
 def test_codebook_threads_flag(capsys):
     code, rep = run_json(capsys, "codebook", "--m", "4", "--threads", "4")
     assert code == 0 and rep["imax_sq"] == "1/16"
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("seqfam --kind semibent --n 3", 0),
+    ("seqfam --kind quaternary --m 4", 0),
+    ("codebook --kind semibent --n 3", 0),
+    ("codebook --kind real --m 4", 0),
+    # a flag that does not match --kind
+    ("seqfam --kind semibent --m 4", 2),
+    ("seqfam --kind quaternary --n 5", 2),
+    ("codebook --kind semibent --m 6", 2),
+    ("codebook --kind real --n 5", 2),
+])
+def test_kind_and_size_flags(capsys, argv, code):
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert "error" in json.loads(captured.err)
+        assert captured.out == ""
+    else:
+        assert json.loads(captured.out)["command"] == argv.split()[0]
+
+
+def test_seqfam_scans_the_family_once(capsys, monkeypatch):
+    calls = []
+    scan = sf._scan
+
+    def counted(fam):
+        calls.append(fam.size)
+        return scan(fam)
+
+    monkeypatch.setattr(sf, "_scan", counted)
+    code, rep = run_json(capsys, "seqfam", "--kind", "binary", "--m", "4")
+    assert code == 0 and calls == [8]
+    assert rep["r_max_sq"] == 36

@@ -22,6 +22,8 @@ from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.gf2 import mk_field
 
+from oracles import correlation_scan_by_pairs
+
 
 def kerdock(m):
     return cn.kerdock_fn(m)
@@ -213,6 +215,54 @@ def test_semibent_distribution_n5_closed_form():
     assert values == off_peak | {(31, 0)}
 
 
+# -- one-pass scan against the per-pair oracle --------------------------------------
+
+
+def _identical_pair():
+    # the zero-shift cross peak R = k between two equal members must count
+    mem = sf.quaternary_family(kerdock(4)).members[1]
+    return sf.SequenceFamily("quaternary", 7, [mem, sf.Member("copy", mem.re, mem.im)])
+
+
+def _single_member():
+    return sf.SequenceFamily("binary", 7, [sf.quaternary_family(kerdock(4)).members[-1]])
+
+
+SCAN_FAMILIES = {
+    "quaternary-m4": lambda: sf.quaternary_family(kerdock(4)),
+    "quaternary-m6": lambda: sf.quaternary_family(kerdock(6)),
+    "binary-m4": lambda: sf.binary_family(kerdock(4)),
+    "binary-m6": lambda: sf.binary_family(kerdock(6)),
+    "semibent-n3": lambda: sf.semibent_family(trace_cube(3)),
+    "semibent-n5": lambda: sf.semibent_family(trace_cube(5)),
+    "identical-pair": _identical_pair,
+    "single-member": _single_member,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+def test_scan_matches_per_pair_oracle(name):
+    fam = SCAN_FAMILIES[name]()
+    dist = sf.full_distribution(fam)
+    assert (dist.counts, dist.total, dist.r_max_sq) == correlation_scan_by_pairs(fam)
+    assert sf.r_max_sq(fam) == dist.r_max_sq
+
+
+def test_scan_masks_only_each_members_own_zero_shift():
+    assert sf.r_max_sq(_identical_pair()) == 7 * 7
+    assert sf.r_max_sq(_single_member()) == 1  # m-sequence: -1 off the peak
+
+
+def test_scan_rejects_non_unit_symbols():
+    fam = _single_member()
+    mem = fam.members[0]
+    re = mem.re.copy()
+    re[3] = 2
+    fam.members[0] = sf.Member("bad", re, mem.im)
+    with pytest.raises(ValueError, match="symbols"):
+        sf.full_distribution(fam)
+
+
 # -- Walsh-identity oracles ----------------------------------------------------------
 
 
@@ -314,5 +364,9 @@ def test_csv_export_and_dist_json(tmp_path):
     assert len(lines) == 9
     assert lines[0].split(",")[0] == "0"
     assert set(lines[0].split(",")[1:]) <= {"1", "-1", "i", "-i"}
-    js = sf.full_distribution(fam).to_json()
+    dist = sf.full_distribution(fam)
+    js = dist.to_json()
     assert '"total": 567' in js
+    # r_max_sq stays out of the JSON form and of equality
+    assert "r_max_sq" not in js
+    assert dist == sf.CorrDist(dict(dist.counts), dist.total, dist.r_max_sq + 1)
