@@ -490,6 +490,8 @@ def main(argv=None) -> int:
             and args.cmd in ("construct", "verify", "codebook", "mub", "seqfam", "code", "design"):
         ap.error(f"{args.cmd} needs --m (or --n where applicable)")
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

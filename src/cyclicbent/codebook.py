@@ -3,8 +3,12 @@
 All vectors are stored unnormalized as Gaussian integers with entries in
 {-1, 0, 1} x {-1, 0, 1} plus a per-row squared norm, so the true unit
 vector is row / sqrt(norm_sq).  Inner products, correlation maxima and the
-Levenshtein bounds are exact (integers and fractions); floats only appear
-in CSV report output (12 significant digits).
+Levenshtein bounds are exact (integers and fractions).  The Gram products
+run as float64 BLAS matmuls, which is exact here: every entry is in
+{-1, 0, 1}, so every partial sum of a row product is an integer of size at
+most 2K and every |<c_i, c_j>|^2 is an integer of at most 4K^2, and all of
+these are represented exactly while 4K^2 < 2^53 (checked before any
+product).  CSV report output is normalized floats (12 significant digits).
 
 Row ordering is fixed for reproducible serialization: the standard basis
 first, then the character basis (a = 0), then the function bases in field
@@ -52,6 +56,24 @@ class Codebook:
     im: np.ndarray  # int8 (N, K)
     norm_sq: np.ndarray  # int64 (N,)
 
+    def __post_init__(self):
+        # the exact float64 Gram and the alphabet key both rely on these
+        if self.re.ndim != 2 or self.re.shape != self.im.shape:
+            raise ValueError(
+                f"re and im must be 2-D of one shape, got {self.re.shape} and {self.im.shape}"
+            )
+        for part in (self.re, self.im):
+            if not np.issubdtype(part.dtype, np.integer):
+                raise ValueError(f"codebook entries must be integers, got {part.dtype}")
+            if part.size and (part.min() < -1 or part.max() > 1):
+                raise ValueError("codebook entries must lie in {-1, 0, 1}")
+        if self.norm_sq.shape != (self.re.shape[0],):
+            raise ValueError(
+                f"norm_sq must hold one value per row, got shape {self.norm_sq.shape}"
+            )
+        if self.norm_sq.size and self.norm_sq.min() <= 0:
+            raise ValueError("norm_sq values must be positive")
+
     @property
     def n_rows(self) -> int:
         return self.re.shape[0]
@@ -68,17 +90,14 @@ class Codebook:
 
         Zero entries compare equal across rows regardless of the row norm.
         """
+        # 3(re + 1) + (im + 1) numbers the nine entry values 0..8; 4 is zero
+        key = (3 * (self.re + 1) + (self.im + 1)).astype(np.int8)
         keys = set()
         for norm in np.unique(self.norm_sq):
-            rows = self.norm_sq == norm
-            pairs = np.unique(
-                np.stack(
-                    [self.re[rows].reshape(-1), self.im[rows].reshape(-1)], axis=1
-                ),
-                axis=0,
-            )
-            for a, b in pairs:
-                keys.add((0, 0, 1) if a == 0 and b == 0 else (int(a), int(b), int(norm)))
+            counts = np.bincount(key[self.norm_sq == norm].ravel(), minlength=9)
+            for v in np.flatnonzero(counts):
+                a, b = divmod(int(v), 3)
+                keys.add((0, 0, 1) if v == 4 else (a - 1, b - 1, int(norm)))
         return keys
 
     @property
@@ -107,50 +126,73 @@ class Codebook:
                 fh.write(",".join(cells) + "\n")
 
 
+def _gram_f64(re1, im1, re2, im2):
+    """Gram of rows1 against conj(rows2) as float64 (re, im) BLAS products.
+
+    Exact for entries in {-1, 0, 1} while 4K^2 < 2^53 (see the module
+    docstring); the bound is checked before anything is allocated.  When
+    both sides are real the imaginary part is None and only one product
+    runs.
+    """
+    k = re1.shape[1]
+    if 4 * k * k >= 1 << 53:
+        raise ValueError(f"row length {k} is too long for an exact float64 Gram")
+    a1 = re1.astype(np.float64)
+    a2 = re2.astype(np.float64)
+    gre = a1 @ a2.T
+    if not (im1.any() or im2.any()):
+        return gre, None
+    b1 = im1.astype(np.float64)
+    b2 = im2.astype(np.float64)
+    gre += b1 @ b2.T
+    gim = b1 @ a2.T
+    gim -= a1 @ b2.T
+    return gre, gim
+
+
 def _gram(cb1_re, cb1_im, cb2_re, cb2_im):
-    """Exact Gaussian-integer Gram of rows1 against conj(rows2)."""
-    a1 = cb1_re.astype(np.int64)
-    b1 = cb1_im.astype(np.int64)
-    a2 = cb2_re.astype(np.int64)
-    b2 = cb2_im.astype(np.int64)
-    gre = a1 @ a2.T + b1 @ b2.T
-    gim = b1 @ a2.T - a1 @ b2.T
+    """Exact Gaussian-integer Gram of rows1 against conj(rows2), int64."""
+    gre, gim = _gram_f64(cb1_re, cb1_im, cb2_re, cb2_im)
+    gre = gre.astype(np.int64)
+    gim = np.zeros_like(gre) if gim is None else gim.astype(np.int64)
     return gre, gim
 
 
 def imax_sq(cb: Codebook, block: int = 1024, threads: int = 1) -> Fraction:
     """Max over row pairs i < j of |<c_i, c_j>|^2 as an exact fraction.
 
-    The block scan parallelizes over row-pair tiles; the max reduction is
-    order independent, so the result is deterministic for any thread count.
+    Rows are stably sorted by norm into groups, and the scan runs over
+    row-pair tiles within each pair of groups, so every tile has a single
+    norm product and needs one max.  Tiles run in parallel; the max
+    reduction is order independent, so the result is deterministic for any
+    thread count.
     """
     if cb.n_rows < 2:
         raise ValueError("need at least two rows")
-    n = cb.n_rows
+    order = np.argsort(cb.norm_sq, kind="stable")
+    norms = cb.norm_sq[order]
+    re, im = cb.re[order], cb.im[order]
+    bounds = [0, *(np.flatnonzero(np.diff(norms)) + 1).tolist(), cb.n_rows]
+    groups = list(zip(bounds[:-1], bounds[1:]))
     tiles = [
-        (i0, j0)
-        for i0 in range(0, n, block)
-        for j0 in range(i0, n, block)
+        (i0, min(i0 + block, ge), j0, min(j0 + block, he))
+        for g, (gs, ge) in enumerate(groups)
+        for hs, he in groups[g:]
+        for i0 in range(gs, ge, block)
+        for j0 in range(i0 if hs == gs else hs, he, block)
     ]
 
     def tile_best(tile) -> Fraction:
-        i0, j0 = tile
-        i1, j1 = min(i0 + block, n), min(j0 + block, n)
-        gre, gim = _gram(cb.re[i0:i1], cb.im[i0:i1], cb.re[j0:j1], cb.im[j0:j1])
-        mag = gre * gre + gim * gim
-        ii = np.arange(i0, i1)[:, None]
-        jj = np.arange(j0, j1)[None, :]
-        mask = ii < jj
-        best = Fraction(0)
-        if not mask.any():
-            return best
-        norms = cb.norm_sq[i0:i1][:, None] * cb.norm_sq[j0:j1][None, :]
-        for nval in np.unique(norms[mask]):
-            sel = mask & (norms == nval)
-            cand = Fraction(int(mag[sel].max()), int(nval))
-            if cand > best:
-                best = cand
-        return best
+        i0, i1, j0, j1 = tile
+        gre, gim = _gram_f64(re[i0:i1], im[i0:i1], re[j0:j1], im[j0:j1])
+        mag = np.multiply(gre, gre, out=gre)
+        if gim is not None:
+            mag += np.multiply(gim, gim, out=gim)
+        if i0 == j0:
+            # a tile of rows against themselves is symmetric in |G|^2, so
+            # its pairs i < j are its off-diagonal entries
+            np.fill_diagonal(mag, 0)
+        return Fraction(int(mag.max()), int(norms[i0]) * int(norms[j0]))
 
     if threads > 1 and len(tiles) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -269,10 +311,7 @@ def build_mub(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> MubSet:
     _require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
     k = ctx.order
-    tr1 = ctx.trace_table(1)
-    lam_signs = np.empty((k, k), dtype=np.int8)
-    for lam in range(k):
-        lam_signs[lam] = (1 - 2 * tr1[ctx.mul_table(lam)]).astype(np.int8)
+    lam_signs = _char_sign_matrix(bf.Domain(ctx))
     bases_re = [np.eye(k, dtype=np.int8)]
     bases_im = [np.zeros((k, k), dtype=np.int8)]
     norms = [1]

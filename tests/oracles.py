@@ -7,6 +7,10 @@ shortcuts in the hot loop beyond plain context arithmetic).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
+
 from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
 
@@ -114,3 +118,34 @@ def correlation_scan_by_pairs(fam: sf.SequenceFamily):
                 if i != j or tau != 0:
                     rmax_sq = max(rmax_sq, re * re + im * im)
     return counts, sum(counts.values()), rmax_sq
+
+
+def gram_int64(re1, im1, re2, im2):
+    """Gaussian-integer Gram of rows1 against conj(rows2): four int64 matmuls."""
+    a1 = re1.astype(np.int64)
+    b1 = im1.astype(np.int64)
+    a2 = re2.astype(np.int64)
+    b2 = im2.astype(np.int64)
+    gre = a1 @ a2.T + b1 @ b2.T
+    gim = b1 @ a2.T - a1 @ b2.T
+    return gre, gim
+
+
+def imax_sq_masked_tiles(cb, block: int = 1024) -> Fraction:
+    """Max over row pairs i < j of |<c_i, c_j>|^2 / (norm_i norm_j), in the
+    codebook's own row order: int64 Gram tiles, an i < j mask per tile and
+    one max per distinct norm product under the mask.
+    """
+    n = cb.n_rows
+    best = Fraction(0)
+    for i0 in range(0, n, block):
+        for j0 in range(i0, n, block):
+            i1, j1 = min(i0 + block, n), min(j0 + block, n)
+            gre, gim = gram_int64(cb.re[i0:i1], cb.im[i0:i1], cb.re[j0:j1], cb.im[j0:j1])
+            mag = gre * gre + gim * gim
+            mask = np.arange(i0, i1)[:, None] < np.arange(j0, j1)[None, :]
+            norms = cb.norm_sq[i0:i1][:, None] * cb.norm_sq[j0:j1][None, :]
+            for nval in np.unique(norms[mask]):
+                sel = mask & (norms == nval)
+                best = max(best, Fraction(int(mag[sel].max()), int(nval)))
+    return best

@@ -157,6 +157,9 @@ def test_codebook_threads_flag(capsys):
     ("seqfam --kind quaternary --n 5", 2),
     ("codebook --kind semibent --m 6", 2),
     ("codebook --kind real --n 5", 2),
+    # a thread count below one
+    ("codebook --m 6 --threads 0", 2),
+    ("verify --m 4 --threads -3", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code

@@ -7,15 +7,20 @@ bound formulas:
     real (72, 8):     (216 - 64 - 16) / (64 * 10)   = 136/640  = 17/80
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 from cyclicbent import boolfun as bf
+
+from oracles import gram_int64, imax_sq_masked_tiles
 
 
 def kerdock4():
@@ -159,3 +164,113 @@ def test_imax_sq_threads_deterministic():
     assert cbk.imax_sq(cb, block=50, threads=4) == cbk.imax_sq(cb) == Fraction(1, 16)
     mcb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
     assert cbk.imax_sq(mcb, block=17, threads=3) == Fraction(1, 8)
+
+
+# -- the float64 Gram kernel against the int64 oracle ---------------------------------
+
+
+def _entries(shape):
+    return hnp.arrays(np.int8, shape, elements=st.integers(-1, 1))
+
+
+@st.composite
+def _gram_operands(draw, im1_real: bool, im2_real: bool):
+    k = draw(st.integers(1, 24))
+    n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    re1, re2 = draw(_entries((n1, k))), draw(_entries((n2, k)))
+    im1 = np.zeros((n1, k), np.int8) if im1_real else draw(_entries((n1, k)))
+    im2 = np.zeros((n2, k), np.int8) if im2_real else draw(_entries((n2, k)))
+    return re1, im1, re2, im2
+
+
+@pytest.mark.parametrize("im1_real, im2_real", [
+    (True, True), (False, False), (True, False), (False, True),
+])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gram_matches_int64_oracle(im1_real, im2_real, data):
+    ops = data.draw(_gram_operands(im1_real, im2_real))
+    gre, gim = cbk._gram(*ops)
+    ore, oim = gram_int64(*ops)
+    assert gre.dtype == gim.dtype == np.int64
+    assert np.array_equal(gre, ore) and np.array_equal(gim, oim)
+
+
+def test_gram_rejects_rows_too_long_for_exact_float64():
+    k = math.isqrt((1 << 51) - 1) + 1  # the least K with 4K^2 >= 2^53
+    row = np.broadcast_to(np.int8(0), (1, k))  # zero strides: nothing allocated
+    with pytest.raises(ValueError, match="too long"):
+        cbk._gram(row, row, row, row)
+
+
+# -- imax_sq on norm-grouped tiles against the masked-tile oracle ---------------------
+
+
+def _hand_codebooks():
+    rng = np.random.default_rng(7)
+    re = rng.integers(-1, 2, (40, 9)).astype(np.int8)
+    im = rng.integers(-1, 2, (40, 9)).astype(np.int8)
+    re[5] = re[31]  # identical rows across the tiles
+    im[5] = im[31]
+    interleaved = np.tile(np.array([5, 1, 3], np.int64), 14)[:40]
+    single = np.full(40, 4, np.int64)
+    single[23] = 2  # a norm group of one row
+    return [
+        cbk.Codebook(re, im, interleaved),
+        cbk.Codebook(re, np.zeros_like(im), interleaved),
+        cbk.Codebook(re, im, single),
+        cbk.Codebook(re[[5, 31, 31]], im[[5, 31, 31]], np.array([3, 1, 3], np.int64)),
+    ]
+
+
+def _stock_codebooks():
+    f = kerdock4()
+    rng = np.random.default_rng(3)
+    ctx3 = mk_field(3)
+    g = bf.from_field_fn(ctx3, lambda x: ctx3.trace(ctx3.pow(x, 3)))
+    return [
+        cbk.build_real_codebook(f),
+        cbk.build_real_codebook(f, [int(b) for b in rng.integers(0, 2, 7)]),
+        cbk.mub_to_codebook(cbk.build_mub(f)),
+        cbk.build_semibent_codebook(g),
+    ]
+
+
+@pytest.mark.parametrize("block, threads", [(1024, 1), (17, 1), (17, 3), (50, 1), (50, 3)])
+def test_imax_sq_matches_masked_tile_oracle(block, threads):
+    for cb in _hand_codebooks() + _stock_codebooks():
+        expected = imax_sq_masked_tiles(cb)
+        assert cbk.imax_sq(cb, block=block, threads=threads) == expected
+
+
+def test_imax_sq_matches_oracle_on_real_codebook_m6():
+    cb = cbk.build_real_codebook(cn.kerdock_fn(6))
+    assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 64)
+
+
+def test_alphabet_of_hand_built_codebooks():
+    for cb in _hand_codebooks():
+        expected = {
+            (0, 0, 1) if a == b == 0 else (int(a), int(b), int(n))
+            for row_re, row_im, n in zip(cb.re, cb.im, cb.norm_sq)
+            for a, b in zip(row_re, row_im)
+        }
+        assert cb.alphabet() == expected
+
+
+# -- Codebook input validation ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("re, im, norm_sq, match", [
+    (np.ones(4, np.int8), np.zeros(4, np.int8), np.ones(1, np.int64), "2-D"),
+    (np.ones((2, 4), np.int8), np.zeros((2, 3), np.int8), np.ones(2, np.int64), "2-D"),
+    (np.full((2, 4), -2, np.int8), np.zeros((2, 4), np.int8), np.ones(2, np.int64), "-1, 0, 1"),
+    (np.ones((2, 4), np.int8), np.full((2, 4), 2, np.int8), np.ones(2, np.int64), "-1, 0, 1"),
+    (np.ones((2, 4)), np.zeros((2, 4)), np.ones(2, np.int64), "integers"),
+    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), np.ones(3, np.int64), "one value per row"),
+    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), np.ones((2, 1), np.int64), "one value per row"),
+    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), np.array([4, 0]), "positive"),
+])
+def test_codebook_rejects_malformed_input(re, im, norm_sq, match):
+    with pytest.raises(ValueError, match=match):
+        cbk.Codebook(re, im, norm_sq)
