@@ -55,15 +55,10 @@ def _chain_spec(args) -> cn.ChainSpec:
 
 
 def _eps_vector(args, q: int) -> list[int]:
-    mode = getattr(args, "eps", "zeros") or "zeros"
-    if mode == "zeros":
-        return [0] * (q - 1)
-    if mode == "ones":
-        return [1] * (q - 1)
-    if mode == "random":
+    if args.eps == "random":
         rng = np.random.default_rng(args.seed)
         return [int(b) for b in rng.integers(0, 2, q - 1)]
-    raise SystemExit(f"unknown eps mode {mode!r}")
+    return [int(args.eps == "ones")] * (q - 1)
 
 
 def _semibent_input(args) -> bf.BoolFun:
@@ -95,10 +90,10 @@ def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
         elif body.startswith("x^"):
             exp = int(body[2:], 0)
         else:
-            raise SystemExit(f"cannot parse linearized term {raw!r}")
+            raise ValueError(f"cannot parse linearized term {raw!r}")
         i = exp.bit_length() - 1
         if 1 << i != exp:
-            raise SystemExit(f"exponent {exp} is not a power of two")
+            raise ValueError(f"exponent {exp} is not a power of two")
         terms[i] = terms.get(i, 0) ^ coef
     return lp.LinPoly.from_dict(ctx, terms)
 
@@ -183,8 +178,6 @@ def cmd_codebook(args) -> int:
                   "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep}
         passed = rep["optimal"]
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("--format csv needs --out")
         cb.write_csv(args.out)
         report["csv"] = args.out
     _emit(report, args)
@@ -200,8 +193,6 @@ def cmd_mub(args) -> int:
     ok = rep["complete"] and rep["orthonormal"] and rep["unbiased"]
     report = {"command": "mub", "k": mubs.k, **rep}
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("--format csv needs --out")
         cbk.mub_to_codebook(mubs).write_csv(args.out)
         report["csv"] = args.out
     if args.walsh_check:
@@ -252,8 +243,6 @@ def cmd_seqfam(args) -> int:
         ]
         passed = match
     if args.format == "csv":
-        if not args.out:
-            raise SystemExit("--format csv needs --out")
         fam.write_csv(args.out)
         report["csv"] = args.out
     _emit(report, args)
@@ -492,6 +481,8 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
+        if args.cmd in ("codebook", "mub", "seqfam") and args.format == "csv" and not args.out:
+            raise ValueError("--format csv needs --out")
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -115,15 +115,20 @@ class Codebook:
 
     def write_csv(self, path: str) -> None:
         """Normalized float entries, 12 significant digits; complex as a+bj."""
+        norms, norm_of_row = np.unique(self.norm_sq, return_inverse=True)
+        # the nine entry values of each norm, formatted once and numbered by
+        # the alphabet key 3(re + 1) + (im + 1)
+        cells = np.empty((len(norms), 9), dtype=object)
+        for n, norm in enumerate(norms):
+            scale = 1.0 / float(np.sqrt(float(norm)))
+            for v in range(9):
+                a = float(v // 3 - 1) * scale
+                b = float(v % 3 - 1) * scale
+                cells[n, v] = f"{a:.12g}" if b == 0 else f"{a:.12g}{b:+.12g}j"
+        key = 3 * (self.re + 1) + (self.im + 1)
         with open(path, "w") as fh:
-            for i in range(self.n_rows):
-                scale = 1.0 / float(np.sqrt(float(self.norm_sq[i])))
-                cells = []
-                for j in range(self.length):
-                    a = float(self.re[i, j]) * scale
-                    b = float(self.im[i, j]) * scale
-                    cells.append(f"{a:.12g}" if b == 0 else f"{a:.12g}{b:+.12g}j")
-                fh.write(",".join(cells) + "\n")
+            for n, row in zip(norm_of_row, key):
+                fh.write(",".join(cells[n, row].tolist()) + "\n")
 
 
 def _gram_f64(re1, im1, re2, im2):
@@ -204,37 +209,11 @@ def imax_sq(cb: Codebook, block: int = 1024, threads: int = 1) -> Fraction:
 
 def _char_sign_matrix(domain) -> np.ndarray:
     """S[dual index, point index] = (-1)^{<(lam,nu),(x1,x2)>}, int8."""
-    ctx = domain.ctx
-    q = ctx.order
-    tr1 = ctx.trace_table(1)
-    lam_x = np.empty((q, q), dtype=np.int8)
-    for lam in range(q):
-        lam_x[lam] = tr1[ctx.mul_table(lam)].astype(np.int8)
+    c = 1 - 2 * domain.ctx.trace_pairing().astype(np.int8)
     if not domain.with_bit:
-        return (1 - 2 * lam_x).astype(np.int8)
-    size = 2 * q
-    s = np.empty((size, size), dtype=np.int8)
-    for nu in (0, 1):
-        for x2 in (0, 1):
-            blk = lam_x ^ (nu & x2)
-            s[nu * q : (nu + 1) * q, x2 * q : (x2 + 1) * q] = 1 - 2 * blk
-    return s
-
-
-def _require_cyclic_bent(f: BoolFun, cert: cn.CyclicCertificate | None):
-    if cert is None:
-        cert = cn.certify_cyclic_bent(f)
-    if not (cert.kind == "bent" and cert.passed):
-        raise ValueError("f is not certified cyclic bent")
-    return cert
-
-
-def _require_cyclic_semibent(g: BoolFun, cert: cn.CyclicCertificate | None):
-    if cert is None:
-        cert = cn.is_cyclic_semibent(g, "reduced")
-    if not (cert.kind == "semi-bent" and cert.passed):
-        raise ValueError("g is not certified cyclic semi-bent")
-    return cert
+        return c
+    # nu = x2 = 1 is the one block where nu x2 flips the sign
+    return np.block([[c, c], [c, -c]])
 
 
 def build_real_codebook(
@@ -245,7 +224,7 @@ def build_real_codebook(
     Rows: standard basis, the characters (-1)^{tr(lam x1) + nu x2}, and for
     each a != 0 the rows (-1)^{f(a x1, x2 + eps_a) + tr(lam x1) + nu x2}.
     """
-    _require_cyclic_bent(f, cert)
+    cn.require_cyclic_bent(f, cert)
     dom = f.domain
     q = dom.ctx.order
     size = dom.size  # 2^m
@@ -308,7 +287,7 @@ def quaternary_entry_arrays(f: BoolFun, a: int):
 
 def build_mub(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> MubSet:
     """Complete set of 2^{m-1} + 1 MUBs of C^{2^{m-1}} from a cyclic bent f."""
-    _require_cyclic_bent(f, cert)
+    cn.require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
     k = ctx.order
     lam_signs = _char_sign_matrix(bf.Domain(ctx))
@@ -400,7 +379,7 @@ def build_semibent_codebook(
     Walsh peak 2^{(n+1)/2} scaled by 2^{-n}, squared), which only *almost*
     meets the real Levenshtein bound.
     """
-    _require_cyclic_semibent(g, cert)
+    cn.require_cyclic_semibent(g, cert)
     dom = g.domain
     q = dom.ctx.order
     chars = _char_sign_matrix(dom)

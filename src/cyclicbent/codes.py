@@ -114,17 +114,13 @@ def build_code_f(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> Nonlin
     """
     if not cn.is_normalized(f):
         raise ValueError("build_code_f needs f(0,0) = f(0,1) = 0")
-    if cert is None:
-        cert = cn.certify_cyclic_bent(f)
-    if not (cert.passed and cert.kind == "bent"):
-        raise ValueError("f is not certified cyclic bent")
+    cn.require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
     q = ctx.order
     size = f.domain.size
     if size > MAX_LENGTH:
         raise ValueError(f"code length {size} exceeds the packed-word cap {MAX_LENGTH}")
-    tr1 = ctx.trace_table(1)
-    lam_words = [_pack_table(np.concatenate([tr1[ctx.mul_table(l)]] * 2)) for l in range(q)]
+    lam_words = [_pack_table(np.tile(row, 2)) for row in ctx.trace_pairing()]
     x2_word = _pack_table(np.concatenate([np.zeros(q, np.int64), np.ones(q, np.int64)]))
     full = (1 << size) - 1
     words = np.empty(q * q * 4, dtype=np.uint64)
@@ -151,16 +147,12 @@ def build_code_g(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> Nonlin
     a (2^n, 2^{2n+1}) code when g is cyclic semi-bent with g(0) = 0."""
     if int(g.table[0]) != 0:
         raise ValueError("build_code_g needs g(0) = 0")
-    if cert is None:
-        cert = cn.is_cyclic_semibent(g, "reduced")
-    if not (cert.passed and cert.kind == "semi-bent"):
-        raise ValueError("g is not certified cyclic semi-bent")
+    cn.require_cyclic_semibent(g, cert)
     ctx = g.domain.ctx
     q = ctx.order
     if q > MAX_LENGTH:
         raise ValueError(f"code length {q} exceeds the packed-word cap {MAX_LENGTH}")
-    tr1 = ctx.trace_table(1)
-    lam_words = [_pack_table(tr1[ctx.mul_table(l)]) for l in range(q)]
+    lam_words = [_pack_table(row) for row in ctx.trace_pairing()]
     full = (1 << q) - 1
     words = np.empty(q * q * 2, dtype=np.uint64)
     labels = []

@@ -13,6 +13,11 @@ tr(lam x1) + nu for some (lam, nu); if that hypothesis fails the reduced
 route is inapplicable and AffineDifferenceError is raised, which is distinct
 from a certificate that fails on bentness.
 
+All four certifiers run one scan: each supplies the truth tables of its pair
+sums, and the scan Walsh-transforms them in batches of about 2^22 values and
+returns the first sum that is not bent (even m) or semi-bent (odd n).  Memory
+is bounded by the batch at every m.
+
 Cost control: full bent mode is O(4^m) Walsh transforms and is capped at
 m <= 8 unless force=True; reduced mode is allowed to m <= 16.
 """
@@ -234,38 +239,46 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 # -- certifiers --------------------------------------------------------------------
 
 
-def _first_failure(n_cases: int, eval_batch, batch: int, threads: int) -> int:
-    """Smallest failing case index over [0, n_cases), or -1.
+# Pair-sum truth tables go through the Walsh butterfly about this many
+# values at a time: a few tens of MB of int64, whatever m is.
+_BATCH_VALUES = 1 << 22
 
-    eval_batch(start, stop) returns a local failing offset or -1.  Batches are
-    independent, so the scan parallelizes; the min-reduction keeps the result
-    (and hence any witness) deterministic regardless of schedule.
+
+def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int:
+    """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
+
+    sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
+    one row each.  A row passes when every |W| = 2^{n/2} for even n_vars
+    (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
+    Batches are independent, so the scan parallelizes; the min-reduction
+    keeps the result (and hence any witness) deterministic regardless of
+    schedule.
     """
-    starts = list(range(0, n_cases, batch))
+    batch = max(1, _BATCH_VALUES >> n_vars)
+    peak = 1 << ((n_vars + 1) // 2)
+
+    def first_bad(start: int) -> int:
+        rows = sum_rows(start, min(start + batch, n_cases))
+        w = bf.walsh_many(1 - 2 * rows.astype(np.int8))
+        np.abs(w, out=w)
+        ok = w == peak
+        if n_vars % 2:
+            ok |= w == 0
+        bad = np.flatnonzero(~ok.all(axis=1))
+        return start + int(bad[0]) if len(bad) else -1
+
+    starts = range(0, n_cases, batch)
     if threads <= 1 or len(starts) <= 1:
-        for s in starts:
-            bad = eval_batch(s, min(s + batch, n_cases))
-            if bad >= 0:
-                return s + bad
-        return -1
-    failures = []
+        return next((bad for bad in map(first_bad, starts) if bad >= 0), -1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(
-            lambda s: (s, eval_batch(s, min(s + batch, n_cases))), starts
-        )
-        for s, bad in results:
-            if bad >= 0:
-                failures.append(s + bad)
-    return min(failures) if failures else -1
+        return min((bad for bad in pool.map(first_bad, starts) if bad >= 0), default=-1)
 
 
-def _batched_bent_scan(sign_rows: np.ndarray, n_vars: int) -> int:
-    """Return index of first non-bent row, or -1 if all rows are bent."""
-    w = bf.walsh_many(sign_rows)
-    peak = 1 << (n_vars // 2)
-    ok = np.all(np.abs(w) == peak, axis=1)
-    bad = np.nonzero(~ok)[0]
-    return int(bad[0]) if len(bad) else -1
+def _scaled_sums(f: BoolFun, scale):
+    """sum_rows for the tables of f + scale(f, c), case i being c = i + 2."""
+    return lambda start, stop: f.table ^ np.stack(
+        [scale(f, c).table for c in range(start + 2, stop + 2)]
+    )
 
 
 def is_cyclic_bent_full(f: BoolFun, force: bool = False, threads: int = 1) -> CyclicCertificate:
@@ -280,24 +293,22 @@ def is_cyclic_bent_full(f: BoolFun, force: bool = False, threads: int = 1) -> Cy
             f"default cap {FULL_MODE_MAX_M} (pass force=True to override)"
         )
     q = ctx.order
-    tables = [bf.scale_compose(f, a, 0).table for a in range(q)]
-    half = q
-    flip = np.concatenate([np.arange(half, 2 * half), np.arange(half)])
-    cases = [(a, b, eps) for a in range(q) for b in range(q) if a != b for eps in (0, 1)]
+    tables = np.stack([bf.scale_compose(f, a, 0).table for a in range(q)])
+    # by_eps[eps, b] is f(b x1, x2 + eps): eps = 1 swaps the x2 halves
+    by_eps = np.stack([tables, np.roll(tables, q, axis=1)])
+    a_of, b_of = np.nonzero(~np.eye(q, dtype=bool))  # ordered pairs a != b, a-major
 
-    def eval_batch(start: int, stop: int) -> int:
-        chunk = cases[start:stop]
-        rows = np.empty((len(chunk), 2 * q), dtype=np.int64)
-        for i, (a, b, eps) in enumerate(chunk):
-            tb = tables[b] if eps == 0 else tables[b][flip]
-            rows[i] = 1 - 2 * (tables[a] ^ tb).astype(np.int64)
-        return _batched_bent_scan(rows, m)
+    def sum_rows(start: int, stop: int) -> np.ndarray:
+        pair, eps = np.divmod(np.arange(start, stop), 2)  # case (a, b, eps)
+        return tables[a_of[pair]] ^ by_eps[eps, b_of[pair]]
 
-    batch = max(1, (1 << 22) // (2 * q))
-    bad = _first_failure(len(cases), eval_batch, batch, threads)
+    n_cases = 2 * len(a_of)
+    bad = _first_failure(n_cases, sum_rows, m, threads)
     if bad >= 0:
-        return CyclicCertificate("bent", "full", False, bad, cases[bad])
-    return CyclicCertificate("bent", "full", True, len(cases))
+        pair, eps = divmod(bad, 2)
+        witness = (int(a_of[pair]), int(b_of[pair]), eps)
+        return CyclicCertificate("bent", "full", False, bad, witness)
+    return CyclicCertificate("bent", "full", True, n_cases)
 
 
 def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
@@ -322,15 +333,10 @@ def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
         # f + f(0 x1, x2) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
         return CyclicCertificate("bent", "reduced", False, 0, (1, 0, 0))
     q = ctx.order
-    checked = 1
-    sign_f = f.signs()
-    rows = np.empty((q - 2, 2 * q), dtype=np.int64)
-    for i, b in enumerate(range(2, q)):
-        rows[i] = sign_f * bf.scale_compose(f, b, 0).signs()
-    bad = _batched_bent_scan(rows, m)
+    bad = _first_failure(q - 2, _scaled_sums(f, bf.scale_compose), m)
     if bad >= 0:
-        return CyclicCertificate("bent", "reduced", False, checked + bad, (1, bad + 2, 0))
-    return CyclicCertificate("bent", "reduced", True, checked + q - 2)
+        return CyclicCertificate("bent", "reduced", False, 1 + bad, (1, bad + 2, 0))
+    return CyclicCertificate("bent", "reduced", True, q - 1)
 
 
 def certify_cyclic_bent(f: BoolFun, mode: str = "auto", force: bool = False) -> CyclicCertificate:
@@ -358,44 +364,45 @@ def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1) -> C
     n = g.n_vars
     if n % 2 != 1:
         raise ValueError("cyclic semi-bent functions need an odd number of variables")
-    ctx = g.domain.ctx
-    q = ctx.order
-    peak = 1 << ((n + 1) // 2)
-
-    def rows_semibent(rows: np.ndarray) -> int:
-        w = np.abs(bf.walsh_many(rows))
-        ok = np.all((w == 0) | (w == peak), axis=1)
-        bad = np.nonzero(~ok)[0]
-        return int(bad[0]) if len(bad) else -1
-
+    q = g.domain.ctx.order
     if mode == "reduced":
         if not bf.is_semibent(g):
             return CyclicCertificate("semi-bent", "reduced", False, 0, (1, 0))
-        sign_g = g.signs()
-        rows = np.empty((q - 2, q), dtype=np.int64)
-        for i, c in enumerate(range(2, q)):
-            rows[i] = sign_g * bf.scale_field(g, c).signs()
-        bad = rows_semibent(rows)
+        bad = _first_failure(q - 2, _scaled_sums(g, bf.scale_field), n, threads)
         if bad >= 0:
             return CyclicCertificate("semi-bent", "reduced", False, 1 + bad, (1, bad + 2))
         return CyclicCertificate("semi-bent", "reduced", True, q - 1)
-
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
-    tables = [bf.scale_field(g, a).table for a in range(q)]
-    cases = [(a, b) for a in range(q) for b in range(q) if a != b]
-
-    def eval_batch(start: int, stop: int) -> int:
-        chunk = cases[start:stop]
-        rows = np.empty((len(chunk), q), dtype=np.int64)
-        for i, (a, b) in enumerate(chunk):
-            rows[i] = 1 - 2 * (tables[a] ^ tables[b]).astype(np.int64)
-        return rows_semibent(rows)
-
-    bad = _first_failure(len(cases), eval_batch, max(1, (1 << 22) // q), threads)
+    tables = np.stack([bf.scale_field(g, a).table for a in range(q)])
+    a_of, b_of = np.nonzero(~np.eye(q, dtype=bool))
+    bad = _first_failure(
+        len(a_of), lambda start, stop: tables[a_of[start:stop]] ^ tables[b_of[start:stop]],
+        n, threads,
+    )
     if bad >= 0:
-        return CyclicCertificate("semi-bent", "full", False, bad, cases[bad])
-    return CyclicCertificate("semi-bent", "full", True, len(cases))
+        witness = (int(a_of[bad]), int(b_of[bad]))
+        return CyclicCertificate("semi-bent", "full", False, bad, witness)
+    return CyclicCertificate("semi-bent", "full", True, len(a_of))
+
+
+def require_cyclic_bent(f: BoolFun, cert: CyclicCertificate | None = None) -> CyclicCertificate:
+    """cert, or f's certificate when cert is None; raises unless it passed as bent."""
+    if cert is None:
+        cert = certify_cyclic_bent(f)
+    if not (cert.kind == "bent" and cert.passed):
+        raise ValueError("f is not certified cyclic bent")
+    return cert
+
+
+def require_cyclic_semibent(g: BoolFun, cert: CyclicCertificate | None = None) -> CyclicCertificate:
+    """cert, or g's reduced certificate when cert is None; raises unless it
+    passed as semi-bent."""
+    if cert is None:
+        cert = is_cyclic_semibent(g, "reduced")
+    if not (cert.kind == "semi-bent" and cert.passed):
+        raise ValueError("g is not certified cyclic semi-bent")
+    return cert
 
 
 # -- derived families ---------------------------------------------------------------

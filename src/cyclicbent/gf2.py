@@ -367,6 +367,23 @@ class GF2m:
             self._dual_index = d
         return self._dual_index
 
+    def trace_pairing(self) -> np.ndarray:
+        """q x q uint8 matrix T with T[lam, x] = tr(lam x).
+
+        Built from the dual index table as parity(D[lam] & x); not cached,
+        since it is q^2 bytes.
+        """
+        d = self.dual_index_table().astype(np.min_scalar_type(self.order - 1))
+        x = np.arange(self.order, dtype=d.dtype)
+        t = np.bitwise_count(d[:, None] & x[None, :])
+        return np.bitwise_and(t, 1, out=t)
+
+    def generator_powers(self, t) -> np.ndarray:
+        """beta^t for every integer in t (any shape), read from the antilog table."""
+        if self._exp is None:
+            raise ValueError(f"no antilog table above degree {LOG_TABLE_MAX_DEGREE}")
+        return self._exp[np.asarray(t) % (self.order - 1)]
+
     def __repr__(self):
         return f"GF2m(degree={self.degree}, modulus={bin(self.modulus)})"
 

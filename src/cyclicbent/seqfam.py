@@ -107,23 +107,18 @@ def quaternary_family(
     integer.  Requires f cyclic bent and normalized.
     """
     _check_normalized(f)
-    if cert is None:
-        cert = cn.certify_cyclic_bent(f)
-    if not (cert.passed and cert.kind == "bent"):
-        raise ValueError("f is not certified cyclic bent")
+    cn.require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
     q = ctx.order
     period = q - 1
     from cyclicbent.codebook import quaternary_entry_arrays
 
     are, aim = quaternary_entry_arrays(f, 1)
-    tr1 = ctx.trace_table(1)
-    powers = np.array([ctx.pow(ctx.generator, t) for t in range(period)], dtype=np.int64)
-    members = []
-    for lam in range(q):
-        s = (1 - 2 * tr1[ctx.mul_table(lam)[powers]]).astype(np.int8)
-        members.append(Member(str(lam), (are[powers] * s).astype(np.int8), (aim[powers] * s).astype(np.int8)))
-    s_inf = (1 - 2 * tr1[powers]).astype(np.int8)
+    powers = ctx.generator_powers(np.arange(period))
+    s = 1 - 2 * ctx.trace_pairing()[:, powers].astype(np.int8)  # row lam
+    re, im = are[powers] * s, aim[powers] * s
+    members = [Member(str(lam), re[lam], im[lam]) for lam in range(q)]
+    s_inf = (1 - 2 * ctx.trace_table(1)[powers]).astype(np.int8)
     members.append(Member("inf", s_inf, np.zeros(period, dtype=np.int8)))
     return SequenceFamily("quaternary", period, members)
 
@@ -140,34 +135,27 @@ def binary_family(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> Seque
     _check_normalized(f)
     if cn.affine_bit_difference(f) != (1, 0):
         raise ValueError("binary family needs f(x1,0)+f(x1,1) = tr(x1)")
-    if cert is None:
-        cert = cn.certify_cyclic_bent(f)
-    if not (cert.passed and cert.kind == "bent"):
-        raise ValueError("f is not certified cyclic bent")
+    cn.require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
     q = ctx.order
     m = f.n_vars
     half_period = q - 1
     period = 2 * half_period
     offset = 1 << (m - 2)  # beta^{2^{m-2}} shift on the odd samples
-    tr1 = ctx.trace_table(1)
-    powers = np.array([ctx.pow(ctx.generator, t) for t in range(half_period)], dtype=np.int64)
-    powers_off = np.array(
-        [ctx.pow(ctx.generator, t + offset) for t in range(half_period)], dtype=np.int64
-    )
-    f0 = f.table[:q]
-    f1 = f.table[q:]
-    members = []
-    lams = [lam for lam in range(q) if tr1[lam] == 0]
-    for nu in (0, 1):
-        for lam in lams:
-            lam_mul = ctx.mul_table(lam)
-            even = f0[powers] ^ tr1[lam_mul[powers]]
-            odd = f1[powers_off] ^ tr1[lam_mul[powers_off]] ^ nu
-            vals = np.empty(period, dtype=np.int8)
-            vals[0::2] = 1 - 2 * even.astype(np.int8)
-            vals[1::2] = 1 - 2 * odd.astype(np.int8)
-            members.append(Member(f"{lam},{nu}", vals, np.zeros(period, dtype=np.int8)))
+    powers = ctx.generator_powers(np.arange(half_period))
+    powers_off = ctx.generator_powers(np.arange(half_period) + offset)
+    lams = np.flatnonzero(ctx.trace_table(1) == 0)
+    pairing = ctx.trace_pairing()[lams]
+    bits = np.empty((2, len(lams), period), dtype=np.int8)  # [nu, lam, t]
+    bits[:, :, 0::2] = f.table[:q][powers] ^ pairing[:, powers]
+    bits[:, :, 1::2] = f.table[q:][powers_off] ^ pairing[:, powers_off]
+    bits[1, :, 1::2] ^= 1
+    vals = 1 - 2 * bits
+    members = [
+        Member(f"{lam},{nu}", vals[nu, i], np.zeros(period, dtype=np.int8))
+        for nu in (0, 1)
+        for i, lam in enumerate(lams)
+    ]
     return SequenceFamily("binary", period, members)
 
 
@@ -178,22 +166,16 @@ def semibent_family(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> Seq
     """
     if int(g.table[0]) != 0:
         raise ValueError("family needs g(0) = 0")
-    if cert is None:
-        cert = cn.is_cyclic_semibent(g, "reduced")
-    if not (cert.passed and cert.kind == "semi-bent"):
-        raise ValueError("g is not certified cyclic semi-bent")
+    cn.require_cyclic_semibent(g, cert)
     ctx = g.domain.ctx
     q = ctx.order
     period = q - 1
-    tr1 = ctx.trace_table(1)
-    powers = np.array([ctx.pow(ctx.generator, t) for t in range(period)], dtype=np.int64)
-    members = []
-    for lam in range(q):
-        bits = g.table[powers] ^ tr1[ctx.mul_table(lam)[powers]]
-        members.append(
-            Member(str(lam), (1 - 2 * bits).astype(np.int8), np.zeros(period, dtype=np.int8))
-        )
-    s_inf = (1 - 2 * tr1[powers]).astype(np.int8)
+    powers = ctx.generator_powers(np.arange(period))
+    vals = 1 - 2 * (g.table[powers] ^ ctx.trace_pairing()[:, powers]).astype(np.int8)
+    members = [
+        Member(str(lam), vals[lam], np.zeros(period, dtype=np.int8)) for lam in range(q)
+    ]
+    s_inf = (1 - 2 * ctx.trace_table(1)[powers]).astype(np.int8)
     members.append(Member("inf", s_inf, np.zeros(period, dtype=np.int8)))
     return SequenceFamily("binary", period, members)
 

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from the defining formulas, without
 sharing code paths with the library (no butterfly transform, no log-table
-shortcuts in the hot loop beyond plain context arithmetic).
+shortcuts in the hot loop beyond plain context arithmetic).  The exception
+is the routes the library replaced, kept as references: the per-case
+certifier loops (which share the Walsh butterfly and the compositions),
+the int64 Gram and the per-cell CSV writer.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from cyclicbent import boolfun as bf
+from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
 
@@ -101,6 +106,17 @@ def is_quadratic(f: BoolFun) -> bool:
     return True
 
 
+def trace_pairing_by_rows(ctx) -> np.ndarray:
+    """tr(lam x) over (lam, x) as uint8, one trace lookup of lam * x per lam."""
+    tr1 = ctx.trace_table(1)
+    return np.stack([tr1[ctx.mul_table(lam)] for lam in range(ctx.order)]).astype(np.uint8)
+
+
+def generator_powers_by_pow(ctx, t) -> np.ndarray:
+    """beta^k for each k in t by scalar exponentiation."""
+    return np.array([ctx.pow(ctx.generator, int(k)) for k in t], dtype=np.int64)
+
+
 def correlation_scan_by_pairs(fam: sf.SequenceFamily):
     """(counts, total, r_max_sq) of a family, one ``correlate`` call per
     (member, member, shift), masking only each member's own zero shift.
@@ -149,3 +165,90 @@ def imax_sq_masked_tiles(cb, block: int = 1024) -> Fraction:
                 sel = mask & (norms == nval)
                 best = max(best, Fraction(int(mag[sel].max()), int(nval)))
     return best
+
+
+def write_csv_by_cells(cb, path: str) -> None:
+    """Codebook CSV with every entry normalized and formatted on its own."""
+    with open(path, "w") as fh:
+        for i in range(cb.n_rows):
+            scale = 1.0 / float(np.sqrt(float(cb.norm_sq[i])))
+            cells = []
+            for j in range(cb.length):
+                a = float(cb.re[i, j]) * scale
+                b = float(cb.im[i, j]) * scale
+                cells.append(f"{a:.12g}" if b == 0 else f"{a:.12g}{b:+.12g}j")
+            fh.write(",".join(cells) + "\n")
+
+
+# -- the certifiers as per-case loops ------------------------------------------------
+
+
+def _first_non_bent(sign_rows: np.ndarray, n_vars: int) -> int:
+    w = bf.walsh_many(sign_rows)
+    bad = np.nonzero(~np.all(np.abs(w) == 1 << (n_vars // 2), axis=1))[0]
+    return int(bad[0]) if len(bad) else -1
+
+
+def _first_non_semibent(sign_rows: np.ndarray, n_vars: int) -> int:
+    w = np.abs(bf.walsh_many(sign_rows))
+    peak = 1 << ((n_vars + 1) // 2)
+    bad = np.nonzero(~np.all((w == 0) | (w == peak), axis=1))[0]
+    return int(bad[0]) if len(bad) else -1
+
+
+def cyclic_bent_full_by_cases(f: BoolFun) -> cn.CyclicCertificate:
+    """One sign row per case (a, b, eps), in that order, all transformed at once."""
+    q = f.domain.ctx.order
+    tables = [bf.scale_compose(f, a, 0).table for a in range(q)]
+    flip = np.concatenate([np.arange(q, 2 * q), np.arange(q)])
+    cases = [(a, b, eps) for a in range(q) for b in range(q) if a != b for eps in (0, 1)]
+    rows = np.empty((len(cases), 2 * q), dtype=np.int64)
+    for i, (a, b, eps) in enumerate(cases):
+        tb = tables[b] if eps == 0 else tables[b][flip]
+        rows[i] = 1 - 2 * (tables[a] ^ tb).astype(np.int64)
+    bad = _first_non_bent(rows, f.n_vars)
+    if bad >= 0:
+        return cn.CyclicCertificate("bent", "full", False, bad, cases[bad])
+    return cn.CyclicCertificate("bent", "full", True, len(cases))
+
+
+def cyclic_bent_reduced_by_rows(f: BoolFun) -> cn.CyclicCertificate:
+    """f bent, then one (q-2) x 2q array of the signs of f + f(b.), b >= 2."""
+    if cn.affine_bit_difference(f) is None:
+        raise cn.AffineDifferenceError("f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu")
+    if not bf.is_bent(f):
+        return cn.CyclicCertificate("bent", "reduced", False, 0, (1, 0, 0))
+    q = f.domain.ctx.order
+    rows = np.empty((q - 2, 2 * q), dtype=np.int64)
+    for i, b in enumerate(range(2, q)):
+        rows[i] = f.signs() * bf.scale_compose(f, b, 0).signs()
+    bad = _first_non_bent(rows, f.n_vars)
+    if bad >= 0:
+        return cn.CyclicCertificate("bent", "reduced", False, 1 + bad, (1, bad + 2, 0))
+    return cn.CyclicCertificate("bent", "reduced", True, q - 1)
+
+
+def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:
+    """reduced: g semi-bent, then g + g(c.) for c >= 2; full: every ordered
+    pair (a, b), a != b, one sign row each."""
+    q = g.domain.ctx.order
+    n = g.n_vars
+    if mode == "reduced":
+        if not bf.is_semibent(g):
+            return cn.CyclicCertificate("semi-bent", "reduced", False, 0, (1, 0))
+        rows = np.empty((q - 2, q), dtype=np.int64)
+        for i, c in enumerate(range(2, q)):
+            rows[i] = g.signs() * bf.scale_field(g, c).signs()
+        bad = _first_non_semibent(rows, n)
+        if bad >= 0:
+            return cn.CyclicCertificate("semi-bent", "reduced", False, 1 + bad, (1, bad + 2))
+        return cn.CyclicCertificate("semi-bent", "reduced", True, q - 1)
+    tables = [bf.scale_field(g, a).table for a in range(q)]
+    cases = [(a, b) for a in range(q) for b in range(q) if a != b]
+    rows = np.empty((len(cases), q), dtype=np.int64)
+    for i, (a, b) in enumerate(cases):
+        rows[i] = 1 - 2 * (tables[a] ^ tables[b]).astype(np.int64)
+    bad = _first_non_semibent(rows, n)
+    if bad >= 0:
+        return cn.CyclicCertificate("semi-bent", "full", False, bad, cases[bad])
+    return cn.CyclicCertificate("semi-bent", "full", True, len(cases))

@@ -160,6 +160,13 @@ def test_codebook_threads_flag(capsys):
     # a thread count below one
     ("codebook --m 6 --threads 0", 2),
     ("verify --m 4 --threads -3", 2),
+    # a linearized polynomial that does not parse
+    ("charquad --m 5 --L y^3", 2),
+    ("charquad --m 5 --L x^3", 2),
+    # a CSV export with nowhere to write it
+    ("codebook --m 4 --format csv", 2),
+    ("mub --m 4 --format csv", 2),
+    ("seqfam --kind semibent --n 3 --format csv", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code

@@ -20,7 +20,7 @@ from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 from cyclicbent import boolfun as bf
 
-from oracles import gram_int64, imax_sq_masked_tiles
+from oracles import gram_int64, imax_sq_masked_tiles, write_csv_by_cells
 
 
 def kerdock4():
@@ -241,6 +241,16 @@ def test_imax_sq_matches_masked_tile_oracle(block, threads):
     for cb in _hand_codebooks() + _stock_codebooks():
         expected = imax_sq_masked_tiles(cb)
         assert cbk.imax_sq(cb, block=block, threads=threads) == expected
+
+
+def test_write_csv_matches_cell_loop(tmp_path):
+    # the real, random-eps real, complex and semi-bent codebooks at m = 4 /
+    # n = 3, and hand-built ones with interleaved non-square norms
+    for i, cb in enumerate(_stock_codebooks() + _hand_codebooks()):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        cb.write_csv(str(got))
+        write_csv_by_cells(cb, str(want))
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_imax_sq_matches_oracle_on_real_codebook_m6():

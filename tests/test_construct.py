@@ -6,6 +6,8 @@ gamma-twisted quadratic part); chain_fn must reproduce both truth tables
 exactly at the matching parameters.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 
-from oracles import bilinear_kernel_dim
+from oracles import (
+    bilinear_kernel_dim,
+    cyclic_bent_full_by_cases,
+    cyclic_bent_reduced_by_rows,
+    cyclic_semibent_by_cases,
+)
 
 
 def kerdock_pointwise(m):
@@ -288,3 +295,129 @@ def test_threads_do_not_change_verdict():
     w1 = cn.is_cyclic_bent_full(f, threads=1).witness
     w4 = cn.is_cyclic_bent_full(f, threads=4).witness
     assert w1 == w4
+
+
+# -- the batched pair-sum scan against the per-case routes ----------------------------
+
+
+def _random_quadratic_field_fn(ctx, rng):
+    """Random quadratic on GF(2^n) with g(0) = 0, as a sum of bit products."""
+    d = ctx.degree
+    coeffs = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.integers(0, 2)]
+    lin = int(rng.integers(0, ctx.order))
+    return bf.from_field_fn(
+        ctx,
+        lambda x: ctx.trace(ctx.mul(lin, x))
+        ^ sum((x >> i) & (x >> j) & 1 for i, j in coeffs),
+    )
+
+
+def _bent_scan_corpus():
+    ctx = mk_field(3)
+    rng = np.random.default_rng(2024)
+    corpus = [_random_hypothesis_quadratic(ctx, rng) for _ in range(100)]
+    affine = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
+    # bent, but f + f(4 x1, x2) is not: the reduced scan fails at its third sum
+    ctx5 = mk_field(5)
+    late = bf.from_field_bit_fn(
+        ctx5, lambda x1, x2: ctx5.trace(ctx5.pow(x1, 5)) ^ (x2 & ctx5.trace(ctx5.mul(3, x1)))
+    )
+    return corpus + [cn.kerdock_fn(4), cn.kerdock_fn(6), affine, late]
+
+
+def _semibent_scan_corpus():
+    out = []
+    rng = np.random.default_rng(11)
+    for n in (3, 5):
+        ctx = mk_field(n)
+        # the trace cube (i = 1) and the Gold function with i = 2
+        out += [bf.from_field_fn(ctx, lambda x, i=i: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+                for i in (1, 2)]
+        out.append(bf.from_field_fn(ctx, lambda x: ctx.trace(x)))  # affine
+        out += [_random_quadratic_field_fn(ctx, rng) for _ in range(20)]
+    return out
+
+
+def _same(cert, expected):
+    assert cert == expected
+    assert all(type(v) is int for v in cert.witness or ())  # plain ints for the JSON
+
+
+@pytest.mark.parametrize("small_batches", [False, True])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_scan_matches_per_case_routes(monkeypatch, small_batches, threads):
+    if small_batches:
+        # 100 values: between one and twelve rows per batch at these sizes
+        monkeypatch.setattr(cn, "_BATCH_VALUES", 100)
+    late = set()  # routes seen failing after their first case
+    for f in _bent_scan_corpus():
+        full = cn.is_cyclic_bent_full(f, threads=threads)
+        _same(full, cyclic_bent_full_by_cases(f))
+        reduced = cn.is_cyclic_bent_reduced(f)
+        _same(reduced, cyclic_bent_reduced_by_rows(f))
+        late |= {f"bent {c.mode}" for c in (full, reduced) if not c.passed and c.verified_pairs > 1}
+    for g in _semibent_scan_corpus():
+        for mode in ("full", "reduced"):
+            cert = cn.is_cyclic_semibent(g, mode, threads=threads)
+            _same(cert, cyclic_semibent_by_cases(g, mode))
+            if not cert.passed and cert.verified_pairs > 1:
+                late.add(f"semi-bent {mode}")
+    assert late == {"bent full", "bent reduced", "semi-bent full", "semi-bent reduced"}
+    for f in _outside_reduced_hypothesis():
+        full = cn.is_cyclic_bent_full(f, threads=threads)
+        _same(full, cyclic_bent_full_by_cases(f))
+        for reduced in (cn.is_cyclic_bent_reduced, cyclic_bent_reduced_by_rows):
+            with pytest.raises(cn.AffineDifferenceError):
+                reduced(f)
+    assert full.witness == (1, 2, 1)  # eps = 1 is the first sum that is not bent
+
+
+def _outside_reduced_hypothesis():
+    """Functions whose x2-difference is not tr(lam x1) + nu."""
+    ctx = mk_field(3)
+    violating = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
+    # a cubic Maiorana-McFarland bent function <u, pi(v)> + h(v) of the index
+    # bits u = 0..2, v = 3..5: f + f(2 x1, x2) is bent, f + f(2 x1, x2 + 1) is not
+    u, v = np.arange(64) & 7, np.arange(64) >> 3
+    pi = np.array([6, 2, 3, 4, 0, 5, 1, 7])
+    h = np.array([0, 1, 1, 1, 0, 0, 1, 0])
+    table = (np.bitwise_count(u & pi[v]) & 1) ^ h[v]
+    return [violating, bf.BoolFun(bf.Domain(mk_field(5), True), table.astype(np.uint8))]
+
+
+def test_reduced_certifier_memory_is_bounded():
+    f = cn.kerdock_fn(12)
+    tracemalloc.start()
+    try:
+        assert cn.is_cyclic_bent_reduced(f).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 20
+
+
+@pytest.mark.parametrize("small_batches", [False, True])
+def test_walsh_rows_match_closed_forms(monkeypatch, small_batches):
+    if small_batches:
+        monkeypatch.setattr(cn, "_BATCH_VALUES", 100)
+    rows = []
+    walsh, walsh_many = bf.walsh, bf.walsh_many
+    monkeypatch.setattr(bf, "walsh", lambda f: rows.append(1) or walsh(f))
+    monkeypatch.setattr(bf, "walsh_many", lambda s: rows.append(len(s)) or walsh_many(s))
+
+    def transformed(certify, *args):
+        rows.clear()
+        assert certify(*args).passed
+        return sum(rows)
+
+    for m in (4, 6):
+        q = 1 << (m - 1)
+        f = cn.kerdock_fn(m)
+        assert transformed(cn.is_cyclic_bent_reduced, f) == (1 << (m - 1)) - 1
+        assert transformed(cn.is_cyclic_bent_full, f) == 2 * q * (q - 1)
+    for n in (3, 5):
+        ctx = mk_field(n)
+        g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+        q = ctx.order
+        assert transformed(cn.is_cyclic_semibent, g, "reduced") == q - 1
+        assert transformed(cn.is_cyclic_semibent, g, "full") == q * (q - 1)

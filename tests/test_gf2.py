@@ -7,9 +7,12 @@ Expected values for GF(8) were derived by hand-reduction modulo x^3 + x + 1
     tr(x)     = x + x^2 + x^4 = x + x^2 + (x^2 + x) = 0
 """
 
+import numpy as np
 import pytest
 
 from cyclicbent.gf2 import DEFAULT_MODULUS, GF2m, is_irreducible, mk_field
+
+from oracles import generator_powers_by_pow, trace_pairing_by_rows
 
 
 def test_default_table_every_degree_validates():
@@ -178,9 +181,21 @@ def test_vector_tables_match_scalars():
                 assert pt[x] == ctx.pow(x, e)
 
 
+def test_trace_pairing_and_generator_powers_match_loops():
+    for d in range(1, 13):
+        ctx = mk_field(d)
+        pairing = ctx.trace_pairing()
+        assert pairing.dtype == np.uint8 and pairing.shape == (ctx.order, ctx.order)
+        assert np.array_equal(pairing, trace_pairing_by_rows(ctx))
+        t = np.arange(-2, 2 * ctx.order + 3)  # wraps past the period both ways
+        assert np.array_equal(ctx.generator_powers(t), generator_powers_by_pow(ctx, t))
+
+
 def test_large_degree_no_log_tables():
     ctx = mk_field(24)
     assert ctx._log is None
+    with pytest.raises(ValueError, match="antilog"):
+        ctx.generator_powers([1])
     a, b = 0x9A3F21, 0x45D1
     assert ctx.mul(a, b) == ctx.mul(b, a)
     assert ctx.mul(a, ctx.inv(a)) == 1
