@@ -11,8 +11,16 @@ Index conventions (fixed across the whole package):
   (resp. (lam, nu)) uses the inner product tr(lam*x) (resp.
   tr(lam*x1) + nu*x2).
 
-Spectra are exact 64-bit signed integers, safe for n <= 24 variables;
-classification is exact membership, no tolerances.
+The Walsh transform of a sign row of length 2^n is one Kronecker-factored
+Hadamard product: the row is read as a 2^{k1} x 2^{k2} matrix X
+(k1 = floor(n/2), k2 = n - k1) and the spectrum is H_{2^{k1}} X H_{2^{k2}},
+two float32 BLAS matmuls with the +-1 Sylvester-Hadamard matrices.  This is
+exact: the inputs and matrix entries are +-1, so every partial sum of both
+products is an integer of size at most 2^n, and float32 holds every such
+integer exactly while n <= 24 (MAX_WALSH_VARS, the cap of the field
+degrees too).  Summation order and fused multiply-adds therefore cannot
+change any value.  ``walsh`` returns the spectrum as 64-bit signed
+integers; classification is exact membership, no tolerances.
 """
 
 from __future__ import annotations
@@ -20,10 +28,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from cyclicbent.gf2 import GF2m, mk_field
+
+# float32 holds every integer of size at most 2^24 exactly
+MAX_WALSH_VARS = 24
 
 
 class WalshClass(Enum):
@@ -149,19 +161,33 @@ def from_field_fn(ctx: GF2m, fn) -> BoolFun:
     return BoolFun(dom, np.array([fn(x) & 1 for x in range(ctx.order)], dtype=np.uint8))
 
 
-def wht_inplace(v: np.ndarray) -> np.ndarray:
-    """In-place fast Walsh-Hadamard butterfly along the last axis (length 2^n)."""
-    n = v.shape[-1]
-    h = 1
-    while h < n:
-        v = v.reshape(v.shape[:-1] + (n // (2 * h), 2, h))
-        a = v[..., 0, :].copy()
-        b = v[..., 1, :]
-        v[..., 0, :] = a + b
-        v[..., 1, :] = a - b
-        v = v.reshape(v.shape[:-3] + (n,))
-        h *= 2
-    return v
+@cache
+def _sylvester(k: int) -> np.ndarray:
+    """H_{2^k}[i, j] = (-1)^{popcount(i & j)} as a read-only float32 matrix."""
+    i = np.arange(1 << k)
+    h = 1 - 2 * (np.bitwise_count(i[:, None] & i[None, :]) & 1).astype(np.float32)
+    h.setflags(write=False)
+    return h
+
+
+def _hadamard_rows(signs) -> np.ndarray:
+    """Walsh spectra (natural bit order) of the +-1 rows along the last axis,
+    as float32: each row, read as a 2^{k1} x 2^{k2} matrix X, maps to
+    H_{2^{k1}} X H_{2^{k2}}.  Exact for +-1 rows of length 2^n, n <= 24.
+    """
+    shape = np.shape(signs)
+    size = shape[-1] if shape else 0
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"Walsh rows need a power-of-two length, got {size}")
+    if size > 1 << MAX_WALSH_VARS:
+        raise ValueError(
+            f"float32 Walsh spectra are exact for n <= {MAX_WALSH_VARS} variables, "
+            f"got rows of length {size}"
+        )
+    n = size.bit_length() - 1
+    k1 = n // 2
+    x = np.asarray(signs, dtype=np.float32).reshape(shape[:-1] + (1 << k1, size >> k1))
+    return np.matmul(_sylvester(k1), x @ _sylvester(n - k1)).reshape(shape)
 
 
 def _dual_permutation(domain: Domain) -> np.ndarray:
@@ -176,21 +202,24 @@ def _dual_permutation(domain: Domain) -> np.ndarray:
 def walsh(f: BoolFun) -> WalshSpectrum:
     """Exact Walsh spectrum W(a) = sum_x (-1)^{f(x) + <a,x>}.
 
-    The butterfly computes the spectrum for the plain bit inner product;
-    the field inner product tr(lam*x) is obtained by the linear reindexing
-    of the dual points given by the trace pairing.
+    The Hadamard product computes the spectrum for the plain bit inner
+    product; the field inner product tr(lam*x) is obtained by the linear
+    reindexing of the dual points given by the trace pairing.
     """
-    w = wht_inplace(f.signs())
+    w = _hadamard_rows(1 - 2 * f.table.astype(np.float32)).astype(np.int64)
     return WalshSpectrum(f.domain, w[_dual_permutation(f.domain)])
 
 
 def walsh_many(signs: np.ndarray) -> np.ndarray:
-    """Row-wise Walsh butterfly for a batch of sign vectors (no dual reindex).
+    """Row-wise Walsh transform of a batch of sign rows (no dual reindex).
 
-    Only the value multiset is meaningful per row; use :func:`walsh` when
-    dual indexing matters.
+    Contract: every entry is +1 or -1 and the rows have length 2^n with
+    n <= 24.  The float32 result is exact only under this contract (see the
+    module docstring); other lengths raise ValueError, other entries are
+    not checked.  Only the value multiset is meaningful per row; use
+    :func:`walsh` when dual indexing matters.
     """
-    return wht_inplace(np.array(signs, dtype=np.int64, copy=True))
+    return _hadamard_rows(signs)
 
 
 def classify_values(values: np.ndarray, n_vars: int) -> WalshClass:

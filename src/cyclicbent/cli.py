@@ -253,26 +253,12 @@ def cmd_code(args) -> int:
     if args.n is not None:
         g = _semibent_input(args)
         code = cd.build_code_g(g)
-        n = args.n
-        expected_weight = {
-            0: 1,
-            1 << n: 1,
-            1 << (n - 1): (1 << (2 * n)) + (1 << n) - 2,
-            (1 << (n - 1)) + (1 << ((n - 1) // 2)): (1 << (2 * n - 1)) - (1 << (n - 1)),
-            (1 << (n - 1)) - (1 << ((n - 1) // 2)): (1 << (2 * n - 1)) - (1 << (n - 1)),
-        }
+        expected_weight = cd.expected_weights_g(args.n)
     else:
         spec = _chain_spec(args)
         f = cn.chain_fn(spec)
         code = cd.build_code_f(f, cn.certify_cyclic_bent(f, "auto"))
-        m = args.m
-        expected_weight = {
-            0: 1,
-            1 << m: 1,
-            1 << (m - 1): (1 << (m + 1)) - 2,
-            (1 << (m - 1)) + (1 << ((m - 2) // 2)): (1 << m) * ((1 << (m - 1)) - 1),
-            (1 << (m - 1)) - (1 << ((m - 2) // 2)): (1 << m) * ((1 << (m - 1)) - 1),
-        }
+        expected_weight = cd.expected_weights_f(args.m)
     rep = cd.weight_distance_distributions(code)
     weight_ok = rep.weight == expected_weight
     dist_ok = rep.distance == rep.weight

@@ -40,12 +40,13 @@ class NonlinearCode:
         return int(np.bitwise_count(self.words[i : i + 1])[0])
 
     def is_linear(self) -> bool:
-        """Closure of the word set under XOR (0 must be a codeword)."""
-        ws = set(int(w) for w in self.words)
-        if 0 not in ws:
-            return False
-        lst = sorted(ws)
-        return all((a ^ b) in ws for i, a in enumerate(lst) for b in lst[i:])
+        """Closure of the word set under XOR.
+
+        The distinct words S lie in their GF(2) span, which has 2^rank(S)
+        words, so S is closed exactly when |S| = 2^rank(S).
+        """
+        distinct = np.unique(self.words)
+        return len(distinct) == 1 << _gf2_rank(distinct)
 
     def is_self_complementary(self) -> bool:
         full = (1 << self.length) - 1
@@ -59,6 +60,44 @@ class NonlinearCode:
             "size": self.size,
             "words_hex": [format(int(w), f"0{width}x") for w in self.words],
         }
+
+
+def _gf2_rank(words: np.ndarray) -> int:
+    """Rank over GF(2) of uint64 bit-vector words, by Gaussian elimination:
+    each pivot clears its lowest set bit from every other word, and itself."""
+    rows = words[words != 0]
+    rank = 0
+    while len(rows):
+        pivot = int(rows[0])
+        low = np.uint64(pivot & -pivot)
+        rows = np.where(rows & low, rows ^ np.uint64(pivot), rows)
+        rows = rows[rows != 0]
+        rank += 1
+    return rank
+
+
+def expected_weights_f(m: int) -> dict[int, int]:
+    """Closed-form weight distribution of C(f), f cyclic bent in m variables."""
+    side = (1 << m) * ((1 << (m - 1)) - 1)
+    return {
+        0: 1,
+        1 << m: 1,
+        1 << (m - 1): (1 << (m + 1)) - 2,
+        (1 << (m - 1)) + (1 << ((m - 2) // 2)): side,
+        (1 << (m - 1)) - (1 << ((m - 2) // 2)): side,
+    }
+
+
+def expected_weights_g(n: int) -> dict[int, int]:
+    """Closed-form weight distribution of C(g), g cyclic semi-bent on GF(2^n)."""
+    side = (1 << (2 * n - 1)) - (1 << (n - 1))
+    return {
+        0: 1,
+        1 << n: 1,
+        1 << (n - 1): (1 << (2 * n)) + (1 << n) - 2,
+        (1 << (n - 1)) + (1 << ((n - 1) // 2)): side,
+        (1 << (n - 1)) - (1 << ((n - 1) // 2)): side,
+    }
 
 
 @dataclass

@@ -239,8 +239,8 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 # -- certifiers --------------------------------------------------------------------
 
 
-# Pair-sum truth tables go through the Walsh butterfly about this many
-# values at a time: a few tens of MB of int64, whatever m is.
+# Pair-sum truth tables go through the Walsh transform about this many
+# values at a time: a few tens of MB of float32, whatever m is.
 _BATCH_VALUES = 1 << 22
 
 
@@ -259,7 +259,9 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int
 
     def first_bad(start: int) -> int:
         rows = sum_rows(start, min(start + batch, n_cases))
-        w = bf.walsh_many(1 - 2 * rows.astype(np.int8))
+        signs = np.multiply(rows, np.float32(-2), dtype=np.float32)
+        signs += 1  # (-1)^rows, built in the float32 the transform runs in
+        w = bf.walsh_many(signs)
         np.abs(w, out=w)
         ok = w == peak
         if n_vars % 2:

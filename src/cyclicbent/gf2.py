@@ -5,7 +5,9 @@ bit pattern of the polynomial-basis coordinates, so 0 and 1 are the field
 zero and one, and ``2`` is the class of x (the generator beta of every
 default field).  All arithmetic routines live on a :class:`GF2m` context
 object that is immutable after construction and safe to share across
-threads.
+threads.  The methods that take element indices (``mul``, ``pow``, ``inv``,
+``div``, ``frobenius``, ``trace``, ``mul_table``) raise ValueError for an
+index outside [0, 2^d) instead of wrapping round a table.
 
 The default modulus for each degree comes from an embedded table of
 primitive polynomials.  The table is untrusted: every modulus (default or
@@ -185,10 +187,20 @@ class GF2m:
     def _mul_raw(self, a: int, b: int) -> int:
         return poly_mod(clmul(a, b), self.modulus)
 
+    def _out_of_range(self, *xs: int) -> ValueError:
+        bad = next(x for x in xs if not 0 <= x < self.order)
+        return ValueError(f"element index {bad} is outside [0, {self.order})")
+
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
+    # Element indices are checked as (a | b) >> degree, which is nonzero
+    # exactly when some index is negative or at least 2^d.  inv and div
+    # rely on the checks in pow and mul.
+
     def mul(self, a: int, b: int) -> int:
+        if (a | b) >> self.degree:
+            raise self._out_of_range(a, b)
         if self._log is not None:
             if a == 0 or b == 0:
                 return 0
@@ -199,6 +211,8 @@ class GF2m:
         return self.mul(a, a)
 
     def pow(self, a: int, e: int) -> int:
+        if a >> self.degree:
+            raise self._out_of_range(a)
         if a == 0:
             if e == 0:
                 return 1
@@ -227,6 +241,8 @@ class GF2m:
 
     def frobenius(self, a: int, k: int = 1) -> int:
         """a^{2^k} (k squarings; x -> x^{2^d} is the identity)."""
+        if a >> self.degree:
+            raise self._out_of_range(a)
         for _ in range(k % self.degree):
             a = self.sqr(a)
         return a
@@ -248,6 +264,8 @@ class GF2m:
         Requires r | d.  The result is returned as an element of this field
         (it always lies in the subfield).  For r = 1 the result is 0 or 1.
         """
+        if x >> self.degree:
+            raise self._out_of_range(x)
         if self.degree % r != 0:
             raise ValueError(f"subfield degree {r} does not divide {self.degree}")
         if r == 1:
@@ -325,6 +343,8 @@ class GF2m:
 
     def mul_table(self, b: int) -> np.ndarray:
         """Vector P with P[x] = b*x over all x (multiplication permutation)."""
+        if b >> self.degree:
+            raise self._out_of_range(b)
         if b == 0:
             return np.zeros(self.order, dtype=np.int64)
         if self._log is not None:

@@ -1,11 +1,12 @@
 """Independent brute-force oracles used to derive expected test values.
 
 Everything here is deliberately written from the defining formulas, without
-sharing code paths with the library (no butterfly transform, no log-table
+sharing code paths with the library (no Walsh kernel, no log-table
 shortcuts in the hot loop beyond plain context arithmetic).  The exception
-is the routes the library replaced, kept as references: the per-case
-certifier loops (which share the Walsh butterfly and the compositions),
-the int64 Gram and the per-cell CSV writer.
+is the routes the library replaced, kept as references: the int64 Walsh
+butterfly, the per-case certifier loops (which share the library's Walsh
+transform and compositions), the int64 Gram, the per-cell CSV writer and
+the pairwise XOR-closure test of linearity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,22 @@ from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
+
+
+def wht_inplace(v: np.ndarray) -> np.ndarray:
+    """In-place fast Walsh-Hadamard butterfly along the last axis (length 2^n),
+    exact in the array's own integer dtype."""
+    n = v.shape[-1]
+    h = 1
+    while h < n:
+        v = v.reshape(v.shape[:-1] + (n // (2 * h), 2, h))
+        a = v[..., 0, :].copy()
+        b = v[..., 1, :]
+        v[..., 0, :] = a + b
+        v[..., 1, :] = a - b
+        v = v.reshape(v.shape[:-3] + (n,))
+        h *= 2
+    return v
 
 
 def walsh_bruteforce(f: BoolFun, lam: int, nu: int = 0) -> int:
@@ -252,3 +269,12 @@ def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:
     if bad >= 0:
         return cn.CyclicCertificate("semi-bent", "full", False, bad, cases[bad])
     return cn.CyclicCertificate("semi-bent", "full", True, len(cases))
+
+
+def is_linear_by_pairs(code) -> bool:
+    """XOR closure of a code's word set, one membership test per pair."""
+    ws = set(int(w) for w in code.words)
+    if 0 not in ws:
+        return False
+    lst = sorted(ws)
+    return all((a ^ b) in ws for i, a in enumerate(lst) for b in lst[i:])

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent.gf2 import mk_field
 
-from oracles import walsh_bruteforce, walsh_spectrum_bruteforce
+from oracles import walsh_bruteforce, walsh_spectrum_bruteforce, wht_inplace
 
 
 def tr_cube(ctx):
@@ -87,9 +88,66 @@ def test_inverse_transform_recovers_signs():
     dom = bf.Domain(ctx, with_bit=True)
     rng = np.random.default_rng(3)
     f = bf.BoolFun(dom, rng.integers(0, 2, dom.size).astype(np.uint8))
-    w = bf.wht_inplace(f.signs())
-    again = bf.wht_inplace(w)
+    w = bf.walsh_many(f.signs())
+    again = wht_inplace(w.astype(np.int64))
     assert np.array_equal(again // dom.size, f.signs())
+
+
+def random_signs(n: int, rows: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return (1 - 2 * rng.integers(0, 2, (rows, 1 << n))).astype(np.int64)
+
+
+def random_boolfun(d: int, with_bit: bool, seed: int) -> bf.BoolFun:
+    dom = bf.Domain(mk_field(d), with_bit)
+    rng = np.random.default_rng(seed)
+    return bf.BoolFun(dom, rng.integers(0, 2, dom.size).astype(np.uint8))
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 14), rows=st.integers(1, 5), seed=SEEDS)
+def test_walsh_many_matches_int64_butterfly(n, rows, seed):
+    signs = random_signs(n, rows, seed)
+    w = bf.walsh_many(signs)
+    assert w.shape == signs.shape
+    assert np.array_equal(w, wht_inplace(signs.copy()))
+    assert np.array_equal(bf.walsh_many(signs[0]), w[0])  # a single 1-D row
+    # Parseval: every row carries 4^n of energy
+    assert np.all(np.sum(w.astype(np.int64) ** 2, axis=1) == 1 << (2 * n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 8), with_bit=st.booleans(), seed=SEEDS)
+def test_walsh_is_the_reindexed_butterfly_in_int64(d, with_bit, seed):
+    f = random_boolfun(d, with_bit, seed)
+    spec = bf.walsh(f)
+    assert spec.values.dtype == np.int64
+    want = wht_inplace(f.signs())[bf._dual_permutation(f.domain)]
+    assert np.array_equal(spec.values, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 7), with_bit=st.booleans(), seed=SEEDS)
+def test_walsh_involution_and_parseval(d, with_bit, seed):
+    # sum_(lam,nu) W(lam,nu) (-1)^{tr(lam x1) + nu x2} = 2^n (-1)^{f(x1,x2)}
+    f = random_boolfun(d, with_bit, seed)
+    w = bf.walsh(f).values
+    chars = 1 - 2 * f.domain.ctx.trace_pairing().astype(np.int64)
+    if with_bit:
+        chars = np.kron(np.array([[1, 1], [1, -1]]), chars)
+    assert np.array_equal(chars.T @ w, f.domain.size * f.signs())
+    assert int(np.sum(w * w)) == 1 << (2 * f.n_vars)
+
+
+@pytest.mark.parametrize("shape", [(1 << 25,), (2, 1 << 25), (3, 1000), (5,), (2, 0), ()])
+def test_walsh_many_rejects_bad_lengths(shape):
+    # zero-stride views: nothing of the nominal size is allocated
+    signs = np.broadcast_to(np.float32(1), shape)
+    with pytest.raises(ValueError):
+        bf.walsh_many(signs)
 
 
 def test_scale_compose_identity_and_zero():

@@ -18,6 +18,8 @@ from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 
+from oracles import is_linear_by_pairs
+
 
 def trace_cube(n):
     ctx = mk_field(n)
@@ -144,3 +146,51 @@ def test_code_json_export():
 def test_code_f_m6_self_complementary():
     code = cd.build_code_f(cn.kerdock_fn(6))
     assert code.is_self_complementary()
+
+
+@pytest.fixture(scope="module")
+def stock_codes():
+    """C(f) at m = 4, 6 (Kerdock) and C(g) at n = 3, 5 (trace cube)."""
+    out = {("f", m): cd.build_code_f(cn.kerdock_fn(m)) for m in (4, 6)}
+    out.update({("g", n): cd.build_code_g(trace_cube(n)) for n in (3, 5)})
+    return out
+
+
+def test_closed_form_weights_match_computed_distributions(stock_codes):
+    for (kind, size), code in stock_codes.items():
+        want = cd.expected_weights_f(size) if kind == "f" else cd.expected_weights_g(size)
+        assert cd.weight_distance_distributions(code).weight == want
+        assert sum(want.values()) == code.size
+
+
+def _hand_built_word_sets():
+    rng = np.random.default_rng(2024)
+    top = np.uint64(1 << 63)
+    basis = np.append(rng.integers(0, 1 << 62, 5, dtype=np.uint64), top)
+    span = np.zeros(1, dtype=np.uint64)
+    for v in basis:
+        span = np.concatenate([span, span ^ v])
+    outside = np.uint64(1 << 62)  # not in the span: every basis word is below 2^62 or 2^63
+    return {
+        "linear": (span, True),
+        "linear, shuffled with duplicates": (rng.permutation(np.tile(span, 3)), True),
+        "zero word alone": (np.zeros(1, dtype=np.uint64), True),
+        "one word added": (np.append(span, outside), False),
+        "one word replaced": (np.append(span[:-1], outside), False),
+        "coset, no zero word": (span ^ outside, False),
+        "two nonzero words": (basis[:2], False),
+        "dependent words and their sum missing": (np.array([0, 3, 5, 6, 9], np.uint64), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_hand_built_word_sets()))
+def test_is_linear_matches_pairwise_closure_on_hand_built_sets(name):
+    words, linear = _hand_built_word_sets()[name]
+    code = cd.NonlinearCode(64, words, [()] * len(words))
+    assert code.is_linear() is linear
+    assert is_linear_by_pairs(code) is linear
+
+
+def test_is_linear_matches_pairwise_closure_on_stock_codes(stock_codes):
+    for code in stock_codes.values():
+        assert code.is_linear() == is_linear_by_pairs(code)

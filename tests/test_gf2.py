@@ -9,6 +9,7 @@ Expected values for GF(8) were derived by hand-reduction modulo x^3 + x + 1
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclicbent.gf2 import DEFAULT_MODULUS, GF2m, is_irreducible, mk_field
 
@@ -213,3 +214,61 @@ def test_trace_subfield_linear():
         for alpha in ctx.subfield_elements(r):
             for x in range(0, ctx.order, 5):
                 assert ctx.trace(ctx.mul(alpha, x), r) == ctx.mul(alpha, ctx.trace(x, r))
+
+
+@st.composite
+def field_elements(draw, count: int):
+    """A default-modulus field of degree 1..12 and count of its elements."""
+    ctx = mk_field(draw(st.integers(1, 12)))
+    elem = st.integers(0, ctx.order - 1)
+    return ctx, [draw(elem) for _ in range(count)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=field_elements(3), e=st.integers(-40, 40), k=st.integers(0, 30))
+def test_field_axioms_at_every_default_modulus(case, e, k):
+    ctx, (a, b, c) = case
+    mul = ctx.mul
+    assert 0 <= mul(a, b) < ctx.order
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)
+    assert mul(a, 1) == a and mul(a, 0) == 0
+    assert int(ctx.mul_table(a)[b]) == mul(a, b)
+    if b:
+        assert mul(b, ctx.inv(b)) == 1
+        assert mul(ctx.div(a, b), b) == a
+    if a:
+        assert mul(ctx.pow(a, e), ctx.pow(a, -e)) == 1
+    assert ctx.pow(a, k + 1) == mul(ctx.pow(a, k), a)
+    # Frobenius is the additive map a -> a^{2^k}; the trace is GF(2)-linear
+    # and Frobenius-invariant
+    assert ctx.frobenius(a, k) == ctx.pow(a, 1 << k)
+    assert ctx.frobenius(a ^ b, k) == ctx.frobenius(a, k) ^ ctx.frobenius(b, k)
+    assert ctx.trace(a ^ b) == ctx.trace(a) ^ ctx.trace(b)
+    assert ctx.trace(ctx.frobenius(a, k)) == ctx.trace(a) in (0, 1)
+
+
+@st.composite
+def field_and_bad_index(draw):
+    ctx = mk_field(draw(st.sampled_from([*range(1, 13), 24])))
+    bad = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=ctx.order)))
+    return ctx, bad
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=field_and_bad_index())
+@example(case=(mk_field(5), -1))  # unchecked, -1 would index the last log entry
+@example(case=(mk_field(5), -3))  # and mul_table(-3) a wrong permutation
+def test_element_indices_outside_the_field_are_rejected(case):
+    ctx, bad = case
+    calls = [
+        lambda: ctx.mul(bad, 1), lambda: ctx.mul(1, bad), lambda: ctx.pow(bad, 2),
+        lambda: ctx.inv(bad), lambda: ctx.div(bad, 1), lambda: ctx.div(1, bad),
+        lambda: ctx.frobenius(bad, 0), lambda: ctx.frobenius(bad, 1),
+        lambda: ctx.trace(bad), lambda: ctx.mul_table(bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="outside"):
+            call()
+
