@@ -17,8 +17,8 @@ Hadamard product: the row is read as a 2^{k1} x 2^{k2} matrix X
 two float32 BLAS matmuls with the +-1 Sylvester-Hadamard matrices.  This is
 exact: the inputs and matrix entries are +-1, so every partial sum of both
 products is an integer of size at most 2^n, and float32 holds every such
-integer exactly while n <= 24 (MAX_WALSH_VARS, the cap of the field
-degrees too).  Summation order and fused multiply-adds therefore cannot
+integer exactly while n <= 24 (MAX_WALSH_VARS; a function on
+GF(2^24) x GF(2) is past it).  Summation order and fused multiply-adds therefore cannot
 change any value.  ``walsh`` returns the spectrum as 64-bit signed
 integers; classification is exact membership, no tolerances.
 """

@@ -195,8 +195,8 @@ class GF2m:
         return a ^ b
 
     # Element indices are checked as (a | b) >> degree, which is nonzero
-    # exactly when some index is negative or at least 2^d.  inv and div
-    # rely on the checks in pow and mul.
+    # exactly when some index is negative or at least 2^d.  inv, div and
+    # frobenius rely on the checks in pow and mul.
 
     def mul(self, a: int, b: int) -> int:
         if (a | b) >> self.degree:
@@ -240,12 +240,8 @@ class GF2m:
         return self.mul(a, self.inv(b))
 
     def frobenius(self, a: int, k: int = 1) -> int:
-        """a^{2^k} (k squarings; x -> x^{2^d} is the identity)."""
-        if a >> self.degree:
-            raise self._out_of_range(a)
-        for _ in range(k % self.degree):
-            a = self.sqr(a)
-        return a
+        """a^{2^k} (x -> x^{2^d} is the identity), as one power."""
+        return self.pow(a, 1 << (k % self.degree))
 
     # -- traces and subfields -----------------------------------------------------
 
