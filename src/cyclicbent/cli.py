@@ -216,14 +216,12 @@ def cmd_seqfam(args) -> int:
         fam = sf.semibent_family(g)
         expected = sf.expected_semibent_distribution(args.n)
     else:
-        spec = _chain_spec(args)
-        f = cn.chain_fn(spec)
-        cert = cn.certify_cyclic_bent(f, "auto")
+        f = cn.chain_fn(_chain_spec(args))
         if args.kind == "quaternary":
-            fam = sf.quaternary_family(f, cert)
+            fam = sf.quaternary_family(f)
             expected = sf.expected_quaternary_distribution(args.m)
         else:
-            fam = sf.binary_family(f, cert)
+            fam = sf.binary_family(f)
             expected = sf.expected_binary_distribution(args.m)
     dist = sf.full_distribution(fam)
     report = {

@@ -183,7 +183,10 @@ def build_code_f(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> Nonlin
 
 def build_code_g(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> NonlinearCode:
     """C(g): codewords (g(a x) + tr(lam x) + u) over labels (a, lam, u);
-    a (2^n, 2^{2n+1}) code when g is cyclic semi-bent with g(0) = 0."""
+    a (2^n, 2^{2n+1}) code when g is cyclic semi-bent with g(0) = 0 and
+    n >= 3 (below that the words are not distinct)."""
+    if g.n_vars < 3:
+        raise ValueError(f"C(g) needs n >= 3, got n = {g.n_vars}")
     if int(g.table[0]) != 0:
         raise ValueError("build_code_g needs g(0) = 0")
     cn.require_cyclic_semibent(g, cert)

@@ -16,7 +16,10 @@ from a certificate that fails on bentness.
 All four certifiers run one scan: each supplies the truth tables of its pair
 sums, and the scan Walsh-transforms them in batches of about 2^22 values and
 returns the first sum that is not bent (even m) or semi-bent (odd n).  Memory
-is bounded by the batch at every m.
+is bounded by the batch at every m.  The reduced certifiers can hand the
+spectra they compute to an OrbitReducer, so that statistics built from the
+same orbit sums (the sequence-family correlations) need no transform of
+their own.
 
 Cost control: full bent mode is O(4^m) Walsh transforms and is capped at
 m <= 8 unless force=True; reduced mode is allowed to m <= 16.
@@ -24,13 +27,15 @@ m <= 8 unless force=True; reduced mode is allowed to m <= 16.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from cyclicbent import boolfun as bf
-from cyclicbent.boolfun import BoolFun, Domain, WalshClass
+from cyclicbent.boolfun import BoolFun, Domain, WalshClass, WalshSpectrum
 from cyclicbent.gf2 import GF2m, mk_field
 
 FULL_MODE_MAX_M = 8
@@ -244,7 +249,26 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 _BATCH_VALUES = 1 << 22
 
 
-def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int:
+class OrbitReducer(Protocol):
+    """Receives the spectra a reduced certifier computes anyway.
+
+    generator(spec) gets the spectrum of f (or g) itself.  sums(w, scalars)
+    gets the float32 spectra of f + f(c x1, x2) (bent) or g + g(c x)
+    (semi-bent), one row per scalar c in ``scalars`` (field elements outside
+    {0, 1}), in natural bit order: the value at dual point (lam, nu) is at
+    index dual_index_table()[lam] + nu 2^{m-1}.  Only batches whose sums all
+    pass are handed on, one call at a time, in an order that depends on the
+    batch schedule; when the certificate passes, every c in 2 .. q-1 has
+    arrived exactly once.
+    """
+
+    def generator(self, spec: WalshSpectrum) -> None: ...
+
+    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None: ...
+
+
+def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1, *,
+                   reducer=None) -> int:
     """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
 
     sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
@@ -252,22 +276,30 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
     Batches are independent, so the scan parallelizes; the min-reduction
     keeps the result (and hence any witness) deterministic regardless of
-    schedule.
+    schedule.  reducer(w, cases), when given, is called under a lock with
+    the float32 spectra of every batch that passes.
     """
     batch = max(1, _BATCH_VALUES >> n_vars)
     peak = 1 << ((n_vars + 1) // 2)
+    lock = threading.Lock()
 
     def first_bad(start: int) -> int:
-        rows = sum_rows(start, min(start + batch, n_cases))
+        stop = min(start + batch, n_cases)
+        rows = sum_rows(start, stop)
         signs = np.multiply(rows, np.float32(-2), dtype=np.float32)
         signs += 1  # (-1)^rows, built in the float32 the transform runs in
         w = bf.walsh_many(signs)
-        np.abs(w, out=w)
-        ok = w == peak
+        mag = np.abs(w, out=w if reducer is None else None)
+        ok = mag == peak
         if n_vars % 2:
-            ok |= w == 0
+            ok |= mag == 0
         bad = np.flatnonzero(~ok.all(axis=1))
-        return start + int(bad[0]) if len(bad) else -1
+        if len(bad):
+            return start + int(bad[0])
+        if reducer is not None:
+            with lock:
+                reducer(w, np.arange(start, stop))
+        return -1
 
     starts = range(0, n_cases, batch)
     if threads <= 1 or len(starts) <= 1:
@@ -276,11 +308,16 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int
         return min((bad for bad in pool.map(first_bad, starts) if bad >= 0), default=-1)
 
 
-def _scaled_sums(f: BoolFun, scale):
-    """sum_rows for the tables of f + scale(f, c), case i being c = i + 2."""
-    return lambda start, stop: f.table ^ np.stack(
-        [scale(f, c).table for c in range(start + 2, stop + 2)]
-    )
+def _orbit_scan(f: BoolFun, scale, threads: int, reducer: OrbitReducer | None) -> int:
+    """_first_failure over the sums f + scale(f, c), c = 2 .. q-1 (case c - 2),
+    handing each passing batch to reducer.sums."""
+    q = f.domain.ctx.order
+
+    def sum_rows(start: int, stop: int) -> np.ndarray:
+        return f.table ^ np.stack([scale(f, c).table for c in range(start + 2, stop + 2)])
+
+    hook = None if reducer is None else (lambda w, cases: reducer.sums(w, cases + 2))
+    return _first_failure(q - 2, sum_rows, f.n_vars, threads, reducer=hook)
 
 
 def is_cyclic_bent_full(f: BoolFun, force: bool = False, threads: int = 1) -> CyclicCertificate:
@@ -313,12 +350,14 @@ def is_cyclic_bent_full(f: BoolFun, force: bool = False, threads: int = 1) -> Cy
     return CyclicCertificate("bent", "full", True, n_cases)
 
 
-def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
+def is_cyclic_bent_reduced(f: BoolFun, *,
+                           reducer: OrbitReducer | None = None) -> CyclicCertificate:
     """Certify via the affine-difference criterion: f bent and f + f(b.) bent
     for all b outside GF(2).
 
     Raises AffineDifferenceError when f(x1,x2+1)+f(x1,x2) is not of the form
-    tr(lam x1) + nu, in which case the reduction does not apply.
+    tr(lam x1) + nu, in which case the reduction does not apply.  reducer
+    (see OrbitReducer) receives the spectrum of f and of every sum.
     """
     ctx = f.domain.ctx
     m = f.n_vars
@@ -331,35 +370,45 @@ def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "
             "does not apply"
         )
-    if not bf.is_bent(f):
+    spec = bf.walsh(f)
+    if bf.classify(spec) is not WalshClass.BENT:
         # f + f(0 x1, x2) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
         return CyclicCertificate("bent", "reduced", False, 0, (1, 0, 0))
+    if reducer is not None:
+        reducer.generator(spec)
     q = ctx.order
-    bad = _first_failure(q - 2, _scaled_sums(f, bf.scale_compose), m)
+    bad = _orbit_scan(f, bf.scale_compose, 1, reducer)
     if bad >= 0:
         return CyclicCertificate("bent", "reduced", False, 1 + bad, (1, bad + 2, 0))
     return CyclicCertificate("bent", "reduced", True, q - 1)
 
 
-def certify_cyclic_bent(f: BoolFun, mode: str = "auto", force: bool = False) -> CyclicCertificate:
-    """Dispatch to the reduced certifier when its hypothesis holds, else full."""
+def certify_cyclic_bent(f: BoolFun, mode: str = "auto", force: bool = False, *,
+                        reducer: OrbitReducer | None = None) -> CyclicCertificate:
+    """Dispatch to the reduced certifier when its hypothesis holds, else full.
+
+    Only the reduced route feeds reducer; the certificate's mode tells
+    which route ran.
+    """
     if mode == "reduced":
-        return is_cyclic_bent_reduced(f)
+        return is_cyclic_bent_reduced(f, reducer=reducer)
     if mode == "full":
         return is_cyclic_bent_full(f, force=force)
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
     try:
-        return is_cyclic_bent_reduced(f)
+        return is_cyclic_bent_reduced(f, reducer=reducer)
     except AffineDifferenceError:
         return is_cyclic_bent_full(f, force=force)
 
 
-def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1) -> CyclicCertificate:
+def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1, *,
+                       reducer: OrbitReducer | None = None) -> CyclicCertificate:
     """Certify g(ax)+g(bx) semi-bent for all a != b on GF(2^n), n odd.
 
     reduced mode uses homogeneity: it checks g itself and g + g(c.) for all
-    c outside {0, 1}; full mode scans every ordered pair.
+    c outside {0, 1}, handing those spectra to reducer (see OrbitReducer);
+    full mode scans every ordered pair and does not feed reducer.
     """
     if g.domain.with_bit:
         raise ValueError("cyclic semi-bent functions live on a plain field domain")
@@ -368,9 +417,12 @@ def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1) -> C
         raise ValueError("cyclic semi-bent functions need an odd number of variables")
     q = g.domain.ctx.order
     if mode == "reduced":
-        if not bf.is_semibent(g):
+        spec = bf.walsh(g)
+        if bf.classify(spec) is not WalshClass.SEMI_BENT:
             return CyclicCertificate("semi-bent", "reduced", False, 0, (1, 0))
-        bad = _first_failure(q - 2, _scaled_sums(g, bf.scale_field), n, threads)
+        if reducer is not None:
+            reducer.generator(spec)
+        bad = _orbit_scan(g, bf.scale_field, threads, reducer)
         if bad >= 0:
             return CyclicCertificate("semi-bent", "reduced", False, 1 + bad, (1, bad + 2))
         return CyclicCertificate("semi-bent", "reduced", True, q - 1)

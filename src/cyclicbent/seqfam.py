@@ -12,9 +12,20 @@ Three families are built:
   function.
 
 Sequence values are Gaussian integers held as separate re/im integer
-vectors; correlations are exact integer sums.  The closed-form correlation
-distributions are available as expected_* functions so measured histograms
-can be checked against them.
+vectors; correlations are exact integers.  Every correlation value of the
+three families is a Walsh value of an orbit sum f + f(c x1, x2 + e)
+(g + g(c x) for the semi-bent family) or of f (g) itself, shifted and
+halved.  The reduced certifier transforms exactly those sums (e = 0), so
+each builder certifies its function once with an orbit reducer that turns
+the certifier's spectra into the family's exact histogram (CorrDist): q - 1
+transforms of length 2q, shared with certification, in place of S^2 k^2
+products.  The e = 1 sums need no transform: under the reduced hypothesis
+f(x1, x2+1) + f(x1, x2) = tr(lam0 x1) + nu0 their spectra are those of
+e = 0 with the dual point shifted by lam0 c and the sign (-1)^nu0.  The
+direct scan over all member pairs and shifts (``_scan``) remains for
+hand-built families and for a quaternary generator outside the reduced
+hypothesis.  The closed-form correlation distributions are available as
+expected_* functions so measured histograms can be checked against them.
 
 beta is always the context generator (the class of x of the default
 modulus): distributions are independent of the choice of primitive element,
@@ -42,9 +53,14 @@ class Member:
 
 @dataclass
 class SequenceFamily:
-    alphabet: str  # "quaternary" | "binary"
+    """alphabet is "quaternary" or "binary".  dist is the distribution the
+    builders derive from the certifier's spectra; full_distribution scans the
+    members when it is None (a hand-built family)."""
+
+    alphabet: str
     period: int
     members: list[Member] = field(default_factory=list)
+    dist: CorrDist | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -98,17 +114,17 @@ def _check_normalized(f: BoolFun):
         )
 
 
-def quaternary_family(
-    f: BoolFun, cert: cn.CyclicCertificate | None = None
-) -> SequenceFamily:
+def quaternary_family(f: BoolFun) -> SequenceFamily:
     """U_f: s_lam(t) = A(1, beta^t) (-1)^{tr(lam beta^t)} plus the binary s_inf.
 
     Size 2^{m-1}+1, period 2^{m-1}-1; every s_lam value is a unit Gaussian
     integer.  Requires f cyclic bent and normalized.
     """
     _check_normalized(f)
-    cn.require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
+    diff = cn.affine_bit_difference(f)  # (lam0, 0): f is normalized
+    tally = None if diff is None else _QuaternaryTally(ctx, diff[0])
+    cn.require_cyclic_bent(f, cn.certify_cyclic_bent(f, reducer=tally))
     q = ctx.order
     period = q - 1
     from cyclicbent.codebook import quaternary_entry_arrays
@@ -120,10 +136,12 @@ def quaternary_family(
     members = [Member(str(lam), re[lam], im[lam]) for lam in range(q)]
     s_inf = (1 - 2 * ctx.trace_table(1)[powers]).astype(np.int8)
     members.append(Member("inf", s_inf, np.zeros(period, dtype=np.int8)))
-    return SequenceFamily("quaternary", period, members)
+    return SequenceFamily(
+        "quaternary", period, members, None if tally is None else tally.dist()
+    )
 
 
-def binary_family(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> SequenceFamily:
+def binary_family(f: BoolFun) -> SequenceFamily:
     """U_f^b: even/odd interleaved binary sequences of period 2(2^{m-1}-1).
 
     s(2 t0)     = (-1)^{f(beta^{t0}, 0) + tr(lam beta^{t0})}
@@ -135,8 +153,9 @@ def binary_family(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> Seque
     _check_normalized(f)
     if cn.affine_bit_difference(f) != (1, 0):
         raise ValueError("binary family needs f(x1,0)+f(x1,1) = tr(x1)")
-    cn.require_cyclic_bent(f, cert)
     ctx = f.domain.ctx
+    tally = _BinaryTally(ctx)
+    cn.require_cyclic_bent(f, cn.certify_cyclic_bent(f, reducer=tally))
     q = ctx.order
     m = f.n_vars
     half_period = q - 1
@@ -156,18 +175,22 @@ def binary_family(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> Seque
         for nu in (0, 1)
         for i, lam in enumerate(lams)
     ]
-    return SequenceFamily("binary", period, members)
+    return SequenceFamily("binary", period, members, tally.dist())
 
 
-def semibent_family(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> SequenceFamily:
+def semibent_family(g: BoolFun) -> SequenceFamily:
     """U'_g: s_lam(t) = (-1)^{g(beta^t) + tr(lam beta^t)} plus the m-sequence s_inf.
 
-    Size 2^n+1, period 2^n-1.  Requires g cyclic semi-bent with g(0) = 0.
+    Size 2^n+1, period 2^n-1.  Requires n >= 3 and g cyclic semi-bent with
+    g(0) = 0.
     """
+    if g.n_vars < 3:
+        raise ValueError(f"semi-bent families need n >= 3, got n = {g.n_vars}")
     if int(g.table[0]) != 0:
         raise ValueError("family needs g(0) = 0")
-    cn.require_cyclic_semibent(g, cert)
     ctx = g.domain.ctx
+    tally = _SemibentTally(ctx)
+    cn.require_cyclic_semibent(g, cn.is_cyclic_semibent(g, "reduced", reducer=tally))
     q = ctx.order
     period = q - 1
     powers = ctx.generator_powers(np.arange(period))
@@ -177,7 +200,160 @@ def semibent_family(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> Seq
     ]
     s_inf = (1 - 2 * ctx.trace_table(1)[powers]).astype(np.int8)
     members.append(Member("inf", s_inf, np.zeros(period, dtype=np.int8)))
-    return SequenceFamily("binary", period, members)
+    return SequenceFamily("binary", period, members, tally.dist())
+
+
+# -- distributions from the certifier's orbit spectra --------------------------------
+
+
+def _value_counts(*arrays: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Counts of the tuples (a[i], b[i], ...) over integer-valued arrays of one shape.
+
+    Each array is replaced by the ranks of its distinct values, found with one
+    bincount over its own range (at most 2^{n+1} + 1 wide for a Walsh
+    spectrum), so the joint bincount has one cell per combination of distinct
+    values: at most 3 per array on the certified spectra that reach it, never
+    a cell per possible correlation value.
+    """
+    values, key = [], 0
+    for a in arrays:
+        a = a.astype(np.int64).ravel()  # a copy, so the shift below is safe
+        lo = int(a.min())
+        a -= lo
+        seen = np.bincount(a) > 0
+        values.append(np.flatnonzero(seen) + lo)
+        key = key * len(values[-1]) + (np.cumsum(seen) - 1)[a]
+    joint = np.bincount(key)
+    out = {}
+    for cell in np.flatnonzero(joint):
+        idx = np.unravel_index(cell, [len(v) for v in values])
+        out[tuple(int(v[i]) for v, i in zip(values, idx))] = int(joint[cell])
+    return out
+
+
+class _OrbitTally:
+    """Correlation histogram of a family, accumulated from the spectra a
+    reduced certifier hands on (construct.OrbitReducer).
+
+    For the shift tau the scalar is c = beta^tau.  Subclasses map the
+    spectrum of the generator and of every sum with c outside {0, 1} to
+    correlation values with their multiplicities; they add in closed form
+    what the certifier does not transform: c = 1, whose sum is the zero
+    function (W = 2^n at the origin, 0 elsewhere), and the m-sequence
+    against itself (k at shift 0, -1 elsewhere).
+    """
+
+    def __init__(self, size: int, period: int):
+        self.size, self.period = size, period
+        self.counts: dict[tuple[int, int], int] = {}
+
+    def add(self, value: tuple[int, int], n: int) -> None:
+        self.counts[value] = self.counts.get(value, 0) + n
+
+    def generator(self, spec: bf.WalshSpectrum) -> None:
+        pass
+
+    def dist(self) -> CorrDist:
+        """The histogram, checked to count every (member, member, shift) once,
+        with r_max_sq taken off the size own zero-shift peaks (value k)."""
+        total = self.size * self.size * self.period
+        counts = {v: n for v, n in self.counts.items() if n}
+        if sum(counts.values()) != total:
+            raise RuntimeError(f"orbit tally counted {sum(counts.values())} values, not {total}")
+        off_peak = dict(counts)
+        off_peak[(self.period, 0)] = off_peak.get((self.period, 0), 0) - self.size
+        r_max = max((a * a + b * b for (a, b), n in off_peak.items() if n), default=0)
+        return CorrDist(counts, total, r_max)
+
+
+class _QuaternaryTally(_OrbitTally):
+    """R_{lam,lam'}(tau) = W0(mu, 0)/2 - 1 - i W1(mu, 1)/2 at mu = lam c + lam',
+    with W0, W1 the spectra of f + f(c x1, x2) and f + f(c x1, x2 + 1);
+    lam against inf is W_f(mu, 0)/2 - 1 + i W_f(mu, 1)/2 and inf against lam
+    its conjugate, mu running over the field for every tau.  The reduced
+    hypothesis f(x1, x2+1) + f(x1, x2) = tr(lam0 x1) (nu0 = 0 for a
+    normalized f) gives W1(mu, nu) = W0(mu + lam0 c, nu), an XOR of the
+    natural-order index with dual_index_table()[lam0 c].
+    """
+
+    def __init__(self, ctx, lam0: int):
+        q = ctx.order
+        k = q - 1
+        super().__init__(q + 1, k)
+        self.q = q
+        self.shift = ctx.dual_index_table()[ctx.mul_table(lam0)]
+        # c = 1 (the q own peaks at mu = 0, -1 elsewhere) and inf against itself
+        self.add((k, 0), q + 1)
+        self.add((-1, 0), q * k + k - 1)
+
+    def generator(self, spec: bf.WalshSpectrum) -> None:
+        q, k = self.q, self.period
+        for (a, b), n in _value_counts(spec.values[:q], spec.values[q:]).items():
+            self.add((a // 2 - 1, b // 2), k * n)
+            self.add((a // 2 - 1, -b // 2), k * n)
+
+    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None:
+        q = self.q
+        w1 = np.take_along_axis(w, q + (np.arange(q) ^ self.shift[scalars][:, None]), axis=1)
+        for (a, b), n in _value_counts(w[:, :q], w1).items():
+            self.add((a // 2 - 1, -b // 2), q * n)
+
+
+class _BinaryTally(_OrbitTally):
+    """Members (lam, nu) with tr(lam) = 0.  At the even shift 2 tau0 (c =
+    beta^tau0) R = W0(mu, e) - 1 - (-1)^e, at the odd shift 2 tau0 + 1 (c =
+    beta^{tau0 + 2^{m-2}}) R = (-1)^nu W1(mu, e) - (-1)^nu - (-1)^nu', with
+    e = nu + nu' and mu = lam c + lam'.  For c != 1, mu runs over the field
+    q/4 times per (nu, nu'), and W1(., e) (lam0 = 1, nu0 = 0) has the values
+    of W0(., e); so W0(., 0) = a gives a - 2 with weight 3q/4 and 2 - a with
+    q/4, and W0(., 1) = a gives a with 3q/4 and -a with q/4.
+    """
+
+    def __init__(self, ctx):
+        q = ctx.order
+        super().__init__(q, 2 * (q - 1))
+        self.q = q
+        h = q // 2  # members per nu
+        # c = 1, even shift: mu runs over the trace-0 hyperplane h times; the
+        # q own peaks, -2 at the other mu when nu = nu', 0 when nu != nu'
+        self.add((self.period, 0), q)
+        self.add((-2, 0), q * (h - 1))
+        self.add((0, 0), 2 * h * h)
+        # c = 1, odd shift: W1 is the spectrum of tr(x1), zero on the hyperplane
+        self.add((-2, 0), h * h)
+        self.add((2, 0), h * h)
+        self.add((0, 0), 2 * h * h)
+
+    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None:
+        q = self.q
+        for e in (0, 1):
+            for (a,), n in _value_counts(w[:, e * q : (e + 1) * q]).items():
+                v = a - 2 if e == 0 else a
+                self.add((v, 0), 3 * q // 4 * n)
+                self.add((-v, 0), q // 4 * n)
+
+
+class _SemibentTally(_OrbitTally):
+    """R_{lam,lam'}(tau) = W(lam c + lam') - 1 with W the spectrum of
+    g + g(c x); lam against inf and inf against lam are W_g(mu) - 1, mu
+    running over the field for every tau."""
+
+    def __init__(self, ctx):
+        q = ctx.order
+        k = q - 1
+        super().__init__(q + 1, k)
+        self.q = q
+        # c = 1 (the q own peaks at mu = 0, -1 elsewhere) and inf against itself
+        self.add((k, 0), q + 1)
+        self.add((-1, 0), q * k + k - 1)
+
+    def generator(self, spec: bf.WalshSpectrum) -> None:
+        for (a,), n in _value_counts(spec.values).items():
+            self.add((a - 1, 0), 2 * self.period * n)
+
+    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None:
+        for (a,), n in _value_counts(w).items():
+            self.add((a - 1, 0), self.q * n)
 
 
 def correlate(s: Member, s2: Member, tau: int) -> tuple[int, int]:
@@ -236,8 +412,11 @@ def _scan(fam: SequenceFamily) -> CorrDist:
 
 def full_distribution(fam: SequenceFamily) -> CorrDist:
     """Exact histogram over all ordered member pairs and all shifts, with the
-    squared maximum correlation magnitude in ``r_max_sq``."""
-    return _scan(fam)
+    squared maximum correlation magnitude in ``r_max_sq``: the builder's
+    spectral distribution when the family has one, else the direct scan."""
+    if fam.dist is None:
+        return _scan(fam)
+    return CorrDist(dict(fam.dist.counts), fam.dist.total, fam.dist.r_max_sq)
 
 
 def r_max_sq(fam: SequenceFamily) -> int:

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from cyclicbent import boolfun as bf
+from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.cli import main
 
@@ -167,6 +169,11 @@ def test_codebook_threads_flag(capsys):
     ("codebook --m 4 --format csv", 2),
     ("mub --m 4 --format csv", 2),
     ("seqfam --kind semibent --n 3 --format csv", 2),
+    # semi-bent families, codes and designs need n >= 3; certification does not
+    ("seqfam --kind semibent --n 1", 2),
+    ("code --n 1", 2),
+    ("design --n 1 --k 1 --t 1", 2),
+    ("verify --n 1", 0),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code
@@ -178,15 +185,42 @@ def test_kind_and_size_flags(capsys, argv, code):
         assert json.loads(captured.out)["command"] == argv.split()[0]
 
 
-def test_seqfam_scans_the_family_once(capsys, monkeypatch):
-    calls = []
-    scan = sf._scan
+def test_seqfam_reads_the_certifiers_spectra(capsys, monkeypatch):
+    # the distribution comes from the q - 1 = 7 spectra of one certifier
+    # call; the direct scan is not run
+    scans, rows, certs, depth = [], [], [], [0]
 
-    def counted(fam):
-        calls.append(fam.size)
+    def counted_scan(fam):
+        scans.append(fam.size)
         return scan(fam)
 
-    monkeypatch.setattr(sf, "_scan", counted)
+    def counted_rows(fn, n_rows):
+        def wrapper(arg):
+            rows.append(n_rows(arg))
+            return fn(arg)
+        return wrapper
+
+    def counted_cert(fn):
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:
+                certs.append(fn.__name__)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    scan = sf._scan
+    monkeypatch.setattr(sf, "_scan", counted_scan)
+    monkeypatch.setattr(bf, "walsh", counted_rows(bf.walsh, lambda f: 1))
+    monkeypatch.setattr(bf, "walsh_many", counted_rows(bf.walsh_many, lambda w: len(w)))
+    for name in ("certify_cyclic_bent", "is_cyclic_bent_full", "is_cyclic_bent_reduced",
+                 "is_cyclic_semibent"):
+        monkeypatch.setattr(cn, name, counted_cert(getattr(cn, name)))
     code, rep = run_json(capsys, "seqfam", "--kind", "binary", "--m", "4")
-    assert code == 0 and calls == [8]
+    assert code == 0
+    assert scans == []
+    assert sum(rows) == 7
+    assert certs == ["certify_cyclic_bent"]
     assert rep["r_max_sq"] == 36

@@ -8,6 +8,8 @@ right divisions):
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
@@ -115,6 +117,41 @@ def test_rdivmod_reconstructs():
         assert lp.SkewPoly.make(ctx, out).coeffs == a.coeffs
     with pytest.raises(ZeroDivisionError):
         lp.rdivmod(a, lp.SkewPoly(ctx, ()))
+
+
+def _skew_poly(data, ctx, max_degree):
+    coeffs = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=max_degree + 1))
+    return lp.SkewPoly.make(ctx, coeffs)
+
+
+def _add(p, r):
+    out = [0] * max(len(p.coeffs), len(r.coeffs))
+    for c in (p.coeffs, r.coeffs):
+        for i, v in enumerate(c):
+            out[i] ^= v
+    return lp.SkewPoly.make(p.ctx, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rdivmod_property(data):
+    # a = q b + r with deg r < deg b, for every nonzero b
+    ctx = mk_field(data.draw(st.integers(1, 8)))
+    a = _skew_poly(data, ctx, 10)
+    b = _skew_poly(data, ctx, 6)
+    if b.is_zero():
+        b = lp.SkewPoly.make(ctx, b.coeffs + (data.draw(st.integers(1, ctx.order - 1)),))
+    q, r = lp.rdivmod(a, b)
+    assert r.degree < b.degree
+    assert _add(q.mul(b), r) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_skew_mul_is_associative(data):
+    ctx = mk_field(data.draw(st.integers(1, 6)))
+    a, b, c = (_skew_poly(data, ctx, 6) for _ in range(3))
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
 
 
 def test_gcrd_hand_examples_gf8():

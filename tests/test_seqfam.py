@@ -6,7 +6,10 @@ by hand:
     semi-bent, n=3:   7 -> 9, -1 -> 310, 3 -> 186, -5 -> 62
 Each total is (family size)^2 * period = 81*7 = 567 = 567.
 
-The independent oracle for the scans is the Walsh-identity route: every
+The builders derive each distribution from the certifier's orbit spectra.
+Their oracle is the direct scan over all member pairs and shifts
+(``_scan``), whose oracle in turn is the per-pair loop of
+``correlate``.  The Walsh-identity tests pin the maps both rest on: every
 correlation value is recomputed from spectra of f(x1,x2)+f(b x1,x2+eps)
 (quaternary / binary) or g(x)+g(beta^tau x) (semi-bent) and compared
 entry for entry at m=4 / n=3.
@@ -16,6 +19,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
@@ -240,11 +245,17 @@ SCAN_FAMILIES = {
 }
 
 
+def _key(dist):
+    return dist.counts, dist.total, dist.r_max_sq
+
+
 @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
 def test_scan_matches_per_pair_oracle(name):
     fam = SCAN_FAMILIES[name]()
     dist = sf.full_distribution(fam)
-    assert (dist.counts, dist.total, dist.r_max_sq) == correlation_scan_by_pairs(fam)
+    want = correlation_scan_by_pairs(fam)
+    assert _key(dist) == want
+    assert _key(sf._scan(fam)) == want
     assert sf.r_max_sq(fam) == dist.r_max_sq
 
 
@@ -261,6 +272,144 @@ def test_scan_rejects_non_unit_symbols():
     fam.members[0] = sf.Member("bad", re, mem.im)
     with pytest.raises(ValueError, match="symbols"):
         sf.full_distribution(fam)
+
+
+# -- orbit-spectra distributions against the scan -----------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+def test_spectral_distribution_matches_scan(name):
+    fam = SCAN_FAMILIES[name]()
+    hand_built = name in ("identical-pair", "single-member")
+    assert (fam.dist is None) == hand_built
+    assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sf.quaternary_family(kerdock(8)),
+    lambda: sf.binary_family(kerdock(8)),
+    lambda: sf.semibent_family(trace_cube(7)),
+], ids=["quaternary-m8", "binary-m8", "semibent-n7"])
+def test_spectral_distribution_matches_scan_at_the_largest_scanned_sizes(build):
+    fam = build()
+    assert fam.dist is not None
+    assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_quaternary_spectra_of_scaled_generators_match_scan(data):
+    # f(d x1, x2) has x2-difference tr(d x1): lam0 = d shifts the e = 1 spectra
+    m = data.draw(st.sampled_from([4, 6]))
+    f = kerdock(m)
+    d = data.draw(st.integers(1, f.domain.ctx.order - 1))
+    fd = cn.normalize_zero(bf.scale_compose(f, d, 0))
+    assert cn.affine_bit_difference(fd) == (d, 0)
+    fam = sf.quaternary_family(fd)
+    assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
+
+
+def _feed_every_orbit_spectrum(f, scale, reducer):
+    """Stand-in certifier: hands the reducer every orbit spectrum, bent or not."""
+    q = f.domain.ctx.order
+    reducer.generator(bf.walsh(f))
+    sums = f.table ^ np.stack([scale(f, c).table for c in range(2, q)])
+    reducer.sums(bf.walsh_many(1 - 2 * sums.astype(np.float32)), np.arange(2, q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbit_tallies_match_scan_on_functions_that_are_not_bent(data):
+    # The maps from spectra to correlations need the reduced hypothesis, not
+    # bentness.  The spectra of random functions take many values, so a wrong
+    # pairing of values (a dropped XOR shift, a missing conjugate) shows,
+    # where the few values of bent spectra can hide it.
+    kind = data.draw(st.sampled_from(["quaternary", "binary", "semibent"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ctx = mk_field(data.draw(st.sampled_from([3, 5])))
+    q = ctx.order
+    table = rng.integers(0, 2, q).astype(np.uint8)
+    table[0] = 0
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "semibent":
+            def certify(g, mode, *, reducer):
+                _feed_every_orbit_spectrum(g, bf.scale_field, reducer)
+                return cn.CyclicCertificate("semi-bent", "reduced", True, q - 1)
+
+            mp.setattr(cn, "is_cyclic_semibent", certify)
+            fam = sf.semibent_family(bf.BoolFun(bf.Domain(ctx), table))
+        else:
+            def certify(f, *, reducer):
+                _feed_every_orbit_spectrum(f, bf.scale_compose, reducer)
+                return cn.CyclicCertificate("bent", "reduced", True, q - 1)
+
+            mp.setattr(cn, "certify_cyclic_bent", certify)
+            lam0 = 1 if kind == "binary" else data.draw(st.integers(0, q - 1))
+            table = np.concatenate([table, table ^ ctx.trace_pairing()[lam0]])
+            f = bf.BoolFun(bf.Domain(ctx, with_bit=True), table)
+            fam = (sf.binary_family if kind == "binary" else sf.quaternary_family)(f)
+    assert _key(fam.dist) == _key(sf._scan(fam))
+
+
+def test_quaternary_outside_reduced_hypothesis_falls_back_to_scan(monkeypatch):
+    monkeypatch.setattr(cn, "affine_bit_difference", lambda f: None)
+    scans = []
+    scan = sf._scan
+
+    def counted(fam):
+        scans.append(fam.size)
+        return scan(fam)
+
+    monkeypatch.setattr(sf, "_scan", counted)
+    fam = sf.quaternary_family(kerdock(4))
+    assert fam.dist is None
+    dist = sf.full_distribution(fam)
+    assert scans == [9]
+    assert dist.counts == sf.expected_quaternary_distribution(4)
+    assert _key(dist) == correlation_scan_by_pairs(fam)
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_bent_families_meet_closed_forms(m):
+    h = 1 << (m - 1)
+    r = 1 << ((m - 2) // 2)
+    dist = sf.full_distribution(sf.quaternary_family(kerdock(m)))
+    assert dist.counts == sf.expected_quaternary_distribution(m)
+    assert dist.total == (h + 1) ** 2 * (h - 1)
+    assert dist.r_max_sq == (r + 1) ** 2 + r * r
+    dist = sf.full_distribution(sf.binary_family(kerdock(m)))
+    assert dist.counts == sf.expected_binary_distribution(m)
+    assert dist.total == h * h * 2 * (h - 1)
+    assert dist.r_max_sq == ((1 << (m // 2)) + 2) ** 2
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_semibent_family_meets_closed_form(n):
+    q = 1 << n
+    dist = sf.full_distribution(sf.semibent_family(trace_cube(n)))
+    assert dist.counts == sf.expected_semibent_distribution(n)
+    assert dist.total == (q + 1) ** 2 * (q - 1)
+    assert dist.r_max_sq == (1 + (1 << ((n + 1) // 2))) ** 2
+
+
+def test_orbit_tallies_do_not_depend_on_the_batch_schedule(monkeypatch):
+    g = trace_cube(5)
+
+    def semibent_tally(threads):
+        tally = sf._SemibentTally(g.domain.ctx)
+        assert cn.is_cyclic_semibent(g, "reduced", threads, reducer=tally).passed
+        return _key(tally.dist())
+
+    whole = semibent_tally(1)
+    fam = sf.quaternary_family(kerdock(6))
+    monkeypatch.setattr(cn, "_BATCH_VALUES", 100)  # 3 sums a batch at n = 5, 1 at m = 6
+    assert semibent_tally(1) == semibent_tally(3) == whole
+    assert _key(sf.quaternary_family(kerdock(6)).dist) == _key(fam.dist)
+
+
+def test_semibent_family_needs_three_variables():
+    with pytest.raises(ValueError, match="n >= 3"):
+        sf.semibent_family(trace_cube(1))
 
 
 # -- Walsh-identity oracles ----------------------------------------------------------
