@@ -34,12 +34,12 @@ from cyclicbent.construct import (
     certify_cyclic_bent,
     chain_fn,
     derive_semibent,
+    derived_semibent_family,
     is_cyclic_bent_full,
     is_cyclic_bent_reduced,
     is_cyclic_semibent,
     kerdock_fn,
     normalize_zero,
-    semibent_family,
 )
 from cyclicbent.gf2 import GF2m, mk_field
 from cyclicbent.linpoly import (
@@ -58,6 +58,7 @@ from cyclicbent.seqfam import (
     full_distribution,
     quaternary_family,
     r_max_sq,
+    semibent_family,
 )
 
 __all__ = [
@@ -65,12 +66,12 @@ __all__ = [
     "BoolFun", "Domain", "WalshClass", "walsh", "classify",
     "ChainSpec", "CyclicCertificate", "kerdock_fn", "chain_fn",
     "is_cyclic_bent_full", "is_cyclic_bent_reduced", "certify_cyclic_bent",
-    "is_cyclic_semibent", "bent_family", "derive_semibent", "semibent_family",
+    "is_cyclic_semibent", "bent_family", "derive_semibent", "derived_semibent_family",
     "normalize_zero",
     "Codebook", "MubSet", "levenshtein_real_sq", "levenshtein_complex_sq",
     "build_real_codebook", "build_mub", "mub_to_codebook",
     "build_semibent_codebook", "imax_sq", "verify_mub",
-    "SequenceFamily", "quaternary_family", "binary_family", "correlate",
+    "SequenceFamily", "quaternary_family", "binary_family", "semibent_family", "correlate",
     "full_distribution", "r_max_sq",
     "NonlinearCode", "build_code_f", "build_code_g",
     "weight_distance_distributions", "support_design",

@@ -142,10 +142,6 @@ class WalshSpectrum:
         )
 
 
-def from_values(domain: Domain, values) -> BoolFun:
-    return BoolFun(domain, np.asarray(values, dtype=np.uint8))
-
-
 def from_field_bit_fn(ctx: GF2m, fn) -> BoolFun:
     """Build a BoolFun on GF(2^d) x GF(2) from a callable fn(x1, x2) -> bit."""
     dom = Domain(ctx, with_bit=True)
@@ -197,6 +193,16 @@ def _dual_permutation(domain: Domain) -> np.ndarray:
         return d
     half = domain.ctx.order
     return np.concatenate([d, d + half])
+
+
+def char_bits(domain: Domain) -> np.ndarray:
+    """B[index(lam, nu), index(x1, x2)] = tr(lam x1) + nu x2 as uint8 bits:
+    the characters of the domain, with dual points indexed like spectra."""
+    t = domain.ctx.trace_pairing()
+    if not domain.with_bit:
+        return t
+    # nu = x2 = 1 is the one block where nu x2 flips the bit
+    return np.block([[t, t], [t, t ^ 1]])
 
 
 def walsh(f: BoolFun) -> WalshSpectrum:

@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Every subcommand emits a JSON report (stdout or --out); sequence families
-and codebooks can be exported as CSV with --format csv.  Reports embed
-exact rationals as "num/den" strings next to float renderings.  Exit code
-0 means every check the invocation requested passed.
+Every subcommand emits a JSON report (stdout or --out); codebooks, MUB
+sets and sequence families can be exported as CSV with --format csv, which
+only those three subcommands take.  Reports embed exact rationals as
+"num/den" strings next to float renderings.  Exit code 0 means every check
+the invocation requested passed.
 
 Subcommands: construct, verify, codebook, mub, seqfam, code, design,
 charquad, selftest.
@@ -156,24 +157,20 @@ def cmd_verify(args) -> int:
 
 def cmd_codebook(args) -> int:
     if args.kind == "semibent":
-        g = _semibent_input(args)
-        cert = cn.is_cyclic_semibent(g, "reduced")
-        cb = cbk.build_semibent_codebook(g, cert)
-        rep = cbk.optimality_report(cb, "real", threads=args.threads)
+        cb = cbk.build_semibent_codebook(_semibent_input(args))
+        rep = cbk.optimality_report(cb, "real")
         expected_sq = Fraction(1, 1 << (args.n - 1))  # exact 2^{1-n}
         status = "ALMOST (exact imax_sq = 2^(1-n))" if Fraction(rep["imax_sq"]) == expected_sq else "UNEXPECTED"
         report = {"command": "codebook", "kind": "semibent", **rep, "status": status}
         passed = Fraction(rep["imax_sq"]) == expected_sq
     else:
-        spec = _chain_spec(args)
-        f = cn.chain_fn(spec)
-        cert = cn.certify_cyclic_bent(f, "auto")
+        f = cn.chain_fn(_chain_spec(args))
         if args.kind == "real":
-            cb = cbk.build_real_codebook(f, _eps_vector(args, f.domain.ctx.order), cert)
-            rep = cbk.optimality_report(cb, "real", threads=args.threads)
+            cb = cbk.build_real_codebook(f, _eps_vector(args, f.domain.ctx.order))
+            rep = cbk.optimality_report(cb, "real")
         else:
-            cb = cbk.mub_to_codebook(cbk.build_mub(f, cert))
-            rep = cbk.optimality_report(cb, "complex", threads=args.threads)
+            cb = cbk.mub_to_codebook(cbk.build_mub(f))
+            rep = cbk.optimality_report(cb, "complex")
         report = {"command": "codebook", "kind": args.kind,
                   "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep}
         passed = rep["optimal"]
@@ -185,10 +182,8 @@ def cmd_codebook(args) -> int:
 
 
 def cmd_mub(args) -> int:
-    spec = _chain_spec(args)
-    f = cn.chain_fn(spec)
-    cert = cn.certify_cyclic_bent(f, "auto")
-    mubs = cbk.build_mub(f, cert)
+    f = cn.chain_fn(_chain_spec(args))
+    mubs = cbk.build_mub(f)
     rep = cbk.verify_mub(mubs)
     ok = rep["complete"] and rep["orthonormal"] and rep["unbiased"]
     report = {"command": "mub", "k": mubs.k, **rep}
@@ -247,15 +242,17 @@ def cmd_seqfam(args) -> int:
     return 0 if passed else 1
 
 
-def cmd_code(args) -> int:
+def _code_input(args) -> cd.NonlinearCode:
     if args.n is not None:
-        g = _semibent_input(args)
-        code = cd.build_code_g(g)
+        return cd.build_code_g(_semibent_input(args))
+    return cd.build_code_f(cn.chain_fn(_chain_spec(args)))
+
+
+def cmd_code(args) -> int:
+    code = _code_input(args)
+    if args.n is not None:
         expected_weight = cd.expected_weights_g(args.n)
     else:
-        spec = _chain_spec(args)
-        f = cn.chain_fn(spec)
-        code = cd.build_code_f(f, cn.certify_cyclic_bent(f, "auto"))
         expected_weight = cd.expected_weights_f(args.m)
     rep = cd.weight_distance_distributions(code)
     weight_ok = rep.weight == expected_weight
@@ -275,13 +272,7 @@ def cmd_code(args) -> int:
 
 
 def cmd_design(args) -> int:
-    if args.n is not None:
-        code = cd.build_code_g(_semibent_input(args))
-    else:
-        spec = _chain_spec(args)
-        f = cn.chain_fn(spec)
-        code = cd.build_code_f(f, cn.certify_cyclic_bent(f, "auto"))
-    res = cd.support_design(code, args.k, args.t)
+    res = cd.support_design(_code_input(args), args.k, args.t)
     report = {"command": "design", **res.to_json_obj(),
               "status": "DESIGN" if res.passed else "NOT A DESIGN"}
     _emit(report, args)
@@ -378,10 +369,13 @@ def cmd_selftest(args) -> int:
 # -- argument wiring -----------------------------------------------------------------
 
 
-def _add_common(p, with_m=True, with_n=False):
+def _add_common(p, with_m=True, with_n=False, with_csv=False):
     p.add_argument("--out", help="write the JSON report (or CSV data) to this path")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=1)
+    if with_csv:
+        p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for verify's certifier scans (the other "
+                   "subcommands accept and ignore it)")
     p.add_argument("--seed", type=int, default=2024, help="seed for randomized choices")
     if with_m:
         p.add_argument("--m", type=int, help="even m: functions live on GF(2^{m-1}) x GF(2)")
@@ -417,19 +411,19 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("codebook", help="build a codebook and compare to the bound")
-    _add_common(p, with_n=True)
+    _add_common(p, with_n=True, with_csv=True)
     p.add_argument("--kind", choices=["real", "complex", "semibent"], default="real")
     p.add_argument("--eps", choices=["zeros", "ones", "random"], default="zeros")
     p.set_defaults(fn=cmd_codebook)
 
     p = sub.add_parser("mub", help="build and verify the complete MUB set")
-    _add_common(p)
+    _add_common(p, with_csv=True)
     p.add_argument("--walsh-check", action="store_true",
                    help="also verify every cross Gram via the Walsh route")
     p.set_defaults(fn=cmd_mub)
 
     p = sub.add_parser("seqfam", help="build a sequence family and its distribution")
-    _add_common(p, with_n=True)
+    _add_common(p, with_n=True, with_csv=True)
     p.add_argument("--kind", choices=["quaternary", "binary", "semibent"], required=True)
     p.add_argument("--table-check", action="store_true",
                    help="compare the measured distribution to the closed form")
@@ -465,7 +459,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
-        if args.cmd in ("codebook", "mub", "seqfam") and args.format == "csv" and not args.out:
+        if getattr(args, "format", "json") == "csv" and not args.out:
             raise ValueError("--format csv needs --out")
         return args.fn(args)
     except (ValueError, ZeroDivisionError) as exc:

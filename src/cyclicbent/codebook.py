@@ -163,14 +163,12 @@ def _gram(cb1_re, cb1_im, cb2_re, cb2_im):
     return gre, gim
 
 
-def imax_sq(cb: Codebook, block: int = 1024, threads: int = 1) -> Fraction:
+def imax_sq(cb: Codebook, block: int = 1024) -> Fraction:
     """Max over row pairs i < j of |<c_i, c_j>|^2 as an exact fraction.
 
     Rows are stably sorted by norm into groups, and the scan runs over
     row-pair tiles within each pair of groups, so every tile has a single
-    norm product and needs one max.  Tiles run in parallel; the max
-    reduction is order independent, so the result is deterministic for any
-    thread count.
+    norm product and needs one max.
     """
     if cb.n_rows < 2:
         raise ValueError("need at least two rows")
@@ -199,49 +197,43 @@ def imax_sq(cb: Codebook, block: int = 1024, threads: int = 1) -> Fraction:
             np.fill_diagonal(mag, 0)
         return Fraction(int(mag.max()), int(norms[i0]) * int(norms[j0]))
 
-    if threads > 1 and len(tiles) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return max(pool.map(tile_best, tiles))
     return max(map(tile_best, tiles))
 
 
-def _char_sign_matrix(domain) -> np.ndarray:
-    """S[dual index, point index] = (-1)^{<(lam,nu),(x1,x2)>}, int8."""
-    c = 1 - 2 * domain.ctx.trace_pairing().astype(np.int8)
-    if not domain.with_bit:
-        return c
-    # nu = x2 = 1 is the one block where nu x2 flips the sign
-    return np.block([[c, c], [c, -c]])
+def _orbit_codebook(tables: list[np.ndarray], domain: bf.Domain) -> Codebook:
+    """Standard basis, the characters (-1)^{<(lam,nu),(x1,x2)>}, then
+    (-1)^{t + <(lam,nu),(x1,x2)>} for each truth table t in turn, every
+    block in dual index order."""
+    size = domain.size
+    # the zero table gives the characters themselves
+    tables = np.stack([np.zeros(size, dtype=np.uint8), *tables])
+    re = np.empty(((len(tables) + 1) * size, size), dtype=np.int8)
+    re[:size] = np.eye(size, dtype=np.int8)
+    signs = re[size:]
+    bits = signs.view(np.uint8).reshape(len(tables), size, size)
+    np.bitwise_xor(tables[:, None, :], bf.char_bits(domain), out=bits)
+    signs *= -2
+    signs += 1
+    norm = np.full(re.shape[0], size, dtype=np.int64)
+    norm[:size] = 1
+    return Codebook(re, np.zeros_like(re), norm)
 
 
-def build_real_codebook(
-    f: BoolFun, eps=None, cert: cn.CyclicCertificate | None = None
-) -> Codebook:
+def build_real_codebook(f: BoolFun, eps=None) -> Codebook:
     """The (2^{2m-1} + 2^m, 2^m) real codebook from a cyclic bent function.
 
     Rows: standard basis, the characters (-1)^{tr(lam x1) + nu x2}, and for
     each a != 0 the rows (-1)^{f(a x1, x2 + eps_a) + tr(lam x1) + nu x2}.
     """
-    cn.require_cyclic_bent(f, cert)
-    dom = f.domain
-    q = dom.ctx.order
-    size = dom.size  # 2^m
+    cn.require_cyclic_bent(f)
+    q = f.domain.ctx.order
     if eps is None:
         eps = [0] * (q - 1)
     if len(eps) != q - 1:
         raise ValueError(f"eps vector must have length {q - 1}")
-    chars = _char_sign_matrix(dom)
-    blocks = [np.eye(size, dtype=np.int8), chars]
-    for a in range(1, q):
-        fa = bf.scale_compose(f, a, int(eps[a - 1]))
-        blocks.append((chars * fa.signs().astype(np.int8)[None, :]).astype(np.int8))
-    re = np.concatenate(blocks, axis=0)
-    im = np.zeros_like(re)
-    norm = np.full(re.shape[0], size, dtype=np.int64)
-    norm[:size] = 1
-    return Codebook(re, im, norm)
+    return _orbit_codebook(
+        [bf.scale_compose(f, a, int(eps[a - 1])).table for a in range(1, q)], f.domain
+    )
 
 
 @dataclass
@@ -285,12 +277,12 @@ def quaternary_entry_arrays(f: BoolFun, a: int):
     return (sign * (1 - d)).astype(np.int8), (sign * d).astype(np.int8)
 
 
-def build_mub(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> MubSet:
+def build_mub(f: BoolFun) -> MubSet:
     """Complete set of 2^{m-1} + 1 MUBs of C^{2^{m-1}} from a cyclic bent f."""
-    cn.require_cyclic_bent(f, cert)
+    cn.require_cyclic_bent(f)
     ctx = f.domain.ctx
     k = ctx.order
-    lam_signs = _char_sign_matrix(bf.Domain(ctx))
+    lam_signs = 1 - 2 * bf.char_bits(bf.Domain(ctx)).astype(np.int8)
     bases_re = [np.eye(k, dtype=np.int8)]
     bases_im = [np.zeros((k, k), dtype=np.int8)]
     norms = [1]
@@ -370,33 +362,24 @@ def mub_to_codebook(mubs: MubSet) -> Codebook:
     return Codebook(re, im, norm)
 
 
-def build_semibent_codebook(
-    g: BoolFun, cert: cn.CyclicCertificate | None = None
-) -> Codebook:
-    """The (2^{2n} + 2^n, 2^n) real codebook from a cyclic semi-bent g (n odd).
+def build_semibent_codebook(g: BoolFun) -> Codebook:
+    """The (2^{2n} + 2^n, 2^n) real codebook from a cyclic semi-bent g (n odd,
+    n >= 3).
 
     Its exact squared maximum crosscorrelation is 2^{1-n} (the semi-bent
     Walsh peak 2^{(n+1)/2} scaled by 2^{-n}, squared), which only *almost*
     meets the real Levenshtein bound.
     """
-    cn.require_cyclic_semibent(g, cert)
-    dom = g.domain
-    q = dom.ctx.order
-    chars = _char_sign_matrix(dom)
-    blocks = [np.eye(q, dtype=np.int8), chars]
-    for a in range(1, q):
-        ga = bf.scale_field(g, a)
-        blocks.append((chars * ga.signs().astype(np.int8)[None, :]).astype(np.int8))
-    re = np.concatenate(blocks, axis=0)
-    im = np.zeros_like(re)
-    norm = np.full(re.shape[0], q, dtype=np.int64)
-    norm[:q] = 1
-    return Codebook(re, im, norm)
+    if g.n_vars < 3:
+        raise ValueError(f"semi-bent codebooks need n >= 3, got n = {g.n_vars}")
+    cn.require_cyclic_semibent(g)
+    q = g.domain.ctx.order
+    return _orbit_codebook([bf.scale_field(g, a).table for a in range(1, q)], g.domain)
 
 
-def optimality_report(cb: Codebook, kind: str, threads: int = 1) -> dict:
+def optimality_report(cb: Codebook, kind: str) -> dict:
     """Compare imax_sq against the applicable Levenshtein bound, exactly."""
-    actual = imax_sq(cb, threads=threads)
+    actual = imax_sq(cb)
     if kind == "real":
         bound = levenshtein_real_sq(cb.n_rows, cb.length)
     elif kind == "complex":

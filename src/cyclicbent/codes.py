@@ -13,7 +13,8 @@ compared; nothing is inferred from general design-theoretic results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
@@ -35,9 +36,6 @@ class NonlinearCode:
     @property
     def size(self) -> int:
         return len(self.words)
-
-    def weight_of(self, i: int) -> int:
-        return int(np.bitwise_count(self.words[i : i + 1])[0])
 
     def is_linear(self) -> bool:
         """Closure of the word set under XOR.
@@ -139,49 +137,41 @@ class DesignResult:
         }
 
 
-def _pack_table(bits: np.ndarray) -> int:
-    word = 0
-    for i, b in enumerate(bits):
-        if b:
-            word |= 1 << i
-    return word
+def _orbit_code(tables: list[np.ndarray], chars: np.ndarray, labels: list[tuple]) -> NonlinearCode:
+    """The words t + c + v for each truth table t, character row c and
+    complement bit v, nested in that order, each packed little-endian into
+    one uint64."""
+    length = chars.shape[1]
+    if length > MAX_LENGTH:
+        raise ValueError(f"code length {length} exceeds the packed-word cap {MAX_LENGTH}")
+    bits = np.stack(tables)[:, None, None, :] ^ chars[:, None, :] ^ np.array([[0], [1]], np.uint8)
+    packed = np.packbits(bits, axis=-1, bitorder="little").reshape(len(labels), -1)
+    words = np.zeros((len(labels), 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    words = words.view("<u8").ravel().astype(np.uint64)
+    if len(np.unique(words)) != len(words):
+        raise AssertionError("codewords are not distinct")
+    return NonlinearCode(length, words, labels)
 
 
-def build_code_f(f: BoolFun, cert: cn.CyclicCertificate | None = None) -> NonlinearCode:
+def build_code_f(f: BoolFun) -> NonlinearCode:
     """C(f): codewords (f(a x1, x2) + tr(lam x1) + u x2 + v) over all labels
     (a, lam, u, v); a (2^m, 2^{2m}) code when f is cyclic bent and normalized.
     """
     if not cn.is_normalized(f):
         raise ValueError("build_code_f needs f(0,0) = f(0,1) = 0")
-    cn.require_cyclic_bent(f, cert)
-    ctx = f.domain.ctx
-    q = ctx.order
-    size = f.domain.size
-    if size > MAX_LENGTH:
-        raise ValueError(f"code length {size} exceeds the packed-word cap {MAX_LENGTH}")
-    lam_words = [_pack_table(np.tile(row, 2)) for row in ctx.trace_pairing()]
-    x2_word = _pack_table(np.concatenate([np.zeros(q, np.int64), np.ones(q, np.int64)]))
-    full = (1 << size) - 1
-    words = np.empty(q * q * 4, dtype=np.uint64)
-    labels = []
-    i = 0
-    for a in range(q):
-        base = _pack_table(bf.scale_compose(f, a, 0).table)
-        for lam in range(q):
-            bl = base ^ lam_words[lam]
-            for u in (0, 1):
-                blu = bl ^ (x2_word if u else 0)
-                for v in (0, 1):
-                    words[i] = blu ^ (full if v else 0)
-                    labels.append((a, lam, u, v))
-                    i += 1
-    code = NonlinearCode(size, words, labels)
-    if len(set(int(w) for w in words)) != len(words):
-        raise AssertionError("codewords are not distinct")
-    return code
+    cn.require_cyclic_bent(f)
+    q = f.domain.ctx.order
+    # character rows are indexed nu * q + lam; the labels run lam-major
+    chars = bf.char_bits(f.domain).reshape(2, q, -1).swapaxes(0, 1).reshape(2 * q, -1)
+    return _orbit_code(
+        [bf.scale_compose(f, a, 0).table for a in range(q)],
+        chars,
+        list(product(range(q), range(q), (0, 1), (0, 1))),
+    )
 
 
-def build_code_g(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> NonlinearCode:
+def build_code_g(g: BoolFun) -> NonlinearCode:
     """C(g): codewords (g(a x) + tr(lam x) + u) over labels (a, lam, u);
     a (2^n, 2^{2n+1}) code when g is cyclic semi-bent with g(0) = 0 and
     n >= 3 (below that the words are not distinct)."""
@@ -189,28 +179,13 @@ def build_code_g(g: BoolFun, cert: cn.CyclicCertificate | None = None) -> Nonlin
         raise ValueError(f"C(g) needs n >= 3, got n = {g.n_vars}")
     if int(g.table[0]) != 0:
         raise ValueError("build_code_g needs g(0) = 0")
-    cn.require_cyclic_semibent(g, cert)
-    ctx = g.domain.ctx
-    q = ctx.order
-    if q > MAX_LENGTH:
-        raise ValueError(f"code length {q} exceeds the packed-word cap {MAX_LENGTH}")
-    lam_words = [_pack_table(row) for row in ctx.trace_pairing()]
-    full = (1 << q) - 1
-    words = np.empty(q * q * 2, dtype=np.uint64)
-    labels = []
-    i = 0
-    for a in range(q):
-        base = _pack_table(bf.scale_field(g, a).table)
-        for lam in range(q):
-            bl = base ^ lam_words[lam]
-            for u in (0, 1):
-                words[i] = bl ^ (full if u else 0)
-                labels.append((a, lam, u))
-                i += 1
-    code = NonlinearCode(q, words, labels)
-    if len(set(int(w) for w in words)) != len(words):
-        raise AssertionError("codewords are not distinct")
-    return code
+    cn.require_cyclic_semibent(g)
+    q = g.domain.ctx.order
+    return _orbit_code(
+        [bf.scale_field(g, a).table for a in range(q)],
+        bf.char_bits(g.domain),
+        list(product(range(q), range(q), (0, 1))),
+    )
 
 
 def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
@@ -225,10 +200,7 @@ def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
     block = max(1, (1 << 22) // m)
     for i0 in range(0, m, block):
         x = np.bitwise_xor(words[i0 : i0 + block, None], words[None, :])
-        d = np.bitwise_count(x)
-        vals, cnts = np.unique(d, return_counts=True)
-        for v, c in zip(vals, cnts):
-            pair_counts[int(v)] += int(c)
+        pair_counts += np.bincount(np.bitwise_count(x).ravel(), minlength=code.length + 1)
     distance = {}
     for i, c in enumerate(pair_counts):
         if c:
@@ -241,14 +213,9 @@ def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
 def supports_of_weight(code: NonlinearCode, k: int) -> np.ndarray:
     """Deduplicated supports of the weight-k codewords, as a (b, v) bool matrix."""
     wts = np.bitwise_count(code.words)
-    sel = np.unique(code.words[wts == k])
-    rows = np.zeros((len(sel), code.length), dtype=bool)
-    for r, w in enumerate(sel):
-        w = int(w)
-        for j in range(code.length):
-            if (w >> j) & 1:
-                rows[r, j] = True
-    return rows
+    sel = np.unique(code.words[wts == k]).astype("<u8")
+    bits = np.unpackbits(sel.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    return bits[:, : code.length].astype(bool)
 
 
 def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
@@ -265,39 +232,18 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
         raise ValueError(f"no codewords of weight {k}")
     v = code.length
     lam = None
-    witness = None
-
-    def scan():
-        nonlocal lam, witness
-        if t == 1:
-            cov = blocks.sum(axis=0)
-            for p in range(v):
-                c = int(cov[p])
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    witness = ((p,), c, lam)
-                    return
-            return
-        for head in combinations(range(v), t - 1):
-            mask = blocks[:, head[0]]
-            for p in head[1:]:
-                mask = mask & blocks[:, p]
-            cov = blocks[mask].sum(axis=0)
-            for p in range(head[-1] + 1, v):
-                c = int(cov[p])
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    witness = (head + (p,), c, lam)
-                    return
-
-    scan()
-    if witness is not None:
-        return DesignResult(t, v, k, b, None, witness)
+    # each (t-1)-subset head, t = 1 included as the empty head, with the
+    # coverage of every t-subset head + (p,) with p past the head
+    for head in combinations(range(v), t - 1):
+        start = head[-1] + 1 if head else 0
+        cov = blocks[blocks[:, list(head)].all(axis=1), start:].sum(axis=0)
+        if lam is None:
+            lam = int(cov[0])
+        off = np.flatnonzero(cov != lam)
+        if len(off):
+            p = int(off[0])
+            return DesignResult(t, v, k, b, None, (head + (start + p,), int(cov[p]), lam))
     # design identity lambda C(v,t) = b C(k,t)
-    from math import comb
-
     if lam * comb(v, t) != b * comb(k, t):
         raise AssertionError("coverage constant but design identity fails")
     return DesignResult(t, v, k, b, lam)

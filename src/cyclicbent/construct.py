@@ -479,7 +479,7 @@ def derive_semibent(f: BoolFun, eps: int) -> BoolFun:
     return bf.restrict(f, eps)
 
 
-def semibent_family(f: BoolFun, eps: list[int] | np.ndarray) -> list[BoolFun]:
+def derived_semibent_family(f: BoolFun, eps: list[int] | np.ndarray) -> list[BoolFun]:
     """{ x1 -> f(a x1, eps_a) : a in GF(2^{m-1})* }: semi-bent functions with
     semi-bent pairwise sums (f cyclic bent)."""
     q = f.domain.ctx.order

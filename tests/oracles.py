@@ -6,7 +6,8 @@ shortcuts in the hot loop beyond plain context arithmetic).  The exception
 is the routes the library replaced, kept as references: the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
 transform and compositions), the int64 Gram, the per-cell CSV writer and
-the pairwise XOR-closure test of linearity.
+the pairwise XOR-closure test of linearity, and the codebook and code
+builders as per-block and per-label loops (without certification).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from cyclicbent import boolfun as bf
+from cyclicbent import codebook as cbk
+from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
@@ -278,3 +281,96 @@ def is_linear_by_pairs(code) -> bool:
         return False
     lst = sorted(ws)
     return all((a ^ b) in ws for i, a in enumerate(lst) for b in lst[i:])
+
+
+# -- the codebook and code builders, block by block and label by label ---------------
+
+
+def char_sign_matrix(domain) -> np.ndarray:
+    """S[dual index, point index] = (-1)^{<(lam,nu),(x1,x2)>}, int8."""
+    c = 1 - 2 * domain.ctx.trace_pairing().astype(np.int8)
+    if not domain.with_bit:
+        return c
+    # nu = x2 = 1 is the one block where nu x2 flips the sign
+    return np.block([[c, c], [c, -c]])
+
+
+def _codebook_by_blocks(tables, chars) -> cbk.Codebook:
+    size = chars.shape[1]
+    blocks = [np.eye(size, dtype=np.int8), chars]
+    for t in tables:
+        blocks.append((chars * (1 - 2 * t.astype(np.int8))[None, :]).astype(np.int8))
+    re = np.concatenate(blocks, axis=0)
+    norm = np.full(re.shape[0], size, dtype=np.int64)
+    norm[:size] = 1
+    return cbk.Codebook(re, np.zeros_like(re), norm)
+
+
+def real_codebook_by_blocks(f: BoolFun, eps=None) -> cbk.Codebook:
+    """Standard basis, characters, then one sign block per a != 0."""
+    q = f.domain.ctx.order
+    eps = [0] * (q - 1) if eps is None else eps
+    tables = [bf.scale_compose(f, a, int(eps[a - 1])).table for a in range(1, q)]
+    return _codebook_by_blocks(tables, char_sign_matrix(f.domain))
+
+
+def semibent_codebook_by_blocks(g: BoolFun) -> cbk.Codebook:
+    q = g.domain.ctx.order
+    tables = [bf.scale_field(g, a).table for a in range(1, q)]
+    return _codebook_by_blocks(tables, char_sign_matrix(g.domain))
+
+
+def mub_by_blocks(f: BoolFun) -> cbk.MubSet:
+    ctx = f.domain.ctx
+    k = ctx.order
+    lam_signs = char_sign_matrix(bf.Domain(ctx))
+    bases_re = [np.eye(k, dtype=np.int8)]
+    bases_im = [np.zeros((k, k), dtype=np.int8)]
+    for a in range(k):
+        are, aim = cbk.quaternary_entry_arrays(f, a)
+        bases_re.append((lam_signs * are[None, :]).astype(np.int8))
+        bases_im.append((lam_signs * aim[None, :]).astype(np.int8))
+    return cbk.MubSet(k, bases_re, bases_im, [1] + [k] * k)
+
+
+def pack_table(bits) -> int:
+    word = 0
+    for i, b in enumerate(bits):
+        if b:
+            word |= 1 << i
+    return word
+
+
+def code_f_by_labels(f: BoolFun) -> cd.NonlinearCode:
+    """C(f), one packed word per label (a, lam, u, v)."""
+    ctx = f.domain.ctx
+    q = ctx.order
+    size = f.domain.size
+    lam_words = [pack_table(np.tile(row, 2)) for row in ctx.trace_pairing()]
+    x2_word = pack_table(np.concatenate([np.zeros(q, np.int64), np.ones(q, np.int64)]))
+    full = (1 << size) - 1
+    words, labels = [], []
+    for a in range(q):
+        base = pack_table(bf.scale_compose(f, a, 0).table)
+        for lam in range(q):
+            for u in (0, 1):
+                for v in (0, 1):
+                    words.append(base ^ lam_words[lam] ^ (x2_word if u else 0) ^ (full if v else 0))
+                    labels.append((a, lam, u, v))
+    return cd.NonlinearCode(size, np.array(words, dtype=np.uint64), labels)
+
+
+def code_g_by_labels(g: BoolFun) -> cd.NonlinearCode:
+    """C(g), one packed word per label (a, lam, u)."""
+    ctx = g.domain.ctx
+    q = ctx.order
+    lam_words = [pack_table(row) for row in ctx.trace_pairing()]
+    full = (1 << q) - 1
+    words, labels = [], []
+    for a in range(q):
+        base = pack_table(bf.scale_field(g, a).table)
+        for lam in range(q):
+            for u in (0, 1):
+                words.append(base ^ lam_words[lam] ^ (full if u else 0))
+                labels.append((a, lam, u))
+    return cd.NonlinearCode(q, np.array(words, dtype=np.uint64), labels)

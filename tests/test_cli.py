@@ -171,6 +171,7 @@ def test_codebook_threads_flag(capsys):
     ("seqfam --kind semibent --n 3 --format csv", 2),
     # semi-bent families, codes and designs need n >= 3; certification does not
     ("seqfam --kind semibent --n 1", 2),
+    ("codebook --kind semibent --n 1", 2),
     ("code --n 1", 2),
     ("design --n 1 --k 1 --t 1", 2),
     ("verify --n 1", 0),
@@ -185,20 +186,22 @@ def test_kind_and_size_flags(capsys, argv, code):
         assert json.loads(captured.out)["command"] == argv.split()[0]
 
 
-def test_seqfam_reads_the_certifiers_spectra(capsys, monkeypatch):
-    # the distribution comes from the q - 1 = 7 spectra of one certifier
-    # call; the direct scan is not run
-    scans, rows, certs, depth = [], [], [], [0]
+@pytest.mark.parametrize("cmd", [
+    "construct --m 4", "verify --m 4", "code --m 4", "design --m 4 --k 6 --t 3",
+    "charquad --m 5 --L x^4", "selftest",
+])
+def test_format_is_only_taken_by_the_csv_subcommands(tmp_path, capsys, cmd):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(cmd.split() + ["--format", "csv", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "--format" in capsys.readouterr().err
 
-    def counted_scan(fam):
-        scans.append(fam.size)
-        return scan(fam)
 
-    def counted_rows(fn, n_rows):
-        def wrapper(arg):
-            rows.append(n_rows(arg))
-            return fn(arg)
-        return wrapper
+def _outermost_certifier_calls(monkeypatch) -> list:
+    """Record the name of each certifier call not made inside another."""
+    certs, depth = [], [0]
 
     def counted_cert(fn):
         def wrapper(*args, **kwargs):
@@ -211,13 +214,49 @@ def test_seqfam_reads_the_certifiers_spectra(capsys, monkeypatch):
                 depth[0] -= 1
         return wrapper
 
+    for name in ("certify_cyclic_bent", "is_cyclic_bent_full", "is_cyclic_bent_reduced",
+                 "is_cyclic_semibent"):
+        monkeypatch.setattr(cn, name, counted_cert(getattr(cn, name)))
+    return certs
+
+
+@pytest.mark.parametrize("argv, certifier", [
+    ("codebook --m 4", "certify_cyclic_bent"),
+    ("codebook --m 4 --kind complex", "certify_cyclic_bent"),
+    ("codebook --n 3 --kind semibent", "is_cyclic_semibent"),
+    ("mub --m 4", "certify_cyclic_bent"),
+    ("code --m 4", "certify_cyclic_bent"),
+    ("code --n 3", "is_cyclic_semibent"),
+    ("design --m 4 --k 6 --t 3", "certify_cyclic_bent"),
+    ("design --n 3 --k 4 --t 3", "is_cyclic_semibent"),
+])
+def test_builders_certify_their_input_once(capsys, monkeypatch, argv, certifier):
+    certs = _outermost_certifier_calls(monkeypatch)
+    code, rep = run_json(capsys, *argv.split())
+    assert code == 0 and rep["command"] == argv.split()[0]
+    assert certs == [certifier]
+
+
+def test_seqfam_reads_the_certifiers_spectra(capsys, monkeypatch):
+    # the distribution comes from the q - 1 = 7 spectra of one certifier
+    # call; the direct scan is not run
+    scans, rows = [], []
+
+    def counted_scan(fam):
+        scans.append(fam.size)
+        return scan(fam)
+
+    def counted_rows(fn, n_rows):
+        def wrapper(arg):
+            rows.append(n_rows(arg))
+            return fn(arg)
+        return wrapper
+
     scan = sf._scan
     monkeypatch.setattr(sf, "_scan", counted_scan)
     monkeypatch.setattr(bf, "walsh", counted_rows(bf.walsh, lambda f: 1))
     monkeypatch.setattr(bf, "walsh_many", counted_rows(bf.walsh_many, lambda w: len(w)))
-    for name in ("certify_cyclic_bent", "is_cyclic_bent_full", "is_cyclic_bent_reduced",
-                 "is_cyclic_semibent"):
-        monkeypatch.setattr(cn, name, counted_cert(getattr(cn, name)))
+    certs = _outermost_certifier_calls(monkeypatch)
     code, rep = run_json(capsys, "seqfam", "--kind", "binary", "--m", "4")
     assert code == 0
     assert scans == []

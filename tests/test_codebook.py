@@ -20,7 +20,14 @@ from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 from cyclicbent import boolfun as bf
 
-from oracles import gram_int64, imax_sq_masked_tiles, write_csv_by_cells
+from oracles import (
+    gram_int64,
+    imax_sq_masked_tiles,
+    mub_by_blocks,
+    real_codebook_by_blocks,
+    semibent_codebook_by_blocks,
+    write_csv_by_cells,
+)
 
 
 def kerdock4():
@@ -161,9 +168,9 @@ def test_codebook_csv_and_json(tmp_path):
 
 def test_imax_sq_threads_deterministic():
     cb = cbk.build_real_codebook(kerdock4())
-    assert cbk.imax_sq(cb, block=50, threads=4) == cbk.imax_sq(cb) == Fraction(1, 16)
+    assert cbk.imax_sq(cb, block=50) == cbk.imax_sq(cb) == Fraction(1, 16)
     mcb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
-    assert cbk.imax_sq(mcb, block=17, threads=3) == Fraction(1, 8)
+    assert cbk.imax_sq(mcb, block=17) == Fraction(1, 8)
 
 
 # -- the float64 Gram kernel against the int64 oracle ---------------------------------
@@ -236,11 +243,11 @@ def _stock_codebooks():
     ]
 
 
-@pytest.mark.parametrize("block, threads", [(1024, 1), (17, 1), (17, 3), (50, 1), (50, 3)])
-def test_imax_sq_matches_masked_tile_oracle(block, threads):
+@pytest.mark.parametrize("block", [1024, 17, 50])
+def test_imax_sq_matches_masked_tile_oracle(block):
     for cb in _hand_codebooks() + _stock_codebooks():
         expected = imax_sq_masked_tiles(cb)
-        assert cbk.imax_sq(cb, block=block, threads=threads) == expected
+        assert cbk.imax_sq(cb, block=block) == expected
 
 
 def test_write_csv_matches_cell_loop(tmp_path):
@@ -284,3 +291,32 @@ def test_alphabet_of_hand_built_codebooks():
 def test_codebook_rejects_malformed_input(re, im, norm_sq, match):
     with pytest.raises(ValueError, match=match):
         cbk.Codebook(re, im, norm_sq)
+
+
+# -- the orbit-row builders against the per-block builders they replaced -------------
+
+
+def _assert_same_codebook(got, want):
+    for part in ("re", "im", "norm_sq"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_real_and_complex_codebooks_match_block_builders(m):
+    f = cn.kerdock_fn(m)
+    q = 1 << (m - 1)
+    rng = np.random.default_rng(m)
+    for eps in ([0] * (q - 1), [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
+        _assert_same_codebook(cbk.build_real_codebook(f, eps), real_codebook_by_blocks(f, eps))
+    mubs, want = cbk.build_mub(f), mub_by_blocks(f)
+    assert mubs.to_json_obj() == want.to_json_obj()
+    _assert_same_codebook(cbk.mub_to_codebook(mubs), cbk.mub_to_codebook(want))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("i", [1, 2])
+def test_semibent_codebook_matches_block_builder(n, i):
+    ctx = mk_field(n)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+    _assert_same_codebook(cbk.build_semibent_codebook(g), semibent_codebook_by_blocks(g))

@@ -18,7 +18,7 @@ from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 
-from oracles import is_linear_by_pairs
+from oracles import code_f_by_labels, code_g_by_labels, is_linear_by_pairs
 
 
 def trace_cube(n):
@@ -194,3 +194,30 @@ def test_is_linear_matches_pairwise_closure_on_hand_built_sets(name):
 def test_is_linear_matches_pairwise_closure_on_stock_codes(stock_codes):
     for code in stock_codes.values():
         assert code.is_linear() == is_linear_by_pairs(code)
+
+
+# -- the orbit-row builders against the per-label builders they replaced -------------
+
+
+def _assert_same_code(got, want):
+    assert got.words.dtype == want.words.dtype == np.uint64
+    assert np.array_equal(got.words, want.words)
+    assert got.labels == want.labels
+    assert got.to_json_obj() == want.to_json_obj()
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_code_f_matches_label_builder(m):
+    # no chain at m = 4 or 6 has a gamma other than 1 (gamma_0 lies in
+    # GF(2)), so the second input is the cyclic bent, normalized f(3 x1, x2)
+    kerdock = cn.kerdock_fn(m)
+    for f in (kerdock, bf.scale_compose(kerdock, 3, 0)):
+        _assert_same_code(cd.build_code_f(f), code_f_by_labels(f))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("i", [1, 2])
+def test_code_g_matches_label_builder(n, i):
+    ctx = mk_field(n)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+    _assert_same_code(cd.build_code_g(g), code_g_by_labels(g))

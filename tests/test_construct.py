@@ -259,7 +259,7 @@ def test_semibent_family_and_derive():
     assert g == bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     assert cn.is_cyclic_semibent(g, "full").passed
     assert cn.is_cyclic_semibent(cn.derive_semibent(K, 1), "full").passed
-    fam = cn.semibent_family(K, [0] * 7)
+    fam = cn.derived_semibent_family(K, [0] * 7)
     assert len(fam) == 7
     for i in range(7):
         assert bf.is_semibent(fam[i])
