@@ -243,11 +243,18 @@ def _stock_codebooks():
     ]
 
 
-@pytest.mark.parametrize("block", [1024, 17, 50])
-def test_imax_sq_matches_masked_tile_oracle(block):
+@pytest.mark.parametrize("block, seed", [(1024, 1), (17, 1), (17, 3), (50, 1), (50, 3)])
+def test_imax_sq_matches_masked_tile_oracle(block, seed):
+    # each codebook as built and with its rows shuffled, which moves rows
+    # across norm groups and tile edges but leaves the max over pairs alone
+    rng = np.random.default_rng(seed)
     for cb in _hand_codebooks() + _stock_codebooks():
         expected = imax_sq_masked_tiles(cb)
         assert cbk.imax_sq(cb, block=block) == expected
+        p = rng.permutation(cb.n_rows)
+        shuffled = cbk.Codebook(cb.re[p], cb.im[p], cb.norm_sq[p])
+        assert imax_sq_masked_tiles(shuffled) == expected
+        assert cbk.imax_sq(shuffled, block=block) == expected
 
 
 def test_write_csv_matches_cell_loop(tmp_path):
