@@ -38,10 +38,6 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _fraction_fields(name: str, value: Fraction) -> dict:
-    return {name: str(value), f"{name}_float": float(value)}
-
-
 def _parse_ints(s: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in s.split(",") if tok != "")
 
@@ -70,8 +66,9 @@ def _semibent_input(args) -> bf.BoolFun:
     if getattr(args, "restrict_bent", False):
         f = cn.kerdock_fn(n + 1)
         return cn.derive_semibent(f, getattr(args, "eps_bit", 0))
-    i = getattr(args, "gold", 1)
-    return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+    if args.gold < 0:
+        raise ValueError(f"--gold must be at least 0, got {args.gold}")
+    return lp.quad_form(lp.LinPoly.from_dict(ctx, {args.gold: 1}))
 
 
 def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
@@ -336,9 +333,7 @@ def cmd_selftest(args) -> int:
         "binary family distribution matches closed form (m=4)",
         sf.full_distribution(famb).counts == sf.expected_binary_distribution(4),
     )
-    ctx3 = mk_field(3)
-    g3 = bf.from_field_fn(ctx3, lambda x: ctx3.trace(ctx3.pow(x, 3)))
-    famg = sf.semibent_family(g3)
+    famg = sf.semibent_family(lp.quad_form(lp.LinPoly.from_dict(mk_field(3), {1: 1})))
     check(
         "semi-bent family distribution matches closed form (n=3)",
         sf.full_distribution(famg).counts == sf.expected_semibent_distribution(3),
@@ -373,10 +368,6 @@ def _add_common(p, with_m=True, with_n=False, with_csv=False):
     p.add_argument("--out", help="write the JSON report (or CSV data) to this path")
     if with_csv:
         p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for verify's certifier scans (the other "
-                   "subcommands accept and ignore it)")
-    p.add_argument("--seed", type=int, default=2024, help="seed for randomized choices")
     if with_m:
         p.add_argument("--m", type=int, help="even m: functions live on GF(2^{m-1}) x GF(2)")
         p.add_argument("--chain", help="divisor chain e_0,..,e_l (default 1,m-1)")
@@ -390,8 +381,15 @@ def _add_common(p, with_m=True, with_n=False, with_csv=False):
         p.add_argument("--eps-bit", type=int, default=0, choices=[0, 1])
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """Reports a usage error as {"error": message} on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, json.dumps({"error": message}) + "\n")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _JsonErrorParser(
         prog="cyclicbent",
         description="exact pipelines for cyclic bent/semi-bent functions and "
         "their codebooks, MUBs, sequence families, codes and designs",
@@ -408,12 +406,17 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="certify cyclic bentness / semi-bentness")
     _add_common(p, with_n=True)
     p.add_argument("--mode", choices=["auto", "full", "reduced"], default="auto")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for the certifier scans")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("codebook", help="build a codebook and compare to the bound")
     _add_common(p, with_n=True, with_csv=True)
     p.add_argument("--kind", choices=["real", "complex", "semibent"], default="real")
     p.add_argument("--eps", choices=["zeros", "ones", "random"], default="zeros")
+    p.add_argument("--seed", type=int, default=2024, help="seed for --eps random")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: codebook runs on one thread")
     p.set_defaults(fn=cmd_codebook)
 
     p = sub.add_parser("mub", help="build and verify the complete MUB set")
@@ -457,7 +460,7 @@ def main(argv=None) -> int:
             and args.cmd in ("construct", "verify", "codebook", "mub", "seqfam", "code", "design"):
         ap.error(f"{args.cmd} needs --m (or --n where applicable)")
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if getattr(args, "format", "json") == "csv" and not args.out:
             raise ValueError("--format csv needs --out")

@@ -22,7 +22,7 @@ same orbit sums (the sequence-family correlations) need no transform of
 their own.
 
 Cost control: full bent mode is O(4^m) Walsh transforms and is capped at
-m <= 8 unless force=True; reduced mode is allowed to m <= 16.
+m <= 8; reduced mode is allowed to m <= 16.
 """
 
 from __future__ import annotations
@@ -127,25 +127,15 @@ class CyclicCertificate:
 
 
 def kerdock_fn(m: int) -> BoolFun:
-    """K(x1,x2) = sum_{i=1}^{(m-2)/2} tr(x1^{2^i+1}) + x2 tr(x1) on GF(2^{m-1}) x GF(2)."""
-    if m % 2 != 0 or m < 4:
-        raise ValueError("m must be even and >= 4")
-    ctx = mk_field(m - 1)
-    acc = np.zeros(ctx.order, dtype=np.int64)
-    for i in range(1, (m - 2) // 2 + 1):
-        acc ^= ctx.pow_table((1 << i) + 1)
-    tr1 = ctx.trace_table(1)
-    quad = tr1[acc].astype(np.uint8)
-    lin = tr1[np.arange(ctx.order)].astype(np.uint8)
-    table = np.concatenate([quad, quad ^ lin])
-    return BoolFun(Domain(ctx, with_bit=True), table)
+    """K(x1,x2) = sum_{i=1}^{(m-2)/2} tr(x1^{2^i+1}) + x2 tr(x1) on GF(2^{m-1}) x GF(2):
+    the divisor-chain function of the length-one chain 1 | m-1 with gamma = 1."""
+    return chain_fn(ChainSpec(m, (1, m - 1), (1,)))
 
 
 def chain_fn(spec: ChainSpec) -> BoolFun:
     """The divisor-chain cyclic bent function sum_j Q_j(gamma_j x1) + x2 tr(x1).
 
     Q_j(y) = tr(sum_{i=1}^{(f_j-1)/2} y^{2^{i e_j}+1}) with f_j = (m-1)/e_j.
-    Reduces to kerdock_fn for a length-one chain.
     """
     ctx = spec.ctx
     fj = spec.cofactors()
@@ -320,16 +310,16 @@ def _orbit_scan(f: BoolFun, scale, threads: int, reducer: OrbitReducer | None) -
     return _first_failure(q - 2, sum_rows, f.n_vars, threads, reducer=hook)
 
 
-def is_cyclic_bent_full(f: BoolFun, force: bool = False, threads: int = 1) -> CyclicCertificate:
+def is_cyclic_bent_full(f: BoolFun, threads: int = 1) -> CyclicCertificate:
     """Exhaustive check of f(a x1, x2) + f(b x1, x2+eps) over all ordered a != b, eps."""
     ctx = f.domain.ctx
     m = f.n_vars
     if m % 2 != 0:
         raise ValueError("cyclic bent functions need an even number of variables")
-    if m > FULL_MODE_MAX_M and not force:
+    if m > FULL_MODE_MAX_M:
         raise ValueError(
             f"full certification is O(4^m) Walsh transforms; m={m} exceeds the "
-            f"default cap {FULL_MODE_MAX_M} (pass force=True to override)"
+            f"cap {FULL_MODE_MAX_M} (use the reduced certifier)"
         )
     q = ctx.order
     tables = np.stack([bf.scale_compose(f, a, 0).table for a in range(q)])
@@ -383,7 +373,7 @@ def is_cyclic_bent_reduced(f: BoolFun, *,
     return CyclicCertificate("bent", "reduced", True, q - 1)
 
 
-def certify_cyclic_bent(f: BoolFun, mode: str = "auto", force: bool = False, *,
+def certify_cyclic_bent(f: BoolFun, mode: str = "auto", *,
                         reducer: OrbitReducer | None = None) -> CyclicCertificate:
     """Dispatch to the reduced certifier when its hypothesis holds, else full.
 
@@ -393,13 +383,13 @@ def certify_cyclic_bent(f: BoolFun, mode: str = "auto", force: bool = False, *,
     if mode == "reduced":
         return is_cyclic_bent_reduced(f, reducer=reducer)
     if mode == "full":
-        return is_cyclic_bent_full(f, force=force)
+        return is_cyclic_bent_full(f)
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
     try:
         return is_cyclic_bent_reduced(f, reducer=reducer)
     except AffineDifferenceError:
-        return is_cyclic_bent_full(f, force=force)
+        return is_cyclic_bent_full(f)
 
 
 def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1, *,

@@ -95,6 +95,18 @@ def _prime_factors(n: int) -> list[int]:
     return fs
 
 
+def _linear_table(images: list[int]) -> np.ndarray:
+    """Values over all x of the GF(2)-linear map sending 2^j to images[j].
+
+    Built by doubling: the values on [2^j, 2^{j+1}) are those on [0, 2^j)
+    plus images[j].
+    """
+    t = np.zeros(1, dtype=np.int64)
+    for img in images:
+        t = np.concatenate([t, t ^ img])
+    return t
+
+
 def is_irreducible(modulus: int, d: int) -> bool:
     """Ben-Or test: x^{2^d} = x mod p and gcd(x^{2^i} - x, p) = 1 for i <= d/2."""
     if modulus.bit_length() != d + 1:
@@ -273,12 +285,8 @@ class GF2m:
         if r not in self._trace_tables:
             if self.degree % r != 0:
                 raise ValueError(f"subfield degree {r} does not divide {self.degree}")
-            t = np.zeros(self.order, dtype=np.int64)
-            imgs = [self._trace_direct(1 << j, r) for j in range(self.degree)]
-            for x in range(1, self.order):
-                j = (x & -x).bit_length() - 1
-                t[x] = t[x ^ (1 << j)] ^ imgs[j]
-            self._trace_tables[r] = t
+            self._trace_tables[r] = _linear_table(
+                [self._trace_direct(1 << j, r) for j in range(self.degree)])
         return self._trace_tables[r]
 
     def subfield_test(self, x: int, r: int) -> bool:
@@ -299,41 +307,6 @@ class GF2m:
         step = (self.order - 1) // ((1 << r) - 1)
         elems = {0} | {self.pow(self.generator, k * step) for k in range((1 << r) - 1)}
         return sorted(elems)
-
-    def embed_from(self, small: "GF2m", x: int) -> int:
-        """Embed an element of GF(2^r) (its own coordinates) into this field.
-
-        The small field's generator is mapped to the smallest-index root of
-        the small modulus inside this field, which fixes a field embedding.
-        Requires small.degree | self.degree.
-        """
-        r = small.degree
-        if self.degree % r != 0:
-            raise ValueError(f"subfield degree {r} does not divide {self.degree}")
-        root = self._subfield_root(small)
-        img = 0
-        for i in range(r):
-            if (x >> i) & 1:
-                img ^= self.pow(root, i)
-        return img
-
-    def _subfield_root(self, small: "GF2m") -> int:
-        key = (small.degree, small.modulus)
-        cache = getattr(self, "_embed_roots", None)
-        if cache is None:
-            cache = self._embed_roots = {}
-        if key not in cache:
-            for z in self.subfield_elements(small.degree):
-                acc = 0
-                for i in range(small.degree + 1):
-                    if (small.modulus >> i) & 1:
-                        acc ^= self.pow(z, i)
-                if acc == 0 and (small.degree == 1 or z not in (0, 1)):
-                    cache[key] = z
-                    break
-            else:  # pragma: no cover - impossible for verified irreducible moduli
-                raise ValueError("no root of subfield modulus found")
-        return cache[key]
 
     # -- vectorized helpers -------------------------------------------------------
 
@@ -376,11 +349,7 @@ class GF2m:
                     if self.trace(self.mul(1 << j, 1 << i)) == 1:
                         mask |= 1 << i
                 imgs.append(mask)
-            d = np.zeros(self.order, dtype=np.int64)
-            for x in range(1, self.order):
-                j = (x & -x).bit_length() - 1
-                d[x] = d[x ^ (1 << j)] ^ imgs[j]
-            self._dual_index = d
+            self._dual_index = _linear_table(imgs)
         return self._dual_index
 
     def trace_pairing(self) -> np.ndarray:

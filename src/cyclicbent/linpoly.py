@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from cyclicbent import boolfun as bf
+import numpy as np
+
 from cyclicbent.boolfun import BoolFun, Domain
 from cyclicbent.gf2 import GF2m
 
@@ -46,11 +47,9 @@ class LinPoly:
     def evaluate(self, x: int) -> int:
         ctx = self.ctx
         acc = 0
-        y = x
-        for c in self.coeffs:
+        for i, c in enumerate(self.coeffs):
             if c:
-                acc ^= ctx.mul(c, y)
-            y = ctx.sqr(y)
+                acc ^= ctx.mul(c, ctx.frobenius(x, i))
         return acc
 
     def add(self, other: "LinPoly") -> "LinPoly":
@@ -77,31 +76,26 @@ def adjoint(L: LinPoly) -> LinPoly:
 
 
 def kernel_dim(L: LinPoly) -> int:
-    """dim over GF(2) of ker L, via the rank of L's matrix in the polynomial basis."""
-    ctx = L.ctx
-    m = ctx.degree
-    rows = [L.evaluate(1 << j) for j in range(m)]  # images of basis vectors
-    rank = 0
-    for col in range(m):
-        piv = None
-        for r in range(rank, m):
-            if (rows[r] >> col) & 1:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(m):
-            if r != rank and (rows[r] >> col) & 1:
-                rows[r] ^= rows[rank]
-        rank += 1
-    return m - rank
+    """dim over GF(2) of ker L: m minus the rank of the images of the basis."""
+    m = L.ctx.degree
+    basis: list[int] = []  # distinct leading bits, largest first
+    for j in range(m):
+        v = L.evaluate(1 << j)
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = sorted(basis + [v], reverse=True)
+    return m - len(basis)
 
 
 def quad_form(L: LinPoly) -> BoolFun:
-    """The Boolean function q(x) = tr(x L(x)) on GF(2^m)."""
+    """The Boolean function q(x) = tr(x L(x)) = tr(sum a_i x^{2^i+1}) on GF(2^m)."""
     ctx = L.ctx
-    return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, L.evaluate(x))))
+    acc = np.zeros(ctx.order, dtype=np.int64)
+    for i, a in enumerate(L.coeffs):
+        if a:
+            acc ^= ctx.mul_table(a)[ctx.pow_table((1 << i) + 1)]
+    return BoolFun(Domain(ctx), ctx.trace_table(1)[acc].astype(np.uint8))
 
 
 def phi_l_tau(L: LinPoly, tau: int) -> LinPoly:

@@ -3,7 +3,9 @@
 Everything here is deliberately written from the defining formulas, without
 sharing code paths with the library (no Walsh kernel, no log-table
 shortcuts in the hot loop beyond plain context arithmetic).  The exception
-is the routes the library replaced, kept as references: the int64 Walsh
+is the routes the library replaced, kept as references: the per-point trace
+and dual-index tables, the squaring-chain evaluation, elimination rank and
+per-point quadratic form of linearized polynomials, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
 transform and compositions), the int64 Gram, the per-cell CSV writer and
 the pairwise XOR-closure test of linearity, and the codebook and code
@@ -135,6 +137,64 @@ def trace_pairing_by_rows(ctx) -> np.ndarray:
 def generator_powers_by_pow(ctx, t) -> np.ndarray:
     """beta^k for each k in t by scalar exponentiation."""
     return np.array([ctx.pow(ctx.generator, int(k)) for k in t], dtype=np.int64)
+
+
+def linear_table_by_points(images) -> np.ndarray:
+    """Values over all x of the GF(2)-linear map sending 2^j to images[j], one
+    point at a time: x takes the value of x without its lowest bit 2^j, plus
+    images[j]."""
+    t = np.zeros(1 << len(images), dtype=np.int64)
+    for x in range(1, len(t)):
+        j = (x & -x).bit_length() - 1
+        t[x] = t[x ^ (1 << j)] ^ images[j]
+    return t
+
+
+def trace_table_by_points(ctx, r: int) -> np.ndarray:
+    """tr_r^d(x) over all x, from the traces of the basis points."""
+    return linear_table_by_points([ctx.trace(1 << j, r) for j in range(ctx.degree)])
+
+
+def dual_index_table_by_points(ctx) -> np.ndarray:
+    """D[lam] = bit mask (tr(lam 2^i))_i over all lam, from the basis points."""
+    d = ctx.degree
+    return linear_table_by_points(
+        [sum(ctx.trace(ctx.mul(1 << j, 1 << i)) << i for i in range(d)) for j in range(d)])
+
+
+def linpoly_eval_by_squaring(L, x: int) -> int:
+    """L(x) = sum a_i x^{2^i}, squaring x once per coefficient."""
+    ctx = L.ctx
+    acc = 0
+    y = x
+    for c in L.coeffs:
+        if c:
+            acc ^= ctx.mul(c, y)
+        y = ctx.sqr(y)
+    return acc
+
+
+def kernel_dim_by_elimination(L) -> int:
+    """dim ker L by Gauss-Jordan elimination on the images of the basis."""
+    m = L.ctx.degree
+    rows = [linpoly_eval_by_squaring(L, 1 << j) for j in range(m)]
+    rank = 0
+    for col in range(m):
+        piv = next((r for r in range(rank, m) if (rows[r] >> col) & 1), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(m):
+            if r != rank and (rows[r] >> col) & 1:
+                rows[r] ^= rows[rank]
+        rank += 1
+    return m - rank
+
+
+def quad_form_by_points(L) -> BoolFun:
+    """tr(x L(x)), one trace and one product per x."""
+    ctx = L.ctx
+    return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, linpoly_eval_by_squaring(L, x))))
 
 
 def correlation_scan_by_pairs(fam: sf.SequenceFamily):

@@ -1,5 +1,6 @@
 """CLI subcommand tests (driven through main() for exit codes and reports)."""
 
+import argparse
 import json
 
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
-from cyclicbent.cli import main
+from cyclicbent.cli import _semibent_input, main
+from cyclicbent.gf2 import mk_field
 
 
 def run(capsys, *argv):
@@ -175,6 +177,8 @@ def test_codebook_threads_flag(capsys):
     ("code --n 1", 2),
     ("design --n 1 --k 1 --t 1", 2),
     ("verify --n 1", 0),
+    # the Gold exponent 2^i + 1 needs i >= 0
+    ("verify --n 5 --gold -1", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code
@@ -184,6 +188,40 @@ def test_kind_and_size_flags(capsys, argv, code):
         assert captured.out == ""
     else:
         assert json.loads(captured.out)["command"] == argv.split()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    "codebook",  # no --m
+    "verify --m 4 --bogus",
+    "codebook --m 4 --kind nope",
+    "seqfam --kind nope --m 4",
+    # --seed is read only by codebook, --threads only by verify and codebook
+    "construct --m 4 --seed 3",
+    "mub --m 4 --threads 2",
+])
+def test_argparse_errors_exit_2_with_json(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error" in json.loads(captured.err)
+    assert captured.out == ""
+
+
+def test_help_is_usage_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cyclicbent verify")
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_gold_input_is_the_gold_function(n):
+    ctx = mk_field(n)
+    for i in range(n + 2):
+        args = argparse.Namespace(n=n, gold=i, restrict_bent=False)
+        expected = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+        assert _semibent_input(args) == expected
 
 
 @pytest.mark.parametrize("cmd", [

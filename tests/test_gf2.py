@@ -13,7 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclicbent.gf2 import DEFAULT_MODULUS, GF2m, is_irreducible, mk_field
 
-from oracles import generator_powers_by_pow, trace_pairing_by_rows
+from oracles import (
+    dual_index_table_by_points,
+    generator_powers_by_pow,
+    trace_pairing_by_rows,
+    trace_table_by_points,
+)
 
 
 def test_default_table_every_degree_validates():
@@ -151,19 +156,6 @@ def test_subfield_membership():
             assert ctx.mul(a, b) in sub3
 
 
-def test_embed_from_is_field_hom():
-    big = mk_field(9)
-    small = mk_field(3)
-    img = {x: big.embed_from(small, x) for x in range(8)}
-    assert img[0] == 0 and img[1] == 1
-    assert len(set(img.values())) == 8
-    for a in range(8):
-        for b in range(8):
-            assert img[a ^ b] == img[a] ^ img[b]
-            assert img[small.mul(a, b)] == big.mul(img[a], img[b])
-        assert big.subfield_test(img[a], 3)
-
-
 def test_beta_not_in_gf2():
     ctx = mk_field(3)
     assert not ctx.subfield_test(ctx.generator, 1)
@@ -190,6 +182,16 @@ def test_trace_pairing_and_generator_powers_match_loops():
         assert np.array_equal(pairing, trace_pairing_by_rows(ctx))
         t = np.arange(-2, 2 * ctx.order + 3)  # wraps past the period both ways
         assert np.array_equal(ctx.generator_powers(t), generator_powers_by_pow(ctx, t))
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_linear_tables_match_the_per_point_loops(d):
+    ctx = mk_field(d)
+    for r in [r for r in range(1, d + 1) if d % r == 0]:
+        t = ctx.trace_table(r)
+        assert t.dtype == np.int64 and np.array_equal(t, trace_table_by_points(ctx, r))
+    dual = ctx.dual_index_table()
+    assert dual.dtype == np.int64 and np.array_equal(dual, dual_index_table_by_points(ctx))
 
 
 def test_large_degree_no_log_tables():

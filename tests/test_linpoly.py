@@ -16,6 +16,8 @@ from cyclicbent import construct as cn
 from cyclicbent import linpoly as lp
 from cyclicbent.gf2 import mk_field
 
+from oracles import kernel_dim_by_elimination, linpoly_eval_by_squaring, quad_form_by_points
+
 
 def monomial(ctx, i, c=1):
     return lp.LinPoly.from_dict(ctx, {i: c})
@@ -80,6 +82,43 @@ def test_kernel_dim_basics():
     ctx3 = mk_field(3)
     L = lp.LinPoly.from_dict(ctx3, {1: 1, 2: 1})  # x^2 + x^4
     assert lp.kernel_dim(L) == 1
+
+
+@st.composite
+def linpolys(draw, max_degree: int):
+    """A linearized polynomial over GF(2^m), 1 <= m <= max_degree, about half
+    of whose coefficients are zero."""
+    ctx = mk_field(draw(st.integers(1, max_degree)))
+    coef = st.one_of(st.just(0), st.integers(0, ctx.order - 1))
+    return lp.LinPoly(ctx, tuple(draw(coef) for _ in range(ctx.degree)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=linpolys(12), data=st.data())
+def test_evaluate_matches_the_squaring_chain(L, data):
+    x = data.draw(st.integers(0, L.ctx.order - 1))
+    assert L.evaluate(x) == linpoly_eval_by_squaring(L, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=linpolys(12))
+def test_kernel_dim_matches_elimination(L):
+    assert lp.kernel_dim(L) == kernel_dim_by_elimination(L)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_kernel_dim_of_zero_identity_and_x_plus_x2(m):
+    ctx = mk_field(m)
+    # x + x^2 has kernel GF(2); at m = 1 it is the zero map on GF(2)
+    for terms, dim in (({}, m), ({0: 1}, 0), ({0: 1, 1: 1}, 1)):
+        L = lp.LinPoly.from_dict(ctx, terms)
+        assert lp.kernel_dim(L) == kernel_dim_by_elimination(L) == dim
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=linpolys(11))
+def test_quad_form_matches_the_per_point_form(L):
+    assert lp.quad_form(L) == quad_form_by_points(L)
 
 
 def test_skew_mul_twist():
