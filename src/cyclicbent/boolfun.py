@@ -251,25 +251,38 @@ def is_semibent(f: BoolFun) -> bool:
     return classify(walsh(f)) is WalshClass.SEMI_BENT
 
 
+def orbit_tables(f: BoolFun, scalars, eps=0) -> np.ndarray:
+    """uint8 truth tables of f(c x1, x2 + eps_c) (field-times-bit domain) or
+    f(c x) (plain field, eps = 0) for each scalar c, shaped like ``scalars``
+    plus a last axis over the domain; eps is one bit or one bit per scalar.
+    Rows are gathered one scalar at a time, so temporaries stay O(2^n).
+    """
+    if not f.domain.with_bit and np.any(eps):
+        raise ValueError("eps needs a field-times-bit domain")
+    ctx = f.domain.ctx
+    c = np.asarray(scalars)
+    halves = f.domain.size // ctx.order  # x2 = 0 and x2 = 1, or the field alone
+    # offset[..., x2] is the index where the half that x2 + eps_c reads starts
+    offset = ctx.order * (np.arange(halves) ^ (np.asarray(eps)[..., None] & 1))
+    offset = np.broadcast_to(offset, c.shape + (halves,))
+    out = np.empty(c.shape + (halves, ctx.order), dtype=np.uint8)
+    for i in np.ndindex(c.shape):
+        out[i] = f.table[offset[i][:, None] + ctx.mul_table(int(c[i]))]
+    return out.reshape(c.shape + (f.domain.size,))
+
+
 def scale_compose(f: BoolFun, a: int, eps: int = 0) -> BoolFun:
     """The function (x1, x2) -> f(a*x1, x2 + eps) on a field-times-bit domain."""
     if not f.domain.with_bit:
         raise ValueError("scale_compose needs a field-times-bit domain")
-    ctx = f.domain.ctx
-    perm = ctx.mul_table(a)
-    half = ctx.order
-    idx = np.empty(2 * half, dtype=np.int64)
-    for x2 in (0, 1):
-        src_x2 = x2 ^ (eps & 1)
-        idx[x2 * half : (x2 + 1) * half] = src_x2 * half + perm
-    return BoolFun(f.domain, f.table[idx])
+    return BoolFun(f.domain, orbit_tables(f, a, eps))
 
 
 def scale_field(f: BoolFun, a: int) -> BoolFun:
     """The function x -> f(a*x) on a plain field domain."""
     if f.domain.with_bit:
         raise ValueError("scale_field needs a plain field domain")
-    return BoolFun(f.domain, f.table[f.domain.ctx.mul_table(a)])
+    return BoolFun(f.domain, orbit_tables(f, a))
 
 
 def xor(f: BoolFun, g: BoolFun) -> BoolFun:

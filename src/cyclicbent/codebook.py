@@ -27,6 +27,11 @@ from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent.boolfun import BoolFun
 
+# Entries in one int8 part (re or im) of the largest codebook or MUB set the
+# builders allocate; the real codebook at m = 10, (2^9 + 1) 2^20 entries,
+# fits.  Sizes past it raise ValueError before anything is certified.
+MAX_ENTRIES = 1 << 30
+
 
 def levenshtein_real_sq(n_rows: int, k: int) -> Fraction:
     """Squared real Levenshtein bound (3N - K^2 - 2K) / ((N-K)(K+2)).
@@ -200,13 +205,21 @@ def imax_sq(cb: Codebook, block: int = 1024) -> Fraction:
     return max(map(tile_best, tiles))
 
 
-def _orbit_codebook(tables: list[np.ndarray], domain: bf.Domain) -> Codebook:
+def _check_entries(n_rows: int, length: int) -> None:
+    if n_rows * length > MAX_ENTRIES:
+        raise ValueError(
+            f"{n_rows} rows of length {length} exceed the cap of {MAX_ENTRIES} "
+            "entries per int8 part"
+        )
+
+
+def _orbit_codebook(tables: np.ndarray, domain: bf.Domain) -> Codebook:
     """Standard basis, the characters (-1)^{<(lam,nu),(x1,x2)>}, then
-    (-1)^{t + <(lam,nu),(x1,x2)>} for each truth table t in turn, every
-    block in dual index order."""
+    (-1)^{t + <(lam,nu),(x1,x2)>} for each truth table t (row) in turn,
+    every block in dual index order."""
     size = domain.size
     # the zero table gives the characters themselves
-    tables = np.stack([np.zeros(size, dtype=np.uint8), *tables])
+    tables = np.concatenate([np.zeros((1, size), dtype=np.uint8), tables])
     re = np.empty(((len(tables) + 1) * size, size), dtype=np.int8)
     re[:size] = np.eye(size, dtype=np.int8)
     signs = re[size:]
@@ -225,15 +238,12 @@ def build_real_codebook(f: BoolFun, eps=None) -> Codebook:
     Rows: standard basis, the characters (-1)^{tr(lam x1) + nu x2}, and for
     each a != 0 the rows (-1)^{f(a x1, x2 + eps_a) + tr(lam x1) + nu x2}.
     """
-    cn.require_cyclic_bent(f)
     q = f.domain.ctx.order
-    if eps is None:
-        eps = [0] * (q - 1)
-    if len(eps) != q - 1:
+    _check_entries((q + 1) * f.domain.size, f.domain.size)
+    cn.require_cyclic_bent(f)
+    if eps is not None and len(eps) != q - 1:
         raise ValueError(f"eps vector must have length {q - 1}")
-    return _orbit_codebook(
-        [bf.scale_compose(f, a, int(eps[a - 1])).table for a in range(1, q)], f.domain
-    )
+    return _orbit_codebook(bf.orbit_tables(f, range(1, q), 0 if eps is None else eps), f.domain)
 
 
 @dataclass
@@ -263,35 +273,28 @@ class MubSet:
         }
 
 
-def quaternary_entry_arrays(f: BoolFun, a: int):
+def quaternary_entry_arrays(f: BoolFun, a):
     """A(a, x) = rho0 (-1)^{f(ax,0)} + rho1 (-1)^{f(ax,1)} in {1, -1, i, -i}.
 
-    Returns (re, im) int8 vectors over x.
+    Returns (re, im) int8 arrays over x, with a leading axis of a's shape
+    when a is an array of scalars.
     """
-    fa = bf.scale_compose(f, a, 0)
-    q = f.domain.ctx.order
-    f0 = fa.table[:q].astype(np.int8)
-    f1 = fa.table[q:].astype(np.int8)
+    f0, f1 = np.split(bf.orbit_tables(f, a).astype(np.int8), 2, axis=-1)
     d = f0 ^ f1
-    sign = (1 - 2 * f0).astype(np.int8)
-    return (sign * (1 - d)).astype(np.int8), (sign * d).astype(np.int8)
+    sign = 1 - 2 * f0
+    return sign * (1 - d), sign * d
 
 
 def build_mub(f: BoolFun) -> MubSet:
     """Complete set of 2^{m-1} + 1 MUBs of C^{2^{m-1}} from a cyclic bent f."""
+    k = f.domain.ctx.order
+    _check_entries((k + 1) * k, k)
     cn.require_cyclic_bent(f)
-    ctx = f.domain.ctx
-    k = ctx.order
-    lam_signs = 1 - 2 * bf.char_bits(bf.Domain(ctx)).astype(np.int8)
-    bases_re = [np.eye(k, dtype=np.int8)]
-    bases_im = [np.zeros((k, k), dtype=np.int8)]
-    norms = [1]
-    for a in range(k):
-        are, aim = quaternary_entry_arrays(f, a)
-        bases_re.append((lam_signs * are[None, :]).astype(np.int8))
-        bases_im.append((lam_signs * aim[None, :]).astype(np.int8))
-        norms.append(k)
-    return MubSet(k, bases_re, bases_im, norms)
+    lam_signs = 1 - 2 * bf.char_bits(bf.Domain(f.domain.ctx)).astype(np.int8)
+    are, aim = quaternary_entry_arrays(f, np.arange(k))
+    bases_re = [np.eye(k, dtype=np.int8), *(lam_signs * are[:, None, :])]
+    bases_im = [np.zeros((k, k), dtype=np.int8), *(lam_signs * aim[:, None, :])]
+    return MubSet(k, bases_re, bases_im, [1] + [k] * k)
 
 
 def verify_mub(mubs: MubSet) -> dict:
@@ -338,10 +341,9 @@ def mub_gram_via_walsh(f: BoolFun, a: int, a2: int):
     """
     if a == a2:
         raise ValueError("walsh route is for distinct bases")
-    f0 = bf.xor(bf.scale_compose(f, a, 0), bf.scale_compose(f, a2, 0))
-    f1 = bf.xor(bf.scale_compose(f, a, 0), bf.scale_compose(f, a2, 1))
-    w0 = bf.walsh(f0)
-    w1 = bf.walsh(f1)
+    fa, fb0, fb1 = bf.orbit_tables(f, [a, a2, a2], [0, 0, 1])
+    w0 = bf.walsh(BoolFun(f.domain, fa ^ fb0))
+    w1 = bf.walsh(BoolFun(f.domain, fa ^ fb1))
     k = f.domain.ctx.order
     lam = np.arange(k)
     mix = lam[:, None] ^ lam[None, :]
@@ -372,9 +374,10 @@ def build_semibent_codebook(g: BoolFun) -> Codebook:
     """
     if g.n_vars < 3:
         raise ValueError(f"semi-bent codebooks need n >= 3, got n = {g.n_vars}")
-    cn.require_cyclic_semibent(g)
     q = g.domain.ctx.order
-    return _orbit_codebook([bf.scale_field(g, a).table for a in range(1, q)], g.domain)
+    _check_entries((q + 1) * q, q)
+    cn.require_cyclic_semibent(g)
+    return _orbit_codebook(bf.orbit_tables(g, range(1, q)), g.domain)
 
 
 def optimality_report(cb: Codebook, kind: str) -> dict:

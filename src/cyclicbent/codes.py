@@ -137,14 +137,14 @@ class DesignResult:
         }
 
 
-def _orbit_code(tables: list[np.ndarray], chars: np.ndarray, labels: list[tuple]) -> NonlinearCode:
-    """The words t + c + v for each truth table t, character row c and
+def _orbit_code(tables: np.ndarray, chars: np.ndarray, labels: list[tuple]) -> NonlinearCode:
+    """The words t + c + v for each truth table t (row), character row c and
     complement bit v, nested in that order, each packed little-endian into
     one uint64."""
     length = chars.shape[1]
     if length > MAX_LENGTH:
         raise ValueError(f"code length {length} exceeds the packed-word cap {MAX_LENGTH}")
-    bits = np.stack(tables)[:, None, None, :] ^ chars[:, None, :] ^ np.array([[0], [1]], np.uint8)
+    bits = tables[:, None, None, :] ^ chars[:, None, :] ^ np.array([[0], [1]], np.uint8)
     packed = np.packbits(bits, axis=-1, bitorder="little").reshape(len(labels), -1)
     words = np.zeros((len(labels), 8), dtype=np.uint8)
     words[:, : packed.shape[1]] = packed
@@ -165,7 +165,7 @@ def build_code_f(f: BoolFun) -> NonlinearCode:
     # character rows are indexed nu * q + lam; the labels run lam-major
     chars = bf.char_bits(f.domain).reshape(2, q, -1).swapaxes(0, 1).reshape(2 * q, -1)
     return _orbit_code(
-        [bf.scale_compose(f, a, 0).table for a in range(q)],
+        bf.orbit_tables(f, range(q)),
         chars,
         list(product(range(q), range(q), (0, 1), (0, 1))),
     )
@@ -182,7 +182,7 @@ def build_code_g(g: BoolFun) -> NonlinearCode:
     cn.require_cyclic_semibent(g)
     q = g.domain.ctx.order
     return _orbit_code(
-        [bf.scale_field(g, a).table for a in range(q)],
+        bf.orbit_tables(g, range(q)),
         bf.char_bits(g.domain),
         list(product(range(q), range(q), (0, 1))),
     )

@@ -13,9 +13,12 @@ tr(lam x1) + nu for some (lam, nu); if that hypothesis fails the reduced
 route is inapplicable and AffineDifferenceError is raised, which is distinct
 from a certificate that fails on bentness.
 
-All four certifiers run one scan: each supplies the truth tables of its pair
-sums, and the scan Walsh-transforms them in batches of about 2^22 values and
-returns the first sum that is not bent (even m) or semi-bent (odd n).  Memory
+The four certifiers run on two scans, one full and one reduced, each
+serving both kinds: the domain (field-times-bit or plain field) fixes the
+kind, the eps axis and the witness shape.  Both gather their pair sums from
+the orbit rows of boolfun.orbit_tables, Walsh-transform them in batches of
+about 2^22 values and return the first sum that is not bent (even m) or
+semi-bent (odd n).  Memory
 is bounded by the batch at every m.  The reduced certifiers can hand the
 spectra they compute to an OrbitReducer, so that statistics built from the
 same orbit sums (the sequence-family correlations) need no transform of
@@ -51,9 +54,9 @@ class ChainSpec:
     """Parameters of the divisor-chain construction.
 
     e is the chain e_0 = 1 | e_1 | ... | e_l = m-1 with strict divisibility
-    steps; gamma = (gamma_0, ..., gamma_{l-1}) are elements of GF(2^{m-1})
-    (as canonical indices) with gamma_j in the subfield GF(2^{e_j}) and every
-    partial sum gamma_0 + ... + gamma_j nonzero.
+    steps, so 1 = e_0 < e_1 < ... < e_l; gamma = (gamma_0, ..., gamma_{l-1})
+    are elements of GF(2^{m-1}) (as canonical indices) with gamma_j in the
+    subfield GF(2^{e_j}) and every partial sum gamma_0 + ... + gamma_j nonzero.
     """
 
     m: int
@@ -67,7 +70,7 @@ class ChainSpec:
         if len(e) < 2 or e[0] != 1 or e[-1] != m - 1:
             raise ValueError("chain must run from e_0 = 1 to e_l = m-1")
         for a, b in zip(e, e[1:]):
-            if b % a != 0 or a == b:
+            if not a < b or b % a != 0:
                 raise ValueError(f"chain steps must strictly divide: {a} -> {b}")
         if len(gamma) != len(e) - 1:
             raise ValueError("need one gamma per chain level below the top")
@@ -298,46 +301,68 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1, *,
         return min((bad for bad in pool.map(first_bad, starts) if bad >= 0), default=-1)
 
 
-def _orbit_scan(f: BoolFun, scale, threads: int, reducer: OrbitReducer | None) -> int:
-    """_first_failure over the sums f + scale(f, c), c = 2 .. q-1 (case c - 2),
-    handing each passing batch to reducer.sums."""
+def _certify_full(f: BoolFun, threads: int) -> CyclicCertificate:
+    """Scan f(a .) + f(b ., . + eps) over ordered pairs a != b, a-major, and
+    eps = 0, 1 on a field-times-bit domain (bent; witness (a, b, eps)), or
+    eps = 0 alone on a plain field (semi-bent; witness (a, b))."""
+    kind, n_eps = ("bent", 2) if f.domain.with_bit else ("semi-bent", 1)
     q = f.domain.ctx.order
+    # by_eps[eps, b] is f(b x1, x2 + eps)
+    by_eps = np.stack([bf.orbit_tables(f, range(q), eps) for eps in range(n_eps)])
+    a_of, b_of = np.nonzero(~np.eye(q, dtype=bool))
 
     def sum_rows(start: int, stop: int) -> np.ndarray:
-        return f.table ^ np.stack([scale(f, c).table for c in range(start + 2, stop + 2)])
+        pair, eps = np.divmod(np.arange(start, stop), n_eps)
+        return by_eps[0, a_of[pair]] ^ by_eps[eps, b_of[pair]]
+
+    n_cases = n_eps * len(a_of)
+    bad = _first_failure(n_cases, sum_rows, f.n_vars, threads)
+    if bad < 0:
+        return CyclicCertificate(kind, "full", True, n_cases)
+    pair, eps = divmod(bad, n_eps)
+    witness = (int(a_of[pair]), int(b_of[pair]), eps)[: 1 + n_eps]
+    return CyclicCertificate(kind, "full", False, bad, witness)
+
+
+def _certify_reduced(f: BoolFun, threads: int,
+                     reducer: OrbitReducer | None) -> CyclicCertificate:
+    """Check f, then scan f + f(c .) for c = 2 .. q-1 (case c - 2), handing
+    f's spectrum and each passing batch to reducer.  A field-times-bit
+    domain is the bent case (witness (1, b, 0)), a plain field the
+    semi-bent case (witness (1, b))."""
+    if f.domain.with_bit:
+        kind, walsh_class, tail = "bent", WalshClass.BENT, (0,)
+    else:
+        kind, walsh_class, tail = "semi-bent", WalshClass.SEMI_BENT, ()
+    spec = bf.walsh(f)
+    if bf.classify(spec) is not walsh_class:
+        # f + f(0 .) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
+        return CyclicCertificate(kind, "reduced", False, 0, (1, 0) + tail)
+    if reducer is not None:
+        reducer.generator(spec)
+
+    def sum_rows(start: int, stop: int) -> np.ndarray:
+        return f.table ^ bf.orbit_tables(f, range(start + 2, stop + 2))
 
     hook = None if reducer is None else (lambda w, cases: reducer.sums(w, cases + 2))
-    return _first_failure(q - 2, sum_rows, f.n_vars, threads, reducer=hook)
+    q = f.domain.ctx.order
+    bad = _first_failure(q - 2, sum_rows, f.n_vars, threads, reducer=hook)
+    if bad >= 0:
+        return CyclicCertificate(kind, "reduced", False, 1 + bad, (1, bad + 2) + tail)
+    return CyclicCertificate(kind, "reduced", True, q - 1)
 
 
 def is_cyclic_bent_full(f: BoolFun, threads: int = 1) -> CyclicCertificate:
     """Exhaustive check of f(a x1, x2) + f(b x1, x2+eps) over all ordered a != b, eps."""
-    ctx = f.domain.ctx
     m = f.n_vars
-    if m % 2 != 0:
-        raise ValueError("cyclic bent functions need an even number of variables")
+    if m % 2 != 0 or not f.domain.with_bit:
+        raise ValueError("cyclic bent functions need even m, on GF(2^{m-1}) x GF(2)")
     if m > FULL_MODE_MAX_M:
         raise ValueError(
             f"full certification is O(4^m) Walsh transforms; m={m} exceeds the "
             f"cap {FULL_MODE_MAX_M} (use the reduced certifier)"
         )
-    q = ctx.order
-    tables = np.stack([bf.scale_compose(f, a, 0).table for a in range(q)])
-    # by_eps[eps, b] is f(b x1, x2 + eps): eps = 1 swaps the x2 halves
-    by_eps = np.stack([tables, np.roll(tables, q, axis=1)])
-    a_of, b_of = np.nonzero(~np.eye(q, dtype=bool))  # ordered pairs a != b, a-major
-
-    def sum_rows(start: int, stop: int) -> np.ndarray:
-        pair, eps = np.divmod(np.arange(start, stop), 2)  # case (a, b, eps)
-        return tables[a_of[pair]] ^ by_eps[eps, b_of[pair]]
-
-    n_cases = 2 * len(a_of)
-    bad = _first_failure(n_cases, sum_rows, m, threads)
-    if bad >= 0:
-        pair, eps = divmod(bad, 2)
-        witness = (int(a_of[pair]), int(b_of[pair]), eps)
-        return CyclicCertificate("bent", "full", False, bad, witness)
-    return CyclicCertificate("bent", "full", True, n_cases)
+    return _certify_full(f, threads)
 
 
 def is_cyclic_bent_reduced(f: BoolFun, *,
@@ -349,10 +374,9 @@ def is_cyclic_bent_reduced(f: BoolFun, *,
     tr(lam x1) + nu, in which case the reduction does not apply.  reducer
     (see OrbitReducer) receives the spectrum of f and of every sum.
     """
-    ctx = f.domain.ctx
     m = f.n_vars
-    if m % 2 != 0:
-        raise ValueError("cyclic bent functions need an even number of variables")
+    if m % 2 != 0 or not f.domain.with_bit:
+        raise ValueError("cyclic bent functions need even m, on GF(2^{m-1}) x GF(2)")
     if m > REDUCED_MODE_MAX_M:
         raise ValueError(f"reduced certification capped at m <= {REDUCED_MODE_MAX_M}")
     if affine_bit_difference(f) is None:
@@ -360,17 +384,7 @@ def is_cyclic_bent_reduced(f: BoolFun, *,
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "
             "does not apply"
         )
-    spec = bf.walsh(f)
-    if bf.classify(spec) is not WalshClass.BENT:
-        # f + f(0 x1, x2) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
-        return CyclicCertificate("bent", "reduced", False, 0, (1, 0, 0))
-    if reducer is not None:
-        reducer.generator(spec)
-    q = ctx.order
-    bad = _orbit_scan(f, bf.scale_compose, 1, reducer)
-    if bad >= 0:
-        return CyclicCertificate("bent", "reduced", False, 1 + bad, (1, bad + 2, 0))
-    return CyclicCertificate("bent", "reduced", True, q - 1)
+    return _certify_reduced(f, 1, reducer)
 
 
 def certify_cyclic_bent(f: BoolFun, mode: str = "auto", *,
@@ -402,32 +416,13 @@ def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1, *,
     """
     if g.domain.with_bit:
         raise ValueError("cyclic semi-bent functions live on a plain field domain")
-    n = g.n_vars
-    if n % 2 != 1:
+    if g.n_vars % 2 != 1:
         raise ValueError("cyclic semi-bent functions need an odd number of variables")
-    q = g.domain.ctx.order
     if mode == "reduced":
-        spec = bf.walsh(g)
-        if bf.classify(spec) is not WalshClass.SEMI_BENT:
-            return CyclicCertificate("semi-bent", "reduced", False, 0, (1, 0))
-        if reducer is not None:
-            reducer.generator(spec)
-        bad = _orbit_scan(g, bf.scale_field, threads, reducer)
-        if bad >= 0:
-            return CyclicCertificate("semi-bent", "reduced", False, 1 + bad, (1, bad + 2))
-        return CyclicCertificate("semi-bent", "reduced", True, q - 1)
+        return _certify_reduced(g, threads, reducer)
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
-    tables = np.stack([bf.scale_field(g, a).table for a in range(q)])
-    a_of, b_of = np.nonzero(~np.eye(q, dtype=bool))
-    bad = _first_failure(
-        len(a_of), lambda start, stop: tables[a_of[start:stop]] ^ tables[b_of[start:stop]],
-        n, threads,
-    )
-    if bad >= 0:
-        witness = (int(a_of[bad]), int(b_of[bad]))
-        return CyclicCertificate("semi-bent", "full", False, bad, witness)
-    return CyclicCertificate("semi-bent", "full", True, len(a_of))
+    return _certify_full(g, threads)
 
 
 def require_cyclic_bent(f: BoolFun, cert: CyclicCertificate | None = None) -> CyclicCertificate:
@@ -461,7 +456,7 @@ def bent_family(f: BoolFun, eps: list[int] | np.ndarray) -> list[BoolFun]:
     q = f.domain.ctx.order
     if len(eps) != q - 1:
         raise ValueError(f"eps vector must have length {q - 1}")
-    return [bf.scale_compose(f, a, int(eps[a - 1])) for a in range(1, q)]
+    return [BoolFun(f.domain, t) for t in bf.orbit_tables(f, range(1, q), eps)]
 
 
 def derive_semibent(f: BoolFun, eps: int) -> BoolFun:
@@ -475,4 +470,4 @@ def derived_semibent_family(f: BoolFun, eps: list[int] | np.ndarray) -> list[Boo
     q = f.domain.ctx.order
     if len(eps) != q - 1:
         raise ValueError(f"eps vector must have length {q - 1}")
-    return [bf.restrict(bf.scale_compose(f, a, 0), int(eps[a - 1])) for a in range(1, q)]
+    return [bf.restrict(BoolFun(f.domain, t), 0) for t in bf.orbit_tables(f, range(1, q), eps)]

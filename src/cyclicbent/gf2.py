@@ -164,20 +164,30 @@ class GF2m:
     # -- construction-time checks -------------------------------------------------
 
     def _build_log_tables(self):
+        """Antilog table in blocks of B = 2^ceil(d/2) powers: the first by
+        repeated multiplication, each later one as the previous block mapped
+        through the table of x -> beta^B x (GF(2)-linear), then the log
+        table from it, after proving every nonzero element is hit once."""
         order = self.order
-        exp = np.zeros(order - 1, dtype=np.int64)
+        block = [1]
+        for _ in range(1 << -(-self.degree // 2)):
+            block.append(self._mul_raw(block[-1], self.generator))
+        step = block.pop()  # beta^B
+        times_step = _linear_table([self._mul_raw(step, 1 << j) for j in range(self.degree)])
+        blocks = [np.array(block, dtype=np.int64)]
+        while len(blocks) * len(block) < order - 1:
+            blocks.append(times_step[blocks[-1]])
+        exp = np.concatenate(blocks)[: order - 1]
         log = np.full(order, -1, dtype=np.int64)
-        v = 1
-        for i in range(order - 1):
-            exp[i] = v
-            if log[v] != -1:
-                raise ValueError(
-                    f"generator of GF(2^{self.degree}) has order {i} < {order - 1}; "
-                    "modulus is irreducible but x is not primitive"
-                )
-            log[v] = i
-            v = self._mul_raw(v, self.generator)
-        if v != 1:
+        log[exp] = np.arange(order - 1)
+        if np.any(log[exp] != np.arange(order - 1)):
+            # x -> beta x is injective, so the powers first repeat at a 1
+            i = 1 + int(np.flatnonzero(exp[1:] == 1)[0])
+            raise ValueError(
+                f"generator of GF(2^{self.degree}) has order {i} < {order - 1}; "
+                "modulus is irreducible but x is not primitive"
+            )
+        if self._mul_raw(int(exp[-1]), self.generator) != 1:
             raise ValueError("generator order does not divide 2^d - 1")
         self._exp = exp
         self._log = log

@@ -3,11 +3,12 @@
 Everything here is deliberately written from the defining formulas, without
 sharing code paths with the library (no Walsh kernel, no log-table
 shortcuts in the hot loop beyond plain context arithmetic).  The exception
-is the routes the library replaced, kept as references: the per-point trace
+is the routes the library replaced, kept as references: the sequential
+log-table loop, the per-scalar orbit compositions, the per-point trace
 and dual-index tables, the squaring-chain evaluation, elimination rank and
 per-point quadratic form of linearized polynomials, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
-transform and compositions), the int64 Gram, the per-cell CSV writer and
+transform), the int64 Gram, the per-cell CSV writer and
 the pairwise XOR-closure test of linearity, and the codebook and code
 builders as per-block and per-label loops (without certification).
 """
@@ -22,8 +23,39 @@ from cyclicbent import boolfun as bf
 from cyclicbent import codebook as cbk
 from cyclicbent import codes as cd
 from cyclicbent import construct as cn
+from cyclicbent import gf2
 from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
+
+
+def log_tables_by_loop(ctx) -> tuple[np.ndarray, np.ndarray]:
+    """(antilog, log) of GF(2^d): beta^i for i < 2^d - 1 by one carry-less
+    multiply each, and log[beta^i] = i (log[0] = -1)."""
+    exp = np.zeros(ctx.order - 1, dtype=np.int64)
+    log = np.full(ctx.order, -1, dtype=np.int64)
+    v = 1
+    for i in range(ctx.order - 1):
+        exp[i] = v
+        log[v] = i
+        v = gf2.poly_mod(gf2.clmul(v, ctx.generator), ctx.modulus)
+    return exp, log
+
+
+def scale_compose_by_halves(f: BoolFun, a: int, eps: int = 0) -> BoolFun:
+    """(x1, x2) -> f(a x1, x2 + eps), one index block per x2."""
+    ctx = f.domain.ctx
+    perm = ctx.mul_table(a)
+    half = ctx.order
+    idx = np.empty(2 * half, dtype=np.int64)
+    for x2 in (0, 1):
+        src_x2 = x2 ^ (eps & 1)
+        idx[x2 * half : (x2 + 1) * half] = src_x2 * half + perm
+    return BoolFun(f.domain, f.table[idx])
+
+
+def scale_field_by_perm(f: BoolFun, a: int) -> BoolFun:
+    """x -> f(a x) through the multiplication permutation of a."""
+    return BoolFun(f.domain, f.table[f.domain.ctx.mul_table(a)])
 
 
 def wht_inplace(v: np.ndarray) -> np.ndarray:
@@ -279,7 +311,7 @@ def _first_non_semibent(sign_rows: np.ndarray, n_vars: int) -> int:
 def cyclic_bent_full_by_cases(f: BoolFun) -> cn.CyclicCertificate:
     """One sign row per case (a, b, eps), in that order, all transformed at once."""
     q = f.domain.ctx.order
-    tables = [bf.scale_compose(f, a, 0).table for a in range(q)]
+    tables = [scale_compose_by_halves(f, a, 0).table for a in range(q)]
     flip = np.concatenate([np.arange(q, 2 * q), np.arange(q)])
     cases = [(a, b, eps) for a in range(q) for b in range(q) if a != b for eps in (0, 1)]
     rows = np.empty((len(cases), 2 * q), dtype=np.int64)
@@ -301,7 +333,7 @@ def cyclic_bent_reduced_by_rows(f: BoolFun) -> cn.CyclicCertificate:
     q = f.domain.ctx.order
     rows = np.empty((q - 2, 2 * q), dtype=np.int64)
     for i, b in enumerate(range(2, q)):
-        rows[i] = f.signs() * bf.scale_compose(f, b, 0).signs()
+        rows[i] = f.signs() * scale_compose_by_halves(f, b, 0).signs()
     bad = _first_non_bent(rows, f.n_vars)
     if bad >= 0:
         return cn.CyclicCertificate("bent", "reduced", False, 1 + bad, (1, bad + 2, 0))
@@ -318,12 +350,12 @@ def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:
             return cn.CyclicCertificate("semi-bent", "reduced", False, 0, (1, 0))
         rows = np.empty((q - 2, q), dtype=np.int64)
         for i, c in enumerate(range(2, q)):
-            rows[i] = g.signs() * bf.scale_field(g, c).signs()
+            rows[i] = g.signs() * scale_field_by_perm(g, c).signs()
         bad = _first_non_semibent(rows, n)
         if bad >= 0:
             return cn.CyclicCertificate("semi-bent", "reduced", False, 1 + bad, (1, bad + 2))
         return cn.CyclicCertificate("semi-bent", "reduced", True, q - 1)
-    tables = [bf.scale_field(g, a).table for a in range(q)]
+    tables = [scale_field_by_perm(g, a).table for a in range(q)]
     cases = [(a, b) for a in range(q) for b in range(q) if a != b]
     rows = np.empty((len(cases), q), dtype=np.int64)
     for i, (a, b) in enumerate(cases):
@@ -370,13 +402,13 @@ def real_codebook_by_blocks(f: BoolFun, eps=None) -> cbk.Codebook:
     """Standard basis, characters, then one sign block per a != 0."""
     q = f.domain.ctx.order
     eps = [0] * (q - 1) if eps is None else eps
-    tables = [bf.scale_compose(f, a, int(eps[a - 1])).table for a in range(1, q)]
+    tables = [scale_compose_by_halves(f, a, int(eps[a - 1])).table for a in range(1, q)]
     return _codebook_by_blocks(tables, char_sign_matrix(f.domain))
 
 
 def semibent_codebook_by_blocks(g: BoolFun) -> cbk.Codebook:
     q = g.domain.ctx.order
-    tables = [bf.scale_field(g, a).table for a in range(1, q)]
+    tables = [scale_field_by_perm(g, a).table for a in range(1, q)]
     return _codebook_by_blocks(tables, char_sign_matrix(g.domain))
 
 
@@ -411,7 +443,7 @@ def code_f_by_labels(f: BoolFun) -> cd.NonlinearCode:
     full = (1 << size) - 1
     words, labels = [], []
     for a in range(q):
-        base = pack_table(bf.scale_compose(f, a, 0).table)
+        base = pack_table(scale_compose_by_halves(f, a, 0).table)
         for lam in range(q):
             for u in (0, 1):
                 for v in (0, 1):
@@ -428,7 +460,7 @@ def code_g_by_labels(g: BoolFun) -> cd.NonlinearCode:
     full = (1 << q) - 1
     words, labels = [], []
     for a in range(q):
-        base = pack_table(bf.scale_field(g, a).table)
+        base = pack_table(scale_field_by_perm(g, a).table)
         for lam in range(q):
             for u in (0, 1):
                 words.append(base ^ lam_words[lam] ^ (full if u else 0))

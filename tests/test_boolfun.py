@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from cyclicbent import boolfun as bf
 from cyclicbent.gf2 import mk_field
 
-from oracles import walsh_bruteforce, walsh_spectrum_bruteforce, wht_inplace
+from oracles import (
+    scale_compose_by_halves,
+    scale_field_by_perm,
+    walsh_bruteforce,
+    walsh_spectrum_bruteforce,
+    wht_inplace,
+)
 
 
 def tr_cube(ctx):
@@ -178,6 +184,37 @@ def test_scale_compose_against_direct_evaluation():
     for x2 in (0, 1):
         for x1 in range(8):
             assert h.value(x1, x2) == K.value(ctx.mul(b, x1), x2 ^ 1)
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("with_bit", [False, True])
+def test_orbit_tables_match_the_per_scalar_compositions(d, with_bit):
+    ctx = mk_field(d)
+    dom = bf.Domain(ctx, with_bit)
+    rng = np.random.default_rng(d)
+    f = bf.BoolFun(dom, rng.integers(0, 2, dom.size).astype(np.uint8))
+    scalars = np.arange(ctx.order)  # c = 0 included
+    rng.shuffle(scalars)
+    if not with_bit:
+        rows = bf.orbit_tables(f, scalars)
+        assert rows.shape == (ctx.order, dom.size) and rows.dtype == np.uint8
+        for c, row in zip(scalars.tolist(), rows):
+            assert np.array_equal(row, scale_field_by_perm(f, c).table)
+        assert bf.scale_field(f, 3 % ctx.order) == scale_field_by_perm(f, 3 % ctx.order)
+        with pytest.raises(ValueError, match="eps"):
+            bf.orbit_tables(f, scalars, 1)
+        return
+    eps_rows = rng.integers(0, 2, ctx.order)
+    for eps in (0, 1, eps_rows):
+        rows = bf.orbit_tables(f, scalars, eps)
+        assert rows.shape == (ctx.order, dom.size) and rows.dtype == np.uint8
+        for i, (c, row) in enumerate(zip(scalars.tolist(), rows)):
+            e = int(np.broadcast_to(eps, scalars.shape)[i])
+            assert np.array_equal(row, scale_compose_by_halves(f, c, e).table)
+    # one scalar gives one row, without the leading axis
+    c = int(scalars[0])
+    assert bf.scale_compose(f, c, 1) == scale_compose_by_halves(f, c, 1)
+    assert np.array_equal(bf.orbit_tables(f, c, 1), scale_compose_by_halves(f, c, 1).table)
 
 
 def test_xor_and_restrict():

@@ -151,6 +151,12 @@ def test_codebook_threads_flag(capsys):
     assert code == 0 and rep["imax_sq"] == "1/16"
 
 
+_BENT_CMDS = ("construct", "verify", "codebook", "mub", "seqfam --kind binary", "code",
+              "design --k 6 --t 3")
+_SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent", "code",
+                  "design --k 4 --t 3")
+
+
 @pytest.mark.parametrize("argv, code", [
     ("seqfam --kind semibent --n 3", 0),
     ("seqfam --kind quaternary --m 4", 0),
@@ -179,6 +185,21 @@ def test_codebook_threads_flag(capsys):
     ("verify --n 1", 0),
     # the Gold exponent 2^i + 1 needs i >= 0
     ("verify --n 5 --gold -1", 2),
+    # a wrong parity, a size out of range, and malformed --chain/--gamma lists
+    *[(f"{cmd} --m {m}", 2) for cmd in _BENT_CMDS for m in (5, 2, 40)],
+    *[(f"{cmd} --n {n}", 2) for cmd in _SEMIBENT_CMDS for n in (4, 40)],
+    *[(f"{cmd} --m 4 {flag}", 2) for cmd in _BENT_CMDS
+      for flag in ("--chain 1,x", "--gamma 1,,9999")],
+    ("charquad --m 4 --L x^2", 2),
+    ("charquad --m 40 --L x^2", 2),
+    ("verify --m 18 --mode reduced", 2),
+    # the levels of a chain increase from 1 (-1 divides 9, but is no level)
+    ("construct --m 10 --chain 1,-1,9 --gamma 1,0", 2),
+    # codebooks and MUB sets past the entry cap, rejected before allocation
+    ("codebook --m 12", 2),
+    ("codebook --kind complex --m 12", 2),
+    ("codebook --kind semibent --n 11", 2),
+    ("mub --m 12", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code

@@ -327,3 +327,17 @@ def test_semibent_codebook_matches_block_builder(n, i):
     ctx = mk_field(n)
     g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
     _assert_same_codebook(cbk.build_semibent_codebook(g), semibent_codebook_by_blocks(g))
+
+
+def test_sizes_past_the_entry_cap_are_rejected_before_certifying(monkeypatch):
+    # the real codebook at m = 10, the largest advertised, fits under the cap
+    assert (2**9 + 1) * 2**20 <= cbk.MAX_ENTRIES
+    monkeypatch.setattr(cn, "certify_cyclic_bent", lambda *a, **k: pytest.fail("certified"))
+    monkeypatch.setattr(cn, "is_cyclic_semibent", lambda *a, **k: pytest.fail("certified"))
+    f = cn.kerdock_fn(12)
+    ctx = mk_field(11)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    for build, arg in ((cbk.build_real_codebook, f), (cbk.build_mub, f),
+                       (cbk.build_semibent_codebook, g)):
+        with pytest.raises(ValueError, match="cap"):
+            build(arg)

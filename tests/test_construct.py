@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
@@ -68,9 +69,9 @@ def test_kerdock_matches_pointwise():
 
 
 def test_chain_l1_reproduces_kerdock():
-    for m in (4, 6, 8):
+    for m in (4, 6, 8, 10):
         spec = cn.ChainSpec(m, (1, m - 1), (1,))
-        assert cn.chain_fn(spec) == cn.kerdock_fn(m)
+        assert cn.chain_fn(spec) == kerdock_pointwise(m)
 
 
 def test_chain_l2_reproduces_two_level_formula():
@@ -93,6 +94,10 @@ def test_chain_spec_validation():
         cn.ChainSpec(4, (2, 3), (1,))
     with pytest.raises(ValueError, match="divide"):
         cn.ChainSpec(12, (1, 2, 5, 11), (1, 0, 0))
+    # 1 | 0 and -1 | 9, but a chain's levels increase from 1
+    for e in ((1, 0, 3), (1, -1, 3)):
+        with pytest.raises(ValueError, match="divide"):
+            cn.ChainSpec(4, e, (1, 1))
     with pytest.raises(ValueError, match="not in GF"):
         cn.ChainSpec(10, (1, 3, 9), (1, 2))  # index 2 = beta is not in GF(8)
     with pytest.raises(ValueError, match="even"):
@@ -100,6 +105,48 @@ def test_chain_spec_validation():
     # json round trip
     spec = cn.ChainSpec(10, (1, 3, 9), (1, 0))
     assert cn.ChainSpec.from_json_obj(spec.to_json_obj()) == spec
+
+
+def _chain_conditions_hold(m, e, gamma) -> bool:
+    """The documented ChainSpec conditions, decided through the enumerations:
+    m even and >= 4, e one of divisor_chains(m - 1), one gamma_j per level in
+    subfield_elements(e_j), and every partial sum nonzero."""
+    if m % 2 or m < 4 or e not in cn.divisor_chains(m - 1) or len(gamma) != len(e) - 1:
+        return False
+    ctx = mk_field(m - 1)
+    if any(g not in ctx.subfield_elements(ej) for ej, g in zip(e, gamma)):
+        return False
+    return bool(np.all(np.bitwise_xor.accumulate(gamma) != 0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chain_spec_accepts_exactly_the_documented_parameters(data):
+    draw = data.draw
+    m = draw(st.integers(1, 17), label="m")
+    e, gamma = [1, m - 1], [1]
+    if m >= 4 and m % 2 == 0:
+        e = list(draw(st.sampled_from(cn.divisor_chains(m - 1)), label="chain"))
+        gamma = list(draw(st.sampled_from(cn.admissible_gammas(m, tuple(e))), label="gamma"))
+    # at most one edit: a level of e or an entry of gamma inserted, replaced
+    # or dropped (zero, negative, repeated, out of order or out of range)
+    edit = draw(st.sampled_from([None, "e", "gamma"]), label="edit")
+    if edit:
+        seq = e if edit == "e" else gamma
+        top = 17 if edit == "e" else 1 << max(m - 1, 1)
+        j = draw(st.integers(0, len(seq)), label="at")
+        value = draw(st.one_of(st.integers(-1, 1), st.integers(-1, top)), label="value")
+        op = draw(st.sampled_from(["insert", "replace", "drop"]), label="op")
+        if op == "insert":
+            seq.insert(j, value)
+        elif j < len(seq):
+            seq[j: j + 1] = [value] if op == "replace" else []
+    e, gamma = tuple(e), tuple(gamma)
+    if _chain_conditions_hold(m, e, gamma):
+        assert cn.chain_fn(cn.ChainSpec(m, e, gamma)).n_vars == m
+    else:
+        with pytest.raises(ValueError):
+            cn.ChainSpec(m, e, gamma)
 
 
 def test_divisor_chains_and_gamma_enumeration():

@@ -16,6 +16,7 @@ from cyclicbent.gf2 import DEFAULT_MODULUS, GF2m, is_irreducible, mk_field
 from oracles import (
     dual_index_table_by_points,
     generator_powers_by_pow,
+    log_tables_by_loop,
     trace_pairing_by_rows,
     trace_table_by_points,
 )
@@ -55,6 +56,25 @@ def test_irreducible_but_imprimitive_modulus_rejected():
     assert is_irreducible(0b11111, 4)
     with pytest.raises(ValueError, match="primitive"):
         GF2m(4, 0b11111)
+
+
+@pytest.mark.parametrize("d, modulus, order", [
+    (4, 0b11111, 5),
+    (6, 0b1001001, 9),
+    (8, 0b100011011, 51),  # the AES modulus
+])
+def test_imprimitive_modulus_reports_the_order_of_x(d, modulus, order):
+    # the repeat lies past the first block of 2^ceil(d/2) powers
+    assert is_irreducible(modulus, d)
+    with pytest.raises(ValueError, match=f"has order {order} < {(1 << d) - 1};"):
+        GF2m(d, modulus)
+
+
+@pytest.mark.parametrize("d", [*range(1, 17), 20])
+def test_log_tables_match_the_sequential_loop(d):
+    ctx = mk_field(d)
+    exp, log = log_tables_by_loop(ctx)
+    assert np.array_equal(ctx._exp, exp) and np.array_equal(ctx._log, log)
 
 
 def test_gf8_mul_inv_add():
