@@ -157,9 +157,9 @@ def cmd_codebook(args) -> int:
         cb = cbk.build_semibent_codebook(_semibent_input(args))
         rep = cbk.optimality_report(cb, "real")
         expected_sq = Fraction(1, 1 << (args.n - 1))  # exact 2^{1-n}
-        status = "ALMOST (exact imax_sq = 2^(1-n))" if Fraction(rep["imax_sq"]) == expected_sq else "UNEXPECTED"
-        report = {"command": "codebook", "kind": "semibent", **rep, "status": status}
         passed = Fraction(rep["imax_sq"]) == expected_sq
+        status = "ALMOST (exact imax_sq = 2^(1-n))" if passed else "UNEXPECTED"
+        report = {"command": "codebook", "kind": "semibent", **rep, "status": status}
     else:
         f = cn.chain_fn(_chain_spec(args))
         if args.kind == "real":
@@ -189,10 +189,10 @@ def cmd_mub(args) -> int:
         report["csv"] = args.out
     if args.walsh_check:
         agree = True
-        for a in range(mubs.k):
+        bases = [mubs.basis(1 + a) for a in range(mubs.k)]
+        for a, b in enumerate(bases):
             for a2 in range(a + 1, mubs.k):
-                gre, gim = cbk._gram(mubs.bases_re[1 + a], mubs.bases_im[1 + a],
-                                     mubs.bases_re[1 + a2], mubs.bases_im[1 + a2])
+                gre, gim = cbk._gram(b.re, b.im, bases[a2].re, bases[a2].im)
                 wre, wim = cbk.mub_gram_via_walsh(f, a, a2)
                 agree = agree and np.array_equal(gre, wre) and np.array_equal(gim, wim)
         report["walsh_route_agrees"] = agree

@@ -31,6 +31,7 @@ from cyclicbent.boolfun import BoolFun
 # builders allocate; the real codebook at m = 10, (2^9 + 1) 2^20 entries,
 # fits.  Sizes past it raise ValueError before anything is certified.
 MAX_ENTRIES = 1 << 30
+_TILE_ROWS = 1024  # rows per side of one imax_sq Gram tile
 
 
 def levenshtein_real_sq(n_rows: int, k: int) -> Fraction:
@@ -168,7 +169,7 @@ def _gram(cb1_re, cb1_im, cb2_re, cb2_im):
     return gre, gim
 
 
-def imax_sq(cb: Codebook, block: int = 1024) -> Fraction:
+def imax_sq(cb: Codebook) -> Fraction:
     """Max over row pairs i < j of |<c_i, c_j>|^2 as an exact fraction.
 
     Rows are stably sorted by norm into groups, and the scan runs over
@@ -177,6 +178,7 @@ def imax_sq(cb: Codebook, block: int = 1024) -> Fraction:
     """
     if cb.n_rows < 2:
         raise ValueError("need at least two rows")
+    block = _TILE_ROWS
     order = np.argsort(cb.norm_sq, kind="stable")
     norms = cb.norm_sq[order]
     re, im = cb.re[order], cb.im[order]
@@ -248,27 +250,32 @@ def build_real_codebook(f: BoolFun, eps=None) -> Codebook:
 
 @dataclass
 class MubSet:
-    """2^{m-1} + 1 orthonormal bases of C^{2^{m-1}}: standard + one per a."""
+    """Bases of C^k stacked in one codebook: basis i is rows i k .. (i + 1) k."""
 
     k: int
-    bases_re: list  # [K x K int8], index 0 = standard basis, then a = 0, 1, ...
-    bases_im: list
-    norms: list  # per-basis squared norm of every vector
+    codebook: Codebook
+
+    def __post_init__(self):
+        cb = self.codebook
+        if cb.length != self.k or cb.n_rows == 0 or cb.n_rows % self.k:
+            raise ValueError(f"{cb.n_rows} rows of length {cb.length} are not whole bases")
 
     @property
     def n_bases(self) -> int:
-        return len(self.bases_re)
+        return self.codebook.n_rows // self.k
+
+    def basis(self, i: int) -> Codebook:
+        rows = slice(i * self.k, (i + 1) * self.k)
+        cb = self.codebook
+        return Codebook(cb.re[rows], cb.im[rows], cb.norm_sq[rows])
 
     def to_json_obj(self) -> dict:
+        bases = map(self.basis, range(self.n_bases))
         return {
             "k": self.k,
             "bases": [
-                {
-                    "norm_sq": int(self.norms[i]),
-                    "re": self.bases_re[i].tolist(),
-                    "im": self.bases_im[i].tolist(),
-                }
-                for i in range(self.n_bases)
+                {"norm_sq": int(b.norm_sq[0]), "re": b.re.tolist(), "im": b.im.tolist()}
+                for b in bases
             ],
         }
 
@@ -286,48 +293,43 @@ def quaternary_entry_arrays(f: BoolFun, a):
 
 
 def build_mub(f: BoolFun) -> MubSet:
-    """Complete set of 2^{m-1} + 1 MUBs of C^{2^{m-1}} from a cyclic bent f."""
+    """Complete set of 2^{m-1} + 1 MUBs of C^{2^{m-1}} from a cyclic bent f:
+    the standard basis, then the rows (-1)^{tr(lam x)} A(a, x) of each a."""
     k = f.domain.ctx.order
     _check_entries((k + 1) * k, k)
     cn.require_cyclic_bent(f)
     lam_signs = 1 - 2 * bf.char_bits(bf.Domain(f.domain.ctx)).astype(np.int8)
     are, aim = quaternary_entry_arrays(f, np.arange(k))
-    bases_re = [np.eye(k, dtype=np.int8), *(lam_signs * are[:, None, :])]
-    bases_im = [np.zeros((k, k), dtype=np.int8), *(lam_signs * aim[:, None, :])]
-    return MubSet(k, bases_re, bases_im, [1] + [k] * k)
+    re = np.zeros(((k + 1) * k, k), dtype=np.int8)
+    im = np.zeros_like(re)
+    np.fill_diagonal(re[:k], 1)
+    np.multiply(lam_signs, are[:, None, :], out=re[k:].reshape(k, k, k))
+    np.multiply(lam_signs, aim[:, None, :], out=im[k:].reshape(k, k, k))
+    norm = np.full(re.shape[0], k, dtype=np.int64)
+    norm[:k] = 1
+    return MubSet(k, Codebook(re, im, norm))
 
 
 def verify_mub(mubs: MubSet) -> dict:
-    """Exact orthonormality and unbiasedness checks over every basis pair.
+    """Exact orthonormality and unbiasedness of a stacked set of bases.
 
-    Unnormalized |<v, v'>|^2 must be: norm_sq^2 on the self-Gram diagonal, 0
-    off it, K between two function bases, and 1 between the standard basis
-    and a function basis (norm product K, so normalized 1/K throughout).
+    Orthonormal: every basis's self-Gram is diag(norm_sq), one basis at a
+    time.  Unbiased: orthonormal and imax_sq <= 1/K over the whole stack.
+    By Parseval the K normalized overlaps |<v, b>|^2 of a unit vector v with
+    an orthonormal basis sum to 1, so none above 1/K means all equal 1/K.
     """
-    k = mubs.k
-    orthonormal = True
-    unbiased = True
-    for i in range(mubs.n_bases):
-        gre, gim = _gram(
-            mubs.bases_re[i], mubs.bases_im[i], mubs.bases_re[i], mubs.bases_im[i]
-        )
-        mag = gre * gre + gim * gim
-        diag_ok = np.all(np.diag(gre) == mubs.norms[i]) and np.all(np.diag(gim) == 0)
-        off = mag - np.diag(np.diag(mag))
-        orthonormal = orthonormal and bool(diag_ok and not off.any())
-    for i in range(mubs.n_bases):
-        for j in range(i + 1, mubs.n_bases):
-            gre, gim = _gram(
-                mubs.bases_re[i], mubs.bases_im[i], mubs.bases_re[j], mubs.bases_im[j]
-            )
-            mag = gre * gre + gim * gim
-            expected = 1 if (mubs.norms[i] == 1 or mubs.norms[j] == 1) else k
-            unbiased = unbiased and bool(np.all(mag == expected))
+
+    def basis_orthonormal(i: int) -> bool:
+        b = mubs.basis(i)
+        gre, gim = _gram_f64(b.re, b.im, b.re, b.im)
+        return np.array_equal(gre, np.diag(b.norm_sq)) and (gim is None or not gim.any())
+
+    orthonormal = all(map(basis_orthonormal, range(mubs.n_bases)))
     return {
         "bases": mubs.n_bases,
-        "complete": mubs.n_bases == k + 1,
+        "complete": mubs.n_bases == mubs.k + 1,
         "orthonormal": orthonormal,
-        "unbiased": unbiased,
+        "unbiased": orthonormal and imax_sq(mubs.codebook) <= Fraction(1, mubs.k),
     }
 
 
@@ -355,13 +357,8 @@ def mub_gram_via_walsh(f: BoolFun, a: int, a2: int):
 
 
 def mub_to_codebook(mubs: MubSet) -> Codebook:
-    """Stack every MUB vector into a (2^{2(m-1)} + 2^{m-1}, 2^{m-1}) codebook."""
-    re = np.concatenate(mubs.bases_re, axis=0)
-    im = np.concatenate(mubs.bases_im, axis=0)
-    norm = np.concatenate(
-        [np.full(mubs.k, n, dtype=np.int64) for n in mubs.norms]
-    )
-    return Codebook(re, im, norm)
+    """Every MUB vector as one codebook: the stored stack, not a copy."""
+    return mubs.codebook
 
 
 def build_semibent_codebook(g: BoolFun) -> Codebook:

@@ -42,6 +42,7 @@ import numpy as np
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent.boolfun import BoolFun
+from cyclicbent.codebook import quaternary_entry_arrays
 
 
 @dataclass(frozen=True)
@@ -127,8 +128,6 @@ def quaternary_family(f: BoolFun) -> SequenceFamily:
     cn.require_cyclic_bent(f, cn.certify_cyclic_bent(f, reducer=tally))
     q = ctx.order
     period = q - 1
-    from cyclicbent.codebook import quaternary_entry_arrays
-
     are, aim = quaternary_entry_arrays(f, 1)
     powers = ctx.generator_powers(np.arange(period))
     s = 1 - 2 * ctx.trace_pairing()[:, powers].astype(np.int8)  # row lam

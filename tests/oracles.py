@@ -422,7 +422,42 @@ def mub_by_blocks(f: BoolFun) -> cbk.MubSet:
         are, aim = cbk.quaternary_entry_arrays(f, a)
         bases_re.append((lam_signs * are[None, :]).astype(np.int8))
         bases_im.append((lam_signs * aim[None, :]).astype(np.int8))
-    return cbk.MubSet(k, bases_re, bases_im, [1] + [k] * k)
+    norm = np.repeat(np.array([1] + [k] * k, dtype=np.int64), k)
+    return cbk.MubSet(k, cbk.Codebook(np.concatenate(bases_re), np.concatenate(bases_im), norm))
+
+
+def verify_mub_by_pairs(mubs: cbk.MubSet) -> dict:
+    """Exact orthonormality and unbiasedness checks over every basis pair.
+
+    Unnormalized |<v, v'>|^2 must be: norm_sq^2 on the self-Gram diagonal, 0
+    off it, K between two function bases, and 1 between the standard basis
+    and a function basis (norm product K, so normalized 1/K throughout).
+    Each basis's norm is read from its first row, so every norm must be 1
+    or K.
+    """
+    k = mubs.k
+    bases = [mubs.basis(i) for i in range(mubs.n_bases)]
+    norms = [int(b.norm_sq[0]) for b in bases]
+    orthonormal = True
+    unbiased = True
+    for i, b in enumerate(bases):
+        gre, gim = gram_int64(b.re, b.im, b.re, b.im)
+        mag = gre * gre + gim * gim
+        diag_ok = np.all(np.diag(gre) == norms[i]) and np.all(np.diag(gim) == 0)
+        off = mag - np.diag(np.diag(mag))
+        orthonormal = orthonormal and bool(diag_ok and not off.any())
+    for i in range(mubs.n_bases):
+        for j in range(i + 1, mubs.n_bases):
+            gre, gim = gram_int64(bases[i].re, bases[i].im, bases[j].re, bases[j].im)
+            mag = gre * gre + gim * gim
+            expected = 1 if (norms[i] == 1 or norms[j] == 1) else k
+            unbiased = unbiased and bool(np.all(mag == expected))
+    return {
+        "bases": mubs.n_bases,
+        "complete": mubs.n_bases == k + 1,
+        "orthonormal": orthonormal,
+        "unbiased": unbiased,
+    }
 
 
 def pack_table(bits) -> int:

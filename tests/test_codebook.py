@@ -26,6 +26,7 @@ from oracles import (
     mub_by_blocks,
     real_codebook_by_blocks,
     semibent_codebook_by_blocks,
+    verify_mub_by_pairs,
     write_csv_by_cells,
 )
 
@@ -99,11 +100,9 @@ def test_mub_m4_complete_and_exact():
 def test_mub_entries_are_unit_gaussian():
     mubs = cbk.build_mub(kerdock4())
     for i in range(1, mubs.n_bases):
-        mag = (
-            mubs.bases_re[i].astype(np.int64) ** 2
-            + mubs.bases_im[i].astype(np.int64) ** 2
-        )
-        assert np.all(mag == 1)
+        b = mubs.basis(i)
+        mag = b.re.astype(np.int64) ** 2 + b.im.astype(np.int64) ** 2
+        assert np.all(mag == 1) and np.all(b.norm_sq == 8)
 
 
 def test_mub_gram_walsh_route_agrees():
@@ -113,15 +112,78 @@ def test_mub_gram_walsh_route_agrees():
         for a2 in range(8):
             if a == a2:
                 continue
-            gre, gim = cbk._gram(
-                mubs.bases_re[1 + a],
-                mubs.bases_im[1 + a],
-                mubs.bases_re[1 + a2],
-                mubs.bases_im[1 + a2],
-            )
+            b, b2 = mubs.basis(1 + a), mubs.basis(1 + a2)
+            gre, gim = cbk._gram(b.re, b.im, b2.re, b2.im)
             wre, wim = cbk.mub_gram_via_walsh(f, a, a2)
             assert np.array_equal(gre, wre)
             assert np.array_equal(gim, wim)
+
+
+
+# -- verify_mub (per-basis Grams plus one imax_sq) against the pairwise oracle ---------
+
+
+def _mub_variants(m):
+    """The built set and nine sets made from its rows, with their expected
+    (complete, orthonormal, unbiased) verdicts."""
+    mubs = cbk.build_mub(cn.kerdock_fn(m))
+    k, cb, n = mubs.k, mubs.codebook, mubs.n_bases
+    rng = np.random.default_rng(m)
+    blocks = np.arange(n * k).reshape(n, k)
+
+    def from_rows(order):
+        order = np.ravel(order)
+        return cbk.MubSet(k, cbk.Codebook(cb.re[order], cb.im[order], cb.norm_sq[order]))
+
+    within = blocks.copy()
+    within[3] = rng.permutation(within[3])
+    swapped = blocks.copy()
+    swapped[2, 0], swapped[n - 1, 5] = blocks[n - 1, 5], blocks[2, 0]
+    flipped_re, flipped_im = cb.re.copy(), cb.im.copy()
+    flipped_re[2 * k + 3, 1] *= -1  # one of the two parts is nonzero
+    flipped_im[2 * k + 3, 1] *= -1
+    flipped = cbk.MubSet(k, cbk.Codebook(flipped_re, flipped_im, cb.norm_sq))
+    # row r + 1 of the last basis becomes i times row r: the pair's Gram
+    # entry is i K, which only the imaginary part shows
+    r = (n - 1) * k
+    turned_re, turned_im = cb.re.copy(), cb.im.copy()
+    turned_re[r + 1], turned_im[r + 1] = -cb.im[r], cb.re[r]
+    turned = cbk.MubSet(k, cbk.Codebook(turned_re, turned_im, cb.norm_sq))
+    relabelled_norm = cb.norm_sq.copy()
+    relabelled_norm[:k] = k
+    relabelled = cbk.MubSet(k, cbk.Codebook(cb.re, cb.im, relabelled_norm))
+    return [
+        ("built", mubs, (True, True, True)),
+        ("rows permuted within a basis", from_rows(within), (True, True, True)),
+        ("bases reordered", from_rows(blocks[rng.permutation(n)]), (True, True, True)),
+        ("function basis copied", from_rows(np.vstack([blocks[:-1], blocks[2]])),
+         (True, True, False)),
+        ("standard basis duplicated", from_rows(np.vstack([blocks, blocks[:1]])),
+         (False, True, False)),
+        ("one entry's sign flipped", flipped, (True, False, False)),
+        ("a vector turned into i times another of its basis", turned, (True, False, False)),
+        ("standard basis labelled with norm K", relabelled, (True, False, False)),
+        ("vectors swapped between bases", from_rows(swapped), (True, False, False)),
+        ("first two bases", from_rows(blocks[:2]), (False, True, True)),
+    ]
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_verify_mub_matches_pairwise_oracle(m):
+    for name, mubs, (complete, orthonormal, unbiased) in _mub_variants(m):
+        got, want = cbk.verify_mub(mubs), verify_mub_by_pairs(mubs)
+        assert (got["complete"], got["orthonormal"], got["unbiased"]) == (
+            complete, orthonormal, unbiased), name
+        # the pairwise route judges unbiasedness on its own; the stacked one
+        # needs orthonormal bases for its Parseval step and says False without
+        assert got == {**want, "unbiased": want["orthonormal"] and want["unbiased"]}, name
+
+
+def test_mub_set_needs_whole_bases():
+    cb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
+    for rows, k in ((slice(0, 12), 8), (slice(0, 0), 8), (slice(0, 16), 4)):
+        with pytest.raises(ValueError, match="not whole bases"):
+            cbk.MubSet(k, cbk.Codebook(cb.re[rows], cb.im[rows], cb.norm_sq[rows]))
 
 
 def test_complex_codebook_m4():
@@ -166,11 +228,14 @@ def test_codebook_csv_and_json(tmp_path):
     assert lines[-1].split(",")[0] in ("0.25", "-0.25")
 
 
-def test_imax_sq_threads_deterministic():
+def test_imax_sq_threads_deterministic(monkeypatch):
     cb = cbk.build_real_codebook(kerdock4())
-    assert cbk.imax_sq(cb, block=50) == cbk.imax_sq(cb) == Fraction(1, 16)
     mcb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
-    assert cbk.imax_sq(mcb, block=17) == Fraction(1, 8)
+    assert cbk.imax_sq(cb) == Fraction(1, 16) and cbk.imax_sq(mcb) == Fraction(1, 8)
+    monkeypatch.setattr(cbk, "_TILE_ROWS", 50)
+    assert cbk.imax_sq(cb) == Fraction(1, 16)
+    monkeypatch.setattr(cbk, "_TILE_ROWS", 17)
+    assert cbk.imax_sq(mcb) == Fraction(1, 8)
 
 
 # -- the float64 Gram kernel against the int64 oracle ---------------------------------
@@ -244,17 +309,18 @@ def _stock_codebooks():
 
 
 @pytest.mark.parametrize("block, seed", [(1024, 1), (17, 1), (17, 3), (50, 1), (50, 3)])
-def test_imax_sq_matches_masked_tile_oracle(block, seed):
+def test_imax_sq_matches_masked_tile_oracle(block, seed, monkeypatch):
     # each codebook as built and with its rows shuffled, which moves rows
     # across norm groups and tile edges but leaves the max over pairs alone
+    monkeypatch.setattr(cbk, "_TILE_ROWS", block)
     rng = np.random.default_rng(seed)
     for cb in _hand_codebooks() + _stock_codebooks():
         expected = imax_sq_masked_tiles(cb)
-        assert cbk.imax_sq(cb, block=block) == expected
+        assert cbk.imax_sq(cb) == expected
         p = rng.permutation(cb.n_rows)
         shuffled = cbk.Codebook(cb.re[p], cb.im[p], cb.norm_sq[p])
         assert imax_sq_masked_tiles(shuffled) == expected
-        assert cbk.imax_sq(shuffled, block=block) == expected
+        assert cbk.imax_sq(shuffled) == expected
 
 
 def test_write_csv_matches_cell_loop(tmp_path):
