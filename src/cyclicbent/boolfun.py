@@ -11,14 +11,15 @@ Index conventions (fixed across the whole package):
   (resp. (lam, nu)) uses the inner product tr(lam*x) (resp.
   tr(lam*x1) + nu*x2).
 
-The Walsh transform of a sign row of length 2^n is one Kronecker-factored
+The Walsh transform of a row of length 2^n is one Kronecker-factored
 Hadamard product: the row is read as a 2^{k1} x 2^{k2} matrix X
 (k1 = floor(n/2), k2 = n - k1) and the spectrum is H_{2^{k1}} X H_{2^{k2}},
 two float32 BLAS matmuls with the +-1 Sylvester-Hadamard matrices.  This is
-exact: the inputs and matrix entries are +-1, so every partial sum of both
-products is an integer of size at most 2^n, and float32 holds every such
-integer exactly while n <= 24 (MAX_WALSH_VARS; a function on
-GF(2^24) x GF(2) is past it).  Summation order and fused multiply-adds therefore cannot
+exact for rows with entries in {-1, 0, 1}: sign rows, and the real and
+imaginary parts of a product of two unit Gaussian-integer vectors.  The
+matrix entries are +-1, so every partial sum of both products is an integer
+of size at most 2^n, and float32 holds every such integer exactly while
+n <= 24 (MAX_WALSH_VARS; a function on GF(2^24) x GF(2) is past it).  Summation order and fused multiply-adds therefore cannot
 change any value.  ``walsh`` returns the spectrum as 64-bit signed
 integers; classification is exact membership, no tolerances.
 """
@@ -167,9 +168,10 @@ def _sylvester(k: int) -> np.ndarray:
 
 
 def _hadamard_rows(signs) -> np.ndarray:
-    """Walsh spectra (natural bit order) of the +-1 rows along the last axis,
-    as float32: each row, read as a 2^{k1} x 2^{k2} matrix X, maps to
-    H_{2^{k1}} X H_{2^{k2}}.  Exact for +-1 rows of length 2^n, n <= 24.
+    """Walsh spectra (natural bit order) of the rows along the last axis, as
+    float32: each row, read as a 2^{k1} x 2^{k2} matrix X, maps to
+    H_{2^{k1}} X H_{2^{k2}}.  Exact for rows of length 2^n, n <= 24, with
+    entries in {-1, 0, 1}.
     """
     shape = np.shape(signs)
     size = shape[-1] if shape else 0
@@ -217,9 +219,9 @@ def walsh(f: BoolFun) -> WalshSpectrum:
 
 
 def walsh_many(signs: np.ndarray) -> np.ndarray:
-    """Row-wise Walsh transform of a batch of sign rows (no dual reindex).
+    """Row-wise Walsh transform of a batch of rows (no dual reindex).
 
-    Contract: every entry is +1 or -1 and the rows have length 2^n with
+    Contract: every entry is -1, 0 or 1 and the rows have length 2^n with
     n <= 24.  The float32 result is exact only under this contract (see the
     module docstring); other lengths raise ValueError, other entries are
     not checked.  Only the value multiset is meaningful per row; use

@@ -8,9 +8,11 @@ log-table loop, the per-scalar orbit compositions, the per-point trace
 and dual-index tables, the squaring-chain evaluation, elimination rank and
 per-point quadratic form of linearized polynomials, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
-transform), the int64 Gram, the per-cell CSV writer and
-the pairwise XOR-closure test of linearity, and the codebook and code
-builders as per-block and per-label loops (without certification).
+transform), the dense Gram route of the codebook scans (int64 Grams on the
+materialized rows, masked tiles, every cross-basis Gram of a MUB set), the
+per-cell CSV writer and the pairwise XOR-closure test of linearity, and the
+codebook and code builders as per-block and per-label loops (without
+certification).
 """
 
 from __future__ import annotations
@@ -259,20 +261,34 @@ def gram_int64(re1, im1, re2, im2):
     return gre, gim
 
 
+def dense_rows(cb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(re, im, norm_sq) of every row of a codebook: the standard basis, then
+    s_b times each character row for every block vector s_b, with the
+    characters from ``char_sign_matrix``."""
+    k = cb.length
+    chars = char_sign_matrix(cb.domain)
+    re = np.concatenate([np.eye(k, dtype=np.int8), *(chars * s for s in cb.re)])
+    im = np.concatenate([np.zeros((k, k), dtype=np.int8), *(chars * s for s in cb.im)])
+    norm = np.full(re.shape[0], k, dtype=np.int64)
+    norm[:k] = 1
+    return re, im, norm
+
+
 def imax_sq_masked_tiles(cb, block: int = 1024) -> Fraction:
-    """Max over row pairs i < j of |<c_i, c_j>|^2 / (norm_i norm_j), in the
-    codebook's own row order: int64 Gram tiles, an i < j mask per tile and
-    one max per distinct norm product under the mask.
+    """Max over row pairs i < j of |<c_i, c_j>|^2 / (norm_i norm_j) on the
+    materialized rows, in row order: int64 Gram tiles, an i < j mask per
+    tile and one max per distinct norm product under the mask.
     """
-    n = cb.n_rows
+    re, im, norm_sq = dense_rows(cb)
+    n = len(re)
     best = Fraction(0)
     for i0 in range(0, n, block):
         for j0 in range(i0, n, block):
             i1, j1 = min(i0 + block, n), min(j0 + block, n)
-            gre, gim = gram_int64(cb.re[i0:i1], cb.im[i0:i1], cb.re[j0:j1], cb.im[j0:j1])
+            gre, gim = gram_int64(re[i0:i1], im[i0:i1], re[j0:j1], im[j0:j1])
             mag = gre * gre + gim * gim
             mask = np.arange(i0, i1)[:, None] < np.arange(j0, j1)[None, :]
-            norms = cb.norm_sq[i0:i1][:, None] * cb.norm_sq[j0:j1][None, :]
+            norms = norm_sq[i0:i1][:, None] * norm_sq[j0:j1][None, :]
             for nval in np.unique(norms[mask]):
                 sel = mask & (norms == nval)
                 best = max(best, Fraction(int(mag[sel].max()), int(nval)))
@@ -280,14 +296,16 @@ def imax_sq_masked_tiles(cb, block: int = 1024) -> Fraction:
 
 
 def write_csv_by_cells(cb, path: str) -> None:
-    """Codebook CSV with every entry normalized and formatted on its own."""
+    """Codebook CSV with every materialized entry normalized and formatted on
+    its own."""
+    re, im, norm_sq = dense_rows(cb)
     with open(path, "w") as fh:
-        for i in range(cb.n_rows):
-            scale = 1.0 / float(np.sqrt(float(cb.norm_sq[i])))
+        for i in range(len(re)):
+            scale = 1.0 / float(np.sqrt(float(norm_sq[i])))
             cells = []
-            for j in range(cb.length):
-                a = float(cb.re[i, j]) * scale
-                b = float(cb.im[i, j]) * scale
+            for j in range(re.shape[1]):
+                a = float(re[i, j]) * scale
+                b = float(im[i, j]) * scale
                 cells.append(f"{a:.12g}" if b == 0 else f"{a:.12g}{b:+.12g}j")
             fh.write(",".join(cells) + "\n")
 
@@ -387,7 +405,9 @@ def char_sign_matrix(domain) -> np.ndarray:
     return np.block([[c, c], [c, -c]])
 
 
-def _codebook_by_blocks(tables, chars) -> cbk.Codebook:
+def _codebook_by_blocks(tables, chars):
+    """Dense (re, im, norm_sq) rows: standard basis, characters, then one
+    sign block per truth table."""
     size = chars.shape[1]
     blocks = [np.eye(size, dtype=np.int8), chars]
     for t in tables:
@@ -395,10 +415,10 @@ def _codebook_by_blocks(tables, chars) -> cbk.Codebook:
     re = np.concatenate(blocks, axis=0)
     norm = np.full(re.shape[0], size, dtype=np.int64)
     norm[:size] = 1
-    return cbk.Codebook(re, np.zeros_like(re), norm)
+    return re, np.zeros_like(re), norm
 
 
-def real_codebook_by_blocks(f: BoolFun, eps=None) -> cbk.Codebook:
+def real_codebook_by_blocks(f: BoolFun, eps=None):
     """Standard basis, characters, then one sign block per a != 0."""
     q = f.domain.ctx.order
     eps = [0] * (q - 1) if eps is None else eps
@@ -406,13 +426,14 @@ def real_codebook_by_blocks(f: BoolFun, eps=None) -> cbk.Codebook:
     return _codebook_by_blocks(tables, char_sign_matrix(f.domain))
 
 
-def semibent_codebook_by_blocks(g: BoolFun) -> cbk.Codebook:
+def semibent_codebook_by_blocks(g: BoolFun):
     q = g.domain.ctx.order
     tables = [scale_field_by_perm(g, a).table for a in range(1, q)]
     return _codebook_by_blocks(tables, char_sign_matrix(g.domain))
 
 
-def mub_by_blocks(f: BoolFun) -> cbk.MubSet:
+def mub_by_blocks(f: BoolFun):
+    """Dense (re, im, norm_sq) rows of the MUB stack, one basis per a."""
     ctx = f.domain.ctx
     k = ctx.order
     lam_signs = char_sign_matrix(bf.Domain(ctx))
@@ -423,11 +444,12 @@ def mub_by_blocks(f: BoolFun) -> cbk.MubSet:
         bases_re.append((lam_signs * are[None, :]).astype(np.int8))
         bases_im.append((lam_signs * aim[None, :]).astype(np.int8))
     norm = np.repeat(np.array([1] + [k] * k, dtype=np.int64), k)
-    return cbk.MubSet(k, cbk.Codebook(np.concatenate(bases_re), np.concatenate(bases_im), norm))
+    return np.concatenate(bases_re), np.concatenate(bases_im), norm
 
 
 def verify_mub_by_pairs(mubs: cbk.MubSet) -> dict:
-    """Exact orthonormality and unbiasedness checks over every basis pair.
+    """Exact orthonormality and unbiasedness checks over every basis pair of
+    the materialized rows (``dense_rows``), k rows per basis.
 
     Unnormalized |<v, v'>|^2 must be: norm_sq^2 on the self-Gram diagonal, 0
     off it, K between two function bases, and 1 between the standard basis
@@ -436,25 +458,27 @@ def verify_mub_by_pairs(mubs: cbk.MubSet) -> dict:
     or K.
     """
     k = mubs.k
-    bases = [mubs.basis(i) for i in range(mubs.n_bases)]
-    norms = [int(b.norm_sq[0]) for b in bases]
+    re, im, norm_sq = dense_rows(mubs.codebook)
+    n_bases = len(re) // k
+    bases = [(re[i * k:(i + 1) * k], im[i * k:(i + 1) * k]) for i in range(n_bases)]
+    norms = [int(norm_sq[i * k]) for i in range(n_bases)]
     orthonormal = True
     unbiased = True
-    for i, b in enumerate(bases):
-        gre, gim = gram_int64(b.re, b.im, b.re, b.im)
+    for i, (bre, bim) in enumerate(bases):
+        gre, gim = gram_int64(bre, bim, bre, bim)
         mag = gre * gre + gim * gim
         diag_ok = np.all(np.diag(gre) == norms[i]) and np.all(np.diag(gim) == 0)
         off = mag - np.diag(np.diag(mag))
         orthonormal = orthonormal and bool(diag_ok and not off.any())
-    for i in range(mubs.n_bases):
-        for j in range(i + 1, mubs.n_bases):
-            gre, gim = gram_int64(bases[i].re, bases[i].im, bases[j].re, bases[j].im)
+    for i in range(n_bases):
+        for j in range(i + 1, n_bases):
+            gre, gim = gram_int64(*bases[i], *bases[j])
             mag = gre * gre + gim * gim
             expected = 1 if (norms[i] == 1 or norms[j] == 1) else k
             unbiased = unbiased and bool(np.all(mag == expected))
     return {
-        "bases": mubs.n_bases,
-        "complete": mubs.n_bases == k + 1,
+        "bases": n_bases,
+        "complete": n_bases == k + 1,
         "orthonormal": orthonormal,
         "unbiased": unbiased,
     }

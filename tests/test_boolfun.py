@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cyclicbent import boolfun as bf
 from cyclicbent.gf2 import mk_field
@@ -123,6 +124,25 @@ def test_walsh_many_matches_int64_butterfly(n, rows, seed):
     assert np.array_equal(bf.walsh_many(signs[0]), w[0])  # a single 1-D row
     # Parseval: every row carries 4^n of energy
     assert np.all(np.sum(w.astype(np.int64) ** 2, axis=1) == 1 << (2 * n))
+
+
+@st.composite
+def _ternary_rows(draw):
+    n = draw(st.integers(0, 10))
+    rows = draw(st.integers(1, 4))
+    return draw(hnp.arrays(np.int8, (rows, 1 << n), elements=st.integers(-1, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_ternary_rows())
+def test_walsh_many_is_exact_on_rows_with_zeros(rows):
+    # the real and imaginary parts of a product of unit Gaussian-integer
+    # vectors have entries in {-1, 0, 1}; every partial sum stays an integer
+    # of size at most 2^n, so the float32 kernel is exact on them too
+    w = bf.walsh_many(rows)
+    assert np.array_equal(w, wht_inplace(rows.astype(np.int64)))
+    full = bf.walsh_many(np.ones_like(rows))  # the largest partial sums, 2^n
+    assert np.all(full[:, 0] == rows.shape[1])
 
 
 @settings(max_examples=40, deadline=None)

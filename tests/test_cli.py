@@ -53,6 +53,14 @@ def test_verify_semibent(capsys):
     assert code == 0 and rep["certificate"]["passed"]
 
 
+def test_verify_semibent_auto_cross_checks_only_within_the_full_cap(capsys):
+    code, rep = run_json(capsys, "verify", "--n", "9")
+    assert code == 0 and rep["full_reduced_agree"] is True
+    code, rep = run_json(capsys, "verify", "--n", "11")
+    assert code == 0 and rep["certificate"]["mode"] == "reduced"
+    assert "full_reduced_agree" not in rep
+
+
 def test_codebook_real(capsys):
     code, rep = run_json(capsys, "codebook", "--m", "4")
     assert code == 0
@@ -195,11 +203,18 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     ("verify --m 18 --mode reduced", 2),
     # the levels of a chain increase from 1 (-1 divides 9, but is no level)
     ("construct --m 10 --chain 1,-1,9 --gamma 1,0", 2),
-    # codebooks and MUB sets past the entry cap, rejected before allocation
-    ("codebook --m 12", 2),
-    ("codebook --kind complex --m 12", 2),
-    ("codebook --kind semibent --n 11", 2),
-    ("mub --m 12", 2),
+    # codebooks and MUB sets past the block-entry cap, rejected before
+    # certification
+    ("codebook --m 14", 2),
+    ("codebook --kind complex --m 14", 2),
+    ("codebook --kind semibent --n 13", 2),
+    ("mub --m 14", 2),
+    # dense output past the entry cap, rejected before the scan
+    ("codebook --m 12 --format csv --out /dev/null", 2),
+    # semi-bent certification past its caps: full n <= 9, reduced n <= 15
+    ("verify --n 11 --mode full", 2),
+    ("verify --n 17 --mode reduced", 2),
+    ("verify --n 17", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code

@@ -7,7 +7,6 @@ bound formulas:
     real (72, 8):     (216 - 64 - 16) / (64 * 10)   = 136/640  = 17/80
 """
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +20,7 @@ from cyclicbent.gf2 import mk_field
 from cyclicbent import boolfun as bf
 
 from oracles import (
+    dense_rows,
     gram_int64,
     imax_sq_masked_tiles,
     mub_by_blocks,
@@ -30,9 +30,19 @@ from oracles import (
     write_csv_by_cells,
 )
 
+# the four units 1, -1, i, -i as (re, im) rows
+_UNITS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=np.int8)
+
 
 def kerdock4():
     return cn.kerdock_fn(4)
+
+
+def _blocks(domain, re, im=None):
+    """A codebook from block vectors given as any integer arrays."""
+    re = np.asarray(re, dtype=np.int8)
+    im = np.zeros_like(re) if im is None else np.asarray(im, dtype=np.int8)
+    return cbk.Codebook(domain, re, im)
 
 
 def test_levenshtein_bounds_frozen_values():
@@ -46,12 +56,11 @@ def test_levenshtein_bounds_frozen_values():
 
 
 def test_imax_sq_edge_cases():
-    eye = np.eye(4, dtype=np.int8)
-    cb = cbk.Codebook(eye, np.zeros_like(eye), np.ones(4, dtype=np.int64))
-    assert cbk.imax_sq(cb) == 0
-    two = np.ones((2, 4), dtype=np.int8)
-    cb2 = cbk.Codebook(two, np.zeros_like(two), np.full(2, 4, dtype=np.int64))
-    assert cbk.imax_sq(cb2) == 1  # identical rows
+    dom = bf.Domain(mk_field(2))  # K = 4
+    assert cbk.imax_sq(_blocks(dom, np.ones((0, 4)))) == 0  # the standard basis alone
+    assert cbk.imax_sq(_blocks(dom, np.ones((1, 4)))) == Fraction(1, 4)  # and one block
+    assert cbk.imax_sq(_blocks(dom, np.ones((2, 4)))) == 1  # identical blocks
+    assert cbk.imax_sq(_blocks(dom, [[1, 1, 1, 1], [1, 1, 1, -1]])) == Fraction(1, 4)
 
 
 def test_real_codebook_m4_parameters_and_optimality():
@@ -76,11 +85,14 @@ def test_real_codebook_eps_variants_stay_optimal():
 
 
 def test_real_codebook_standard_rows_orthogonal():
+    # every basis of the stack, the standard one included, has Gram norm_sq I
     cb = cbk.build_real_codebook(kerdock4())
     k = cb.length
-    gre, gim = cbk._gram(cb.re[:k], cb.im[:k], cb.re[:k], cb.im[:k])
-    assert np.array_equal(gre, np.eye(k, dtype=np.int64))
-    assert not gim.any()
+    for i in range(cb.n_blocks + 1):
+        re, im, norm = cb.basis(i)
+        gre, gim = gram_int64(re, im, re, im)
+        assert norm == (1 if i == 0 else k)
+        assert np.array_equal(gre, norm * np.eye(k, dtype=np.int64)) and not gim.any()
 
 
 def test_real_codebook_rejects_uncertified():
@@ -100,9 +112,9 @@ def test_mub_m4_complete_and_exact():
 def test_mub_entries_are_unit_gaussian():
     mubs = cbk.build_mub(kerdock4())
     for i in range(1, mubs.n_bases):
-        b = mubs.basis(i)
-        mag = b.re.astype(np.int64) ** 2 + b.im.astype(np.int64) ** 2
-        assert np.all(mag == 1) and np.all(b.norm_sq == 8)
+        re, im, norm = mubs.basis(i)
+        mag = re.astype(np.int64) ** 2 + im.astype(np.int64) ** 2
+        assert np.all(mag == 1) and norm == 8
 
 
 def test_mub_gram_walsh_route_agrees():
@@ -112,78 +124,64 @@ def test_mub_gram_walsh_route_agrees():
         for a2 in range(8):
             if a == a2:
                 continue
-            b, b2 = mubs.basis(1 + a), mubs.basis(1 + a2)
-            gre, gim = cbk._gram(b.re, b.im, b2.re, b2.im)
+            (re, im, _), (re2, im2, _) = mubs.basis(1 + a), mubs.basis(1 + a2)
+            gre, gim = gram_int64(re, im, re2, im2)
             wre, wim = cbk.mub_gram_via_walsh(f, a, a2)
             assert np.array_equal(gre, wre)
             assert np.array_equal(gim, wim)
 
 
-
-# -- verify_mub (per-basis Grams plus one imax_sq) against the pairwise oracle ---------
+# -- verify_mub (one imax_sq over the blocks) against the pairwise oracle -------------
 
 
 def _mub_variants(m):
-    """The built set and nine sets made from its rows, with their expected
-    (complete, orthonormal, unbiased) verdicts."""
+    """The built set and five sets made from its block vectors, with their
+    expected (complete, orthonormal, unbiased) verdicts."""
     mubs = cbk.build_mub(cn.kerdock_fn(m))
-    k, cb, n = mubs.k, mubs.codebook, mubs.n_bases
+    cb = mubs.codebook
+    n = cb.n_blocks
     rng = np.random.default_rng(m)
-    blocks = np.arange(n * k).reshape(n, k)
 
-    def from_rows(order):
-        order = np.ravel(order)
-        return cbk.MubSet(k, cbk.Codebook(cb.re[order], cb.im[order], cb.norm_sq[order]))
+    def from_blocks(order):
+        return cbk.MubSet(cbk.Codebook(cb.domain, cb.re[order], cb.im[order]))
 
-    within = blocks.copy()
-    within[3] = rng.permutation(within[3])
-    swapped = blocks.copy()
-    swapped[2, 0], swapped[n - 1, 5] = blocks[n - 1, 5], blocks[2, 0]
-    flipped_re, flipped_im = cb.re.copy(), cb.im.copy()
-    flipped_re[2 * k + 3, 1] *= -1  # one of the two parts is nonzero
-    flipped_im[2 * k + 3, 1] *= -1
-    flipped = cbk.MubSet(k, cbk.Codebook(flipped_re, flipped_im, cb.norm_sq))
-    # row r + 1 of the last basis becomes i times row r: the pair's Gram
-    # entry is i K, which only the imaginary part shows
-    r = (n - 1) * k
-    turned_re, turned_im = cb.re.copy(), cb.im.copy()
-    turned_re[r + 1], turned_im[r + 1] = -cb.im[r], cb.re[r]
-    turned = cbk.MubSet(k, cbk.Codebook(turned_re, turned_im, cb.norm_sq))
-    relabelled_norm = cb.norm_sq.copy()
-    relabelled_norm[:k] = k
-    relabelled = cbk.MubSet(k, cbk.Codebook(cb.re, cb.im, relabelled_norm))
+    negated = from_blocks(np.arange(n))
+    negated.codebook.re[2] *= -1
+    negated.codebook.im[2] *= -1
+    # one entry of the last block vector times i: (re, im) -> (-im, re)
+    turned = from_blocks(np.arange(n))
+    turned.codebook.re[n - 1, 3] = -cb.im[n - 1, 3]
+    turned.codebook.im[n - 1, 3] = cb.re[n - 1, 3]
     return [
         ("built", mubs, (True, True, True)),
-        ("rows permuted within a basis", from_rows(within), (True, True, True)),
-        ("bases reordered", from_rows(blocks[rng.permutation(n)]), (True, True, True)),
-        ("function basis copied", from_rows(np.vstack([blocks[:-1], blocks[2]])),
-         (True, True, False)),
-        ("standard basis duplicated", from_rows(np.vstack([blocks, blocks[:1]])),
-         (False, True, False)),
-        ("one entry's sign flipped", flipped, (True, False, False)),
-        ("a vector turned into i times another of its basis", turned, (True, False, False)),
-        ("standard basis labelled with norm K", relabelled, (True, False, False)),
-        ("vectors swapped between bases", from_rows(swapped), (True, False, False)),
-        ("first two bases", from_rows(blocks[:2]), (False, True, True)),
+        ("blocks reordered", from_blocks(rng.permutation(n)), (True, True, True)),
+        ("a block copied", from_blocks(np.r_[0:n - 1, 2]), (True, True, False)),
+        ("a block negated", negated, (True, True, True)),
+        ("one entry of a block vector times i", turned, (True, True, False)),
+        ("first two bases", from_blocks([0]), (False, True, True)),
     ]
 
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_verify_mub_matches_pairwise_oracle(m):
     for name, mubs, (complete, orthonormal, unbiased) in _mub_variants(m):
-        got, want = cbk.verify_mub(mubs), verify_mub_by_pairs(mubs)
+        got = cbk.verify_mub(mubs)
         assert (got["complete"], got["orthonormal"], got["unbiased"]) == (
             complete, orthonormal, unbiased), name
-        # the pairwise route judges unbiasedness on its own; the stacked one
-        # needs orthonormal bases for its Parseval step and says False without
-        assert got == {**want, "unbiased": want["orthonormal"] and want["unbiased"]}, name
+        assert got == verify_mub_by_pairs(mubs), name
 
 
 def test_mub_set_needs_whole_bases():
-    cb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
-    for rows, k in ((slice(0, 12), 8), (slice(0, 0), 8), (slice(0, 16), 4)):
-        with pytest.raises(ValueError, match="not whole bases"):
-            cbk.MubSet(k, cbk.Codebook(cb.re[rows], cb.im[rows], cb.norm_sq[rows]))
+    # the bases of a MubSet are whole by construction: block vectors must
+    # have the domain's length K, so every block is one basis of K rows
+    mubs = cbk.build_mub(kerdock4())
+    cb = mubs.codebook
+    assert cb.n_rows == mubs.n_bases * mubs.k == 72
+    for cols in (slice(0, 4), slice(0, 0)):
+        with pytest.raises(ValueError, match="block vectors"):
+            cbk.MubSet(cbk.Codebook(cb.domain, cb.re[:, cols], cb.im[:, cols]))
+    with pytest.raises(IndexError):
+        mubs.basis(mubs.n_bases)
 
 
 def test_complex_codebook_m4():
@@ -229,30 +227,22 @@ def test_codebook_csv_and_json(tmp_path):
 
 
 def test_imax_sq_threads_deterministic(monkeypatch):
+    # one value, however many block pairs go into one kernel call
     cb = cbk.build_real_codebook(kerdock4())
     mcb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
     assert cbk.imax_sq(cb) == Fraction(1, 16) and cbk.imax_sq(mcb) == Fraction(1, 8)
-    monkeypatch.setattr(cbk, "_TILE_ROWS", 50)
-    assert cbk.imax_sq(cb) == Fraction(1, 16)
-    monkeypatch.setattr(cbk, "_TILE_ROWS", 17)
-    assert cbk.imax_sq(mcb) == Fraction(1, 8)
+    for batch in (50, 17, 1):
+        monkeypatch.setattr(cbk, "_PAIR_BATCH", batch)
+        assert cbk.imax_sq(cb) == Fraction(1, 16)
+        assert cbk.imax_sq(mcb) == Fraction(1, 8)
 
 
-# -- the float64 Gram kernel against the int64 oracle ---------------------------------
+# -- the block-pair spectrum against the int64 Gram oracle ----------------------------
 
 
-def _entries(shape):
-    return hnp.arrays(np.int8, shape, elements=st.integers(-1, 1))
-
-
-@st.composite
-def _gram_operands(draw, im1_real: bool, im2_real: bool):
-    k = draw(st.integers(1, 24))
-    n1, n2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    re1, re2 = draw(_entries((n1, k))), draw(_entries((n2, k)))
-    im1 = np.zeros((n1, k), np.int8) if im1_real else draw(_entries((n1, k)))
-    im2 = np.zeros((n2, k), np.int8) if im2_real else draw(_entries((n2, k)))
-    return re1, im1, re2, im2
+def _unit_vector(draw, k: int, real: bool):
+    idx = draw(hnp.arrays(np.int64, k, elements=st.integers(0, 1 if real else 3)))
+    return _UNITS[idx, 0], _UNITS[idx, 1]
 
 
 @pytest.mark.parametrize("im1_real, im2_real", [
@@ -261,38 +251,74 @@ def _gram_operands(draw, im1_real: bool, im2_real: bool):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_gram_matches_int64_oracle(im1_real, im2_real, data):
-    ops = data.draw(_gram_operands(im1_real, im2_real))
-    gre, gim = cbk._gram(*ops)
-    ore, oim = gram_int64(*ops)
-    assert gre.dtype == gim.dtype == np.int64
-    assert np.array_equal(gre, ore) and np.array_equal(gim, oim)
+    # the cross Gram of blocks a and b is chi diag(s_a conj(s_b)) chi^T: its
+    # entry (lam, mu) is the Walsh value of s_a conj(s_b) at lam + mu, whose
+    # dual index is the XOR of theirs
+    domain = bf.Domain(mk_field(data.draw(st.integers(1, 4))), data.draw(st.booleans()))
+    k = domain.size
+    re1, im1 = _unit_vector(data.draw, k, im1_real)
+    re2, im2 = _unit_vector(data.draw, k, im2_real)
+    cb = cbk.Codebook(domain, np.stack([re1, re2]), np.stack([im1, im2]))
+    gre, gim = gram_int64(*cb.basis(1)[:2], *cb.basis(2)[:2])
+    a1, b1 = re1.astype(np.int64), im1.astype(np.int64)
+    chars = 1 - 2 * bf.char_bits(domain).astype(np.int64)
+    lam = np.arange(k)
+    mix = lam[:, None] ^ lam[None, :]
+    assert np.array_equal(gre, (chars @ (a1 * re2 + b1 * im2))[mix])
+    assert np.array_equal(gim, (chars @ (b1 * re2 - a1 * im2))[mix])
+    pairs = Fraction(int((gre * gre + gim * gim).max()), k * k)
+    assert cbk.imax_sq(cb) == max(pairs, Fraction(1, k))
 
 
-def test_gram_rejects_rows_too_long_for_exact_float64():
-    k = math.isqrt((1 << 51) - 1) + 1  # the least K with 4K^2 >= 2^53
-    row = np.broadcast_to(np.int8(0), (1, k))  # zero strides: nothing allocated
-    with pytest.raises(ValueError, match="too long"):
-        cbk._gram(row, row, row, row)
+def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
+    # C(B, 2) kernel rows for a real codebook of B blocks, 2 C(B, 2) for a
+    # complex one, and no call of walsh or walsh_many
+    f6 = cn.kerdock_fn(6)
+    cases = [*zip(_stock_codebooks(), (28, 28, 28, 56, 28)),
+             (cbk.build_real_codebook(f6), 496),
+             (cbk.mub_to_codebook(cbk.build_mub(f6)), 992)]
+    rows = []
+    kernel = bf._hadamard_rows
+
+    def counted(x):
+        rows.append(int(np.prod(np.shape(x)[:-1])))
+        return kernel(x)
+
+    def forbidden(*args):
+        pytest.fail("imax_sq called a Walsh entry point")
+
+    monkeypatch.setattr(bf, "_hadamard_rows", counted)
+    monkeypatch.setattr(bf, "walsh", forbidden)
+    monkeypatch.setattr(bf, "walsh_many", forbidden)
+    for cb, want in cases:
+        rows.clear()
+        cbk.imax_sq(cb)
+        assert sum(rows) == want
 
 
-# -- imax_sq on norm-grouped tiles against the masked-tile oracle ---------------------
+# -- imax_sq on block pairs against the masked-tile oracle on the dense rows ----------
 
 
 def _hand_codebooks():
+    """Factored codebooks with random unit block vectors on three domains:
+    complex, real, and complex with one block equal to another but for one
+    entry times i; then zero blocks and one block."""
     rng = np.random.default_rng(7)
-    re = rng.integers(-1, 2, (40, 9)).astype(np.int8)
-    im = rng.integers(-1, 2, (40, 9)).astype(np.int8)
-    re[5] = re[31]  # identical rows across the tiles
-    im[5] = im[31]
-    interleaved = np.tile(np.array([5, 1, 3], np.int64), 14)[:40]
-    single = np.full(40, 4, np.int64)
-    single[23] = 2  # a norm group of one row
-    return [
-        cbk.Codebook(re, im, interleaved),
-        cbk.Codebook(re, np.zeros_like(im), interleaved),
-        cbk.Codebook(re, im, single),
-        cbk.Codebook(re[[5, 31, 31]], im[[5, 31, 31]], np.array([3, 1, 3], np.int64)),
-    ]
+    out = []
+    for domain, n in ((bf.Domain(mk_field(3)), 6), (bf.Domain(mk_field(2), True), 5),
+                      (bf.Domain(mk_field(4)), 9)):
+        k = domain.size
+        s = _UNITS[rng.integers(0, 4, (n, k))]
+        re, im = s[..., 0].copy(), s[..., 1].copy()
+        out.append(cbk.Codebook(domain, re, im))
+        out.append(_blocks(domain, 1 - 2 * rng.integers(0, 2, (n, k))))
+        re, im = re.copy(), im.copy()
+        re[3], im[3] = re[1], im[1]
+        re[3, 2], im[3, 2] = -im[1, 2], re[1, 2]
+        out.append(cbk.Codebook(domain, re, im))
+    dom = bf.Domain(mk_field(3))
+    out += [_blocks(dom, np.ones((n, 8))) for n in (0, 1)]
+    return out
 
 
 def _stock_codebooks():
@@ -302,6 +328,7 @@ def _stock_codebooks():
     g = bf.from_field_fn(ctx3, lambda x: ctx3.trace(ctx3.pow(x, 3)))
     return [
         cbk.build_real_codebook(f),
+        cbk.build_real_codebook(f, [1] * 7),
         cbk.build_real_codebook(f, [int(b) for b in rng.integers(0, 2, 7)]),
         cbk.mub_to_codebook(cbk.build_mub(f)),
         cbk.build_semibent_codebook(g),
@@ -309,23 +336,22 @@ def _stock_codebooks():
 
 
 @pytest.mark.parametrize("block, seed", [(1024, 1), (17, 1), (17, 3), (50, 1), (50, 3)])
-def test_imax_sq_matches_masked_tile_oracle(block, seed, monkeypatch):
-    # each codebook as built and with its rows shuffled, which moves rows
-    # across norm groups and tile edges but leaves the max over pairs alone
-    monkeypatch.setattr(cbk, "_TILE_ROWS", block)
+def test_imax_sq_matches_masked_tile_oracle(block, seed):
+    # each codebook as built and with its blocks shuffled, which moves rows
+    # across the oracle's tile edges but leaves the max over pairs alone
     rng = np.random.default_rng(seed)
     for cb in _hand_codebooks() + _stock_codebooks():
-        expected = imax_sq_masked_tiles(cb)
+        expected = imax_sq_masked_tiles(cb, block)
         assert cbk.imax_sq(cb) == expected
-        p = rng.permutation(cb.n_rows)
-        shuffled = cbk.Codebook(cb.re[p], cb.im[p], cb.norm_sq[p])
-        assert imax_sq_masked_tiles(shuffled) == expected
+        p = rng.permutation(cb.n_blocks)
+        shuffled = cbk.Codebook(cb.domain, cb.re[p], cb.im[p])
+        assert imax_sq_masked_tiles(shuffled, block) == expected
         assert cbk.imax_sq(shuffled) == expected
 
 
 def test_write_csv_matches_cell_loop(tmp_path):
-    # the real, random-eps real, complex and semi-bent codebooks at m = 4 /
-    # n = 3, and hand-built ones with interleaved non-square norms
+    # the real (zero, ones and random eps), complex and semi-bent codebooks
+    # at m = 4 / n = 3, and the hand-built factored ones
     for i, cb in enumerate(_stock_codebooks() + _hand_codebooks()):
         got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
         cb.write_csv(str(got))
@@ -334,15 +360,28 @@ def test_write_csv_matches_cell_loop(tmp_path):
 
 
 def test_imax_sq_matches_oracle_on_real_codebook_m6():
-    cb = cbk.build_real_codebook(cn.kerdock_fn(6))
-    assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 64)
+    # and on the m = 6 real codebooks with zero, ones and random eps, the
+    # m = 6 complex codebook and the n = 5 semi-bent one
+    m, q = 6, 32
+    f = cn.kerdock_fn(m)
+    rng = np.random.default_rng(m)
+    for eps in ([0] * (q - 1), [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
+        cb = cbk.build_real_codebook(f, eps)
+        assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 64)
+    cb = cbk.mub_to_codebook(cbk.build_mub(f))
+    assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 32)
+    ctx = mk_field(5)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    cb = cbk.build_semibent_codebook(g)
+    assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 16)
 
 
 def test_alphabet_of_hand_built_codebooks():
-    for cb in _hand_codebooks():
+    for cb in _hand_codebooks() + _stock_codebooks():
+        re, im, norm_sq = dense_rows(cb)
         expected = {
             (0, 0, 1) if a == b == 0 else (int(a), int(b), int(n))
-            for row_re, row_im, n in zip(cb.re, cb.im, cb.norm_sq)
+            for row_re, row_im, n in zip(re, im, norm_sq)
             for a, b in zip(row_re, row_im)
         }
         assert cb.alphabet() == expected
@@ -351,28 +390,45 @@ def test_alphabet_of_hand_built_codebooks():
 # -- Codebook input validation ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("re, im, norm_sq, match", [
-    (np.ones(4, np.int8), np.zeros(4, np.int8), np.ones(1, np.int64), "2-D"),
-    (np.ones((2, 4), np.int8), np.zeros((2, 3), np.int8), np.ones(2, np.int64), "2-D"),
-    (np.full((2, 4), -2, np.int8), np.zeros((2, 4), np.int8), np.ones(2, np.int64), "-1, 0, 1"),
-    (np.ones((2, 4), np.int8), np.full((2, 4), 2, np.int8), np.ones(2, np.int64), "-1, 0, 1"),
-    (np.ones((2, 4)), np.zeros((2, 4)), np.ones(2, np.int64), "integers"),
-    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), np.ones(3, np.int64), "one value per row"),
-    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), np.ones((2, 1), np.int64), "one value per row"),
-    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), np.array([4, 0]), "positive"),
+def _one_entry(value, im=False):
+    """Two all-ones block vectors of length 8 with entry (1, 2) of the real
+    (or imaginary) part set to value."""
+    re, part = np.ones((2, 8), np.int8), np.zeros((2, 8), np.int8)
+    (part if im else re)[1, 2] = value
+    return re, part
+
+
+@pytest.mark.parametrize("re, im, match", [
+    (np.ones(8, np.int8), np.zeros(8, np.int8), "block vectors"),
+    (np.ones((2, 8), np.int8), np.zeros((2, 4), np.int8), "block vectors"),
+    (np.ones((2, 4), np.int8), np.zeros((2, 4), np.int8), "block vectors"),
+    (np.ones((2, 8)), np.zeros((2, 8)), "int8"),
+    (np.ones((2, 8), np.int16), np.zeros((2, 8), np.int16), "int8"),
+    (*_one_entry(0), "units"),
+    (*_one_entry(2), "units"),
+    (*_one_entry(-128), "units"),
+    (*_one_entry(1, im=True), "units"),
 ])
-def test_codebook_rejects_malformed_input(re, im, norm_sq, match):
+def test_codebook_rejects_malformed_blocks(re, im, match):
     with pytest.raises(ValueError, match=match):
-        cbk.Codebook(re, im, norm_sq)
+        cbk.Codebook(bf.Domain(mk_field(3)), re, im)
 
 
 # -- the orbit-row builders against the per-block builders they replaced -------------
 
 
-def _assert_same_codebook(got, want):
-    for part in ("re", "im", "norm_sq"):
-        a, b = getattr(got, part), getattr(want, part)
-        assert a.dtype == b.dtype and np.array_equal(a, b), part
+def _assert_same_rows(cb, want):
+    """cb's rows, materialized by the oracle, by ``basis`` and by
+    ``to_json_obj``, equal the dense (re, im, norm_sq) rows ``want``."""
+    for a, b in zip(dense_rows(cb), want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    bases = [cb.basis(i) for i in range(cb.n_blocks + 1)]
+    for part in range(2):
+        assert np.array_equal(np.concatenate([b[part] for b in bases]), want[part])
+    assert np.array_equal(cb.norm_sq, want[2])
+    obj = cb.to_json_obj()
+    assert obj["rows_re"] == want[0].tolist() and obj["rows_im"] == want[1].tolist()
+    assert obj["norm_sq"] == want[2].tolist() and obj["n_rows"] == len(want[0])
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -381,10 +437,14 @@ def test_real_and_complex_codebooks_match_block_builders(m):
     q = 1 << (m - 1)
     rng = np.random.default_rng(m)
     for eps in ([0] * (q - 1), [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
-        _assert_same_codebook(cbk.build_real_codebook(f, eps), real_codebook_by_blocks(f, eps))
+        _assert_same_rows(cbk.build_real_codebook(f, eps), real_codebook_by_blocks(f, eps))
     mubs, want = cbk.build_mub(f), mub_by_blocks(f)
-    assert mubs.to_json_obj() == want.to_json_obj()
-    _assert_same_codebook(cbk.mub_to_codebook(mubs), cbk.mub_to_codebook(want))
+    _assert_same_rows(cbk.mub_to_codebook(mubs), want)
+    k = mubs.k
+    rows = [slice(i * k, (i + 1) * k) for i in range(k + 1)]
+    assert mubs.to_json_obj() == {"k": k, "bases": [
+        {"norm_sq": int(want[2][r][0]), "re": want[0][r].tolist(), "im": want[1][r].tolist()}
+        for r in rows]}
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -392,18 +452,33 @@ def test_real_and_complex_codebooks_match_block_builders(m):
 def test_semibent_codebook_matches_block_builder(n, i):
     ctx = mk_field(n)
     g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
-    _assert_same_codebook(cbk.build_semibent_codebook(g), semibent_codebook_by_blocks(g))
+    _assert_same_rows(cbk.build_semibent_codebook(g), semibent_codebook_by_blocks(g))
 
 
 def test_sizes_past_the_entry_cap_are_rejected_before_certifying(monkeypatch):
-    # the real codebook at m = 10, the largest advertised, fits under the cap
-    assert (2**9 + 1) * 2**20 <= cbk.MAX_ENTRIES
+    # the real codebook at m = 12, the largest advertised, fits under the cap
+    assert 2**11 * 2**12 <= cbk.MAX_BLOCK_ENTRIES
     monkeypatch.setattr(cn, "certify_cyclic_bent", lambda *a, **k: pytest.fail("certified"))
     monkeypatch.setattr(cn, "is_cyclic_semibent", lambda *a, **k: pytest.fail("certified"))
-    f = cn.kerdock_fn(12)
-    ctx = mk_field(11)
+    f = cn.kerdock_fn(14)
+    ctx = mk_field(13)
     g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     for build, arg in ((cbk.build_real_codebook, f), (cbk.build_mub, f),
                        (cbk.build_semibent_codebook, g)):
         with pytest.raises(ValueError, match="cap"):
             build(arg)
+
+
+def test_dense_output_past_the_entry_cap_is_rejected_before_writing(tmp_path, monkeypatch):
+    cb = cbk.build_real_codebook(kerdock4())  # 144 rows of 16
+    mubs = cbk.build_mub(kerdock4())  # 72 rows of 8
+    monkeypatch.setattr(cbk, "MAX_ENTRIES", 144 * 16 - 1)
+    out = tmp_path / "rows.csv"
+    for write in (lambda: cb.write_csv(str(out)), cb.to_json_obj):
+        with pytest.raises(ValueError, match="output cap"):
+            write()
+    assert not out.exists()
+    assert len(mubs.to_json_obj()["bases"]) == 9
+    monkeypatch.setattr(cbk, "MAX_ENTRIES", 72 * 8 - 1)
+    with pytest.raises(ValueError, match="output cap"):
+        mubs.to_json_obj()
