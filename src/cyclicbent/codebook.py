@@ -9,11 +9,11 @@ unnormalized, with squared norm 1 on the standard basis and K on the blocks.
 
 The cross Gram of blocks a and b is chi diag(s_a conj(s_b)) chi^T, so every
 overlap between them is a Walsh value of the one vector s_a conj(s_b):
-``imax_sq`` and ``verify_mub`` transform one such vector per block pair (two
-parts when complex) and never form an N x N Gram; maxima and Levenshtein
-bounds are exact fractions.  Dense rows are built only for output
-(``write_csv``, ``to_json_obj``, ``basis``), one basis at a time; CSV output
-is normalized floats (12 significant digits).
+``imax_sq``, ``verify_mub`` and the code distances of ``codes`` transform
+one such vector per block pair (two parts when complex) and never form an
+N x N Gram; maxima and Levenshtein bounds are exact fractions.  Dense rows
+are built only for output (``write_csv``, ``to_json_obj``, ``basis``), one
+basis at a time; CSV output is normalized floats (12 significant digits).
 
 Row ordering is fixed for reproducible serialization: the standard basis,
 then the blocks in order (for the real codebooks the characters, then the
@@ -23,6 +23,7 @@ canonical index order.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -41,7 +42,9 @@ MAX_BLOCK_ENTRIES = 1 << 23
 # Dense entries (N K) of the largest codebook or MUB set written out in
 # full; the real codebook at m = 10, (2^9 + 1) 2^20 entries, fits.
 MAX_ENTRIES = 1 << 30
-_PAIR_BATCH = 1 << 22  # values of s_a conj(s_b) per Walsh kernel call in imax_sq
+# float32 values per Walsh kernel call in the block-pair scan, counting two
+# parts per pair: real and imaginary, or a real part and its float64 squares
+_PAIR_BATCH = 1 << 22
 
 
 def levenshtein_real_sq(n_rows: int, k: int) -> Fraction:
@@ -172,6 +175,29 @@ class Codebook:
                     fh.write(",".join(cells[norm][row].tolist()) + "\n")
 
 
+def _block_pair_spectra(cb: Codebook) -> Iterator[np.ndarray]:
+    """float64 |W(s_a conj(s_b))|^2 for the block pairs a < b in order, one
+    array of shape (pairs, K) per Walsh kernel call, which transforms one
+    part per pair when the codebook is real and the real and imaginary
+    parts when complex.  Memory is bounded by the batch, not by C(B, 2)."""
+    k, n = cb.length, cb.n_blocks
+    real = cb.is_real()
+    rows = max(1, _PAIR_BATCH // (2 * k))
+    for a in range(n - 1):
+        for b0 in range(a + 1, n, rows):
+            b = slice(b0, b0 + rows)
+            parts = [cb.re[a] * cb.re[b]]
+            if not real:
+                parts[0] += cb.im[a] * cb.im[b]
+                parts.append(cb.im[a] * cb.re[b] - cb.re[a] * cb.im[b])
+            w = bf._hadamard_rows(np.stack(parts))
+            # |W| <= 2^24, so the squares and their sum are exact in float64
+            mag = np.square(w[0], dtype=np.float64)
+            for part in w[1:]:
+                mag += np.square(part, dtype=np.float64)
+            yield mag
+
+
 def imax_sq(cb: Codebook) -> Fraction:
     """Max over row pairs i < j of |<c_i, c_j>|^2 / (norm_i norm_j), exactly.
 
@@ -179,29 +205,10 @@ def imax_sq(cb: Codebook) -> Fraction:
     standard row meets a block row in one unit entry: 1/K.  Row lam of block
     a meets row mu of block b in sum_x s_a(x) conj(s_b(x)) chi_{lam+mu}(x),
     a Walsh value of s_a conj(s_b), and lam + mu runs over every dual point.
-    So the scan transforms s_a conj(s_b) for each block pair a < b (its real
-    and imaginary parts when the codebook is complex), about _PAIR_BATCH
-    values per kernel call, and its memory is bounded by the batch.
     """
-    k, n = cb.length, cb.n_blocks
-    rows = max(1, _PAIR_BATCH // k)
-    real = cb.is_real()
-    best = 0  # max |W(s_a conj(s_b))|^2 over the block pairs
-    for a in range(n - 1):
-        for b0 in range(a + 1, n, rows):
-            b = slice(b0, b0 + rows)
-            re = cb.re[a] * cb.re[b]
-            if real:
-                best = max(best, int(np.abs(bf._hadamard_rows(re)).max()) ** 2)
-                continue
-            re += cb.im[a] * cb.im[b]
-            im = cb.im[a] * cb.re[b] - cb.re[a] * cb.im[b]
-            w = bf._hadamard_rows(np.stack([re, im]))
-            # |W| <= 2^24, so both squares and their sum are exact in float64
-            mag = np.square(w[0], dtype=np.float64)
-            mag += np.square(w[1], dtype=np.float64)
-            best = max(best, int(mag.max()))
-    return max(Fraction(best, k * k), Fraction(int(n > 0), k))
+    k = cb.length
+    best = max((int(sq.max()) for sq in _block_pair_spectra(cb)), default=0)
+    return max(Fraction(best, k * k), Fraction(int(cb.n_blocks > 0), k))
 
 
 def _check_blocks(n_blocks: int, length: int) -> None:

@@ -1,77 +1,77 @@
 """Nonlinear binary codes from certified functions, their exact weight and
 distance distributions, and support t-design verification.
 
-Codewords are bit vectors of length v <= 64 packed into single uint64
-words; the full pairwise distance scan and the design coverage counts are
-exhaustive (no sampling), which is feasible for every size this package
-certifies (v = 2^m with m <= 6, v = 2^n with n <= 5).
+The code of a real codebook holds, for each block b and character chi, the
+word t_b + chi (the row (-1)^{t_b} chi read over GF(2)) and its complement:
+the coset t_b + RM(1).  C(f) and C(g) are the codes of
+``build_real_codebook(f)`` and ``build_semibent_codebook(g)``, whose blocks
+are t_0 = 0 and the rows f(a x1, x2) (g(a x)), a != 0.  No word is stored:
+weights and distances are read from the Walsh spectra of the blocks.
 
-Design checking is direct: every t-subset's coverage is counted and
-compared; nothing is inferred from general design-theoretic results.
+Design checking is direct: every t-subset's coverage is counted over the
+weight-k words and compared; nothing is inferred from general
+design-theoretic results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from cyclicbent import boolfun as bf
+from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
-from cyclicbent.boolfun import BoolFun
+from cyclicbent.gf2 import xor_rank
 
-MAX_LENGTH = 64
+# Points of the largest design whose t-subsets are all counted: C(f) at m = 6.
+MAX_DESIGN_LENGTH = 64
 
 
 @dataclass
 class NonlinearCode:
-    """M distinct codewords of length v, packed as uint64 bit masks."""
+    """The 2 K B words t_b + chi + c of a real codebook of B blocks of length K."""
 
-    length: int
-    words: np.ndarray  # uint64 (M,)
-    labels: list[tuple]
+    codebook: cbk.Codebook
+
+    def __post_init__(self):
+        if not self.codebook.is_real() or self.codebook.n_blocks == 0:
+            raise ValueError("a code needs a real codebook with at least one block")
+        if len(np.unique(self._coset_leaders, axis=0)) < self.codebook.n_blocks:
+            raise ValueError("codewords are not distinct")
+
+    @property
+    def length(self) -> int:
+        return self.codebook.length
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return 2 * self.codebook.n_blocks * self.length
+
+    @cached_property
+    def _coset_leaders(self) -> np.ndarray:
+        """The word of t_b + RM(1) that is 0 at the origin and at every unit
+        vector: t_b plus the affine function that agrees with it there, built
+        by doubling.  The characters are the linear forms of the index bits,
+        so two blocks share a coset exactly when they share a leader."""
+        t = (self.codebook.re < 0).view(np.uint8)
+        affine = t[:, :1]
+        for i in range(self.length.bit_length() - 1):
+            affine = np.concatenate([affine, affine ^ t[:, 1 << i, None] ^ t[:, :1]], axis=1)
+        return t ^ affine
 
     def is_linear(self) -> bool:
         """Closure of the word set under XOR.
 
-        The distinct words S lie in their GF(2) span, which has 2^rank(S)
-        words, so S is closed exactly when |S| = 2^rank(S).
+        The leaders r_b lie in a complement of RM(1), so the 2KB distinct
+        words r_b + RM(1) span RM(1) + span(r_b), of 2K 2^rank(r) words, and
+        are closed exactly when B = 2^rank(r).
         """
-        distinct = np.unique(self.words)
-        return len(distinct) == 1 << _gf2_rank(distinct)
-
-    def is_self_complementary(self) -> bool:
-        full = (1 << self.length) - 1
-        ws = set(int(w) for w in self.words)
-        return all((w ^ full) in ws for w in ws)
-
-    def to_json_obj(self) -> dict:
-        width = (self.length + 3) // 4
-        return {
-            "length": self.length,
-            "size": self.size,
-            "words_hex": [format(int(w), f"0{width}x") for w in self.words],
-        }
-
-
-def _gf2_rank(words: np.ndarray) -> int:
-    """Rank over GF(2) of uint64 bit-vector words, by Gaussian elimination:
-    each pivot clears its lowest set bit from every other word, and itself."""
-    rows = words[words != 0]
-    rank = 0
-    while len(rows):
-        pivot = int(rows[0])
-        low = np.uint64(pivot & -pivot)
-        rows = np.where(rows & low, rows ^ np.uint64(pivot), rows)
-        rows = rows[rows != 0]
-        rank += 1
-    return rank
+        rows = (int((r + ord("0")).tobytes(), 2) for r in self._coset_leaders)
+        return self.codebook.n_blocks == 1 << xor_rank(rows)
 
 
 def expected_weights_f(m: int) -> dict[int, int]:
@@ -137,85 +137,60 @@ class DesignResult:
         }
 
 
-def _orbit_code(tables: np.ndarray, chars: np.ndarray, labels: list[tuple]) -> NonlinearCode:
-    """The words t + c + v for each truth table t (row), character row c and
-    complement bit v, nested in that order, each packed little-endian into
-    one uint64."""
-    length = chars.shape[1]
-    if length > MAX_LENGTH:
-        raise ValueError(f"code length {length} exceeds the packed-word cap {MAX_LENGTH}")
-    bits = tables[:, None, None, :] ^ chars[:, None, :] ^ np.array([[0], [1]], np.uint8)
-    packed = np.packbits(bits, axis=-1, bitorder="little").reshape(len(labels), -1)
-    words = np.zeros((len(labels), 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    words = words.view("<u8").ravel().astype(np.uint64)
-    if len(np.unique(words)) != len(words):
-        raise AssertionError("codewords are not distinct")
-    return NonlinearCode(length, words, labels)
-
-
-def build_code_f(f: BoolFun) -> NonlinearCode:
+def build_code_f(f: bf.BoolFun) -> NonlinearCode:
     """C(f): codewords (f(a x1, x2) + tr(lam x1) + u x2 + v) over all labels
     (a, lam, u, v); a (2^m, 2^{2m}) code when f is cyclic bent and normalized.
     """
     if not cn.is_normalized(f):
         raise ValueError("build_code_f needs f(0,0) = f(0,1) = 0")
-    cn.require_cyclic_bent(f)
-    q = f.domain.ctx.order
-    # character rows are indexed nu * q + lam; the labels run lam-major
-    chars = bf.char_bits(f.domain).reshape(2, q, -1).swapaxes(0, 1).reshape(2 * q, -1)
-    return _orbit_code(
-        bf.orbit_tables(f, range(q)),
-        chars,
-        list(product(range(q), range(q), (0, 1), (0, 1))),
-    )
+    return NonlinearCode(cbk.build_real_codebook(f))
 
 
-def build_code_g(g: BoolFun) -> NonlinearCode:
+def build_code_g(g: bf.BoolFun) -> NonlinearCode:
     """C(g): codewords (g(a x) + tr(lam x) + u) over labels (a, lam, u);
     a (2^n, 2^{2n+1}) code when g is cyclic semi-bent with g(0) = 0 and
     n >= 3 (below that the words are not distinct)."""
-    if g.n_vars < 3:
-        raise ValueError(f"C(g) needs n >= 3, got n = {g.n_vars}")
     if int(g.table[0]) != 0:
         raise ValueError("build_code_g needs g(0) = 0")
-    cn.require_cyclic_semibent(g)
-    q = g.domain.ctx.order
-    return _orbit_code(
-        bf.orbit_tables(g, range(q)),
-        bf.char_bits(g.domain),
-        list(product(range(q), range(q), (0, 1))),
-    )
+    return NonlinearCode(cbk.build_semibent_codebook(g))
+
+
+def _split(spectra, v: int) -> np.ndarray:
+    """int64 counts over 0..v of (v -+ |W|)/2 for float batches of |W|: the
+    weights of t + chi and of its complement, or two distances likewise."""
+    counts = np.zeros(v + 1, dtype=np.int64)
+    for w in spectra:
+        counts += np.bincount(w.astype(np.int64).ravel(), minlength=v + 1)
+    # |W| is even: a sum of v = 2^n signs
+    out = np.zeros(v + 1, dtype=np.int64)
+    out[v // 2 :] += counts[::2]
+    out[v // 2 :: -1] += counts[::2]
+    return out
 
 
 def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
-    """Exact A_i and B_i by popcount scan over all ordered codeword pairs."""
-    words = code.words
-    m = code.size
-    wts = np.bitwise_count(words)
-    wvals, wcounts = np.unique(wts, return_counts=True)
-    weight = {int(v): int(c) for v, c in zip(wvals, wcounts)}
+    """Exact A_i and B_i from B + C(B, 2) Walsh kernel rows.
 
-    pair_counts = np.zeros(code.length + 1, dtype=np.int64)
-    block = max(1, (1 << 22) // m)
-    for i0 in range(0, m, block):
-        x = np.bitwise_xor(words[i0 : i0 + block, None], words[None, :])
-        pair_counts += np.bincount(np.bitwise_count(x).ravel(), minlength=code.length + 1)
-    distance = {}
-    for i, c in enumerate(pair_counts):
-        if c:
-            if c % m:
-                raise AssertionError("distance counts must be divisible by M")
-            distance[i] = int(c) // m
-    return DistributionReport(weight, distance)
-
-
-def supports_of_weight(code: NonlinearCode, k: int) -> np.ndarray:
-    """Deduplicated supports of the weight-k codewords, as a (b, v) bool matrix."""
-    wts = np.bitwise_count(code.words)
-    sel = np.unique(code.words[wts == k]).astype("<u8")
-    bits = np.unpackbits(sel.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    return bits[:, : code.length].astype(bool)
+    Block b has the weights (K -+ W(s_b))/2, one pair per dual point.  For
+    blocks a != b and each dual point, 4K of the ordered word pairs across
+    them lie at each of (K -+ W(s_a s_b))/2, from ``_block_pair_spectra``;
+    the 4K^2 ordered pairs within a block lie 2K at 0, 2K at K and the rest
+    at K/2.  Dividing by M = 2KB leaves 2/B per pair spectrum value, checked
+    exact.
+    """
+    cb = code.codebook
+    v, n = code.length, cb.n_blocks
+    rows = max(1, cbk._PAIR_BATCH // v)
+    weight = _split((np.abs(bf._hadamard_rows(cb.re[b : b + rows])) for b in range(0, n, rows)), v)
+    # sqrt is exact on the perfect squares |W|^2 < 2^53
+    dist = 2 * _split((np.sqrt(sq, out=sq) for sq in cbk._block_pair_spectra(cb)), v)
+    dist[[0, v // 2, v]] += n * np.array([1, 2 * v - 2, 1])
+    if (dist % n).any():
+        raise AssertionError("distance counts must be divisible by B")
+    return DistributionReport(
+        {i: int(c) for i, c in enumerate(weight) if c},
+        {i: int(c) // n for i, c in enumerate(dist) if c},
+    )
 
 
 def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
@@ -226,11 +201,24 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     """
     if not 1 <= t <= k:
         raise ValueError("need 1 <= t <= k")
-    blocks = supports_of_weight(code, k)
+    v = code.length
+    if v > MAX_DESIGN_LENGTH:
+        raise ValueError(
+            f"design coverage is counted exhaustively over every t-subset of the "
+            f"points; {v} points exceed the cap of {MAX_DESIGN_LENGTH}"
+        )
+    # the weight-k words, by one Walsh row per block: t_b + chi_lam has
+    # weight (v - W(s_b)(lam))/2 and its complement v minus that
+    dom = code.codebook.domain
+    wt = (v - bf._hadamard_rows(code.codebook.re)[:, bf._dual_permutation(dom)]) // 2
+    words = []
+    for c, hit in ((0, wt == k), (1, wt == v - k)):
+        blk, lam = np.nonzero(hit)
+        words.append((code.codebook.re[blk] < 0) ^ bf.char_bits(dom)[lam] ^ c)
+    blocks = np.concatenate(words).astype(bool)
     b = blocks.shape[0]
     if b == 0:
         raise ValueError(f"no codewords of weight {k}")
-    v = code.length
     lam = None
     # each (t-1)-subset head, t = 1 included as the empty head, with the
     # coverage of every t-subset head + (p,) with p past the head

@@ -81,6 +81,17 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
+def xor_rank(vectors) -> int:
+    """Rank over GF(2) of bit vectors given as ints, one pivot per leading bit."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
 def _prime_factors(n: int) -> list[int]:
     fs = []
     p = 2

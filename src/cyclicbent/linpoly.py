@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclicbent.boolfun import BoolFun, Domain
-from cyclicbent.gf2 import GF2m
+from cyclicbent.gf2 import GF2m, xor_rank
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,7 @@ def adjoint(L: LinPoly) -> LinPoly:
 def kernel_dim(L: LinPoly) -> int:
     """dim over GF(2) of ker L: m minus the rank of the images of the basis."""
     m = L.ctx.degree
-    basis: list[int] = []  # distinct leading bits, largest first
-    for j in range(m):
-        v = L.evaluate(1 << j)
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis = sorted(basis + [v], reverse=True)
-    return m - len(basis)
+    return m - xor_rank(L.evaluate(1 << j) for j in range(m))
 
 
 def quad_form(L: LinPoly) -> BoolFun:

@@ -10,8 +10,9 @@ per-point quadratic form of linearized polynomials, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
 transform), the dense Gram route of the codebook scans (int64 Grams on the
 materialized rows, masked tiles, every cross-basis Gram of a MUB set), the
-per-cell CSV writer and the pairwise XOR-closure test of linearity, and the
-codebook and code builders as per-block and per-label loops (without
+per-cell CSV writer, the codes as packed uint64 words with the popcount scan
+of their distributions and the pairwise XOR-closure test of linearity, and
+the codebook and code builders as per-block and per-label loops (without
 certification).
 """
 
@@ -384,15 +385,6 @@ def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:
     return cn.CyclicCertificate("semi-bent", "full", True, len(cases))
 
 
-def is_linear_by_pairs(code) -> bool:
-    """XOR closure of a code's word set, one membership test per pair."""
-    ws = set(int(w) for w in code.words)
-    if 0 not in ws:
-        return False
-    lst = sorted(ws)
-    return all((a ^ b) in ws for i, a in enumerate(lst) for b in lst[i:])
-
-
 # -- the codebook and code builders, block by block and label by label ---------------
 
 
@@ -492,36 +484,76 @@ def pack_table(bits) -> int:
     return word
 
 
-def code_f_by_labels(f: BoolFun) -> cd.NonlinearCode:
-    """C(f), one packed word per label (a, lam, u, v)."""
+def code_f_by_labels(f: BoolFun) -> np.ndarray:
+    """C(f) as uint64 words, one packed word per label (a, lam, u, v)."""
     ctx = f.domain.ctx
     q = ctx.order
     size = f.domain.size
     lam_words = [pack_table(np.tile(row, 2)) for row in ctx.trace_pairing()]
     x2_word = pack_table(np.concatenate([np.zeros(q, np.int64), np.ones(q, np.int64)]))
     full = (1 << size) - 1
-    words, labels = [], []
+    words = []
     for a in range(q):
         base = pack_table(scale_compose_by_halves(f, a, 0).table)
         for lam in range(q):
             for u in (0, 1):
                 for v in (0, 1):
                     words.append(base ^ lam_words[lam] ^ (x2_word if u else 0) ^ (full if v else 0))
-                    labels.append((a, lam, u, v))
-    return cd.NonlinearCode(size, np.array(words, dtype=np.uint64), labels)
+    return np.array(words, dtype=np.uint64)
 
 
-def code_g_by_labels(g: BoolFun) -> cd.NonlinearCode:
-    """C(g), one packed word per label (a, lam, u)."""
+def code_g_by_labels(g: BoolFun) -> np.ndarray:
+    """C(g) as uint64 words, one packed word per label (a, lam, u)."""
     ctx = g.domain.ctx
     q = ctx.order
     lam_words = [pack_table(row) for row in ctx.trace_pairing()]
     full = (1 << q) - 1
-    words, labels = [], []
+    words = []
     for a in range(q):
         base = pack_table(scale_field_by_perm(g, a).table)
         for lam in range(q):
             for u in (0, 1):
                 words.append(base ^ lam_words[lam] ^ (full if u else 0))
-                labels.append((a, lam, u))
-    return cd.NonlinearCode(q, np.array(words, dtype=np.uint64), labels)
+    return np.array(words, dtype=np.uint64)
+
+
+# -- codes as packed words: the popcount scan and the pairwise closure ---------------
+
+
+def packed_words(code: cd.NonlinearCode) -> np.ndarray:
+    """Every word t_b + chi + c of a code of length <= 64 (block, then
+    character row from ``char_sign_matrix``, then complement bit), packed
+    little-endian into one uint64."""
+    t = (code.codebook.re < 0).astype(np.uint8)
+    chars = (char_sign_matrix(code.codebook.domain) < 0).astype(np.uint8)
+    bits = t[:, None, None, :] ^ chars[:, None, :] ^ np.array([[0], [1]], np.uint8)
+    packed = np.packbits(bits, axis=-1, bitorder="little").reshape(code.size, -1)
+    words = np.zeros((code.size, 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<u8").ravel().astype(np.uint64)
+
+
+def distributions_by_popcount(words: np.ndarray, length: int) -> cd.DistributionReport:
+    """Exact A_i and B_i of uint64 words by popcount scan over all ordered
+    word pairs."""
+    m = len(words)
+    wvals, wcounts = np.unique(np.bitwise_count(words), return_counts=True)
+    weight = {int(v): int(c) for v, c in zip(wvals, wcounts)}
+    pair_counts = np.zeros(length + 1, dtype=np.int64)
+    block = max(1, (1 << 22) // m)
+    for i0 in range(0, m, block):
+        x = np.bitwise_xor(words[i0 : i0 + block, None], words[None, :])
+        pair_counts += np.bincount(np.bitwise_count(x).ravel(), minlength=length + 1)
+    if (pair_counts % m).any():
+        raise AssertionError("distance counts must be divisible by M")
+    distance = {i: int(c) // m for i, c in enumerate(pair_counts) if c}
+    return cd.DistributionReport(weight, distance)
+
+
+def is_linear_by_pairs(words) -> bool:
+    """XOR closure of a word set, one membership test per pair."""
+    ws = set(int(w) for w in words)
+    if 0 not in ws:
+        return False
+    lst = sorted(ws)
+    return all((a ^ b) in ws for i, a in enumerate(lst) for b in lst[i:])

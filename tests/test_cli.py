@@ -209,6 +209,13 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     ("codebook --kind complex --m 14", 2),
     ("codebook --kind semibent --n 13", 2),
     ("mub --m 14", 2),
+    ("code --m 14", 2),
+    ("code --n 13", 2),
+    # codes are bounded only by the block-entry cap; designs count every
+    # t-subset of at most 64 points
+    ("code --m 8", 0),
+    ("code --n 7", 0),
+    ("design --m 8 --k 120 --t 3", 2),
     # dense output past the entry cap, rejected before the scan
     ("codebook --m 12 --format csv --out /dev/null", 2),
     # semi-bent certification past its caps: full n <= 9, reduced n <= 15

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cyclicbent import codebook as cbk
+from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 from cyclicbent import boolfun as bf
@@ -270,13 +271,8 @@ def test_gram_matches_int64_oracle(im1_real, im2_real, data):
     assert cbk.imax_sq(cb) == max(pairs, Fraction(1, k))
 
 
-def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
-    # C(B, 2) kernel rows for a real codebook of B blocks, 2 C(B, 2) for a
-    # complex one, and no call of walsh or walsh_many
-    f6 = cn.kerdock_fn(6)
-    cases = [*zip(_stock_codebooks(), (28, 28, 28, 56, 28)),
-             (cbk.build_real_codebook(f6), 496),
-             (cbk.mub_to_codebook(cbk.build_mub(f6)), 992)]
+def _kernel_rows(monkeypatch) -> list:
+    """Count the rows of each Walsh kernel call; fail on walsh or walsh_many."""
     rows = []
     kernel = bf._hadamard_rows
 
@@ -285,15 +281,44 @@ def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
         return kernel(x)
 
     def forbidden(*args):
-        pytest.fail("imax_sq called a Walsh entry point")
+        pytest.fail("a block scan called a Walsh entry point")
 
     monkeypatch.setattr(bf, "_hadamard_rows", counted)
     monkeypatch.setattr(bf, "walsh", forbidden)
     monkeypatch.setattr(bf, "walsh_many", forbidden)
+    return rows
+
+
+def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
+    # C(B, 2) kernel rows for a real codebook of B blocks, 2 C(B, 2) for a
+    # complex one, and no call of walsh or walsh_many
+    f6 = cn.kerdock_fn(6)
+    cases = [*zip(_stock_codebooks(), (28, 28, 28, 56, 28)),
+             (cbk.build_real_codebook(f6), 496),
+             (cbk.mub_to_codebook(cbk.build_mub(f6)), 992)]
+    rows = _kernel_rows(monkeypatch)
     for cb, want in cases:
         rows.clear()
         cbk.imax_sq(cb)
         assert sum(rows) == want
+
+
+def test_code_scans_transform_closed_form_row_counts(monkeypatch):
+    # B + C(B, 2) kernel rows for the distributions of a code of B blocks,
+    # B for a support design, and no call of walsh or walsh_many
+    ctx = mk_field(5)
+    codes = [cd.build_code_f(cn.kerdock_fn(4)), cd.build_code_f(cn.kerdock_fn(6)),
+             cd.build_code_g(cn.derive_semibent(cn.kerdock_fn(4), 0)),
+             cd.build_code_g(bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3))))]
+    rows = _kernel_rows(monkeypatch)
+    for code, n_blocks, k in zip(codes, (8, 32, 8, 32), (6, 28, 4, 12)):
+        assert code.codebook.n_blocks == n_blocks
+        rows.clear()
+        cd.weight_distance_distributions(code)
+        assert sum(rows) == n_blocks + n_blocks * (n_blocks - 1) // 2
+        rows.clear()
+        assert cd.support_design(code, k, 2).passed
+        assert sum(rows) == n_blocks
 
 
 # -- imax_sq on block pairs against the masked-tile oracle on the dense rows ----------
@@ -464,7 +489,8 @@ def test_sizes_past_the_entry_cap_are_rejected_before_certifying(monkeypatch):
     ctx = mk_field(13)
     g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     for build, arg in ((cbk.build_real_codebook, f), (cbk.build_mub, f),
-                       (cbk.build_semibent_codebook, g)):
+                       (cbk.build_semibent_codebook, g), (cd.build_code_f, f),
+                       (cd.build_code_g, g)):
         with pytest.raises(ValueError, match="cap"):
             build(arg)
 

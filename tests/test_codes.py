@@ -12,13 +12,21 @@ The design lambdas below were frozen from the exhaustive coverage counts
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
+from cyclicbent import codebook as cbk
 from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
 
-from oracles import code_f_by_labels, code_g_by_labels, is_linear_by_pairs
+from oracles import (
+    code_f_by_labels,
+    code_g_by_labels,
+    distributions_by_popcount,
+    is_linear_by_pairs,
+    packed_words,
+)
 
 
 def trace_cube(n):
@@ -46,11 +54,23 @@ def test_code_f_requires_normalized_certified():
         cd.build_code_f(f)
 
 
+def _is_self_complementary(code) -> bool:
+    words = packed_words(code)
+    return set(words ^ np.uint64((1 << code.length) - 1)) == set(words)
+
+
+def _code(domain, tables) -> cd.NonlinearCode:
+    """The code of the real codebook with the block tables t_b (0/1 rows)."""
+    signs = (1 - 2 * np.asarray(tables, dtype=np.int8)).reshape(-1, domain.size)
+    return cd.NonlinearCode(cbk.Codebook(domain, signs, np.zeros_like(signs)))
+
+
 def test_code_f_self_complementary_distinct_labels():
-    code = cd.build_code_f(cn.kerdock_fn(4))
-    assert code.is_self_complementary()
-    assert len(set(int(w) for w in code.words)) == 256
-    assert len(code.labels) == 256
+    # the 256 labels (a, lam, u, v) give 256 distinct words
+    f = cn.kerdock_fn(4)
+    code = cd.build_code_f(f)
+    assert _is_self_complementary(code)
+    assert len(np.unique(code_f_by_labels(f))) == code.size == 256
 
 
 def test_code_f_m4_designs():
@@ -66,13 +86,13 @@ def test_code_f_m4_designs():
 
 
 def test_design_failure_witness():
-    # two blocks on 5 points that do not cover pairs evenly
-    words = np.array([0b00111, 0b11100], dtype=np.uint64)
-    code = cd.NonlinearCode(5, words, [(0,), (1,)])
+    # one block, the indicator of the origin of GF(8): its weight-3 words
+    # are the nonzero points of the seven hyperplanes, the lines of the Fano
+    # plane, so no block meets the origin and every other pair lies on one
+    code = _code(bf.Domain(mk_field(3)), np.eye(8, dtype=np.uint8)[:1])
     r = cd.support_design(code, 3, 2)
-    assert not r.passed and r.lam is None
-    subset, got, expected = r.witness
-    assert len(subset) == 2 and got != expected
+    assert not r.passed and r.lam is None and r.blocks == 7
+    assert r.witness == ((1, 2), 1, 0)
     with pytest.raises(ValueError, match="no codewords"):
         cd.support_design(code, 4, 2)
 
@@ -128,82 +148,135 @@ def test_code_g_design_strengths_n5_nonlinear_member():
 
 
 def test_distribution_trivial_code():
-    words = np.array([0b00, 0b11], dtype=np.uint64)
-    code = cd.NonlinearCode(2, words, [('a',), ('b',)])
+    # the zero block on GF(2): RM(1) of length 2 is every word
+    code = _code(bf.Domain(mk_field(1)), [[0, 0]])
     rep = cd.weight_distance_distributions(code)
-    assert rep.weight == {0: 1, 2: 1}
-    assert rep.distance == {0: 1, 2: 1}
-
-
-def test_code_json_export():
-    code = cd.build_code_g(trace_cube(3))
-    obj = code.to_json_obj()
-    assert obj["length"] == 8 and obj["size"] == 128
-    assert len(obj["words_hex"]) == 128
-    assert all(len(h) == 2 for h in obj["words_hex"])
+    assert rep.weight == {0: 1, 1: 2, 2: 1}
+    assert rep.distance == {0: 1, 1: 2, 2: 1}
+    assert rep == distributions_by_popcount(packed_words(code), 2)
+    assert code.is_linear()
 
 
 def test_code_f_m6_self_complementary():
     code = cd.build_code_f(cn.kerdock_fn(6))
-    assert code.is_self_complementary()
+    assert _is_self_complementary(code)
 
 
 @pytest.fixture(scope="module")
 def stock_codes():
-    """C(f) at m = 4, 6 (Kerdock) and C(g) at n = 3, 5 (trace cube)."""
+    """C(f) at m = 4, 6 (Kerdock) and C(g) at n = 3, 5 (trace cube, and the
+    nonlinear restriction of the m = 6 Kerdock function at n = 5)."""
     out = {("f", m): cd.build_code_f(cn.kerdock_fn(m)) for m in (4, 6)}
     out.update({("g", n): cd.build_code_g(trace_cube(n)) for n in (3, 5)})
+    out["g", "restricted"] = cd.build_code_g(cn.derive_semibent(cn.kerdock_fn(6), 0))
     return out
 
 
 def test_closed_form_weights_match_computed_distributions(stock_codes):
-    for (kind, size), code in stock_codes.items():
-        want = cd.expected_weights_f(size) if kind == "f" else cd.expected_weights_g(size)
+    for (kind, _), code in stock_codes.items():
+        n = code.length.bit_length() - 1
+        want = cd.expected_weights_f(n) if kind == "f" else cd.expected_weights_g(n)
         assert cd.weight_distance_distributions(code).weight == want
         assert sum(want.values()) == code.size
 
 
-def _hand_built_word_sets():
+def test_distributions_match_popcount_oracle(stock_codes):
+    for code in stock_codes.values():
+        want = distributions_by_popcount(packed_words(code), code.length)
+        assert cd.weight_distance_distributions(code) == want
+
+
+def _hand_built_block_sets():
+    """Block tables on GF(16), named by the set of their coset leaders read
+    as words: the indicators of points off the origin and the unit vectors
+    are leaders, independent modulo RM(1)."""
+    dom = bf.Domain(mk_field(4))
     rng = np.random.default_rng(2024)
-    top = np.uint64(1 << 63)
-    basis = np.append(rng.integers(0, 1 << 62, 5, dtype=np.uint64), top)
-    span = np.zeros(1, dtype=np.uint64)
+    e = np.eye(16, dtype=np.uint8)[[3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15]]
+    basis = np.stack([e[0] ^ e[1] ^ e[4], e[2] ^ e[3], e[5] ^ e[6] ^ e[7] ^ e[8], e[9]])
+    span = np.zeros((1, 16), dtype=np.uint8)
     for v in basis:
         span = np.concatenate([span, span ^ v])
-    outside = np.uint64(1 << 62)  # not in the span: every basis word is below 2^62 or 2^63
-    return {
+    outside = e[10]  # not in the span: no basis table meets point 15
+    chars = bf.char_bits(dom)
+    moved = rng.permutation(span) ^ chars[rng.integers(0, 16, 16)] ^ rng.integers(0, 2, (16, 1))
+    sets = {
         "linear": (span, True),
-        "linear, shuffled with duplicates": (rng.permutation(np.tile(span, 3)), True),
-        "zero word alone": (np.zeros(1, dtype=np.uint64), True),
-        "one word added": (np.append(span, outside), False),
-        "one word replaced": (np.append(span[:-1], outside), False),
+        "linear, shuffled with different coset representatives": (moved, True),
+        "zero word alone": (span[:1], True),
+        "one word added": (np.vstack([span, outside]), False),
+        "one word replaced": (np.vstack([span[:-1], outside]), False),
         "coset, no zero word": (span ^ outside, False),
         "two nonzero words": (basis[:2], False),
-        "dependent words and their sum missing": (np.array([0, 3, 5, 6, 9], np.uint64), False),
+        "dependent words and their sum missing":
+            (np.stack([0 * e[0], e[0] ^ e[1], e[0] ^ e[2], e[1] ^ e[2], e[0] ^ e[3]]), False),
     }
+    return dom, sets
 
 
-@pytest.mark.parametrize("name", list(_hand_built_word_sets()))
+@pytest.mark.parametrize("name", list(_hand_built_block_sets()[1]))
 def test_is_linear_matches_pairwise_closure_on_hand_built_sets(name):
-    words, linear = _hand_built_word_sets()[name]
-    code = cd.NonlinearCode(64, words, [()] * len(words))
+    dom, sets = _hand_built_block_sets()
+    tables, linear = sets[name]
+    code = _code(dom, tables)
     assert code.is_linear() is linear
-    assert is_linear_by_pairs(code) is linear
+    assert is_linear_by_pairs(packed_words(code)) is linear
 
 
 def test_is_linear_matches_pairwise_closure_on_stock_codes(stock_codes):
     for code in stock_codes.values():
-        assert code.is_linear() == is_linear_by_pairs(code)
+        assert code.is_linear() == is_linear_by_pairs(packed_words(code))
 
 
-# -- the orbit-row builders against the per-label builders they replaced -------------
+def test_code_rejects_duplicate_cosets_and_complex_codebooks():
+    dom = bf.Domain(mk_field(2), True)  # K = 8
+    t = np.zeros((1, 8), dtype=np.uint8)
+    t[0, 3] = 1
+    with pytest.raises(ValueError, match="not distinct"):
+        _code(dom, np.vstack([t, t ^ bf.char_bits(dom)[5] ^ 1]))
+    re = np.ones((1, 8), dtype=np.int8)
+    with pytest.raises(ValueError, match="real codebook"):
+        cd.NonlinearCode(cbk.Codebook(dom, re - 1, re))
+    with pytest.raises(ValueError, match="real codebook"):
+        cd.NonlinearCode(cbk.Codebook(dom, re[:0], re[:0]))
 
 
-def _assert_same_code(got, want):
-    assert got.words.dtype == want.words.dtype == np.uint64
-    assert np.array_equal(got.words, want.words)
-    assert got.labels == want.labels
-    assert got.to_json_obj() == want.to_json_obj()
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_code_matches_popcount_oracle_on_hand_built_blocks(data):
+    # random block tables over GF(2^d) and GF(2^d) x GF(2), d <= 4: the
+    # spectral distributions and rank linearity against the packed words,
+    # and a block sharing a coset with another rejected.  Most such codes
+    # are not distance invariant, and some have B_i outside the integers
+    dom = bf.Domain(mk_field(data.draw(st.integers(1, 4))), data.draw(st.booleans()))
+    k = dom.size
+    n_blocks = data.draw(st.integers(1, 4))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n_blocks * k, max_size=n_blocks * k))
+    tables = np.array(bits, dtype=np.uint8).reshape(n_blocks, k)
+    lam, c = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, 1))
+    moved = tables[data.draw(st.integers(0, n_blocks - 1))] ^ bf.char_bits(dom)[lam] ^ c
+    with pytest.raises(ValueError, match="not distinct"):
+        _code(dom, np.vstack([tables, moved]))
+    # the words of the set, one block at a time (one block always builds)
+    words = np.concatenate([packed_words(_code(dom, t)) for t in tables])
+    if len(np.unique(words)) < len(words):
+        with pytest.raises(ValueError, match="not distinct"):
+            _code(dom, tables)
+        return
+    code = _code(dom, tables)
+    assert np.array_equal(packed_words(code), words)
+    assert code.is_linear() is is_linear_by_pairs(words)
+    try:
+        want = distributions_by_popcount(words, k)
+    except AssertionError:
+        # B_i is not an integer: both routes refuse it
+        with pytest.raises(AssertionError, match="divisible"):
+            cd.weight_distance_distributions(code)
+    else:
+        assert cd.weight_distance_distributions(code) == want
+
+
+# -- the spectral code against the per-label builders --------------------------------
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -212,7 +285,8 @@ def test_code_f_matches_label_builder(m):
     # GF(2)), so the second input is the cyclic bent, normalized f(3 x1, x2)
     kerdock = cn.kerdock_fn(m)
     for f in (kerdock, bf.scale_compose(kerdock, 3, 0)):
-        _assert_same_code(cd.build_code_f(f), code_f_by_labels(f))
+        got = packed_words(cd.build_code_f(f))
+        assert np.array_equal(np.sort(got), np.sort(code_f_by_labels(f)))
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -220,4 +294,5 @@ def test_code_f_matches_label_builder(m):
 def test_code_g_matches_label_builder(n, i):
     ctx = mk_field(n)
     g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
-    _assert_same_code(cd.build_code_g(g), code_g_by_labels(g))
+    got = packed_words(cd.build_code_g(g))
+    assert np.array_equal(np.sort(got), np.sort(code_g_by_labels(g)))
