@@ -43,7 +43,8 @@ MAX_BLOCK_ENTRIES = 1 << 23
 # full; the real codebook at m = 10, (2^9 + 1) 2^20 entries, fits.
 MAX_ENTRIES = 1 << 30
 # float32 values per Walsh kernel call in the block-pair scan, counting two
-# parts per pair: real and imaginary, or a real part and its float64 squares
+# parts per pair: real and imaginary, or a real part and the room of its
+# float64 squares in imax_sq
 _PAIR_BATCH = 1 << 22
 
 
@@ -176,10 +177,10 @@ class Codebook:
 
 
 def _block_pair_spectra(cb: Codebook) -> Iterator[np.ndarray]:
-    """float64 |W(s_a conj(s_b))|^2 for the block pairs a < b in order, one
-    array of shape (pairs, K) per Walsh kernel call, which transforms one
-    part per pair when the codebook is real and the real and imaginary
-    parts when complex.  Memory is bounded by the batch, not by C(B, 2)."""
+    """float32 Walsh spectra of s_a conj(s_b) for the block pairs a < b in
+    order, one array of shape (parts, pairs, K) per Walsh kernel call: the
+    real part alone when the codebook is real, the real and imaginary parts
+    when complex.  Memory is bounded by the batch, not by C(B, 2)."""
     k, n = cb.length, cb.n_blocks
     real = cb.is_real()
     rows = max(1, _PAIR_BATCH // (2 * k))
@@ -190,12 +191,16 @@ def _block_pair_spectra(cb: Codebook) -> Iterator[np.ndarray]:
             if not real:
                 parts[0] += cb.im[a] * cb.im[b]
                 parts.append(cb.im[a] * cb.re[b] - cb.re[a] * cb.im[b])
-            w = bf._hadamard_rows(np.stack(parts))
-            # |W| <= 2^24, so the squares and their sum are exact in float64
-            mag = np.square(w[0], dtype=np.float64)
-            for part in w[1:]:
-                mag += np.square(part, dtype=np.float64)
-            yield mag
+            yield bf._hadamard_rows(np.stack(parts))
+
+
+def _max_sq(w: np.ndarray) -> int:
+    """max |W|^2 over a batch of _block_pair_spectra, summed over its parts;
+    |W| <= 2^24, so the squares and their sum are exact in float64."""
+    sq = np.square(w[0], dtype=np.float64)
+    for part in w[1:]:
+        sq += np.square(part, dtype=np.float64)
+    return int(sq.max())
 
 
 def imax_sq(cb: Codebook) -> Fraction:
@@ -207,7 +212,7 @@ def imax_sq(cb: Codebook) -> Fraction:
     a Walsh value of s_a conj(s_b), and lam + mu runs over every dual point.
     """
     k = cb.length
-    best = max((int(sq.max()) for sq in _block_pair_spectra(cb)), default=0)
+    best = max(map(_max_sq, _block_pair_spectra(cb)), default=0)
     return max(Fraction(best, k * k), Fraction(int(cb.n_blocks > 0), k))
 
 

@@ -182,8 +182,7 @@ def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
     v, n = code.length, cb.n_blocks
     rows = max(1, cbk._PAIR_BATCH // v)
     weight = _split((np.abs(bf._hadamard_rows(cb.re[b : b + rows])) for b in range(0, n, rows)), v)
-    # sqrt is exact on the perfect squares |W|^2 < 2^53
-    dist = 2 * _split((np.sqrt(sq, out=sq) for sq in cbk._block_pair_spectra(cb)), v)
+    dist = 2 * _split((np.abs(w[0], out=w[0]) for w in cbk._block_pair_spectra(cb)), v)
     dist[[0, v // 2, v]] += n * np.array([1, 2 * v - 2, 1])
     if (dist % n).any():
         raise AssertionError("distance counts must be divisible by B")

@@ -19,10 +19,9 @@ kind, the eps axis and the witness shape.  Both gather their pair sums from
 the orbit rows of boolfun.orbit_tables, Walsh-transform them in batches of
 about 2^22 values and return the first sum that is not bent (even m) or
 semi-bent (odd n).  Memory
-is bounded by the batch at every m.  The reduced certifiers can hand the
-spectra they compute to an OrbitReducer, so that statistics built from the
-same orbit sums (the sequence-family correlations) need no transform of
-their own.
+is bounded by the batch at every m.  A certifier returns its certificate
+and nothing else: every object built from a certified function is checked
+from what it stores, not from the certifier's spectra.
 
 Cost control: full bent mode is O(4^m) Walsh transforms and is capped at
 m <= 8; reduced mode is allowed to m <= 16.
@@ -30,15 +29,13 @@ m <= 8; reduced mode is allowed to m <= 16.
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from cyclicbent import boolfun as bf
-from cyclicbent.boolfun import BoolFun, Domain, WalshClass, WalshSpectrum
+from cyclicbent.boolfun import BoolFun, Domain, WalshClass
 from cyclicbent.gf2 import GF2m, mk_field
 
 FULL_MODE_MAX_M = 8
@@ -246,26 +243,7 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 _BATCH_VALUES = 1 << 22
 
 
-class OrbitReducer(Protocol):
-    """Receives the spectra a reduced certifier computes anyway.
-
-    generator(spec) gets the spectrum of f (or g) itself.  sums(w, scalars)
-    gets the float32 spectra of f + f(c x1, x2) (bent) or g + g(c x)
-    (semi-bent), one row per scalar c in ``scalars`` (field elements outside
-    {0, 1}), in natural bit order: the value at dual point (lam, nu) is at
-    index dual_index_table()[lam] + nu 2^{m-1}.  Only batches whose sums all
-    pass are handed on, one call at a time, in an order that depends on the
-    batch schedule; when the certificate passes, every c in 2 .. q-1 has
-    arrived exactly once.
-    """
-
-    def generator(self, spec: WalshSpectrum) -> None: ...
-
-    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None: ...
-
-
-def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1, *,
-                   reducer=None) -> int:
+def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int:
     """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
 
     sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
@@ -273,12 +251,10 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1, *,
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
     Batches are independent, so the scan parallelizes; the min-reduction
     keeps the result (and hence any witness) deterministic regardless of
-    schedule.  reducer(w, cases), when given, is called under a lock with
-    the float32 spectra of every batch that passes.
+    schedule.
     """
     batch = max(1, _BATCH_VALUES >> n_vars)
     peak = 1 << ((n_vars + 1) // 2)
-    lock = threading.Lock()
 
     def first_bad(start: int) -> int:
         stop = min(start + batch, n_cases)
@@ -286,17 +262,12 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1, *,
         signs = np.multiply(rows, np.float32(-2), dtype=np.float32)
         signs += 1  # (-1)^rows, built in the float32 the transform runs in
         w = bf.walsh_many(signs)
-        mag = np.abs(w, out=w if reducer is None else None)
+        mag = np.abs(w, out=w)
         ok = mag == peak
         if n_vars % 2:
             ok |= mag == 0
         bad = np.flatnonzero(~ok.all(axis=1))
-        if len(bad):
-            return start + int(bad[0])
-        if reducer is not None:
-            with lock:
-                reducer(w, np.arange(start, stop))
-        return -1
+        return start + int(bad[0]) if len(bad) else -1
 
     starts = range(0, n_cases, batch)
     if threads <= 1 or len(starts) <= 1:
@@ -328,29 +299,23 @@ def _certify_full(f: BoolFun, threads: int) -> CyclicCertificate:
     return CyclicCertificate(kind, "full", False, bad, witness)
 
 
-def _certify_reduced(f: BoolFun, threads: int,
-                     reducer: OrbitReducer | None) -> CyclicCertificate:
-    """Check f, then scan f + f(c .) for c = 2 .. q-1 (case c - 2), handing
-    f's spectrum and each passing batch to reducer.  A field-times-bit
-    domain is the bent case (witness (1, b, 0)), a plain field the
-    semi-bent case (witness (1, b))."""
+def _certify_reduced(f: BoolFun, threads: int) -> CyclicCertificate:
+    """Check f, then scan f + f(c .) for c = 2 .. q-1 (case c - 2).  A
+    field-times-bit domain is the bent case (witness (1, b, 0)), a plain
+    field the semi-bent case (witness (1, b))."""
     if f.domain.with_bit:
         kind, walsh_class, tail = "bent", WalshClass.BENT, (0,)
     else:
         kind, walsh_class, tail = "semi-bent", WalshClass.SEMI_BENT, ()
-    spec = bf.walsh(f)
-    if bf.classify(spec) is not walsh_class:
+    if bf.classify(bf.walsh(f)) is not walsh_class:
         # f + f(0 .) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
         return CyclicCertificate(kind, "reduced", False, 0, (1, 0) + tail)
-    if reducer is not None:
-        reducer.generator(spec)
 
     def sum_rows(start: int, stop: int) -> np.ndarray:
         return f.table ^ bf.orbit_tables(f, range(start + 2, stop + 2))
 
-    hook = None if reducer is None else (lambda w, cases: reducer.sums(w, cases + 2))
     q = f.domain.ctx.order
-    bad = _first_failure(q - 2, sum_rows, f.n_vars, threads, reducer=hook)
+    bad = _first_failure(q - 2, sum_rows, f.n_vars, threads)
     if bad >= 0:
         return CyclicCertificate(kind, "reduced", False, 1 + bad, (1, bad + 2) + tail)
     return CyclicCertificate(kind, "reduced", True, q - 1)
@@ -369,14 +334,12 @@ def is_cyclic_bent_full(f: BoolFun, threads: int = 1) -> CyclicCertificate:
     return _certify_full(f, threads)
 
 
-def is_cyclic_bent_reduced(f: BoolFun, *,
-                           reducer: OrbitReducer | None = None) -> CyclicCertificate:
+def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
     """Certify via the affine-difference criterion: f bent and f + f(b.) bent
     for all b outside GF(2).
 
     Raises AffineDifferenceError when f(x1,x2+1)+f(x1,x2) is not of the form
-    tr(lam x1) + nu, in which case the reduction does not apply.  reducer
-    (see OrbitReducer) receives the spectrum of f and of every sum.
+    tr(lam x1) + nu, in which case the reduction does not apply.
     """
     m = f.n_vars
     if m % 2 != 0 or not f.domain.with_bit:
@@ -388,35 +351,29 @@ def is_cyclic_bent_reduced(f: BoolFun, *,
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "
             "does not apply"
         )
-    return _certify_reduced(f, 1, reducer)
+    return _certify_reduced(f, 1)
 
 
-def certify_cyclic_bent(f: BoolFun, mode: str = "auto", *,
-                        reducer: OrbitReducer | None = None) -> CyclicCertificate:
-    """Dispatch to the reduced certifier when its hypothesis holds, else full.
-
-    Only the reduced route feeds reducer; the certificate's mode tells
-    which route ran.
-    """
+def certify_cyclic_bent(f: BoolFun, mode: str = "auto") -> CyclicCertificate:
+    """Dispatch to the reduced certifier when its hypothesis holds, else
+    full; the certificate's mode tells which route ran."""
     if mode == "reduced":
-        return is_cyclic_bent_reduced(f, reducer=reducer)
+        return is_cyclic_bent_reduced(f)
     if mode == "full":
         return is_cyclic_bent_full(f)
     if mode != "auto":
         raise ValueError(f"unknown mode {mode!r}")
     try:
-        return is_cyclic_bent_reduced(f, reducer=reducer)
+        return is_cyclic_bent_reduced(f)
     except AffineDifferenceError:
         return is_cyclic_bent_full(f)
 
 
-def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1, *,
-                       reducer: OrbitReducer | None = None) -> CyclicCertificate:
+def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1) -> CyclicCertificate:
     """Certify g(ax)+g(bx) semi-bent for all a != b on GF(2^n), n odd.
 
     reduced mode uses homogeneity: it checks g itself and g + g(c.) for all
-    c outside {0, 1}, handing those spectra to reducer (see OrbitReducer);
-    full mode scans every ordered pair and does not feed reducer.  Raises
+    c outside {0, 1}; full mode scans every ordered pair.  Raises
     ValueError past n = SEMIBENT_REDUCED_MAX_N (reduced) or
     SEMIBENT_FULL_MAX_N (full).
     """
@@ -430,7 +387,7 @@ def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1, *,
     if g.n_vars > cap:
         raise ValueError(f"{mode} semi-bent certification capped at n <= {cap}, got n = {g.n_vars}")
     if mode == "reduced":
-        return _certify_reduced(g, threads, reducer)
+        return _certify_reduced(g, threads)
     return _certify_full(g, threads)
 
 

@@ -12,20 +12,21 @@ Three families are built:
   function.
 
 Sequence values are Gaussian integers held as separate re/im integer
-vectors; correlations are exact integers.  Every correlation value of the
-three families is a Walsh value of an orbit sum f + f(c x1, x2 + e)
-(g + g(c x) for the semi-bent family) or of f (g) itself, shifted and
-halved.  The reduced certifier transforms exactly those sums (e = 0), so
-each builder certifies its function once with an orbit reducer that turns
-the certifier's spectra into the family's exact histogram (CorrDist): q - 1
-transforms of length 2q, shared with certification, in place of S^2 k^2
-products.  The e = 1 sums need no transform: under the reduced hypothesis
-f(x1, x2+1) + f(x1, x2) = tr(lam0 x1) + nu0 their spectra are those of
-e = 0 with the dual point shifted by lam0 c and the sign (-1)^nu0.  The
-direct scan over all member pairs and shifts (``_scan``) remains for
-hand-built families and for a quaternary generator outside the reduced
-hypothesis.  The closed-form correlation distributions are available as
-expected_* functions so measured histograms can be checked against them.
+vectors; correlations are exact integers.  Each family is its first member
+s_0 times characters: s_lam(t) = s_0(t) chi_lam(y_t), where t -> y_t is a
+bijection of the shifts onto the nonzero points of the field (or of the
+field times GF(2) for the interleaved family) and a shift by tau multiplies
+y_t by a field element c.  So every correlation between character members
+is one Walsh value of the shift product V_tau(t) = s_0(t + tau) conj(s_0(t))
+placed at y_t, at the dual point lam c + lam'.  Each builder certifies its
+function, builds its members, checks once that they have this layout, and
+attaches the exact histogram (CorrDist) from one batched scan of the stored
+first member: one Walsh kernel row per shift, plus one for s_0 itself
+against the m-sequence member, in place of S^2 k^2 products.  The direct
+scan over all member pairs and shifts (``_scan``) remains for hand-built
+families and as the oracle.  The closed-form correlation distributions are
+available as expected_* functions so measured histograms can be checked
+against them.
 
 beta is always the context generator (the class of x of the default
 modulus): distributions are independent of the choice of primitive element,
@@ -35,9 +36,11 @@ raw sequences are not, and fixing beta makes exports reproducible.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
@@ -55,7 +58,7 @@ class Member:
 @dataclass
 class SequenceFamily:
     """alphabet is "quaternary" or "binary".  dist is the distribution the
-    builders derive from the certifier's spectra; full_distribution scans the
+    builders read off the stored members; full_distribution scans the
     members when it is None (a hand-built family)."""
 
     alphabet: str
@@ -115,6 +118,19 @@ def _check_normalized(f: BoolFun):
         )
 
 
+def _characters(domain: bf.Domain, duals: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """int8 (-1)^{<dual, y_t>}, one row per dual point in duals (spectrum
+    indices) and one column per sample t, whose domain point y_t is at pos[t]."""
+    return 1 - 2 * np.take(bf.char_bits(domain)[duals], pos, axis=1).astype(np.int8)
+
+
+def _field_layout(ctx) -> tuple[np.ndarray, np.ndarray]:
+    """Positions y_t = beta^t (field indices) for t < q - 1, and the
+    characters chi_lam(beta^t), one row per lam."""
+    pos = ctx.generator_powers(np.arange(ctx.order - 1))
+    return pos, _characters(bf.Domain(ctx), np.arange(ctx.order), pos)
+
+
 def quaternary_family(f: BoolFun) -> SequenceFamily:
     """U_f: s_lam(t) = A(1, beta^t) (-1)^{tr(lam beta^t)} plus the binary s_inf.
 
@@ -122,22 +138,16 @@ def quaternary_family(f: BoolFun) -> SequenceFamily:
     integer.  Requires f cyclic bent and normalized.
     """
     _check_normalized(f)
-    ctx = f.domain.ctx
-    diff = cn.affine_bit_difference(f)  # (lam0, 0): f is normalized
-    tally = None if diff is None else _QuaternaryTally(ctx, diff[0])
-    cn.require_cyclic_bent(f, cn.certify_cyclic_bent(f, reducer=tally))
-    q = ctx.order
-    period = q - 1
+    cn.require_cyclic_bent(f)
+    q = f.domain.ctx.order
+    pos, chars = _field_layout(f.domain.ctx)
     are, aim = quaternary_entry_arrays(f, 1)
-    powers = ctx.generator_powers(np.arange(period))
-    s = 1 - 2 * ctx.trace_pairing()[:, powers].astype(np.int8)  # row lam
-    re, im = are[powers] * s, aim[powers] * s
+    re, im = are[pos] * chars, aim[pos] * chars
     members = [Member(str(lam), re[lam], im[lam]) for lam in range(q)]
-    s_inf = (1 - 2 * ctx.trace_table(1)[powers]).astype(np.int8)
-    members.append(Member("inf", s_inf, np.zeros(period, dtype=np.int8)))
-    return SequenceFamily(
-        "quaternary", period, members, None if tally is None else tally.dist()
-    )
+    members.append(Member("inf", chars[1], np.zeros(q - 1, dtype=np.int8)))
+    fam = SequenceFamily("quaternary", q - 1, members)
+    fam.dist = _field_dist(fam, pos, chars)
+    return fam
 
 
 def binary_family(f: BoolFun) -> SequenceFamily:
@@ -152,29 +162,24 @@ def binary_family(f: BoolFun) -> SequenceFamily:
     _check_normalized(f)
     if cn.affine_bit_difference(f) != (1, 0):
         raise ValueError("binary family needs f(x1,0)+f(x1,1) = tr(x1)")
+    cn.require_cyclic_bent(f)
     ctx = f.domain.ctx
-    tally = _BinaryTally(ctx)
-    cn.require_cyclic_bent(f, cn.certify_cyclic_bent(f, reducer=tally))
     q = ctx.order
-    m = f.n_vars
-    half_period = q - 1
-    period = 2 * half_period
-    offset = 1 << (m - 2)  # beta^{2^{m-2}} shift on the odd samples
-    powers = ctx.generator_powers(np.arange(half_period))
-    powers_off = ctx.generator_powers(np.arange(half_period) + offset)
+    period = 2 * (q - 1)
+    # sample t sits at (x_t, b_t) = (beta^{t 2^{-1}}, t mod 2), where
+    # 2^{-1} = 2^{m-2} mod q - 1 is the half-period offset of the odd samples
+    t = np.arange(period)
+    x = ctx.generator_powers(t * (q // 2))
+    pos = (t % 2) * q + x
     lams = np.flatnonzero(ctx.trace_table(1) == 0)
-    pairing = ctx.trace_pairing()[lams]
-    bits = np.empty((2, len(lams), period), dtype=np.int8)  # [nu, lam, t]
-    bits[:, :, 0::2] = f.table[:q][powers] ^ pairing[:, powers]
-    bits[:, :, 1::2] = f.table[q:][powers_off] ^ pairing[:, powers_off]
-    bits[1, :, 1::2] ^= 1
-    vals = 1 - 2 * bits
-    members = [
-        Member(f"{lam},{nu}", vals[nu, i], np.zeros(period, dtype=np.int8))
-        for nu in (0, 1)
-        for i, lam in enumerate(lams)
-    ]
-    return SequenceFamily("binary", period, members, tally.dist())
+    chars = _characters(f.domain, np.concatenate([lams, q + lams]), pos)  # (lam, nu), nu-major
+    vals = (1 - 2 * f.table[pos].astype(np.int8)) * chars
+    labels = [f"{lam},{nu}" for nu in (0, 1) for lam in lams]
+    zeros = np.zeros(period, dtype=np.int8)
+    members = [Member(label, v, zeros) for label, v in zip(labels, vals)]
+    fam = SequenceFamily("binary", period, members)
+    fam.dist = _interleaved_dist(fam, pos, chars)
+    return fam
 
 
 def semibent_family(g: BoolFun) -> SequenceFamily:
@@ -187,172 +192,197 @@ def semibent_family(g: BoolFun) -> SequenceFamily:
         raise ValueError(f"semi-bent families need n >= 3, got n = {g.n_vars}")
     if int(g.table[0]) != 0:
         raise ValueError("family needs g(0) = 0")
-    ctx = g.domain.ctx
-    tally = _SemibentTally(ctx)
-    cn.require_cyclic_semibent(g, cn.is_cyclic_semibent(g, "reduced", reducer=tally))
-    q = ctx.order
-    period = q - 1
-    powers = ctx.generator_powers(np.arange(period))
-    vals = 1 - 2 * (g.table[powers] ^ ctx.trace_pairing()[:, powers]).astype(np.int8)
-    members = [
-        Member(str(lam), vals[lam], np.zeros(period, dtype=np.int8)) for lam in range(q)
-    ]
-    s_inf = (1 - 2 * ctx.trace_table(1)[powers]).astype(np.int8)
-    members.append(Member("inf", s_inf, np.zeros(period, dtype=np.int8)))
-    return SequenceFamily("binary", period, members, tally.dist())
+    cn.require_cyclic_semibent(g)
+    q = g.domain.ctx.order
+    pos, chars = _field_layout(g.domain.ctx)
+    vals = (1 - 2 * g.table[pos].astype(np.int8)) * chars
+    zeros = np.zeros(q - 1, dtype=np.int8)
+    members = [Member(str(lam), vals[lam], zeros) for lam in range(q)]
+    members.append(Member("inf", chars[1], zeros))
+    fam = SequenceFamily("binary", q - 1, members)
+    fam.dist = _field_dist(fam, pos, chars)
+    return fam
 
 
-# -- distributions from the certifier's orbit spectra --------------------------------
+# -- distributions from the stored members -------------------------------------------
+
+# Shift products go through the Walsh kernel about this many values at a
+# time, and their spectra are counted about _COUNT_VALUES values at a time,
+# so no temporary grows with the period.
+_SCAN_VALUES = 1 << 22
+_COUNT_VALUES = 1 << 16
 
 
-def _value_counts(*arrays: np.ndarray) -> dict[tuple[int, ...], int]:
-    """Counts of the tuples (a[i], b[i], ...) over integer-valued arrays of one shape.
+def _check_layout(fam: SequenceFamily, chars: np.ndarray, inf: np.ndarray | None) -> None:
+    """Raise ValueError unless the first member has unit symbols, member j
+    is the first member times chars[j] for each row j, and (when inf is
+    given) one more member follows, the real sequence inf."""
+    s, body = fam.members[0], fam.members[: len(chars)]
+    if not (np.all(np.abs(s.re) + np.abs(s.im) == 1)
+            and len(fam.members) == len(chars) + (inf is not None)
+            and np.array_equal(np.array([mem.re for mem in body]), s.re * chars)
+            and np.array_equal(np.array([mem.im for mem in body]), s.im * chars)):
+        raise ValueError("members must be the first member, of unit symbols, times their characters")
+    if inf is not None and not (np.array_equal(fam.members[-1].re, inf)
+                                and not fam.members[-1].im.any()):
+        raise ValueError("the last member must be the m-sequence chi_1(beta^t)")
 
-    Each array is replaced by the ranks of its distinct values, found with one
-    bincount over its own range (at most 2^{n+1} + 1 wide for a Walsh
-    spectrum), so the joint bincount has one cell per combination of distinct
-    values: at most 3 per array on the certified spectra that reach it, never
-    a cell per possible correlation value.
-    """
-    values, key = [], 0
-    for a in arrays:
-        a = a.astype(np.int64).ravel()  # a copy, so the shift below is safe
-        lo = int(a.min())
-        a -= lo
-        seen = np.bincount(a) > 0
-        values.append(np.flatnonzero(seen) + lo)
-        key = key * len(values[-1]) + (np.cumsum(seen) - 1)[a]
-    joint = np.bincount(key)
-    out = {}
-    for cell in np.flatnonzero(joint):
-        idx = np.unravel_index(cell, [len(v) for v in values])
-        out[tuple(int(v[i]) for v, i in zip(values, idx))] = int(joint[cell])
+
+def _placed(s: Member, pos: np.ndarray, n: int) -> np.ndarray:
+    """int8 (2, n): the real and imaginary parts of s, s[t] at pos[t], 0 elsewhere."""
+    out = np.zeros((2, n), dtype=np.int8)
+    out[:, pos] = s.re, s.im
     return out
 
 
-class _OrbitTally:
-    """Correlation histogram of a family, accumulated from the spectra a
-    reduced certifier hands on (construct.OrbitReducer).
+def _scan_shifts(s: Member, pos: np.ndarray, n: int, cplx: bool, groups) -> None:
+    """For each (taus, consume) in groups, hand consume the float32 Walsh
+    spectra (natural order) of the shift products V_tau(t) = s(t + tau)
+    conj(s(t)), tau in taus, about _SCAN_VALUES values per kernel call.  Row
+    tau holds V_tau(t) at pos[t] of length n, 0 elsewhere, and when cplx
+    Im V_tau on a second half of length n.  Rows are built in one buffer,
+    and no spectrum outlives its consume call."""
+    k = len(s.re)
+    c, d = _placed(s, pos, n)
+    at = np.zeros(n, dtype=np.intp)
+    at[pos] = np.arange(k)  # the sample at each position; any where c = d = 0
+    # win[:, tau, t] = (Re, Im) s(t + tau), a view
+    win = sliding_window_view(np.tile(np.stack([s.re, s.im]), 2), k, axis=1)
+    width = 2 * n if cplx else n
+    rows = min(max(len(taus) for taus, _ in groups), max(1, _SCAN_VALUES // width))
+    buf = np.empty((rows, width), dtype=np.float32)
+    for taus, consume in groups:
+        for lo in range(0, len(taus), len(buf)):
+            tau = taus[lo : lo + len(buf)]
+            v = buf[: len(tau)]
+            a = win[0, tau][:, at]
+            np.multiply(a, c, out=v[:, :n])
+            if cplx:
+                b = win[1, tau][:, at]
+                v[:, :n] += b * d
+                np.multiply(b, c, out=v[:, n:])
+                v[:, n:] -= a * d
+            consume(bf._hadamard_rows(v))
 
-    For the shift tau the scalar is c = beta^tau.  Subclasses map the
-    spectrum of the generator and of every sum with c outside {0, 1} to
-    correlation values with their multiplicities; they add in closed form
-    what the certifier does not transform: c = 1, whose sum is the zero
-    function (W = 2^n at the origin, 0 elsewhere), and the m-sequence
-    against itself (k at shift 0, -1 elsewhere).
+
+def _count(counts: Counter, weight: int, *parts: np.ndarray) -> None:
+    """Add weight to counts[(a, b, ...)] for each index at which parts[0],
+    parts[1], ... read a, b, ...: integer-valued arrays of one 2-D shape.
+
+    Rows are taken about _COUNT_VALUES values at a time, so no int64
+    temporary grows with the kernel batch.  Within them every part but the
+    last is replaced by the ranks of its distinct values, so the joint
+    bincount has one cell per distinct value of the leading parts and per
+    value in the range of the last: never one per pair of possible values.
     """
-
-    def __init__(self, size: int, period: int):
-        self.size, self.period = size, period
-        self.counts: dict[tuple[int, int], int] = {}
-
-    def add(self, value: tuple[int, int], n: int) -> None:
-        self.counts[value] = self.counts.get(value, 0) + n
-
-    def generator(self, spec: bf.WalshSpectrum) -> None:
-        pass
-
-    def dist(self) -> CorrDist:
-        """The histogram, checked to count every (member, member, shift) once,
-        with r_max_sq taken off the size own zero-shift peaks (value k)."""
-        total = self.size * self.size * self.period
-        counts = {v: n for v, n in self.counts.items() if n}
-        if sum(counts.values()) != total:
-            raise RuntimeError(f"orbit tally counted {sum(counts.values())} values, not {total}")
-        off_peak = dict(counts)
-        off_peak[(self.period, 0)] = off_peak.get((self.period, 0), 0) - self.size
-        r_max = max((a * a + b * b for (a, b), n in off_peak.items() if n), default=0)
-        return CorrDist(counts, total, r_max)
+    step = max(1, _COUNT_VALUES // parts[0].shape[1])
+    for lo in range(0, len(parts[0]), step):
+        key, values = 0, []
+        for p in parts:
+            a = p[lo : lo + step].astype(np.int64).ravel()
+            base = int(a.min())
+            a -= base
+            if p is parts[-1]:
+                values.append(np.arange(int(a.max()) + 1) + base)
+                key = key * len(values[-1]) + a
+            else:
+                seen = np.bincount(a) > 0
+                values.append(np.flatnonzero(seen) + base)
+                key = key * len(values[-1]) + (np.cumsum(seen) - 1)[a]
+        joint = np.bincount(key)
+        cells = np.flatnonzero(joint)
+        idx = np.unravel_index(cells, [len(v) for v in values])
+        for value, n in zip(zip(*(v[i].tolist() for v, i in zip(values, idx))), joint[cells].tolist()):
+            counts[value] += weight * n
 
 
-class _QuaternaryTally(_OrbitTally):
-    """R_{lam,lam'}(tau) = W0(mu, 0)/2 - 1 - i W1(mu, 1)/2 at mu = lam c + lam',
-    with W0, W1 the spectra of f + f(c x1, x2) and f + f(c x1, x2 + 1);
-    lam against inf is W_f(mu, 0)/2 - 1 + i W_f(mu, 1)/2 and inf against lam
-    its conjugate, mu running over the field for every tau.  The reduced
-    hypothesis f(x1, x2+1) + f(x1, x2) = tr(lam0 x1) (nu0 = 0 for a
-    normalized f) gives W1(mu, nu) = W0(mu + lam0 c, nu), an XOR of the
-    natural-order index with dual_index_table()[lam0 c].
+def _gaussian(key: tuple[int, ...]) -> tuple[int, int]:
+    """The correlation value of a counted key: (W,) for a real row, or the
+    spectrum (W0, W1) = (W_re + W_im, W_re - W_im) of a row that holds the
+    real part on its first half and the imaginary part on its second."""
+    return (key[0] + key[-1]) // 2, (key[0] - key[-1]) // 2
+
+
+def _corr_dist(counts: Counter, size: int, period: int) -> CorrDist:
+    """The histogram, checked to count every (member, member, shift) once,
+    with r_max_sq taken off the size own zero-shift peaks (value period)."""
+    total = size * size * period
+    counts = {v: n for v, n in counts.items() if n}
+    if sum(counts.values()) != total:
+        raise RuntimeError(f"shift-product scan counted {sum(counts.values())} values, not {total}")
+    off_peak = dict(counts)
+    off_peak[(period, 0)] = off_peak.get((period, 0), 0) - size
+    r_max = max((a * a + b * b for (a, b), n in off_peak.items() if n), default=0)
+    return CorrDist(counts, total, r_max)
+
+
+def _field_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -> CorrDist:
+    """The quaternary and semi-bent families: s_lam = s_0 chi_lam(beta^t) for
+    lam over the field, then inf = chi_1(beta^t).
+
+    R_{lam,lam'}(tau) = W(V_tau)(lam beta^tau + lam'), and at each shift
+    the dual point runs over the field q times as (lam, lam') does: q per
+    dual point of the k shift spectra.  lam against inf is
+    W(s_0)(lam + beta^{-tau}) and inf against lam its conjugate, so k
+    copies of W(s_0) and of its conjugate.  inf against itself is the
+    autocorrelation of the stored row.
     """
+    _check_layout(fam, chars, chars[1])
+    k, s, inf = fam.period, fam.members[0], fam.members[-1].re
+    q = k + 1
+    cplx = fam.alphabet == "quaternary"
 
-    def __init__(self, ctx, lam0: int):
-        q = ctx.order
-        k = q - 1
-        super().__init__(q + 1, k)
-        self.q = q
-        self.shift = ctx.dual_index_table()[ctx.mul_table(lam0)]
-        # c = 1 (the q own peaks at mu = 0, -1 elsewhere) and inf against itself
-        self.add((k, 0), q + 1)
-        self.add((-1, 0), q * k + k - 1)
+    def halves(w):
+        return (w[:, :q], w[:, q:]) if cplx else (w,)
 
-    def generator(self, spec: bf.WalshSpectrum) -> None:
-        q, k = self.q, self.period
-        for (a, b), n in _value_counts(spec.values[:q], spec.values[q:]).items():
-            self.add((a // 2 - 1, b // 2), k * n)
-            self.add((a // 2 - 1, -b // 2), k * n)
-
-    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None:
-        q = self.q
-        w1 = np.take_along_axis(w, q + (np.arange(q) ^ self.shift[scalars][:, None]), axis=1)
-        for (a, b), n in _value_counts(w[:, :q], w1).items():
-            self.add((a // 2 - 1, -b // 2), q * n)
+    spectra = Counter()
+    _scan_shifts(s, pos, q, cplx, [(np.arange(k), lambda w: _count(spectra, q, *halves(w)))])
+    placed = _placed(s, pos, q)
+    own = halves(bf._hadamard_rows(placed.reshape(1, -1) if cplx else placed[:1]))
+    _count(spectra, k, *own)
+    _count(spectra, k, *own[::-1])  # swapped halves: the conjugate
+    counts = Counter()
+    for key, n in spectra.items():
+        counts[_gaussian(key)] += n
+    wins = sliding_window_view(np.concatenate([inf, inf]).astype(np.int32), k)[:k]
+    for v, n in zip(*np.unique(wins @ inf.astype(np.int32), return_counts=True)):
+        counts[(int(v), 0)] += int(n)
+    return _corr_dist(counts, fam.size, k)
 
 
-class _BinaryTally(_OrbitTally):
-    """Members (lam, nu) with tr(lam) = 0.  At the even shift 2 tau0 (c =
-    beta^tau0) R = W0(mu, e) - 1 - (-1)^e, at the odd shift 2 tau0 + 1 (c =
-    beta^{tau0 + 2^{m-2}}) R = (-1)^nu W1(mu, e) - (-1)^nu - (-1)^nu', with
-    e = nu + nu' and mu = lam c + lam'.  For c != 1, mu runs over the field
-    q/4 times per (nu, nu'), and W1(., e) (lam0 = 1, nu0 = 0) has the values
-    of W0(., e); so W0(., 0) = a gives a - 2 with weight 3q/4 and 2 - a with
-    q/4, and W0(., 1) = a gives a with 3q/4 and -a with q/4.
+def _interleaved_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -> CorrDist:
+    """The interleaved binary family: s_{lam,nu}(t) = s_{0,0}(t)
+    (-1)^{tr(lam x_t) + nu b_t} for lam over the trace-0 hyperplane H and nu
+    in GF(2), with (x_t, b_t) the point at pos[t].
+
+    The shift tau takes (x_t, b_t) to (c x_t, b_t + tau), c = beta^{tau/2}
+    (tau 2^{-1} mod q - 1), so R_{(lam,nu),(lam',nu')}(tau) =
+    (-1)^{nu tau} W(V_tau)(lam c + lam', nu + nu').  For c != 1, lam c + lam'
+    runs over the field q/4 times; for c = 1 (tau = 0 or q - 1) it runs over
+    H, the even natural-order dual indices, q/2 times.  Each dual point
+    (mu, e) is reached from nu = 0 and from nu = 1: twice with the same
+    value at an even shift, and with each sign once at an odd shift.
     """
+    _check_layout(fam, chars, None)
+    k, s = fam.period // 2, fam.members[0]
+    q = k + 1
+    even, odd = Counter(), Counter()
 
-    def __init__(self, ctx):
-        q = ctx.order
-        super().__init__(q, 2 * (q - 1))
-        self.q = q
-        h = q // 2  # members per nu
-        # c = 1, even shift: mu runs over the trace-0 hyperplane h times; the
-        # q own peaks, -2 at the other mu when nu = nu', 0 when nu != nu'
-        self.add((self.period, 0), q)
-        self.add((-2, 0), q * (h - 1))
-        self.add((0, 0), 2 * h * h)
-        # c = 1, odd shift: W1 is the spectrum of tr(x1), zero on the hyperplane
-        self.add((-2, 0), h * h)
-        self.add((2, 0), h * h)
-        self.add((0, 0), 2 * h * h)
+    def group(taus, counts, cols, weight):
+        return taus, lambda w: _count(counts, weight, w[:, cols])
 
-    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None:
-        q = self.q
-        for e in (0, 1):
-            for (a,), n in _value_counts(w[:, e * q : (e + 1) * q]).items():
-                v = a - 2 if e == 0 else a
-                self.add((v, 0), 3 * q // 4 * n)
-                self.add((-v, 0), q // 4 * n)
-
-
-class _SemibentTally(_OrbitTally):
-    """R_{lam,lam'}(tau) = W(lam c + lam') - 1 with W the spectrum of
-    g + g(c x); lam against inf and inf against lam are W_g(mu) - 1, mu
-    running over the field for every tau."""
-
-    def __init__(self, ctx):
-        q = ctx.order
-        k = q - 1
-        super().__init__(q + 1, k)
-        self.q = q
-        # c = 1 (the q own peaks at mu = 0, -1 elsewhere) and inf against itself
-        self.add((k, 0), q + 1)
-        self.add((-1, 0), q * k + k - 1)
-
-    def generator(self, spec: bf.WalshSpectrum) -> None:
-        for (a,), n in _value_counts(spec.values).items():
-            self.add((a - 1, 0), 2 * self.period * n)
-
-    def sums(self, w: np.ndarray, scalars: np.ndarray) -> None:
-        for (a,), n in _value_counts(w).items():
-            self.add((a - 1, 0), self.q * n)
+    # the hyperplane H is the even columns
+    _scan_shifts(s, pos, 2 * q, False, [group(np.array([0]), even, slice(0, None, 2), q // 2),
+                                        group(np.arange(2, 2 * k, 2), even, slice(None), q // 4),
+                                        group(np.array([k]), odd, slice(0, None, 2), q // 2),
+                                        group(np.r_[1:k:2, k + 2 : 2 * k : 2], odd, slice(None), q // 4)])
+    dist = Counter()
+    for (v,), n in even.items():
+        dist[(v, 0)] += 2 * n
+    for (v,), n in odd.items():
+        dist[(v, 0)] += n
+        dist[(-v, 0)] += n
+    return _corr_dist(dist, fam.size, 2 * k)
 
 
 def correlate(s: Member, s2: Member, tau: int) -> tuple[int, int]:

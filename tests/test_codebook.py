@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from cyclicbent import codebook as cbk
 from cyclicbent import codes as cd
 from cyclicbent import construct as cn
+from cyclicbent import seqfam as sf
 from cyclicbent.gf2 import mk_field
 from cyclicbent import boolfun as bf
 
@@ -301,6 +302,32 @@ def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
         rows.clear()
         cbk.imax_sq(cb)
         assert sum(rows) == want
+
+
+def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
+    # each builder certifies its function with q - 1 rows through walsh and
+    # walsh_many, then scans k + 1 kernel rows of its stored members for the
+    # quaternary and semi-bent families (one per shift, one for s_0) and 2k
+    # for the interleaved binary family of period 2k
+    kernel_rows, walsh_rows = [], []
+    kernel, walsh, walsh_many = bf._hadamard_rows, bf.walsh, bf.walsh_many
+    monkeypatch.setattr(bf, "_hadamard_rows",
+                        lambda x: kernel_rows.append(int(np.prod(np.shape(x)[:-1]))) or kernel(x))
+    monkeypatch.setattr(bf, "walsh", lambda f: walsh_rows.append(1) or walsh(f))
+    monkeypatch.setattr(bf, "walsh_many", lambda s: walsh_rows.append(len(s)) or walsh_many(s))
+    cases = []
+    for n in (3, 5):
+        ctx = mk_field(n)
+        f = cn.kerdock_fn(n + 1)
+        g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+        cases += [(sf.quaternary_family, f, ctx.order), (sf.binary_family, f, 2 * ctx.order - 2),
+                  (sf.semibent_family, g, ctx.order)]
+    for build, fn, scan_rows in cases:
+        kernel_rows.clear()
+        walsh_rows.clear()
+        build(fn)
+        assert sum(walsh_rows) == fn.domain.ctx.order - 1
+        assert sum(kernel_rows) - sum(walsh_rows) == scan_rows
 
 
 def test_code_scans_transform_closed_form_row_counts(monkeypatch):

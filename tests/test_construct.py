@@ -21,7 +21,6 @@ from oracles import (
     cyclic_bent_full_by_cases,
     cyclic_bent_reduced_by_rows,
     cyclic_semibent_by_cases,
-    wht_inplace,
 )
 
 
@@ -469,43 +468,3 @@ def test_walsh_rows_match_closed_forms(monkeypatch, small_batches):
         q = ctx.order
         assert transformed(cn.is_cyclic_semibent, g, "reduced") == q - 1
         assert transformed(cn.is_cyclic_semibent, g, "full") == q * (q - 1)
-
-
-class _Recorder:
-    """An OrbitReducer that keeps every spectrum it is handed, by scalar."""
-
-    def __init__(self):
-        self.spec, self.rows = None, {}
-
-    def generator(self, spec):
-        self.spec = spec
-
-    def sums(self, w, scalars):
-        for c, row in zip(scalars.tolist(), w):
-            assert c not in self.rows
-            self.rows[c] = row.copy()
-
-
-@pytest.mark.parametrize("small_batches", [False, True])
-@pytest.mark.parametrize("threads", [1, 3])
-def test_orbit_reducer_gets_each_sum_with_its_scalar(monkeypatch, small_batches, threads):
-    if small_batches:
-        monkeypatch.setattr(cn, "_BATCH_VALUES", 100)
-    ctx = mk_field(5)
-    f = cn.kerdock_fn(6)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
-    runs = [(f, bf.scale_compose, lambda rec: cn.certify_cyclic_bent(f, reducer=rec)),
-            (g, bf.scale_field, lambda rec: cn.is_cyclic_semibent(g, "reduced", threads,
-                                                                  reducer=rec))]
-    for fn, scale, certify in runs:
-        rec = _Recorder()
-        assert certify(rec).passed
-        assert np.array_equal(rec.spec.values, bf.walsh(fn).values)
-        assert sorted(rec.rows) == list(range(2, ctx.order))
-        for c, row in rec.rows.items():
-            signs = 1 - 2 * (fn.table ^ scale(fn, c).table).astype(np.int64)
-            assert np.array_equal(row, wht_inplace(signs))  # natural bit order
-    # a failing scan hands on only batches whose sums all passed
-    rec = _Recorder()
-    assert not cn.is_cyclic_bent_reduced(_bent_scan_corpus()[-1], reducer=rec).passed
-    assert all(np.all(np.abs(row) == 8) for row in rec.rows.values())

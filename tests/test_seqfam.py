@@ -6,9 +6,9 @@ by hand:
     semi-bent, n=3:   7 -> 9, -1 -> 310, 3 -> 186, -5 -> 62
 Each total is (family size)^2 * period = 81*7 = 567 = 567.
 
-The builders derive each distribution from the certifier's orbit spectra.
-Their oracle is the direct scan over all member pairs and shifts
-(``_scan``), whose oracle in turn is the per-pair loop of
+The builders read each distribution off one Walsh transform per shift of
+the stored first member.  Their oracle is the direct scan over all member
+pairs and shifts (``_scan``), whose oracle in turn is the per-pair loop of
 ``correlate``.  The Walsh-identity tests pin the maps both rest on: every
 correlation value is recomputed from spectra of f(x1,x2)+f(b x1,x2+eps)
 (quaternary / binary) or g(x)+g(beta^tau x) (semi-bent) and compared
@@ -274,7 +274,7 @@ def test_scan_rejects_non_unit_symbols():
         sf.full_distribution(fam)
 
 
-# -- orbit-spectra distributions against the scan -----------------------------------
+# -- shift-product distributions against the scan -----------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
@@ -309,64 +309,76 @@ def test_quaternary_spectra_of_scaled_generators_match_scan(data):
     assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
 
 
-def _feed_every_orbit_spectrum(f, scale, reducer):
-    """Stand-in certifier: hands the reducer every orbit spectrum, bent or not."""
-    q = f.domain.ctx.order
-    reducer.generator(bf.walsh(f))
-    sums = f.table ^ np.stack([scale(f, c).table for c in range(2, q)])
-    reducer.sums(bf.walsh_many(1 - 2 * sums.astype(np.float32)), np.arange(2, q))
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_orbit_tallies_match_scan_on_functions_that_are_not_bent(data):
-    # The maps from spectra to correlations need the reduced hypothesis, not
-    # bentness.  The spectra of random functions take many values, so a wrong
-    # pairing of values (a dropped XOR shift, a missing conjugate) shows,
-    # where the few values of bent spectra can hide it.
+def test_spectral_distributions_match_scan_on_functions_that_are_not_bent(data):
+    # The shift-product scan needs the family's layout, not bentness.  The
+    # spectra of random functions take many values, so a wrong pairing of
+    # values (a missing conjugate, a wrong multiplicity) shows, where the few
+    # values of bent spectra can hide it.  The quaternary generator's
+    # x2-difference is arbitrary.
     kind = data.draw(st.sampled_from(["quaternary", "binary", "semibent"]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     ctx = mk_field(data.draw(st.sampled_from([3, 5])))
     q = ctx.order
-    table = rng.integers(0, 2, q).astype(np.uint8)
-    table[0] = 0
+    table = rng.integers(0, 2, (2, q)).astype(np.uint8)
+    table[:, 0] = 0
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cn, "require_cyclic_bent", lambda f: None)
+        mp.setattr(cn, "require_cyclic_semibent", lambda g: None)
         if kind == "semibent":
-            def certify(g, mode, *, reducer):
-                _feed_every_orbit_spectrum(g, bf.scale_field, reducer)
-                return cn.CyclicCertificate("semi-bent", "reduced", True, q - 1)
-
-            mp.setattr(cn, "is_cyclic_semibent", certify)
-            fam = sf.semibent_family(bf.BoolFun(bf.Domain(ctx), table))
+            fam = sf.semibent_family(bf.BoolFun(bf.Domain(ctx), table[0]))
         else:
-            def certify(f, *, reducer):
-                _feed_every_orbit_spectrum(f, bf.scale_compose, reducer)
-                return cn.CyclicCertificate("bent", "reduced", True, q - 1)
-
-            mp.setattr(cn, "certify_cyclic_bent", certify)
-            lam0 = 1 if kind == "binary" else data.draw(st.integers(0, q - 1))
-            table = np.concatenate([table, table ^ ctx.trace_pairing()[lam0]])
-            f = bf.BoolFun(bf.Domain(ctx, with_bit=True), table)
+            if kind == "binary":
+                table[1] = table[0] ^ ctx.trace_table(1)
+            f = bf.BoolFun(bf.Domain(ctx, with_bit=True), table.ravel())
             fam = (sf.binary_family if kind == "binary" else sf.quaternary_family)(f)
     assert _key(fam.dist) == _key(sf._scan(fam))
 
 
-def test_quaternary_outside_reduced_hypothesis_falls_back_to_scan(monkeypatch):
+@pytest.mark.parametrize("m", [4, 6])
+def test_quaternary_outside_reduced_hypothesis_carries_its_distribution(monkeypatch, m):
+    # f is certified in full mode; its family's distribution is read off the
+    # members all the same, and no direct scan runs
     monkeypatch.setattr(cn, "affine_bit_difference", lambda f: None)
+    assert cn.certify_cyclic_bent(kerdock(m)).mode == "full"
     scans = []
     scan = sf._scan
-
-    def counted(fam):
-        scans.append(fam.size)
-        return scan(fam)
-
-    monkeypatch.setattr(sf, "_scan", counted)
-    fam = sf.quaternary_family(kerdock(4))
-    assert fam.dist is None
+    monkeypatch.setattr(sf, "_scan", lambda fam: scans.append(fam.size) or scan(fam))
+    fam = sf.quaternary_family(kerdock(m))
     dist = sf.full_distribution(fam)
-    assert scans == [9]
-    assert dist.counts == sf.expected_quaternary_distribution(4)
-    assert _key(dist) == correlation_scan_by_pairs(fam)
+    assert scans == []
+    assert dist.counts == sf.expected_quaternary_distribution(m)
+    assert _key(dist) == _key(scan(fam))
+
+
+_TAMPERED = {
+    "quaternary-3": (lambda: sf.quaternary_family(kerdock(4)), 3),
+    "quaternary-inf": (lambda: sf.quaternary_family(kerdock(4)), 8),
+    "binary-5": (lambda: sf.binary_family(kerdock(4)), 5),
+    "semibent-first": (lambda: sf.semibent_family(trace_cube(3)), 0),
+    "semibent-inf": (lambda: sf.semibent_family(trace_cube(3)), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERED))
+def test_builders_reject_a_tampered_member(monkeypatch, name):
+    # one symbol of one member times -1: still a unit, but no longer the
+    # first member times a character (or the m-sequence)
+    build, index = _TAMPERED[name]
+    made = []
+    member = sf.Member
+
+    def tampered(label, re, im):
+        if len(made) == index:
+            re, im = re.copy(), im.copy()
+            re[0], im[0] = -re[0], -im[0]
+        made.append(label)
+        return member(label, re, im)
+
+    monkeypatch.setattr(sf, "Member", tampered)
+    with pytest.raises(ValueError, match="member"):
+        build()
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
@@ -392,19 +404,16 @@ def test_semibent_family_meets_closed_form(n):
     assert dist.r_max_sq == (1 + (1 << ((n + 1) // 2))) ** 2
 
 
-def test_orbit_tallies_do_not_depend_on_the_batch_schedule(monkeypatch):
-    g = trace_cube(5)
-
-    def semibent_tally(threads):
-        tally = sf._SemibentTally(g.domain.ctx)
-        assert cn.is_cyclic_semibent(g, "reduced", threads, reducer=tally).passed
-        return _key(tally.dist())
-
-    whole = semibent_tally(1)
-    fam = sf.quaternary_family(kerdock(6))
-    monkeypatch.setattr(cn, "_BATCH_VALUES", 100)  # 3 sums a batch at n = 5, 1 at m = 6
-    assert semibent_tally(1) == semibent_tally(3) == whole
-    assert _key(sf.quaternary_family(kerdock(6)).dist) == _key(fam.dist)
+def test_spectral_distributions_do_not_depend_on_the_batch_schedule(monkeypatch):
+    builds = [lambda: sf.quaternary_family(kerdock(6)), lambda: sf.binary_family(kerdock(6)),
+              lambda: sf.semibent_family(trace_cube(5))]
+    whole = [_key(build().dist) for build in builds]
+    # from one to nine shifts per kernel call and rows per count (rows of 32
+    # or 64 values), with ragged last batches
+    for batch in (100, 300):
+        monkeypatch.setattr(sf, "_SCAN_VALUES", batch)
+        monkeypatch.setattr(sf, "_COUNT_VALUES", batch)
+        assert [_key(build().dist) for build in builds] == whole
 
 
 def test_semibent_family_needs_three_variables():
