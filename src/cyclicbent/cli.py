@@ -78,20 +78,25 @@ def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
     for raw in text.replace(" ", "").split("+"):
         if not raw:
             continue
-        coef = 1
-        body = raw
-        if "*" in raw:
-            c, body = raw.split("*", 1)
-            coef = int(c, 0)
+        c, star, body = raw.rpartition("*")
+        try:
+            coef = int(c, 0) if star else 1
+        except ValueError:
+            raise ValueError(f"coefficient {c!r} of term {raw!r} is not an integer") from None
+        if not 0 <= coef < ctx.order:
+            raise ValueError(f"coefficient {coef} of term {raw!r} is outside [0, {ctx.order})")
         if body == "x":
             exp = 1
         elif body.startswith("x^"):
-            exp = int(body[2:], 0)
+            try:
+                exp = int(body[2:], 0)
+            except ValueError:
+                raise ValueError(f"exponent of term {raw!r} is not an integer") from None
         else:
             raise ValueError(f"cannot parse linearized term {raw!r}")
+        if exp < 1 or exp & (exp - 1):
+            raise ValueError(f"exponent {exp} of term {raw!r} is not a power of two")
         i = exp.bit_length() - 1
-        if 1 << i != exp:
-            raise ValueError(f"exponent {exp} is not a power of two")
         terms[i] = terms.get(i, 0) ^ coef
     return lp.LinPoly.from_dict(ctx, terms)
 

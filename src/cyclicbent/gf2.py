@@ -390,6 +390,16 @@ class GF2m:
             raise ValueError(f"no antilog table above degree {LOG_TABLE_MAX_DEGREE}")
         return self._exp[np.asarray(t) % (self.order - 1)]
 
+    def discrete_logs(self, x) -> np.ndarray:
+        """log_beta x in [0, 2^d - 1) for every element index in x (any
+        shape), and -1 where x is 0, read from the log table."""
+        if self._log is None:
+            raise ValueError(f"no log table above degree {LOG_TABLE_MAX_DEGREE}")
+        x = np.asarray(x)
+        if x.size and (x.min() < 0 or x.max() >= self.order):
+            raise self._out_of_range(int(x.min()), int(x.max()))
+        return self._log[x]
+
     def __repr__(self):
         return f"GF2m(degree={self.degree}, modulus={bin(self.modulus)})"
 

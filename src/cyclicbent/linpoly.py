@@ -12,6 +12,10 @@ by the right Euclidean algorithm.
 
 The two routes to kernel dimensions - GF(2)-matrix rank and
 deg gcrd(l, x^m - 1) - are both first class; tests force their agreement.
+The characterization runs each route on a whole batch of phi_{L,tau} at
+once (``phi_kernel_dims``), in integer log/antilog arithmetic on the
+field's tables; ``skew_gcrd``, ``rdivmod`` and ``kernel_dim`` take one
+polynomial at a time, and decide the base condition.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclicbent.boolfun import BoolFun, Domain
-from cyclicbent.gf2 import GF2m, xor_rank
+from cyclicbent.gf2 import LOG_TABLE_MAX_DEGREE, GF2m, xor_rank
 
 
 @dataclass(frozen=True)
@@ -211,33 +215,142 @@ def gcrd_kernel_dim(L: LinPoly) -> int:
     return skew_gcrd(assoc(L), x_pow_m_minus_1(L.ctx)).degree
 
 
+# tau values per batch of the characterization scan: the rank route's
+# (T, m, m) block of basis-image terms is about 12 MB at m = 19
+_SCAN_TAUS = 1 << 12
+
+
+def _degrees(p: np.ndarray) -> np.ndarray:
+    """The degree of each row of a coefficient matrix, -1 for a zero row."""
+    nz = p != 0
+    return np.where(nz.any(1), p.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), -1)
+
+
+def _gcrd_degrees(b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """deg gcrd(b, x^m - 1) for each row of the (T, m + 1) coefficient
+    matrix b (deg b < m): the right Euclidean algorithm on all rows at once.
+
+    Each step swaps the rows where deg a < deg b, then cancels the leading
+    term of a with (q x^k) b, k = deg a - deg b and q = lead a / (lead b)^{2^k},
+    whose coefficient on x^{j+k} is lead a (b_j / lead b)^{2^k}: a log sum
+    lead a + (log b_j - log lead b) 2^k mod 2^m - 1.  A row leaves when its
+    b is zero, with deg a.
+    """
+    t, w = b.shape
+    m, q1 = w - 1, len(exp)
+    a = np.zeros_like(b)
+    a[:, 0] = a[:, m] = 1
+    da, db = np.full(t, m), _degrees(b)
+    rows, out = np.arange(t), np.empty(t, dtype=np.int64)
+    col = np.arange(w)
+    while len(rows):
+        done = db < 0
+        out[rows[done]] = da[done]
+        a, b, da, db, rows = a[~done], b[~done], da[~done], db[~done], rows[~done]
+        sw = da < db
+        a[sw], b[sw] = b[sw], a[sw]
+        da, db = np.where(sw, db, da), np.where(sw, da, db)
+        r, k = np.arange(len(rows)), da - db
+        src = col - k[:, None]  # x^{j+k} of (q x^k) b reads b_j
+        lb = np.where(src >= 0, log[np.take_along_axis(b, np.maximum(src, 0), 1)], -1)
+        lead_a, lead_b = log[a[r, da]], lb[r, da]
+        frob = (np.left_shift(1, k) % q1)[:, None]
+        a ^= np.where(lb >= 0, exp[(lead_a[:, None] + (lb - lead_b[:, None]) * frob) % q1], 0)
+        da = _degrees(a)
+    return out
+
+
+def _rank_kernel_dims(c_log: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
+    """dim ker of sum_i c_i x^{2^i} for each row of the (T, m) coefficient
+    logs c_log (-1 for a zero coefficient): the images of the basis 2^j,
+    xor sums of the log sums c_log_i + 2^i log 2^j, then one xor elimination
+    over the m bit positions for all rows."""
+    t, m = c_log.shape
+    q1 = len(exp)
+    frob = (np.left_shift(1, np.arange(m))[:, None] * log[np.left_shift(1, np.arange(m))]) % q1
+    terms = exp[(c_log[:, :, None] + frob) % q1]  # [tau, i, j] = c_i (2^j)^{2^i}
+    terms[c_log < 0] = 0
+    img = np.bitwise_xor.reduce(terms, axis=1)
+    r, rank = np.arange(t), np.zeros(t, dtype=np.int64)
+    for p in range(m):
+        bit = (img >> p) & 1 != 0
+        # the first image with bit p clears it from the others and itself
+        img ^= np.where(bit, img[r, bit.argmax(1)][:, None], 0)
+        rank += bit.any(1)
+    return m - rank
+
+
+def _field_logs(L: LinPoly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The log and antilog tables of L's field, and the logs of the
+    coefficients of L + L* (whose constant level a_0 + a_0 is 0, log -1)."""
+    ctx = L.ctx
+    log = ctx.discrete_logs(np.arange(ctx.order))
+    c = log[list(L.add(adjoint(L)).coeffs)]
+    return log, ctx.generator_powers(np.arange(ctx.order - 1)), c
+
+
+def _phi_dims(c: np.ndarray, taus: np.ndarray, path: str, log: np.ndarray,
+              exp: np.ndarray) -> np.ndarray:
+    """phi_kernel_dims on the tables and coefficient logs of _field_logs."""
+    m, q1 = len(c), len(exp)
+    one_plus = exp[(log[taus][:, None] * (np.left_shift(1, np.arange(m)) + 1)) % q1] ^ 1
+    c_log = np.where((c >= 0) & (one_plus > 0), (c + log[one_plus]) % q1, -1)
+    if path == "rank":
+        return _rank_kernel_dims(c_log, log, exp)
+    b = np.zeros((len(taus), m + 1), dtype=np.int64)
+    b[:, :m] = np.where(c_log >= 0, exp[c_log], 0)
+    return _gcrd_degrees(b, log, exp)
+
+
+def phi_kernel_dims(L: LinPoly, taus, path: str = "gcrd") -> np.ndarray:
+    """dim ker phi_{L,tau} for every tau in taus (outside GF(2)), all at once.
+
+    path 'gcrd' takes deg gcrd(phi_{L,tau}, x^m - 1), path 'rank' the GF(2)
+    kernel dimension; both read the coefficients c_i (1 + tau^{2^i+1}) as
+    discrete logs, so they need the field's log tables (m <= 20).
+    """
+    if path not in ("gcrd", "rank"):
+        raise ValueError(f"unknown path {path!r}")
+    taus = np.asarray(taus, dtype=np.int64)
+    if np.any((taus < 2) | (taus >= L.ctx.order)):
+        raise ValueError("tau must lie outside GF(2)")
+    log, exp, c = _field_logs(L)
+    return _phi_dims(c, taus, path, log, exp)
+
+
 def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, dict]:
-    """Decide whether q(x) = tr(x L(x)) is cyclic semi-bent (m odd).
+    """Decide whether q(x) = tr(x L(x)) is cyclic semi-bent (m odd, m <= 19).
 
     Condition (1): deg gcrd(l + l*, x^m - 1) = 1.
     Condition (2): deg gcrd(phi_{l,tau}, x^m - 1) = 1 for every tau outside GF(2).
     path 'rank' replaces each gcrd degree with the GF(2) kernel dimension of
     the matching linearized polynomial; the two must agree everywhere.
+    Condition (2) is decided _SCAN_TAUS values of tau at a time
+    (phi_kernel_dims), stopping at the first batch with a failure and
+    reporting its smallest tau.
     """
     ctx = L.ctx
     m = ctx.degree
     if m % 2 == 0:
         raise ValueError("the characterization needs odd m")
+    if m > LOG_TABLE_MAX_DEGREE:
+        raise ValueError(f"the characterization reads the field's log tables, which "
+                         f"exist for m <= {LOG_TABLE_MAX_DEGREE}; got m = {m}")
     if path not in ("gcrd", "rank"):
         raise ValueError(f"unknown path {path!r}")
 
-    def dim_of(lp: LinPoly) -> int:
-        return gcrd_kernel_dim(lp) if path == "gcrd" else kernel_dim(lp)
-
     base = L.add(adjoint(L))
-    d0 = dim_of(base)
+    d0 = gcrd_kernel_dim(base) if path == "gcrd" else kernel_dim(base)
     report = {"path": path, "base_dim": d0, "tau_failures": []}
     ok = d0 == 1
     if ok:
-        for tau in range(2, ctx.order):
-            d = dim_of(phi_l_tau(L, tau))
-            if d != 1:
-                report["tau_failures"].append((tau, d))
+        log, exp, c = _field_logs(L)
+        for lo in range(2, ctx.order, _SCAN_TAUS):
+            taus = np.arange(lo, min(lo + _SCAN_TAUS, ctx.order))
+            dims = _phi_dims(c, taus, path, log, exp)
+            bad = np.flatnonzero(dims != 1)
+            if len(bad):
+                report["tau_failures"].append((int(taus[bad[0]]), int(dims[bad[0]])))
                 ok = False
                 break
     report["verdict"] = ok

@@ -206,22 +206,26 @@ def semibent_family(g: BoolFun) -> SequenceFamily:
 
 # -- distributions from the stored members -------------------------------------------
 
-# Shift products go through the Walsh kernel about this many values at a
-# time, and their spectra are counted about _COUNT_VALUES values at a time,
-# so no temporary grows with the period.
+# Shift products go through the Walsh kernel, and members are checked
+# against their layout, about this many values at a time, and the spectra
+# are counted about _COUNT_VALUES values at a time, so no temporary grows
+# with the period.
 _SCAN_VALUES = 1 << 22
 _COUNT_VALUES = 1 << 16
 
 
 def _check_layout(fam: SequenceFamily, chars: np.ndarray, inf: np.ndarray | None) -> None:
     """Raise ValueError unless the first member has unit symbols, member j
-    is the first member times chars[j] for each row j, and (when inf is
-    given) one more member follows, the real sequence inf."""
+    is the first member times chars[j] for each row j (compared
+    _SCAN_VALUES values at a time), and (when inf is given) one more member
+    follows, the real sequence inf."""
     s, body = fam.members[0], fam.members[: len(chars)]
+    step = max(1, _SCAN_VALUES // len(s.re))
     if not (np.all(np.abs(s.re) + np.abs(s.im) == 1)
             and len(fam.members) == len(chars) + (inf is not None)
-            and np.array_equal(np.array([mem.re for mem in body]), s.re * chars)
-            and np.array_equal(np.array([mem.im for mem in body]), s.im * chars)):
+            and all(np.array_equal(np.array([getattr(mem, part) for mem in body[lo : lo + step]]),
+                                   getattr(s, part) * chars[lo : lo + step])
+                    for lo in range(0, len(chars), step) for part in ("re", "im"))):
         raise ValueError("members must be the first member, of unit symbols, times their characters")
     if inf is not None and not (np.array_equal(fam.members[-1].re, inf)
                                 and not fam.members[-1].im.any()):

@@ -6,7 +6,8 @@ shortcuts in the hot loop beyond plain context arithmetic).  The exception
 is the routes the library replaced, kept as references: the sequential
 log-table loop, the per-scalar orbit compositions, the per-point trace
 and dual-index tables, the squaring-chain evaluation, elimination rank and
-per-point quadratic form of linearized polynomials, the int64 Walsh
+per-point quadratic form of linearized polynomials, the per-tau loop of the
+quadratic semi-bent characterization, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
 transform), the dense Gram route of the codebook scans (int64 Grams on the
 materialized rows, masked tiles, every cross-basis Gram of a MUB set), the
@@ -27,6 +28,7 @@ from cyclicbent import codebook as cbk
 from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent import gf2
+from cyclicbent import linpoly as lp
 from cyclicbent import seqfam as sf
 from cyclicbent.boolfun import BoolFun
 
@@ -230,6 +232,25 @@ def quad_form_by_points(L) -> BoolFun:
     """tr(x L(x)), one trace and one product per x."""
     ctx = L.ctx
     return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, linpoly_eval_by_squaring(L, x))))
+
+
+def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]:
+    """The gcrd characterization with one scalar skew gcrd (or GF(2) rank)
+    of phi_{L,tau} per tau, stopping at the first failing tau."""
+    dim_of = lp.gcrd_kernel_dim if path == "gcrd" else lp.kernel_dim
+    ctx = L.ctx
+    d0 = dim_of(L.add(lp.adjoint(L)))
+    report = {"path": path, "base_dim": d0, "tau_failures": []}
+    ok = d0 == 1
+    if ok:
+        for tau in range(2, ctx.order):
+            d = dim_of(lp.phi_l_tau(L, tau))
+            if d != 1:
+                report["tau_failures"].append((tau, d))
+                ok = False
+                break
+    report["verdict"] = ok
+    return ok, report
 
 
 def correlation_scan_by_pairs(fam: sf.SequenceFamily):

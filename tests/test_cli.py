@@ -181,6 +181,8 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     # a linearized polynomial that does not parse
     ("charquad --m 5 --L y^3", 2),
     ("charquad --m 5 --L x^3", 2),
+    ("charquad --m 5 --L x^0", 2),
+    ("charquad --m 5 --L *x", 2),
     # a CSV export with nowhere to write it
     ("codebook --m 4 --format csv", 2),
     ("mub --m 4 --format csv", 2),
@@ -200,6 +202,9 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
       for flag in ("--chain 1,x", "--gamma 1,,9999")],
     ("charquad --m 4 --L x^2", 2),
     ("charquad --m 40 --L x^2", 2),
+    # the tau scan reads the log tables, which stop at m = 20
+    ("charquad --m 21 --L x^2", 2),
+    ("charquad --m 23 --L x^2", 2),
     ("verify --m 18 --mode reduced", 2),
     # the levels of a chain increase from 1 (-1 divides 9, but is no level)
     ("construct --m 10 --chain 1,-1,9 --gamma 1,0", 2),
@@ -231,6 +236,13 @@ def test_kind_and_size_flags(capsys, argv, code):
         assert captured.out == ""
     else:
         assert json.loads(captured.out)["command"] == argv.split()[0]
+
+
+@pytest.mark.parametrize("L", ["x^0", "*x", "x^3", "y^3", "99*x", "x^2^3", "x^2+2*x^6"])
+def test_linpoly_parse_errors_name_the_term(capsys, L):
+    assert main(["charquad", "--m", "5", "--L", L]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert repr(L.split("+")[-1]) in err
 
 
 @pytest.mark.parametrize("argv", [

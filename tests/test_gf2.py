@@ -204,6 +204,22 @@ def test_trace_pairing_and_generator_powers_match_loops():
         assert np.array_equal(ctx.generator_powers(t), generator_powers_by_pow(ctx, t))
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 8, 12])
+def test_discrete_logs_invert_generator_powers(d):
+    ctx = mk_field(d)
+    x = np.arange(ctx.order).reshape(-1, 1 << (d // 2))
+    logs = ctx.discrete_logs(x)
+    assert logs.shape == x.shape and logs[0, 0] == -1
+    assert np.all((logs.ravel()[1:] >= 0) & (logs.ravel()[1:] < ctx.order - 1))
+    assert np.array_equal(ctx.generator_powers(logs.ravel()[1:]), x.ravel()[1:])
+    assert [int(v) for v in logs.ravel()[1:20]] == [
+        next(t for t in range(ctx.order - 1) if ctx.pow(ctx.generator, t) == v)
+        for v in range(1, min(20, ctx.order))]
+    for bad in ([ctx.order], [-1, 1]):
+        with pytest.raises(ValueError, match="outside"):
+            ctx.discrete_logs(bad)
+
+
 @pytest.mark.parametrize("d", range(1, 17))
 def test_linear_tables_match_the_per_point_loops(d):
     ctx = mk_field(d)
@@ -219,6 +235,8 @@ def test_large_degree_no_log_tables():
     assert ctx._log is None
     with pytest.raises(ValueError, match="antilog"):
         ctx.generator_powers([1])
+    with pytest.raises(ValueError, match="log table"):
+        ctx.discrete_logs([1])
     a, b = 0x9A3F21, 0x45D1
     assert ctx.mul(a, b) == ctx.mul(b, a)
     assert ctx.mul(a, ctx.inv(a)) == 1

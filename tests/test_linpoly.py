@@ -6,6 +6,9 @@ right divisions):
     so gcrd(x + 1, x^3 + 1) = x + 1 and gcrd(x^2 + x, x^3 + 1) = x + 1.
 """
 
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +17,15 @@ from hypothesis import strategies as st
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent import linpoly as lp
+from cyclicbent.cli import main
 from cyclicbent.gf2 import mk_field
 
-from oracles import kernel_dim_by_elimination, linpoly_eval_by_squaring, quad_form_by_points
+from oracles import (
+    cyclic_semibent_quadratic_by_tau,
+    kernel_dim_by_elimination,
+    linpoly_eval_by_squaring,
+    quad_form_by_points,
+)
 
 
 def monomial(ctx, i, c=1):
@@ -321,3 +330,65 @@ def test_semibent_classification_equals_kernel_one():
             L = lp.LinPoly(ctx, tuple(int(rng.integers(0, ctx.order)) for _ in range(m)))
             semi = bf.is_semibent(lp.quad_form(L))
             assert semi == (lp.kernel_dim(L.add(lp.adjoint(L))) == 1)
+
+
+@st.composite
+def odd_linpolys(draw):
+    """A linearized polynomial over GF(2^m), m in {1, 3, 5, 7, 9}, most of
+    whose coefficients are zero or one, so that both verdicts and failures
+    at small and large tau all occur."""
+    ctx = mk_field(draw(st.sampled_from([1, 3, 5, 7, 9])))
+    coef = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    return lp.LinPoly(ctx, tuple(draw(coef) for _ in range(ctx.degree)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=odd_linpolys(), chunk=st.sampled_from([1, 7, 64, 1 << 12]))
+def test_batched_tau_scan_matches_the_per_tau_routes(L, chunk):
+    taus = np.arange(2, L.ctx.order)
+    phis = [lp.phi_l_tau(L, int(tau)) for tau in taus]
+    assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [lp.gcrd_kernel_dim(p) for p in phis]
+    assert lp.phi_kernel_dims(L, taus, "rank").tolist() == [lp.kernel_dim(p) for p in phis]
+    with mock.patch.object(lp, "_SCAN_TAUS", chunk):
+        for path in ("gcrd", "rank"):
+            assert lp.is_cyclic_semibent_quadratic(L, path) == cyclic_semibent_quadratic_by_tau(L, path)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_batched_tau_scan_at_even_m(m):
+    # phi_{L,tau} is defined for every m; only the characterization needs m odd
+    ctx = mk_field(m)
+    rng = np.random.default_rng(m)
+    taus = np.arange(2, ctx.order)
+    for _ in range(10):
+        L = lp.LinPoly(ctx, tuple(int(rng.integers(0, ctx.order)) for _ in range(m)))
+        phis = [lp.phi_l_tau(L, int(tau)) for tau in taus]
+        assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [lp.gcrd_kernel_dim(p) for p in phis]
+        assert lp.phi_kernel_dims(L, taus, "rank").tolist() == [lp.kernel_dim(p) for p in phis]
+
+
+def test_batched_tau_scan_rejects_bad_input():
+    L = monomial(mk_field(5), 1)
+    for taus in ([0, 5], [1], [32]):
+        with pytest.raises(ValueError, match="outside GF"):
+            lp.phi_kernel_dims(L, taus)
+    with pytest.raises(ValueError, match="unknown path"):
+        lp.phi_kernel_dims(L, [2], "walsh")
+    for m in (21, 23):
+        with pytest.raises(ValueError, match="m <= 20"):
+            lp.is_cyclic_semibent_quadratic(monomial(mk_field(m), 1))
+
+
+def test_first_failure_is_reported_as_plain_ints(capsys):
+    # x^2 + x^4 at m = 7 passes the base condition and first fails at tau = 12
+    L = lp.LinPoly.from_dict(mk_field(7), {1: 1, 2: 1})
+    for path in ("gcrd", "rank"):
+        ok, rep = lp.is_cyclic_semibent_quadratic(L, path)
+        assert not ok and rep["base_dim"] == 1 and rep["tau_failures"] == [(12, 3)]
+        assert all(type(v) is int for v in rep["tau_failures"][0])
+        assert (ok, rep) == cyclic_semibent_quadratic_by_tau(L, path)
+    assert main(["charquad", "--m", "7", "--L", "x^2+x^4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["cyclic_semibent"] is False and rep["paths_agree"] is True
+    for path in ("gcrd_path", "rank_path"):
+        assert rep[path]["base_dim"] == 1 and rep[path]["tau_failures"] == [[12, 3]]

@@ -361,8 +361,7 @@ _TAMPERED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_TAMPERED))
-def test_builders_reject_a_tampered_member(monkeypatch, name):
+def _build_tampered(monkeypatch, name):
     # one symbol of one member times -1: still a unit, but no longer the
     # first member times a character (or the m-sequence)
     build, index = _TAMPERED[name]
@@ -379,6 +378,18 @@ def test_builders_reject_a_tampered_member(monkeypatch, name):
     monkeypatch.setattr(sf, "Member", tampered)
     with pytest.raises(ValueError, match="member"):
         build()
+
+
+@pytest.mark.parametrize("name", sorted(_TAMPERED))
+def test_builders_reject_a_tampered_member(monkeypatch, name):
+    _build_tampered(monkeypatch, name)
+
+
+@pytest.mark.parametrize("name", ["quaternary-3", "binary-5"])
+def test_layout_check_reads_every_batch(monkeypatch, name):
+    # one member per batch: a tampered member past the first batch is found
+    monkeypatch.setattr(sf, "_SCAN_VALUES", 1)
+    _build_tampered(monkeypatch, name)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
