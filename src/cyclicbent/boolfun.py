@@ -137,11 +137,6 @@ class WalshSpectrum:
         vals, counts = np.unique(self.values, return_counts=True)
         return {int(v): int(c) for v, c in zip(vals, counts)}
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"values": [int(v) for v in self.values], "class": classify(self).value}
-        )
-
 
 def from_field_bit_fn(ctx: GF2m, fn) -> BoolFun:
     """Build a BoolFun on GF(2^d) x GF(2) from a callable fn(x1, x2) -> bit."""

@@ -13,6 +13,8 @@ charquad, selftest.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -38,17 +40,36 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _parse_ints(s: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in s.split(",") if tok != "")
+def _int(tok: str, what: str, base: int = 10) -> int:
+    try:
+        return int(tok, base)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer") from None
+
+
+def _parse_ints(flag: str, s: str) -> tuple[int, ...]:
+    return tuple(_int(tok, f"{flag} entry {tok!r}") for tok in s.split(",") if tok != "")
+
+
+def _chain_levels(args) -> tuple[int, ...]:
+    return _parse_ints("--chain", args.chain) if args.chain else (1, args.m - 1)
 
 
 def _chain_spec(args) -> cn.ChainSpec:
-    m = args.m
-    if m is None:
+    if args.m is None:
         raise ValueError("a bent input needs --m")
-    e = _parse_ints(args.chain) if args.chain else (1, m - 1)
-    gamma = _parse_ints(args.gamma) if args.gamma else (1,) * (len(e) - 1)
-    return cn.ChainSpec(m, e, gamma)
+    e = _chain_levels(args)
+    gamma = _parse_ints("--gamma", args.gamma) if args.gamma else (1,) * (len(e) - 1)
+    return cn.ChainSpec(args.m, e, gamma)
+
+
+def _csv(args, write) -> dict:
+    """Write the CSV export, if asked for, before the scan (so that rows past
+    the output cap fail fast); the report's "csv" entry."""
+    if args.format != "csv":
+        return {}
+    write(args.out)
+    return {"csv": args.out}
 
 
 def _eps_vector(args, q: int) -> list[int]:
@@ -59,13 +80,11 @@ def _eps_vector(args, q: int) -> list[int]:
 
 
 def _semibent_input(args) -> bf.BoolFun:
-    n = args.n
-    if n is None:
+    if args.n is None:
         raise ValueError("a semi-bent input needs --n")
-    ctx = mk_field(n)
+    ctx = mk_field(args.n)
     if getattr(args, "restrict_bent", False):
-        f = cn.kerdock_fn(n + 1)
-        return cn.derive_semibent(f, getattr(args, "eps_bit", 0))
+        return cn.derive_semibent(cn.kerdock_fn(args.n + 1), getattr(args, "eps_bit", 0))
     if args.gold < 0:
         raise ValueError(f"--gold must be at least 0, got {args.gold}")
     return lp.quad_form(lp.LinPoly.from_dict(ctx, {args.gold: 1}))
@@ -79,19 +98,13 @@ def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
         if not raw:
             continue
         c, star, body = raw.rpartition("*")
-        try:
-            coef = int(c, 0) if star else 1
-        except ValueError:
-            raise ValueError(f"coefficient {c!r} of term {raw!r} is not an integer") from None
+        coef = _int(c, f"coefficient {c!r} of term {raw!r}", 0) if star else 1
         if not 0 <= coef < ctx.order:
             raise ValueError(f"coefficient {coef} of term {raw!r} is outside [0, {ctx.order})")
         if body == "x":
             exp = 1
         elif body.startswith("x^"):
-            try:
-                exp = int(body[2:], 0)
-            except ValueError:
-                raise ValueError(f"exponent of term {raw!r} is not an integer") from None
+            exp = _int(body[2:], f"exponent of term {raw!r}", 0)
         else:
             raise ValueError(f"cannot parse linearized term {raw!r}")
         if exp < 1 or exp & (exp - 1):
@@ -106,16 +119,13 @@ def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
 
 def cmd_construct(args) -> int:
     if args.enumerate_gamma:
-        m = args.m
-        e = _parse_ints(args.chain) if args.chain else (1, m - 1)
+        e = _chain_levels(args)
         rows = []
-        ok = True
-        for gamma in cn.admissible_gammas(m, e):
-            spec = cn.ChainSpec(m, e, gamma)
-            f = cn.chain_fn(spec)
-            cert = cn.certify_cyclic_bent(f, args.mode)
-            ok = ok and cert.passed
+        for gamma in cn.admissible_gammas(args.m, e):
+            spec = cn.ChainSpec(args.m, e, gamma)
+            cert = cn.certify_cyclic_bent(cn.chain_fn(spec), args.mode)
             rows.append({"spec": spec.to_json_obj(), "certificate": cert.to_json_obj()})
+        ok = all(row["certificate"]["passed"] for row in rows)
         _emit({"command": "construct", "chains": rows, "all_passed": ok}, args)
         return 0 if ok else 1
     spec = _chain_spec(args)
@@ -136,23 +146,17 @@ def cmd_verify(args) -> int:
         g = _semibent_input(args)
         cert = cn.is_cyclic_semibent(g, "full" if args.mode == "full" else "reduced",
                                      threads=args.threads)
-        agree = None
+        report = {"command": "verify", "n": args.n, "certificate": cert.to_json_obj()}
         # auto cross-checks with the full scan only within its cap
         if args.mode == "auto" and g.n_vars <= cn.SEMIBENT_FULL_MAX_N:
-            agree = cn.is_cyclic_semibent(g, "full", threads=args.threads).passed == cert.passed
-        report = {"command": "verify", "n": args.n, "certificate": cert.to_json_obj()}
-        if agree is not None:
-            report["full_reduced_agree"] = agree
+            full = cn.is_cyclic_semibent(g, "full", threads=args.threads)
+            report["full_reduced_agree"] = full.passed == cert.passed
         _emit(report, args)
-        return 0 if cert.passed and agree in (None, True) else 1
+        return 0 if cert.passed and report.get("full_reduced_agree", True) else 1
     spec = _chain_spec(args)
     f = cn.chain_fn(spec)
-    if args.mode == "full":
-        cert = cn.is_cyclic_bent_full(f, threads=args.threads)
-    elif args.mode == "reduced":
-        cert = cn.is_cyclic_bent_reduced(f)
-    else:
-        cert = cn.certify_cyclic_bent(f, "auto")
+    cert = (cn.is_cyclic_bent_full(f, threads=args.threads) if args.mode == "full"
+            else cn.certify_cyclic_bent(f, args.mode))
     _emit({"command": "verify", "spec": spec.to_json_obj(),
            "certificate": cert.to_json_obj()}, args)
     return 0 if cert.passed else 1
@@ -167,21 +171,17 @@ def cmd_codebook(args) -> int:
             cb = cbk.build_real_codebook(f, _eps_vector(args, f.domain.ctx.order))
         else:
             cb = cbk.mub_to_codebook(cbk.build_mub(f))
-    if args.format == "csv":
-        # before the scan, so that rows past the output cap fail fast
-        cb.write_csv(args.out)
+    csv = _csv(args, cb.write_csv)
     rep = cbk.optimality_report(cb, "complex" if args.kind == "complex" else "real")
     if args.kind == "semibent":
         expected_sq = Fraction(1, 1 << (args.n - 1))  # exact 2^{1-n}
         passed = Fraction(rep["imax_sq"]) == expected_sq
         status = "ALMOST (exact imax_sq = 2^(1-n))" if passed else "UNEXPECTED"
-        report = {"command": "codebook", "kind": "semibent", **rep, "status": status}
+        report = {"command": "codebook", "kind": "semibent", **rep, "status": status, **csv}
     else:
         report = {"command": "codebook", "kind": args.kind,
-                  "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep}
+                  "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep, **csv}
         passed = rep["optimal"]
-    if args.format == "csv":
-        report["csv"] = args.out
     _emit(report, args)
     return 0 if passed else 1
 
@@ -189,13 +189,10 @@ def cmd_codebook(args) -> int:
 def cmd_mub(args) -> int:
     f = cn.chain_fn(_chain_spec(args))
     mubs = cbk.build_mub(f)
-    if args.format == "csv":
-        cbk.mub_to_codebook(mubs).write_csv(args.out)
+    csv = _csv(args, cbk.mub_to_codebook(mubs).write_csv)
     rep = cbk.verify_mub(mubs)
     ok = rep["complete"] and rep["orthonormal"] and rep["unbiased"]
-    report = {"command": "mub", "k": mubs.k, **rep}
-    if args.format == "csv":
-        report["csv"] = args.out
+    report = {"command": "mub", "k": mubs.k, **rep, **csv}
     if args.walsh_check:
         agree = True
         for a in range(mubs.k):
@@ -228,6 +225,7 @@ def cmd_seqfam(args) -> int:
         else:
             fam = sf.binary_family(f)
             expected = sf.expected_binary_distribution(args.m)
+    csv = _csv(args, fam.write_csv)
     dist = sf.full_distribution(fam)
     report = {
         "command": "seqfam",
@@ -237,17 +235,13 @@ def cmd_seqfam(args) -> int:
         "r_max_sq": dist.r_max_sq,
         "distribution": json.loads(dist.to_json()),
     }
-    passed = True
+    passed = not args.table_check or dist.counts == expected
     if args.table_check:
-        match = dist.counts == expected
-        report["table_check"] = "PASS" if match else "FAIL"
+        report["table_check"] = "PASS" if passed else "FAIL"
         report["expected"] = [
             {"value": sf.format_gaussian(v), "count": c} for v, c in sorted(expected.items())
         ]
-        passed = match
-    if args.format == "csv":
-        fam.write_csv(args.out)
-        report["csv"] = args.out
+    report.update(csv)
     _emit(report, args)
     return 0 if passed else 1
 
@@ -260,10 +254,8 @@ def _code_input(args) -> cd.NonlinearCode:
 
 def cmd_code(args) -> int:
     code = _code_input(args)
-    if args.n is not None:
-        expected_weight = cd.expected_weights_g(args.n)
-    else:
-        expected_weight = cd.expected_weights_f(args.m)
+    expected_weight = (cd.expected_weights_g(args.n) if args.n is not None
+                       else cd.expected_weights_f(args.m))
     rep = cd.weight_distance_distributions(code)
     weight_ok = rep.weight == expected_weight
     dist_ok = rep.distance == rep.weight
@@ -290,6 +282,9 @@ def cmd_design(args) -> int:
 
 
 def cmd_charquad(args) -> int:
+    if args.walsh_check and args.m > cn.SEMIBENT_REDUCED_MAX_N:  # before the tau scans
+        raise ValueError(f"reduced semi-bent certification capped at n <= "
+                         f"{cn.SEMIBENT_REDUCED_MAX_N}, got n = {args.m}")
     ctx = mk_field(args.m)
     L = _parse_linpoly(ctx, args.L)
     ok_gcrd, rep_gcrd = lp.is_cyclic_semibent_quadratic(L, path="gcrd")
@@ -313,65 +308,46 @@ def cmd_charquad(args) -> int:
     return 0 if agree else 1
 
 
+# Each selftest line: its label, and the subcommands it runs through main,
+# each with the entries its JSON report must hold beyond a zero exit code.
+_SELFTEST = [
+    ("cyclic-bent full certification (m=4)", {"verify --m 4 --mode full": {}}),
+    ("cyclic-bent reduced == full (m=4)", {"verify --m 4 --mode reduced": {}}),
+    ("real codebook (144,16) meets bound 1/16", {"codebook --m 4": {"imax_sq": "1/16"}}),
+    ("complete MUB set of 9 bases in C^8", {"mub --m 4": {}}),
+    ("complex codebook (72,8) meets bound 1/8, alphabet 6",
+     {"codebook --m 4 --kind complex": {"alphabet_size": 6, "imax_sq": "1/8"}}),
+    ("quaternary family distribution matches closed form (m=4)",
+     {"seqfam --kind quaternary --m 4 --table-check": {}}),
+    ("binary family distribution matches closed form (m=4)",
+     {"seqfam --kind binary --m 4 --table-check": {}}),
+    ("semi-bent family distribution matches closed form (n=3)",
+     {"seqfam --kind semibent --n 3 --table-check": {}}),
+    ("code C(f) at m=4 is (16,256,6) with the closed-form weights",
+     {"code --m 4": {"length": 16, "size": 256, "min_distance": 6}}),
+    ("support designs 3-(16,6,4), 3-(16,8,3), 3-(16,10,24)",
+     {f"design --m 4 --k {k} --t 3": {"lambda": lam} for k, lam in ((6, 4), (8, 3), (10, 24))}),
+    ("gcrd characterization agrees with Walsh route (m=5, x^4)",
+     {"charquad --m 5 --L x^4 --walsh-check": {"cyclic_semibent": True},
+      "verify --n 5 --gold 2 --mode full": {}}),
+]
+
+
+def _selftest_call(argv: str, want: dict) -> bool:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv.split())
+    return rc == 0 and want.items() <= json.loads(out.getvalue()).items()
+
+
 def cmd_selftest(args) -> int:
-    checks: list[tuple[str, bool]] = []
-
-    def check(label, ok):
-        checks.append((label, bool(ok)))
+    passed = 0
+    for label, calls in _SELFTEST:
+        ok = all(_selftest_call(argv, want) for argv, want in calls.items())
+        passed += ok
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
-
-    f4 = cn.kerdock_fn(4)
-    check("cyclic-bent full certification (m=4)", cn.is_cyclic_bent_full(f4).passed)
-    check("cyclic-bent reduced == full (m=4)", cn.is_cyclic_bent_reduced(f4).passed)
-    cb = cbk.build_real_codebook(f4)
-    check(
-        "real codebook (144,16) meets bound 1/16",
-        cbk.imax_sq(cb) == cbk.levenshtein_real_sq(144, 16) == Fraction(1, 16),
-    )
-    mubs = cbk.build_mub(f4)
-    rep = cbk.verify_mub(mubs)
-    check("complete MUB set of 9 bases in C^8", rep["complete"] and rep["orthonormal"] and rep["unbiased"])
-    ccb = cbk.mub_to_codebook(mubs)
-    check(
-        "complex codebook (72,8) meets bound 1/8, alphabet 6",
-        cbk.imax_sq(ccb) == Fraction(1, 8) and ccb.alphabet_size == 6,
-    )
-    fam = sf.quaternary_family(f4)
-    check(
-        "quaternary family distribution matches closed form (m=4)",
-        sf.full_distribution(fam).counts == sf.expected_quaternary_distribution(4),
-    )
-    famb = sf.binary_family(f4)
-    check(
-        "binary family distribution matches closed form (m=4)",
-        sf.full_distribution(famb).counts == sf.expected_binary_distribution(4),
-    )
-    famg = sf.semibent_family(lp.quad_form(lp.LinPoly.from_dict(mk_field(3), {1: 1})))
-    check(
-        "semi-bent family distribution matches closed form (n=3)",
-        sf.full_distribution(famg).counts == sf.expected_semibent_distribution(3),
-    )
-    code = cd.build_code_f(f4)
-    repc = cd.weight_distance_distributions(code)
-    check(
-        "code C(f) at m=4 is (16,256,6) with the closed-form weights",
-        (code.length, code.size, repc.min_distance()) == (16, 256, 6)
-        and repc.weight == {0: 1, 6: 112, 8: 30, 10: 112, 16: 1},
-    )
-    check(
-        "support designs 3-(16,6,4), 3-(16,8,3), 3-(16,10,24)",
-        cd.support_design(code, 6, 3).lam == 4
-        and cd.support_design(code, 8, 3).lam == 3
-        and cd.support_design(code, 10, 3).lam == 24,
-    )
-    L = lp.LinPoly.from_dict(mk_field(5), {2: 1})
-    ok_g, _ = lp.is_cyclic_semibent_quadratic(L)
-    ok_r, _ = lp.is_cyclic_semibent_quadratic(L, path="rank")
-    walsh_ok = cn.is_cyclic_semibent(lp.quad_form(L), "full").passed
-    check("gcrd characterization agrees with Walsh route (m=5, x^4)", ok_g and ok_r and walsh_ok)
-    failed = [label for label, ok in checks if not ok]
-    print(f"{len(checks) - len(failed)}/{len(checks)} selftest checks passed")
-    return 0 if not failed else 1
+    print(f"{passed}/{len(_SELFTEST)} selftest checks passed")
+    return 0 if passed == len(_SELFTEST) else 1
 
 
 # -- argument wiring -----------------------------------------------------------------
@@ -464,7 +440,7 @@ def main(argv=None) -> int:
                    help="also run the Walsh-based certifier on tr(x L(x))")
     p.set_defaults(fn=cmd_charquad)
 
-    p = sub.add_parser("selftest", help="compact end-to-end battery at m=4 / n=3")
+    p = sub.add_parser("selftest", help="run the subcommands' checks at m=4 / n=3, 5")
     _add_common(p, with_m=False)
     p.set_defaults(fn=cmd_selftest)
 
@@ -473,12 +449,14 @@ def main(argv=None) -> int:
             and args.cmd in ("construct", "verify", "codebook", "mub", "seqfam", "code", "design"):
         ap.error(f"{args.cmd} needs --m (or --n where applicable)")
     try:
+        if getattr(args, "m", None) is not None and getattr(args, "n", None) is not None:
+            raise ValueError(f"{args.cmd} takes --m or --n, not both")
         if getattr(args, "threads", 1) < 1:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if getattr(args, "format", "json") == "csv" and not args.out:
             raise ValueError("--format csv needs --out")
         return args.fn(args)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -12,8 +12,8 @@ overlap between them is a Walsh value of the one vector s_a conj(s_b):
 ``imax_sq``, ``verify_mub`` and the code distances of ``codes`` transform
 one such vector per block pair (two parts when complex) and never form an
 N x N Gram; maxima and Levenshtein bounds are exact fractions.  Dense rows
-are built only for output (``write_csv``, ``to_json_obj``, ``basis``), one
-basis at a time; CSV output is normalized floats (12 significant digits).
+are built only by ``basis`` and ``write_csv``, one basis at a time; CSV
+output is normalized floats (12 significant digits).
 
 Row ordering is fixed for reproducible serialization: the standard basis,
 then the blocks in order (for the real codebooks the characters, then the
@@ -146,17 +146,6 @@ class Codebook:
         """int8 (K, K) characters chi[lam, x] = (-1)^{<lam, x>}."""
         return 1 - 2 * bf.char_bits(self.domain).astype(np.int8)
 
-    def to_json_obj(self) -> dict:
-        _check_entries(self.n_rows, self.length)
-        bases = [self.basis(i) for i in range(self.n_blocks + 1)]
-        return {
-            "n_rows": self.n_rows,
-            "length": self.length,
-            "norm_sq": [int(v) for v in self.norm_sq],
-            "rows_re": [row for re, _, _ in bases for row in re.tolist()],
-            "rows_im": [row for _, im, _ in bases for row in im.tolist()],
-        }
-
     def write_csv(self, path: str) -> None:
         """Normalized float entries, 12 significant digits; complex as a+bj."""
         _check_entries(self.n_rows, self.length)
@@ -270,15 +259,6 @@ class MubSet:
 
     def basis(self, i: int) -> tuple[np.ndarray, np.ndarray, int]:
         return self.codebook.basis(i)
-
-    def to_json_obj(self) -> dict:
-        _check_entries(self.codebook.n_rows, self.k)
-        bases = map(self.basis, range(self.n_bases))
-        return {
-            "k": self.k,
-            "bases": [{"norm_sq": norm, "re": re.tolist(), "im": im.tolist()}
-                      for re, im, norm in bases],
-        }
 
 
 def quaternary_entry_arrays(f: BoolFun, a):

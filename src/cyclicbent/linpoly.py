@@ -64,9 +64,6 @@ class LinPoly:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def to_json_obj(self) -> dict:
-        return {"m": self.ctx.degree, "coeffs": list(self.coeffs)}
-
 
 def adjoint(L: LinPoly) -> LinPoly:
     """The unique L* with tr(x L(y)) = tr(y L*(x)): a_0 x + sum a_{m-i}^{2^i} x^{2^i}."""

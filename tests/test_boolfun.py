@@ -257,5 +257,3 @@ def test_json_roundtrip():
     f = bf.BoolFun(dom, rng.integers(0, 2, dom.size).astype(np.uint8))
     g = bf.BoolFun.from_json(f.to_json())
     assert g == f
-    spec_json = bf.walsh(f).to_json()
-    assert '"class"' in spec_json

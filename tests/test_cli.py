@@ -6,7 +6,10 @@ import json
 import pytest
 
 from cyclicbent import boolfun as bf
+from cyclicbent import cli
+from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
+from cyclicbent import linpoly as lp
 from cyclicbent import seqfam as sf
 from cyclicbent.cli import _semibent_input, main
 from cyclicbent.gf2 import mk_field
@@ -147,6 +150,28 @@ def test_selftest(capsys):
     assert "11/11 selftest checks passed" in out
 
 
+def test_selftest_runs_each_subcommand_through_main(capsys, monkeypatch):
+    argvs, main_ = [], cli.main
+
+    def recorded(argv):
+        argvs.append(" ".join(argv))
+        return main_(argv)
+
+    monkeypatch.setattr(cli, "main", recorded)
+    assert main_(["selftest"]) == 0
+    assert argvs == [argv for _, calls in cli._SELFTEST for argv in calls]
+    assert len(argvs) == 14 and capsys.readouterr().err == ""
+
+
+def test_selftest_checks_the_report_beyond_the_exit_code(capsys, monkeypatch):
+    # the complex codebook still meets the bound, so its exit code is 0
+    monkeypatch.setattr(cbk.Codebook, "alphabet_size", property(lambda self: 4))
+    code, out = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL  complex codebook (72,8) meets bound 1/8, alphabet 6" in out
+    assert out.count("FAIL") == 1 and "10/11 selftest checks passed" in out
+
+
 def test_mub_csv_export(tmp_path, capsys):
     out = tmp_path / "mub.csv"
     code, _ = run(capsys, "mub", "--m", "4", "--format", "csv", "--out", str(out))
@@ -227,6 +252,15 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     ("verify --n 11 --mode full", 2),
     ("verify --n 17 --mode reduced", 2),
     ("verify --n 17", 2),
+    # an --out that cannot be written
+    ("verify --m 4 --out /nonexistent/dir/r.json", 2),
+    ("codebook --m 4 --format csv --out /nonexistent/dir/x.csv", 2),
+    # --m and --n together
+    ("verify --m 4 --n 3", 2),
+    ("codebook --m 4 --n 3", 2),
+    ("seqfam --kind quaternary --m 4 --n 3", 2),
+    ("code --m 4 --n 3", 2),
+    ("design --m 4 --n 3 --k 6 --t 3", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code
@@ -243,6 +277,26 @@ def test_linpoly_parse_errors_name_the_term(capsys, L):
     assert main(["charquad", "--m", "5", "--L", L]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert repr(L.split("+")[-1]) in err
+
+
+@pytest.mark.parametrize("flag, value, token", [
+    ("--chain", "abc", "abc"), ("--chain", "1,3.5", "3.5"),
+    ("--gamma", "1,y", "y"), ("--gamma", "0x1", "0x1"),
+])
+def test_chain_and_gamma_parse_errors_name_the_flag_and_token(capsys, flag, value, token):
+    assert main(["construct", "--m", "4", flag, value]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == f"{flag} entry {token!r} is not an integer"
+
+
+def test_charquad_walsh_check_past_the_certifier_cap_skips_the_tau_scans(capsys, monkeypatch):
+    monkeypatch.setattr(lp, "is_cyclic_semibent_quadratic",
+                        lambda *a, **k: pytest.fail("scanned tau"))
+    assert main(["charquad", "--m", "17", "--L", "x^4", "--walsh-check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "reduced semi-bent certification capped at n <= 15, got n = 17")
 
 
 @pytest.mark.parametrize("argv", [
@@ -330,9 +384,10 @@ def test_builders_certify_their_input_once(capsys, monkeypatch, argv, certifier)
     assert certs == [certifier]
 
 
-def test_seqfam_reads_the_certifiers_spectra(capsys, monkeypatch):
-    # the distribution comes from the q - 1 = 7 spectra of one certifier
-    # call; the direct scan is not run
+def test_seqfam_certifies_once_and_skips_the_direct_scan(capsys, monkeypatch):
+    # the 7 counted Walsh rows are the q - 1 spectra of the one certifier
+    # call; the distribution is read off the stored member through
+    # _hadamard_rows, which is not counted here, and _scan is not run
     scans, rows = [], []
 
     def counted_scan(fam):

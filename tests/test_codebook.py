@@ -216,10 +216,9 @@ def test_semibent_codebook_rejects_uncertified():
         cbk.build_semibent_codebook(g)
 
 
-def test_codebook_csv_and_json(tmp_path):
+def test_codebook_csv_and_basis(tmp_path):
     cb = cbk.build_real_codebook(kerdock4())
-    obj = cb.to_json_obj()
-    assert obj["n_rows"] == 144 and len(obj["rows_re"]) == 144
+    assert cb.n_rows == 144 and sum(len(cb.basis(i)[0]) for i in range(cb.n_blocks + 1)) == 144
     p = tmp_path / "cb.csv"
     cb.write_csv(str(p))
     lines = p.read_text().strip().split("\n")
@@ -470,17 +469,14 @@ def test_codebook_rejects_malformed_blocks(re, im, match):
 
 
 def _assert_same_rows(cb, want):
-    """cb's rows, materialized by the oracle, by ``basis`` and by
-    ``to_json_obj``, equal the dense (re, im, norm_sq) rows ``want``."""
+    """cb's rows, materialized by the oracle and by ``basis``, equal the
+    dense (re, im, norm_sq) rows ``want``."""
     for a, b in zip(dense_rows(cb), want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     bases = [cb.basis(i) for i in range(cb.n_blocks + 1)]
     for part in range(2):
         assert np.array_equal(np.concatenate([b[part] for b in bases]), want[part])
-    assert np.array_equal(cb.norm_sq, want[2])
-    obj = cb.to_json_obj()
-    assert obj["rows_re"] == want[0].tolist() and obj["rows_im"] == want[1].tolist()
-    assert obj["norm_sq"] == want[2].tolist() and obj["n_rows"] == len(want[0])
+    assert np.array_equal(cb.norm_sq, want[2]) and cb.n_rows == len(want[0])
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -493,10 +489,12 @@ def test_real_and_complex_codebooks_match_block_builders(m):
     mubs, want = cbk.build_mub(f), mub_by_blocks(f)
     _assert_same_rows(cbk.mub_to_codebook(mubs), want)
     k = mubs.k
-    rows = [slice(i * k, (i + 1) * k) for i in range(k + 1)]
-    assert mubs.to_json_obj() == {"k": k, "bases": [
-        {"norm_sq": int(want[2][r][0]), "re": want[0][r].tolist(), "im": want[1][r].tolist()}
-        for r in rows]}
+    assert mubs.n_bases == k + 1
+    for i in range(k + 1):
+        r = slice(i * k, (i + 1) * k)
+        re, im, norm = mubs.basis(i)
+        assert np.array_equal(re, want[0][r]) and np.array_equal(im, want[1][r])
+        assert norm == want[2][r][0] and np.all(want[2][r] == norm)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -527,11 +525,13 @@ def test_dense_output_past_the_entry_cap_is_rejected_before_writing(tmp_path, mo
     mubs = cbk.build_mub(kerdock4())  # 72 rows of 8
     monkeypatch.setattr(cbk, "MAX_ENTRIES", 144 * 16 - 1)
     out = tmp_path / "rows.csv"
-    for write in (lambda: cb.write_csv(str(out)), cb.to_json_obj):
-        with pytest.raises(ValueError, match="output cap"):
-            write()
+    with pytest.raises(ValueError, match="output cap"):
+        cb.write_csv(str(out))
     assert not out.exists()
-    assert len(mubs.to_json_obj()["bases"]) == 9
+    cbk.mub_to_codebook(mubs).write_csv(str(out))
+    assert len(out.read_text().splitlines()) == 72
+    out.unlink()
     monkeypatch.setattr(cbk, "MAX_ENTRIES", 72 * 8 - 1)
     with pytest.raises(ValueError, match="output cap"):
-        mubs.to_json_obj()
+        cbk.mub_to_codebook(mubs).write_csv(str(out))
+    assert not out.exists()
