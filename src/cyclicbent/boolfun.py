@@ -27,6 +27,7 @@ integers; classification is exact membership, no tolerances.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -162,11 +163,12 @@ def _sylvester(k: int) -> np.ndarray:
     return h
 
 
-def _hadamard_rows(signs) -> np.ndarray:
+def _hadamard_rows(signs, out=None, work=None) -> np.ndarray:
     """Walsh spectra (natural bit order) of the rows along the last axis, as
     float32: each row, read as a 2^{k1} x 2^{k2} matrix X, maps to
     H_{2^{k1}} X H_{2^{k2}}.  Exact for rows of length 2^n, n <= 24, with
-    entries in {-1, 0, 1}.
+    entries in {-1, 0, 1}.  out and work, C-contiguous float32 arrays shaped
+    like signs, take the spectra and X H_{2^{k2}} in place of new arrays.
     """
     shape = np.shape(signs)
     size = shape[-1] if shape else 0
@@ -179,8 +181,45 @@ def _hadamard_rows(signs) -> np.ndarray:
         )
     n = size.bit_length() - 1
     k1 = n // 2
-    x = np.asarray(signs, dtype=np.float32).reshape(shape[:-1] + (1 << k1, size >> k1))
-    return np.matmul(_sylvester(k1), x @ _sylvester(n - k1)).reshape(shape)
+    square = shape[:-1] + (1 << k1, size >> k1)
+    x = np.asarray(signs, dtype=np.float32).reshape(square)
+    xh = np.matmul(x, _sylvester(n - k1), out=None if work is None else work.reshape(square))
+    w = np.matmul(_sylvester(k1), xh, out=None if out is None else out.reshape(square))
+    return w.reshape(shape)
+
+
+# float32 values per batch of product_spectra, counting every part: its
+# buffers stay in cache
+BATCH_VALUES = 1 << 18
+
+
+def product_spectra(n_rows: int, length: int, real: bool, pairs) -> Iterator[np.ndarray]:
+    """Walsh spectra (natural bit order) of x conj(y) for rows 0..n_rows - 1,
+    in order, about BATCH_VALUES float32 values at a time.
+
+    pairs(start, rows) returns (Re x, Im x, Re y, Im y) of the next rows as
+    int8 arrays or ints broadcasting to (rows, length), x and y being 0 or
+    units; when real, the imaginary parts are not read and may be None.  A
+    batch, shaped (rows, parts, length), holds the spectra of Re(x conj y)
+    and, unless real, of Im(x conj y).  The next batch overwrites it, so a
+    consumer may work in it and copies what it keeps.
+    """
+    parts = 1 if real else 2
+    rows = max(1, min(n_rows, BATCH_VALUES // (parts * length)))
+    # the products in int8, then the kernel's input, X H' and spectra in float32
+    prod = np.empty((rows, parts, length), dtype=np.int8)
+    x, work, out = (np.empty((rows, parts, length), dtype=np.float32) for _ in range(3))
+    for start in range(0, n_rows, rows):
+        r = min(rows, n_rows - start)
+        xr, xi, yr, yi = pairs(start, r)
+        v = prod[:r]
+        np.multiply(xr, yr, out=v[:, 0])
+        if not real:
+            v[:, 0] += xi * yi
+            np.multiply(xi, yr, out=v[:, 1])
+            v[:, 1] -= xr * yi
+        x[:r] = v
+        yield _hadamard_rows(x[:r], out=out[:r], work=work[:r])
 
 
 def _dual_permutation(domain: Domain) -> np.ndarray:

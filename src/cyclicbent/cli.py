@@ -441,7 +441,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_charquad)
 
     p = sub.add_parser("selftest", help="run the subcommands' checks at m=4 / n=3, 5")
-    _add_common(p, with_m=False)
     p.set_defaults(fn=cmd_selftest)
 
     args = ap.parse_args(argv)

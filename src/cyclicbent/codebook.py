@@ -9,8 +9,8 @@ unnormalized, with squared norm 1 on the standard basis and K on the blocks.
 
 The cross Gram of blocks a and b is chi diag(s_a conj(s_b)) chi^T, so every
 overlap between them is a Walsh value of the one vector s_a conj(s_b):
-``imax_sq``, ``verify_mub`` and the code distances of ``codes`` transform
-one such vector per block pair (two parts when complex) and never form an
+``imax_sq``, ``verify_mub`` and the code distances of ``codes`` read them
+off one ``bf.product_spectra`` scan of the block pairs and never form an
 N x N Gram; maxima and Levenshtein bounds are exact fractions.  Dense rows
 are built only by ``basis`` and ``write_csv``, one basis at a time; CSV
 output is normalized floats (12 significant digits).
@@ -42,10 +42,6 @@ MAX_BLOCK_ENTRIES = 1 << 23
 # Dense entries (N K) of the largest codebook or MUB set written out in
 # full; the real codebook at m = 10, (2^9 + 1) 2^20 entries, fits.
 MAX_ENTRIES = 1 << 30
-# float32 values per Walsh kernel call in the block-pair scan, counting two
-# parts per pair: real and imaginary, or a real part and the room of its
-# float64 squares in imax_sq
-_PAIR_BATCH = 1 << 22
 
 
 def levenshtein_real_sq(n_rows: int, k: int) -> Fraction:
@@ -166,30 +162,31 @@ class Codebook:
 
 
 def _block_pair_spectra(cb: Codebook) -> Iterator[np.ndarray]:
-    """float32 Walsh spectra of s_a conj(s_b) for the block pairs a < b in
-    order, one array of shape (parts, pairs, K) per Walsh kernel call: the
-    real part alone when the codebook is real, the real and imaginary parts
-    when complex.  Memory is bounded by the batch, not by C(B, 2)."""
-    k, n = cb.length, cb.n_blocks
-    real = cb.is_real()
-    rows = max(1, _PAIR_BATCH // (2 * k))
-    for a in range(n - 1):
-        for b0 in range(a + 1, n, rows):
-            b = slice(b0, b0 + rows)
-            parts = [cb.re[a] * cb.re[b]]
-            if not real:
-                parts[0] += cb.im[a] * cb.im[b]
-                parts.append(cb.im[a] * cb.re[b] - cb.re[a] * cb.im[b])
-            yield bf._hadamard_rows(np.stack(parts))
+    """``bf.product_spectra`` batches (pairs, parts, K) of s_a conj(s_b) for
+    the block pairs a < b in order, one part when the codebook is real and
+    two when complex.  Memory is bounded by the batch, not by C(B, 2)."""
+    n, real = cb.n_blocks, cb.is_real()
+    # first[a] is the index of the pair (a, a + 1) in the order of the scan
+    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+
+    def pairs(start, rows):
+        p = np.arange(start, start + rows)
+        a = np.searchsorted(first, p, side="right") - 1
+        b = p - first[a] + a + 1
+        return cb.re[a], None if real else cb.im[a], cb.re[b], None if real else cb.im[b]
+
+    return bf.product_spectra(n * (n - 1) // 2, cb.length, real, pairs)
 
 
 def _max_sq(w: np.ndarray) -> int:
-    """max |W|^2 over a batch of _block_pair_spectra, summed over its parts;
-    |W| <= 2^24, so the squares and their sum are exact in float64."""
-    sq = np.square(w[0], dtype=np.float64)
-    for part in w[1:]:
-        sq += np.square(part, dtype=np.float64)
-    return int(sq.max())
+    """max |W|^2 over a batch of _block_pair_spectra, summed over its parts.
+    |W| <= K, so a complex batch squares in place exactly in float32 while
+    K <= 2^12, and a real one needs no squares."""
+    if w.shape[1] == 1:
+        return int(max(w.max(), -w.min())) ** 2
+    sq = np.square(w, out=w) if w.shape[2] <= 1 << 12 else np.square(w, dtype=np.float64)
+    sq[:, 0] += sq[:, 1]
+    return int(sq[:, 0].max())
 
 
 def imax_sq(cb: Codebook) -> Fraction:

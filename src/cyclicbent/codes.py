@@ -6,7 +6,7 @@ word t_b + chi (the row (-1)^{t_b} chi read over GF(2)) and its complement:
 the coset t_b + RM(1).  C(f) and C(g) are the codes of
 ``build_real_codebook(f)`` and ``build_semibent_codebook(g)``, whose blocks
 are t_0 = 0 and the rows f(a x1, x2) (g(a x)), a != 0.  No word is stored:
-weights and distances are read from the Walsh spectra of the blocks.
+weights and distances are read from the Walsh spectra of the blocks and pairs.
 
 Design checking is direct: every t-subset's coverage is counted over the
 weight-k words and compared; nothing is inferred from general
@@ -155,12 +155,18 @@ def build_code_g(g: bf.BoolFun) -> NonlinearCode:
     return NonlinearCode(cbk.build_semibent_codebook(g))
 
 
+def _block_spectra(cb: cbk.Codebook):
+    """``bf.product_spectra`` batches (blocks, 1, K) of the blocks s_b conj(1)."""
+    return bf.product_spectra(cb.n_blocks, cb.length, True,
+                              lambda lo, rows: (cb.re[lo : lo + rows], None, 1, None))
+
+
 def _split(spectra, v: int) -> np.ndarray:
-    """int64 counts over 0..v of (v -+ |W|)/2 for float batches of |W|: the
+    """int64 counts over 0..v of (v -+ |W|)/2 for float batches of W: the
     weights of t + chi and of its complement, or two distances likewise."""
     counts = np.zeros(v + 1, dtype=np.int64)
     for w in spectra:
-        counts += np.bincount(w.astype(np.int64).ravel(), minlength=v + 1)
+        counts += np.bincount(np.abs(w, out=w).astype(np.int64).ravel(), minlength=v + 1)
     # |W| is even: a sum of v = 2^n signs
     out = np.zeros(v + 1, dtype=np.int64)
     out[v // 2 :] += counts[::2]
@@ -180,9 +186,8 @@ def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
     """
     cb = code.codebook
     v, n = code.length, cb.n_blocks
-    rows = max(1, cbk._PAIR_BATCH // v)
-    weight = _split((np.abs(bf._hadamard_rows(cb.re[b : b + rows])) for b in range(0, n, rows)), v)
-    dist = 2 * _split((np.abs(w[0], out=w[0]) for w in cbk._block_pair_spectra(cb)), v)
+    weight = _split(_block_spectra(cb), v)
+    dist = 2 * _split(cbk._block_pair_spectra(cb), v)
     dist[[0, v // 2, v]] += n * np.array([1, 2 * v - 2, 1])
     if (dist % n).any():
         raise AssertionError("distance counts must be divisible by B")
@@ -209,7 +214,8 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     # the weight-k words, by one Walsh row per block: t_b + chi_lam has
     # weight (v - W(s_b)(lam))/2 and its complement v minus that
     dom = code.codebook.domain
-    wt = (v - bf._hadamard_rows(code.codebook.re)[:, bf._dual_permutation(dom)]) // 2
+    w = np.concatenate([b[:, 0].copy() for b in _block_spectra(code.codebook)])
+    wt = (v - w[:, bf._dual_permutation(dom)]) // 2
     words = []
     for c, hit in ((0, wt == k), (1, wt == v - k)):
         blk, lam = np.nonzero(hit)

@@ -20,9 +20,9 @@ y_t by a field element c.  So every correlation between character members
 is one Walsh value of the shift product V_tau(t) = s_0(t + tau) conj(s_0(t))
 placed at y_t, at the dual point lam c + lam'.  Each builder certifies its
 function, builds its members, checks once that they have this layout, and
-attaches the exact histogram (CorrDist) from one batched scan of the stored
-first member: one Walsh kernel row per shift, plus one for s_0 itself
-against the m-sequence member, in place of S^2 k^2 products.  The direct
+attaches the exact histogram (CorrDist) from one ``bf.product_spectra`` scan
+of the stored first member: a kernel row per shift and part, plus one per
+part for s_0 itself, in place of S^2 k^2 products.  The direct
 scan over all member pairs and shifts (``_scan``) remains for hand-built
 families and as the oracle.  The closed-form correlation distributions are
 available as expected_* functions so measured histograms can be checked
@@ -206,21 +206,18 @@ def semibent_family(g: BoolFun) -> SequenceFamily:
 
 # -- distributions from the stored members -------------------------------------------
 
-# Shift products go through the Walsh kernel, and members are checked
-# against their layout, about this many values at a time, and the spectra
-# are counted about _COUNT_VALUES values at a time, so no temporary grows
-# with the period.
-_SCAN_VALUES = 1 << 22
+# values per counting step of _count, which bounds its int64 temporaries
 _COUNT_VALUES = 1 << 16
 
 
 def _check_layout(fam: SequenceFamily, chars: np.ndarray, inf: np.ndarray | None) -> None:
     """Raise ValueError unless the first member has unit symbols, member j
-    is the first member times chars[j] for each row j (compared
-    _SCAN_VALUES values at a time), and (when inf is given) one more member
-    follows, the real sequence inf."""
+    is the first member times chars[j] for each row j (compared about
+    bf.BATCH_VALUES values at a time, so no temporary grows with the
+    period), and (when inf is given) one more member follows, the real
+    sequence inf."""
     s, body = fam.members[0], fam.members[: len(chars)]
-    step = max(1, _SCAN_VALUES // len(s.re))
+    step = max(1, bf.BATCH_VALUES // len(s.re))
     if not (np.all(np.abs(s.re) + np.abs(s.im) == 1)
             and len(fam.members) == len(chars) + (inf is not None)
             and all(np.array_equal(np.array([getattr(mem, part) for mem in body[lo : lo + step]]),
@@ -239,72 +236,43 @@ def _placed(s: Member, pos: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _scan_shifts(s: Member, pos: np.ndarray, n: int, cplx: bool, groups) -> None:
-    """For each (taus, consume) in groups, hand consume the float32 Walsh
-    spectra (natural order) of the shift products V_tau(t) = s(t + tau)
-    conj(s(t)), tau in taus, about _SCAN_VALUES values per kernel call.  Row
-    tau holds V_tau(t) at pos[t] of length n, 0 elsewhere, and when cplx
-    Im V_tau on a second half of length n.  Rows are built in one buffer,
-    and no spectrum outlives its consume call."""
+def _shift_spectra(s: Member, pos: np.ndarray, n: int, real: bool, taus: np.ndarray):
+    """``bf.product_spectra`` batches (shifts, parts, n) of the shift products
+    V_tau(t) = s(t + tau) conj(s(t)), tau in taus, with V_tau(t) at pos[t]."""
     k = len(s.re)
-    c, d = _placed(s, pos, n)
+    y = _placed(s, pos, n)
     at = np.zeros(n, dtype=np.intp)
-    at[pos] = np.arange(k)  # the sample at each position; any where c = d = 0
+    at[pos] = np.arange(k)  # the sample at each position; any where s is not placed
     # win[:, tau, t] = (Re, Im) s(t + tau), a view
     win = sliding_window_view(np.tile(np.stack([s.re, s.im]), 2), k, axis=1)
-    width = 2 * n if cplx else n
-    rows = min(max(len(taus) for taus, _ in groups), max(1, _SCAN_VALUES // width))
-    buf = np.empty((rows, width), dtype=np.float32)
-    for taus, consume in groups:
-        for lo in range(0, len(taus), len(buf)):
-            tau = taus[lo : lo + len(buf)]
-            v = buf[: len(tau)]
-            a = win[0, tau][:, at]
-            np.multiply(a, c, out=v[:, :n])
-            if cplx:
-                b = win[1, tau][:, at]
-                v[:, :n] += b * d
-                np.multiply(b, c, out=v[:, n:])
-                v[:, n:] -= a * d
-            consume(bf._hadamard_rows(v))
+
+    def pairs(start, rows):
+        tau = taus[start : start + rows]
+        return win[0, tau][:, at], None if real else win[1, tau][:, at], *y
+
+    return bf.product_spectra(len(taus), n, real, pairs)
 
 
-def _count(counts: Counter, weight: int, *parts: np.ndarray) -> None:
-    """Add weight to counts[(a, b, ...)] for each index at which parts[0],
-    parts[1], ... read a, b, ...: integer-valued arrays of one 2-D shape.
+def _count(counts: Counter, weight: int, re: np.ndarray, im: np.ndarray | None = None) -> None:
+    """Add weight to counts[(a, b)] for each index at which re reads a and
+    im (0 when None) reads b: integer-valued arrays of one 2-D shape.
 
     Rows are taken about _COUNT_VALUES values at a time, so no int64
-    temporary grows with the kernel batch.  Within them every part but the
-    last is replaced by the ranks of its distinct values, so the joint
-    bincount has one cell per distinct value of the leading parts and per
-    value in the range of the last: never one per pair of possible values.
+    temporary grows with the kernel batch.  Within them re is replaced by
+    the ranks of its distinct values, so the joint bincount has one cell per
+    distinct a and per b in range: never one per pair of possible values.
     """
-    step = max(1, _COUNT_VALUES // parts[0].shape[1])
-    for lo in range(0, len(parts[0]), step):
-        key, values = 0, []
-        for p in parts:
-            a = p[lo : lo + step].astype(np.int64).ravel()
-            base = int(a.min())
-            a -= base
-            if p is parts[-1]:
-                values.append(np.arange(int(a.max()) + 1) + base)
-                key = key * len(values[-1]) + a
-            else:
-                seen = np.bincount(a) > 0
-                values.append(np.flatnonzero(seen) + base)
-                key = key * len(values[-1]) + (np.cumsum(seen) - 1)[a]
-        joint = np.bincount(key)
-        cells = np.flatnonzero(joint)
-        idx = np.unravel_index(cells, [len(v) for v in values])
-        for value, n in zip(zip(*(v[i].tolist() for v, i in zip(values, idx))), joint[cells].tolist()):
-            counts[value] += weight * n
-
-
-def _gaussian(key: tuple[int, ...]) -> tuple[int, int]:
-    """The correlation value of a counted key: (W,) for a real row, or the
-    spectrum (W0, W1) = (W_re + W_im, W_re - W_im) of a row that holds the
-    real part on its first half and the imaginary part on its second."""
-    return (key[0] + key[-1]) // 2, (key[0] - key[-1]) // 2
+    step = max(1, _COUNT_VALUES // re.shape[1])
+    for lo in range(0, len(re), step):
+        a = re[lo : lo + step].astype(np.int64).ravel()
+        b = 0 if im is None else im[lo : lo + step].astype(np.int64).ravel()
+        a_min, b_min = int(a.min()), int(np.min(b))
+        span = int(np.max(b)) - b_min + 1
+        seen = np.bincount(a - a_min) > 0
+        joint = np.bincount((np.cumsum(seen) - 1)[a - a_min] * span + (b - b_min))
+        values = np.flatnonzero(seen) + a_min
+        for cell in np.flatnonzero(joint).tolist():
+            counts[(int(values[cell // span]), cell % span + b_min)] += weight * int(joint[cell])
 
 
 def _corr_dist(counts: Counter, size: int, period: int) -> CorrDist:
@@ -334,20 +302,15 @@ def _field_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -> Corr
     _check_layout(fam, chars, chars[1])
     k, s, inf = fam.period, fam.members[0], fam.members[-1].re
     q = k + 1
-    cplx = fam.alphabet == "quaternary"
-
-    def halves(w):
-        return (w[:, :q], w[:, q:]) if cplx else (w,)
-
-    spectra = Counter()
-    _scan_shifts(s, pos, q, cplx, [(np.arange(k), lambda w: _count(spectra, q, *halves(w)))])
-    placed = _placed(s, pos, q)
-    own = halves(bf._hadamard_rows(placed.reshape(1, -1) if cplx else placed[:1]))
-    _count(spectra, k, *own)
-    _count(spectra, k, *own[::-1])  # swapped halves: the conjugate
+    real = fam.alphabet != "quaternary"
     counts = Counter()
-    for key, n in spectra.items():
-        counts[_gaussian(key)] += n
+    for w in _shift_spectra(s, pos, q, real, np.arange(k)):
+        _count(counts, q, *w.swapaxes(0, 1))
+    # s_0 itself is s_0 conj(1), placed the same way
+    (own,) = bf.product_spectra(1, q, real, lambda start, rows: (*_placed(s, pos, q), 1, 0))
+    _count(counts, k, *own.swapaxes(0, 1))
+    own[:, 1:] *= -1  # the conjugate
+    _count(counts, k, *own.swapaxes(0, 1))
     wins = sliding_window_view(np.concatenate([inf, inf]).astype(np.int32), k)[:k]
     for v, n in zip(*np.unique(wins @ inf.astype(np.int32), return_counts=True)):
         counts[(int(v), 0)] += int(n)
@@ -370,20 +333,15 @@ def _interleaved_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -
     _check_layout(fam, chars, None)
     k, s = fam.period // 2, fam.members[0]
     q = k + 1
-    even, odd = Counter(), Counter()
-
-    def group(taus, counts, cols, weight):
-        return taus, lambda w: _count(counts, weight, w[:, cols])
-
-    # the hyperplane H is the even columns
-    _scan_shifts(s, pos, 2 * q, False, [group(np.array([0]), even, slice(0, None, 2), q // 2),
-                                        group(np.arange(2, 2 * k, 2), even, slice(None), q // 4),
-                                        group(np.array([k]), odd, slice(0, None, 2), q // 2),
-                                        group(np.r_[1:k:2, k + 2 : 2 * k : 2], odd, slice(None), q // 4)])
-    dist = Counter()
-    for (v,), n in even.items():
-        dist[(v, 0)] += 2 * n
-    for (v,), n in odd.items():
+    dist, odd = Counter(), Counter()
+    # the hyperplane H is the even columns; even shifts count twice
+    for taus, counts, cols, weight in ((np.array([0]), dist, slice(0, None, 2), q),
+                                       (np.arange(2, 2 * k, 2), dist, slice(None), q // 2),
+                                       (np.array([k]), odd, slice(0, None, 2), q // 2),
+                                       (np.r_[1:k:2, k + 2 : 2 * k : 2], odd, slice(None), q // 4)):
+        for w in _shift_spectra(s, pos, 2 * q, True, taus):
+            _count(counts, weight, w[:, 0, cols])
+    for (v, _), n in odd.items():
         dist[(v, 0)] += n
         dist[(-v, 0)] += n
     return _corr_dist(dist, fam.size, 2 * k)

@@ -145,6 +145,45 @@ def test_walsh_many_is_exact_on_rows_with_zeros(rows):
     assert np.all(full[:, 0] == rows.shape[1])
 
 
+# (re, im) of 1, -1, i, -i and 0: the first two and the last are real
+_UNITS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], dtype=np.int8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_product_spectra_match_int64_oracle(data):
+    # budgets from one row per batch to a few rows with a ragged last batch:
+    # every batch is copied as it comes, so a buffer that leaked from one
+    # batch into the next would show against the int64 spectra
+    n = data.draw(st.integers(0, 7), label="n")
+    n_rows = data.draw(st.integers(1, 9), label="n_rows")
+    real = data.draw(st.booleans(), label="real")
+    length = 1 << n
+    budget = data.draw(st.integers(1, 4 * length), label="budget")
+    pick = st.sampled_from([0, 1, 4] if real else range(5))
+    x, y = (_UNITS[data.draw(hnp.arrays(np.int64, (n_rows, length), elements=pick))]
+            for _ in range(2))
+    starts = []
+
+    def pairs(start, rows):
+        starts.append(start)
+        sl = slice(start, start + rows)
+        return x[sl, :, 0], None if real else x[sl, :, 1], y[sl, :, 0], None if real else y[sl, :, 1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bf, "BATCH_VALUES", budget)
+        batches = [w.copy() for w in bf.product_spectra(n_rows, length, real, pairs)]
+    parts = 1 if real else 2
+    rows = max(1, min(n_rows, budget // (parts * length)))
+    assert [len(w) for w in batches[:-1]] == [rows] * (len(batches) - 1)
+    assert starts == list(range(0, n_rows, rows))
+    (xr, xi), (yr, yi) = (np.moveaxis(v.astype(np.int64), -1, 0) for v in (x, y))
+    want = np.stack([xr * yr + xi * yi, xi * yr - xr * yi][:parts], axis=1)
+    got = np.concatenate(batches)
+    assert got.dtype == np.float32 and got.shape == (n_rows, parts, length)
+    assert np.array_equal(got, wht_inplace(want))
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(1, 8), with_bit=st.booleans(), seed=SEEDS)
 def test_walsh_is_the_reindexed_butterfly_in_int64(d, with_bit, seed):

@@ -307,14 +307,18 @@ def test_charquad_walsh_check_past_the_certifier_cap_skips_the_tau_scans(capsys,
     # --seed is read only by codebook, --threads only by verify and codebook
     "construct --m 4 --seed 3",
     "mub --m 4 --threads 2",
+    # selftest prints its lines and writes no report
+    "selftest --out r.json",
 ])
-def test_argparse_errors_exit_2_with_json(capsys, argv):
+def test_argparse_errors_exit_2_with_json(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv.split())
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "error" in json.loads(captured.err)
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_is_usage_text(capsys):

@@ -7,6 +7,7 @@ bound formulas:
     real (72, 8):     (216 - 64 - 16) / (64 * 10)   = 136/640  = 17/80
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -233,9 +234,32 @@ def test_imax_sq_threads_deterministic(monkeypatch):
     mcb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
     assert cbk.imax_sq(cb) == Fraction(1, 16) and cbk.imax_sq(mcb) == Fraction(1, 8)
     for batch in (50, 17, 1):
-        monkeypatch.setattr(cbk, "_PAIR_BATCH", batch)
+        monkeypatch.setattr(bf, "BATCH_VALUES", batch)
         assert cbk.imax_sq(cb) == Fraction(1, 16)
         assert cbk.imax_sq(mcb) == Fraction(1, 8)
+
+
+def test_imax_sq_memory_is_bounded():
+    # the engine's batch is 2^18 float32 values (1 MB); the scan of the
+    # m = 10 real codebook's C(512, 2) block pairs peaked at 4.3 MB: its
+    # three float32 buffers, the int8 products and the two int8 gathers
+    cb = cbk.build_real_codebook(cn.kerdock_fn(10))
+    tracemalloc.start()
+    try:
+        assert cbk.imax_sq(cb) == Fraction(1, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
+def test_max_sq_is_exact_past_float32():
+    # a complex batch of length 2^13 squares in float64: 8191^2 + 1 needs 26
+    # bits, which float32 rounds; a real batch takes the largest |W| alone
+    w = np.zeros((2, 2, 1 << 13), dtype=np.float32)
+    w[1, :, 5] = 8191, 1
+    assert cbk._max_sq(w) == 8191 ** 2 + 1
+    assert cbk._max_sq(-w[:, :1]) == 8191 ** 2
 
 
 # -- the block-pair spectrum against the int64 Gram oracle ----------------------------
@@ -276,9 +300,9 @@ def _kernel_rows(monkeypatch) -> list:
     rows = []
     kernel = bf._hadamard_rows
 
-    def counted(x):
+    def counted(x, *args, **kwargs):
         rows.append(int(np.prod(np.shape(x)[:-1])))
-        return kernel(x)
+        return kernel(x, *args, **kwargs)
 
     def forbidden(*args):
         pytest.fail("a block scan called a Walsh entry point")
@@ -306,12 +330,13 @@ def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
 def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     # each builder certifies its function with q - 1 rows through walsh and
     # walsh_many, then scans k + 1 kernel rows of its stored members for the
-    # quaternary and semi-bent families (one per shift, one for s_0) and 2k
-    # for the interleaved binary family of period 2k
+    # semi-bent family (one per shift, one for s_0), twice that for the
+    # quaternary family (one per part), and 2k for the interleaved binary
+    # family of period 2k
     kernel_rows, walsh_rows = [], []
     kernel, walsh, walsh_many = bf._hadamard_rows, bf.walsh, bf.walsh_many
-    monkeypatch.setattr(bf, "_hadamard_rows",
-                        lambda x: kernel_rows.append(int(np.prod(np.shape(x)[:-1]))) or kernel(x))
+    monkeypatch.setattr(bf, "_hadamard_rows", lambda x, *args, **kwargs: kernel_rows.append(
+        int(np.prod(np.shape(x)[:-1]))) or kernel(x, *args, **kwargs))
     monkeypatch.setattr(bf, "walsh", lambda f: walsh_rows.append(1) or walsh(f))
     monkeypatch.setattr(bf, "walsh_many", lambda s: walsh_rows.append(len(s)) or walsh_many(s))
     cases = []
@@ -319,7 +344,7 @@ def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
         ctx = mk_field(n)
         f = cn.kerdock_fn(n + 1)
         g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
-        cases += [(sf.quaternary_family, f, ctx.order), (sf.binary_family, f, 2 * ctx.order - 2),
+        cases += [(sf.quaternary_family, f, 2 * ctx.order), (sf.binary_family, f, 2 * ctx.order - 2),
                   (sf.semibent_family, g, ctx.order)]
     for build, fn, scan_rows in cases:
         kernel_rows.clear()

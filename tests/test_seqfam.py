@@ -388,7 +388,7 @@ def test_builders_reject_a_tampered_member(monkeypatch, name):
 @pytest.mark.parametrize("name", ["quaternary-3", "binary-5"])
 def test_layout_check_reads_every_batch(monkeypatch, name):
     # one member per batch: a tampered member past the first batch is found
-    monkeypatch.setattr(sf, "_SCAN_VALUES", 1)
+    monkeypatch.setattr(bf, "BATCH_VALUES", 1)
     _build_tampered(monkeypatch, name)
 
 
@@ -422,7 +422,7 @@ def test_spectral_distributions_do_not_depend_on_the_batch_schedule(monkeypatch)
     # from one to nine shifts per kernel call and rows per count (rows of 32
     # or 64 values), with ragged last batches
     for batch in (100, 300):
-        monkeypatch.setattr(sf, "_SCAN_VALUES", batch)
+        monkeypatch.setattr(bf, "BATCH_VALUES", batch)
         monkeypatch.setattr(sf, "_COUNT_VALUES", batch)
         assert [_key(build().dist) for build in builds] == whole
 
