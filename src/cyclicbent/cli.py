@@ -52,6 +52,8 @@ def _parse_ints(flag: str, s: str) -> tuple[int, ...]:
 
 
 def _chain_levels(args) -> tuple[int, ...]:
+    if args.m > cn.REDUCED_MODE_MAX_M:  # past every certifier: reject before chain_fn
+        raise ValueError(f"reduced certification capped at m <= {cn.REDUCED_MODE_MAX_M}")
     return _parse_ints("--chain", args.chain) if args.chain else (1, args.m - 1)
 
 
@@ -79,9 +81,16 @@ def _eps_vector(args, q: int) -> list[int]:
     return [int(args.eps == "ones")] * (q - 1)
 
 
+def _check_semibent_cap(n: int) -> None:
+    if n > cn.SEMIBENT_REDUCED_MAX_N:  # past every semi-bent certifier
+        raise ValueError(f"reduced semi-bent certification capped at n <= "
+                         f"{cn.SEMIBENT_REDUCED_MAX_N}, got n = {n}")
+
+
 def _semibent_input(args) -> bf.BoolFun:
     if args.n is None:
         raise ValueError("a semi-bent input needs --n")
+    _check_semibent_cap(args.n)  # before building g
     ctx = mk_field(args.n)
     if getattr(args, "restrict_bent", False):
         return cn.derive_semibent(cn.kerdock_fn(args.n + 1), getattr(args, "eps_bit", 0))
@@ -214,17 +223,12 @@ def cmd_mub(args) -> int:
 
 def cmd_seqfam(args) -> int:
     if args.kind == "semibent":
-        g = _semibent_input(args)
-        fam = sf.semibent_family(g)
-        expected = sf.expected_semibent_distribution(args.n)
+        fn, size = _semibent_input(args), args.n
     else:
-        f = cn.chain_fn(_chain_spec(args))
-        if args.kind == "quaternary":
-            fam = sf.quaternary_family(f)
-            expected = sf.expected_quaternary_distribution(args.m)
-        else:
-            fam = sf.binary_family(f)
-            expected = sf.expected_binary_distribution(args.m)
+        fn, size = cn.chain_fn(_chain_spec(args)), args.m
+    # each kind names its builder and its closed form
+    fam = getattr(sf, f"{args.kind}_family")(fn)
+    expected = getattr(sf, f"expected_{args.kind}_distribution")(size)
     csv = _csv(args, fam.write_csv)
     dist = sf.full_distribution(fam)
     report = {
@@ -282,9 +286,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_charquad(args) -> int:
-    if args.walsh_check and args.m > cn.SEMIBENT_REDUCED_MAX_N:  # before the tau scans
-        raise ValueError(f"reduced semi-bent certification capped at n <= "
-                         f"{cn.SEMIBENT_REDUCED_MAX_N}, got n = {args.m}")
+    if args.walsh_check:
+        _check_semibent_cap(args.m)  # before the tau scans
     ctx = mk_field(args.m)
     L = _parse_linpoly(ctx, args.L)
     ok_gcrd, rep_gcrd = lp.is_cyclic_semibent_quadratic(L, path="gcrd")

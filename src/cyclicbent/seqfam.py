@@ -12,21 +12,20 @@ Three families are built:
   function.
 
 Sequence values are Gaussian integers held as separate re/im integer
-vectors; correlations are exact integers.  Each family is its first member
-s_0 times characters: s_lam(t) = s_0(t) chi_lam(y_t), where t -> y_t is a
-bijection of the shifts onto the nonzero points of the field (or of the
-field times GF(2) for the interleaved family) and a shift by tau multiplies
-y_t by a field element c.  So every correlation between character members
-is one Walsh value of the shift product V_tau(t) = s_0(t + tau) conj(s_0(t))
-placed at y_t, at the dual point lam c + lam'.  Each builder certifies its
-function, builds its members, checks once that they have this layout, and
-attaches the exact histogram (CorrDist) from one ``bf.product_spectra`` scan
-of the stored first member: a kernel row per shift and part, plus one per
-part for s_0 itself, in place of S^2 k^2 products.  The direct
-scan over all member pairs and shifts (``_scan``) remains for hand-built
-families and as the oracle.  The closed-form correlation distributions are
-available as expected_* functions so measured histograms can be checked
-against them.
+vectors; correlations are exact integers.  Each family is one codebook
+block read along a cyclic order: s_lam(t) = s_0(t) chi_lam(y_t), where
+t -> y_t is a bijection of the shifts onto the nonzero points of the field
+(or of the field times GF(2) for the interleaved family) and a shift by tau
+multiplies y_t by a field element c.  A ``SequenceFamily`` stores its kind
+and s_0 as a one-block ``Codebook``; the rest follows from the kind, and
+the members are built only on demand (CSV output, the tests) as rows of
+the block.  Every correlation between character members is one Walsh value
+of the shift product V_tau(t) = s_0(t + tau) conj(s_0(t)) placed at y_t, at
+the dual point lam c + lam', so ``full_distribution`` reads the exact
+histogram (CorrDist) off one ``bf.product_spectra`` scan of the block: a
+kernel row per shift and part, plus one per part for s_0 itself, in place
+of the S^2 k^2 products of the direct scan (``_scan``, the test oracle).
+The closed-form distributions are the expected_* functions.
 
 beta is always the context generator (the class of x of the default
 modulus): distributions are independent of the choice of primitive element,
@@ -37,15 +36,16 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cyclicbent import boolfun as bf
+from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
 from cyclicbent.boolfun import BoolFun
-from cyclicbent.codebook import quaternary_entry_arrays
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,57 @@ class Member:
 
 @dataclass
 class SequenceFamily:
-    """alphabet is "quaternary" or "binary".  dist is the distribution the
-    builders read off the stored members; full_distribution scans the
-    members when it is None (a hand-built family)."""
+    """kind is "quaternary", "binary" (the interleaved family) or "semibent";
+    block holds s_0 on the field of q points (the field times GF(2) for the
+    binary kind).  Period q - 1 and size q + 1 (the q characters and inf),
+    or 2(q - 1) and q for the binary kind."""
 
-    alphabet: str
-    period: int
-    members: list[Member] = field(default_factory=list)
-    dist: CorrDist | None = field(default=None, repr=False, compare=False)
+    kind: str
+    block: cbk.Codebook
+
+    @property
+    def period(self) -> int:
+        return self.block.length - (2 if self.kind == "binary" else 1)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.block.length // 2 if self.kind == "binary" else self.block.length + 1
+
+    @cached_property
+    def pos(self) -> np.ndarray:
+        """The domain index of y_t for each sample t: beta^t, or (beta^{t/2},
+        t mod 2) for the binary kind, 1/2 = 2^{m-2} mod q - 1 (half a period)."""
+        ctx = self.block.domain.ctx
+        t = np.arange(self.period)
+        if self.kind != "binary":
+            return ctx.generator_powers(t)
+        return (t % 2) * ctx.order + ctx.generator_powers(t * (ctx.order // 2))
+
+    @property
+    def inf(self) -> np.ndarray:
+        """The int8 m-sequence chi_1(beta^t), the last member of the field kinds."""
+        return 1 - 2 * self.block.domain.ctx.trace_table(1)[self.pos].astype(np.int8)
+
+    @property
+    def members(self) -> list[Member]:
+        """Rows lam (for the binary kind (lam, nu) with tr(lam) = 0) of the
+        block at the columns y_t, then inf for the field kinds."""
+        binary, ctx = self.kind == "binary", self.block.domain.ctx
+        q, duals = ctx.order, np.arange(ctx.order)
+        if binary:
+            lams = np.flatnonzero(ctx.trace_table(1) == 0)
+            duals = np.concatenate([lams, q + lams])
+        labels = [f"{d % q},{d // q}" if binary else str(d) for d in duals.tolist()]
+        re, im, _ = self.block.basis(1)
+        cols = np.ix_(duals, self.pos)
+        out = [Member(*row) for row in zip(labels, re[cols], im[cols])]
+        if not binary:
+            out.append(Member("inf", self.inf, np.zeros(self.period, dtype=np.int8)))
+        return out
 
     def write_csv(self, path: str) -> None:
         """One row per sequence: label, then symbols in {1, i, -1, -i} / {1, -1}."""
+        cbk._check_entries(self.size, self.period)
         names = {(1, 0): "1", (-1, 0): "-1", (0, 1): "i", (0, -1): "-i"}
         with open(path, "w") as fh:
             for mem in self.members:
@@ -118,17 +154,10 @@ def _check_normalized(f: BoolFun):
         )
 
 
-def _characters(domain: bf.Domain, duals: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """int8 (-1)^{<dual, y_t>}, one row per dual point in duals (spectrum
-    indices) and one column per sample t, whose domain point y_t is at pos[t]."""
-    return 1 - 2 * np.take(bf.char_bits(domain)[duals], pos, axis=1).astype(np.int8)
-
-
-def _field_layout(ctx) -> tuple[np.ndarray, np.ndarray]:
-    """Positions y_t = beta^t (field indices) for t < q - 1, and the
-    characters chi_lam(beta^t), one row per lam."""
-    pos = ctx.generator_powers(np.arange(ctx.order - 1))
-    return pos, _characters(bf.Domain(ctx), np.arange(ctx.order), pos)
+def _sign_block(fn: BoolFun) -> cbk.Codebook:
+    """The one-block codebook (-1)^fn on fn's domain."""
+    signs = 1 - 2 * fn.table[None].astype(np.int8)
+    return cbk.Codebook(fn.domain, signs, np.zeros_like(signs))
 
 
 def quaternary_family(f: BoolFun) -> SequenceFamily:
@@ -139,15 +168,8 @@ def quaternary_family(f: BoolFun) -> SequenceFamily:
     """
     _check_normalized(f)
     cn.require_cyclic_bent(f)
-    q = f.domain.ctx.order
-    pos, chars = _field_layout(f.domain.ctx)
-    are, aim = quaternary_entry_arrays(f, 1)
-    re, im = are[pos] * chars, aim[pos] * chars
-    members = [Member(str(lam), re[lam], im[lam]) for lam in range(q)]
-    members.append(Member("inf", chars[1], np.zeros(q - 1, dtype=np.int8)))
-    fam = SequenceFamily("quaternary", q - 1, members)
-    fam.dist = _field_dist(fam, pos, chars)
-    return fam
+    re, im = cbk.quaternary_entry_arrays(f, [1])
+    return SequenceFamily("quaternary", cbk.Codebook(bf.Domain(f.domain.ctx), re, im))
 
 
 def binary_family(f: BoolFun) -> SequenceFamily:
@@ -163,23 +185,7 @@ def binary_family(f: BoolFun) -> SequenceFamily:
     if cn.affine_bit_difference(f) != (1, 0):
         raise ValueError("binary family needs f(x1,0)+f(x1,1) = tr(x1)")
     cn.require_cyclic_bent(f)
-    ctx = f.domain.ctx
-    q = ctx.order
-    period = 2 * (q - 1)
-    # sample t sits at (x_t, b_t) = (beta^{t 2^{-1}}, t mod 2), where
-    # 2^{-1} = 2^{m-2} mod q - 1 is the half-period offset of the odd samples
-    t = np.arange(period)
-    x = ctx.generator_powers(t * (q // 2))
-    pos = (t % 2) * q + x
-    lams = np.flatnonzero(ctx.trace_table(1) == 0)
-    chars = _characters(f.domain, np.concatenate([lams, q + lams]), pos)  # (lam, nu), nu-major
-    vals = (1 - 2 * f.table[pos].astype(np.int8)) * chars
-    labels = [f"{lam},{nu}" for nu in (0, 1) for lam in lams]
-    zeros = np.zeros(period, dtype=np.int8)
-    members = [Member(label, v, zeros) for label, v in zip(labels, vals)]
-    fam = SequenceFamily("binary", period, members)
-    fam.dist = _interleaved_dist(fam, pos, chars)
-    return fam
+    return SequenceFamily("binary", _sign_block(f))
 
 
 def semibent_family(g: BoolFun) -> SequenceFamily:
@@ -193,64 +199,36 @@ def semibent_family(g: BoolFun) -> SequenceFamily:
     if int(g.table[0]) != 0:
         raise ValueError("family needs g(0) = 0")
     cn.require_cyclic_semibent(g)
-    q = g.domain.ctx.order
-    pos, chars = _field_layout(g.domain.ctx)
-    vals = (1 - 2 * g.table[pos].astype(np.int8)) * chars
-    zeros = np.zeros(q - 1, dtype=np.int8)
-    members = [Member(str(lam), vals[lam], zeros) for lam in range(q)]
-    members.append(Member("inf", chars[1], zeros))
-    fam = SequenceFamily("binary", q - 1, members)
-    fam.dist = _field_dist(fam, pos, chars)
-    return fam
+    return SequenceFamily("semibent", _sign_block(g))
 
 
-# -- distributions from the stored members -------------------------------------------
+# -- distributions from the stored block ---------------------------------------------
 
 # values per counting step of _count, which bounds its int64 temporaries
 _COUNT_VALUES = 1 << 16
 
 
-def _check_layout(fam: SequenceFamily, chars: np.ndarray, inf: np.ndarray | None) -> None:
-    """Raise ValueError unless the first member has unit symbols, member j
-    is the first member times chars[j] for each row j (compared about
-    bf.BATCH_VALUES values at a time, so no temporary grows with the
-    period), and (when inf is given) one more member follows, the real
-    sequence inf."""
-    s, body = fam.members[0], fam.members[: len(chars)]
-    step = max(1, bf.BATCH_VALUES // len(s.re))
-    if not (np.all(np.abs(s.re) + np.abs(s.im) == 1)
-            and len(fam.members) == len(chars) + (inf is not None)
-            and all(np.array_equal(np.array([getattr(mem, part) for mem in body[lo : lo + step]]),
-                                   getattr(s, part) * chars[lo : lo + step])
-                    for lo in range(0, len(chars), step) for part in ("re", "im"))):
-        raise ValueError("members must be the first member, of unit symbols, times their characters")
-    if inf is not None and not (np.array_equal(fam.members[-1].re, inf)
-                                and not fam.members[-1].im.any()):
-        raise ValueError("the last member must be the m-sequence chi_1(beta^t)")
+def _placed(fam: SequenceFamily) -> np.ndarray:
+    """int8 (2, n): Re and Im of s_0 at the points y_t, 0 at the points no sample reaches."""
+    y = np.zeros((2, fam.block.length), dtype=np.int8)
+    y[:, fam.pos] = fam.block.re[0, fam.pos], fam.block.im[0, fam.pos]
+    return y
 
 
-def _placed(s: Member, pos: np.ndarray, n: int) -> np.ndarray:
-    """int8 (2, n): the real and imaginary parts of s, s[t] at pos[t], 0 elsewhere."""
-    out = np.zeros((2, n), dtype=np.int8)
-    out[:, pos] = s.re, s.im
-    return out
-
-
-def _shift_spectra(s: Member, pos: np.ndarray, n: int, real: bool, taus: np.ndarray):
+def _shift_spectra(fam: SequenceFamily, real: bool, taus: np.ndarray):
     """``bf.product_spectra`` batches (shifts, parts, n) of the shift products
-    V_tau(t) = s(t + tau) conj(s(t)), tau in taus, with V_tau(t) at pos[t]."""
-    k = len(s.re)
-    y = _placed(s, pos, n)
-    at = np.zeros(n, dtype=np.intp)
-    at[pos] = np.arange(k)  # the sample at each position; any where s is not placed
-    # win[:, tau, t] = (Re, Im) s(t + tau), a view
-    win = sliding_window_view(np.tile(np.stack([s.re, s.im]), 2), k, axis=1)
+    V_tau(t) = s_0(t + tau) conj(s_0(t)), tau in taus, with V_tau(t) at y_t."""
+    pos, y = fam.pos, _placed(fam)
+    at = np.zeros(fam.block.length, dtype=np.intp)
+    at[pos] = np.arange(len(pos))  # the sample at each point; any where s_0 is not placed
+    # win[:, tau, t] = (Re, Im) s_0(t + tau), a view
+    win = sliding_window_view(np.tile(y[:, pos], 2), len(pos), axis=1)
 
     def pairs(start, rows):
         tau = taus[start : start + rows]
         return win[0, tau][:, at], None if real else win[1, tau][:, at], *y
 
-    return bf.product_spectra(len(taus), n, real, pairs)
+    return bf.product_spectra(len(taus), fam.block.length, real, pairs)
 
 
 def _count(counts: Counter, weight: int, re: np.ndarray, im: np.ndarray | None = None) -> None:
@@ -288,7 +266,7 @@ def _corr_dist(counts: Counter, size: int, period: int) -> CorrDist:
     return CorrDist(counts, total, r_max)
 
 
-def _field_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -> CorrDist:
+def _field_dist(fam: SequenceFamily) -> CorrDist:
     """The quaternary and semi-bent families: s_lam = s_0 chi_lam(beta^t) for
     lam over the field, then inf = chi_1(beta^t).
 
@@ -297,30 +275,29 @@ def _field_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -> Corr
     dual point of the k shift spectra.  lam against inf is
     W(s_0)(lam + beta^{-tau}) and inf against lam its conjugate, so k
     copies of W(s_0) and of its conjugate.  inf against itself is the
-    autocorrelation of the stored row.
+    autocorrelation of the m-sequence.
     """
-    _check_layout(fam, chars, chars[1])
-    k, s, inf = fam.period, fam.members[0], fam.members[-1].re
-    q = k + 1
-    real = fam.alphabet != "quaternary"
+    k, q, real = fam.period, fam.period + 1, fam.kind != "quaternary"
     counts = Counter()
-    for w in _shift_spectra(s, pos, q, real, np.arange(k)):
+    for w in _shift_spectra(fam, real, np.arange(k)):
         _count(counts, q, *w.swapaxes(0, 1))
     # s_0 itself is s_0 conj(1), placed the same way
-    (own,) = bf.product_spectra(1, q, real, lambda start, rows: (*_placed(s, pos, q), 1, 0))
+    y = _placed(fam)
+    (own,) = bf.product_spectra(1, q, real, lambda start, rows: (*y, 1, 0))
     _count(counts, k, *own.swapaxes(0, 1))
     own[:, 1:] *= -1  # the conjugate
     _count(counts, k, *own.swapaxes(0, 1))
-    wins = sliding_window_view(np.concatenate([inf, inf]).astype(np.int32), k)[:k]
-    for v, n in zip(*np.unique(wins @ inf.astype(np.int32), return_counts=True)):
+    inf = fam.inf.astype(np.int32)
+    wins = sliding_window_view(np.concatenate([inf, inf]), k)[:k]
+    for v, n in zip(*np.unique(wins @ inf, return_counts=True)):
         counts[(int(v), 0)] += int(n)
     return _corr_dist(counts, fam.size, k)
 
 
-def _interleaved_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -> CorrDist:
+def _interleaved_dist(fam: SequenceFamily) -> CorrDist:
     """The interleaved binary family: s_{lam,nu}(t) = s_{0,0}(t)
     (-1)^{tr(lam x_t) + nu b_t} for lam over the trace-0 hyperplane H and nu
-    in GF(2), with (x_t, b_t) the point at pos[t].
+    in GF(2), with (x_t, b_t) = y_t.
 
     The shift tau takes (x_t, b_t) to (c x_t, b_t + tau), c = beta^{tau/2}
     (tau 2^{-1} mod q - 1), so R_{(lam,nu),(lam',nu')}(tau) =
@@ -330,16 +307,14 @@ def _interleaved_dist(fam: SequenceFamily, pos: np.ndarray, chars: np.ndarray) -
     (mu, e) is reached from nu = 0 and from nu = 1: twice with the same
     value at an even shift, and with each sign once at an odd shift.
     """
-    _check_layout(fam, chars, None)
-    k, s = fam.period // 2, fam.members[0]
-    q = k + 1
+    k, q = fam.period // 2, fam.period // 2 + 1
     dist, odd = Counter(), Counter()
     # the hyperplane H is the even columns; even shifts count twice
     for taus, counts, cols, weight in ((np.array([0]), dist, slice(0, None, 2), q),
                                        (np.arange(2, 2 * k, 2), dist, slice(None), q // 2),
                                        (np.array([k]), odd, slice(0, None, 2), q // 2),
                                        (np.r_[1:k:2, k + 2 : 2 * k : 2], odd, slice(None), q // 4)):
-        for w in _shift_spectra(s, pos, 2 * q, True, taus):
+        for w in _shift_spectra(fam, True, taus):
             _count(counts, weight, w[:, 0, cols])
     for (v, _), n in odd.items():
         dist[(v, 0)] += n
@@ -362,31 +337,35 @@ def correlate(s: Member, s2: Member, tau: int) -> tuple[int, int]:
 
 
 def _scan(fam: SequenceFamily) -> CorrDist:
-    """Every R_{i,j}(tau) in one pass of exact int64 matrix products.
+    """Every R_{i,j}(tau) in one pass of exact int64 matrix products, from
+    ``members``, ``size`` and ``period`` alone: the test oracle.
 
     For member i, the k x k stack of its shifts (row tau is s_i(t + tau)) is
-    multiplied by the stacked conjugates of all members, giving R_{i,j}(tau)
-    for every j and tau at once.  The symbols are units, so |re|, |im| <= k
-    and the offset key (re + k)(2k + 1) + (im + k) indexes a bincount.
+    multiplied by the stacked conjugates of all members (their real parts
+    alone when every imaginary part is 0), giving R_{i,j}(tau) for every j
+    and tau at once.  The symbols are units, so |re|, |im| <= k and the
+    offset key (re + k)(2k + 1) + (im + k) indexes a bincount.
     """
     k, size = fam.period, fam.size
-    re = np.array([mem.re for mem in fam.members], dtype=np.int64).reshape(size, k)
-    im = np.array([mem.im for mem in fam.members], dtype=np.int64).reshape(size, k)
+    members = fam.members
+    re = np.array([mem.re for mem in members], dtype=np.int64).reshape(size, k)
+    im = np.array([mem.im for mem in members], dtype=np.int64).reshape(size, k)
     if np.any(re * re + im * im != 1):
         raise ValueError("sequence symbols must be 1, i, -1 or -i")
     t = np.arange(k)
     idx = (t[None, :] + t[:, None]) % k  # idx[tau, t] = t + tau
-    shifts_idx = np.concatenate([idx, idx + k], axis=1)
-    rows = np.concatenate([re, im], axis=1)
+    parts = 2 if im.any() else 1  # a real family keeps only the real products
+    shifts_idx = np.concatenate([idx, idx + k][:parts], axis=1)
+    rows = np.concatenate([re, im][:parts], axis=1)
     # [a b] @ [[c, -d], [d, c]] = [ac + bd, bc - ad]: (a + bi) conj(c + di)
-    conj = np.block([[re.T, -im.T], [im.T, re.T]])
+    conj = np.block([[re.T, -im.T], [im.T, re.T]])[: parts * k, : parts * size]
     width = 2 * k + 1
     hist = np.zeros(width * width, dtype=np.int64)
     peak = 0
     for i in range(size):
         # einsum's integer loop beats matmul's by about a third here
         prod = np.einsum("tu,uj->tj", rows[i][shifts_idx], conj)
-        cre, cim = prod[:, :size], prod[:, size:]
+        cre, cim = prod[:, :size], prod[:, size:] if parts == 2 else 0
         hist += np.bincount(((cre + k) * width + (cim + k)).ravel(), minlength=width * width)
         mag = cre * cre + cim * cim
         mag[0, i] = 0  # each member's own zero-shift peak is trivial
@@ -403,11 +382,9 @@ def _scan(fam: SequenceFamily) -> CorrDist:
 
 def full_distribution(fam: SequenceFamily) -> CorrDist:
     """Exact histogram over all ordered member pairs and all shifts, with the
-    squared maximum correlation magnitude in ``r_max_sq``: the builder's
-    spectral distribution when the family has one, else the direct scan."""
-    if fam.dist is None:
-        return _scan(fam)
-    return CorrDist(dict(fam.dist.counts), fam.dist.total, fam.dist.r_max_sq)
+    squared maximum correlation magnitude in ``r_max_sq``, read off the
+    shift-product spectra of the stored block."""
+    return (_interleaved_dist if fam.kind == "binary" else _field_dist)(fam)
 
 
 def r_max_sq(fam: SequenceFamily) -> int:

@@ -254,16 +254,18 @@ def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]
 
 
 def correlation_scan_by_pairs(fam: sf.SequenceFamily):
-    """(counts, total, r_max_sq) of a family, one ``correlate`` call per
-    (member, member, shift), masking only each member's own zero shift.
+    """(counts, total, r_max_sq) of a family (or of anything with its
+    ``members`` and ``period``), one ``correlate`` call per (member, member,
+    shift), masking only each member's own zero shift.
 
     ``correlate`` is the defining sum and shares nothing with the scan's
     matrix products.
     """
     counts: dict[tuple[int, int], int] = {}
     rmax_sq = 0
-    for i, s in enumerate(fam.members):
-        for j, s2 in enumerate(fam.members):
+    members = fam.members
+    for i, s in enumerate(members):
+        for j, s2 in enumerate(members):
             for tau in range(fam.period):
                 re, im = sf.correlate(s, s2, tau)
                 counts[(re, im)] = counts.get((re, im), 0) + 1

@@ -252,6 +252,12 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     ("verify --n 11 --mode full", 2),
     ("verify --n 17 --mode reduced", 2),
     ("verify --n 17", 2),
+    # sizes past every certifier, rejected before the function is built
+    ("construct --m 22", 2),
+    ("verify --m 22", 2),
+    ("codebook --m 22", 2),
+    ("seqfam --kind quaternary --m 22", 2),
+    ("verify --n 21", 2),
     # an --out that cannot be written
     ("verify --m 4 --out /nonexistent/dir/r.json", 2),
     ("codebook --m 4 --format csv --out /nonexistent/dir/x.csv", 2),
@@ -287,6 +293,40 @@ def test_chain_and_gamma_parse_errors_name_the_flag_and_token(capsys, flag, valu
     assert main(["construct", "--m", "4", flag, value]) == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == f"{flag} entry {token!r} is not an integer"
+
+
+_BENT_CAP = "reduced certification capped at m <= 16"
+_SEMIBENT_CAP = "reduced semi-bent certification capped at n <= 15, got n = 21"
+
+
+@pytest.mark.parametrize("argv, error", [
+    *[(f"{cmd} --m 22", _BENT_CAP) for cmd in _BENT_CMDS],
+    ("construct --m 22 --enumerate-gamma", _BENT_CAP),
+    ("seqfam --kind quaternary --m 22", _BENT_CAP),
+    *[(f"{cmd} --n 21", _SEMIBENT_CAP) for cmd in _SEMIBENT_CMDS],
+    ("verify --n 21 --restrict-bent", _SEMIBENT_CAP),
+    ("charquad --m 21 --L x^2 --walsh-check", _SEMIBENT_CAP),
+])
+def test_sizes_past_every_certifier_exit_before_building(capsys, monkeypatch, argv, error):
+    # past the log tables these builders fill their tables one element at a
+    # time, for longer than any caller waits; the certifier's cap comes first
+    for mod, name in ((cn, "chain_fn"), (cn, "kerdock_fn"), (cn, "admissible_gammas"),
+                      (lp, "quad_form"), (lp, "is_cyclic_semibent_quadratic")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name, **k: pytest.fail(f"called {name}"))
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == error
+
+
+def test_seqfam_csv_past_the_output_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cbk, "MAX_ENTRIES", 9 * 7 - 1)  # the n = 3 family is 9 x 7
+    out = tmp_path / "fam.csv"
+    assert main(["seqfam", "--kind", "semibent", "--n", "3", "--format", "csv",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "output cap" in json.loads(captured.err)["error"]
+    assert not out.exists()
 
 
 def test_charquad_walsh_check_past_the_certifier_cap_skips_the_tau_scans(capsys, monkeypatch):
@@ -390,7 +430,7 @@ def test_builders_certify_their_input_once(capsys, monkeypatch, argv, certifier)
 
 def test_seqfam_certifies_once_and_skips_the_direct_scan(capsys, monkeypatch):
     # the 7 counted Walsh rows are the q - 1 spectra of the one certifier
-    # call; the distribution is read off the stored member through
+    # call; the distribution is read off the stored block through
     # _hadamard_rows, which is not counted here, and _scan is not run
     scans, rows = [], []
 

@@ -329,10 +329,10 @@ def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
 
 def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     # each builder certifies its function with q - 1 rows through walsh and
-    # walsh_many, then scans k + 1 kernel rows of its stored members for the
-    # semi-bent family (one per shift, one for s_0), twice that for the
-    # quaternary family (one per part), and 2k for the interleaved binary
-    # family of period 2k
+    # walsh_many; full_distribution then scans k + 1 kernel rows of the
+    # stored block for the semi-bent family (one per shift, one for s_0),
+    # twice that for the quaternary family (one per part), and 2k for the
+    # interleaved binary family of period 2k
     kernel_rows, walsh_rows = [], []
     kernel, walsh, walsh_many = bf._hadamard_rows, bf.walsh, bf.walsh_many
     monkeypatch.setattr(bf, "_hadamard_rows", lambda x, *args, **kwargs: kernel_rows.append(
@@ -349,7 +349,7 @@ def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     for build, fn, scan_rows in cases:
         kernel_rows.clear()
         walsh_rows.clear()
-        build(fn)
+        sf.full_distribution(build(fn))
         assert sum(walsh_rows) == fn.domain.ctx.order - 1
         assert sum(kernel_rows) - sum(walsh_rows) == scan_rows
 

@@ -6,16 +6,20 @@ by hand:
     semi-bent, n=3:   7 -> 9, -1 -> 310, 3 -> 186, -5 -> 62
 Each total is (family size)^2 * period = 81*7 = 567 = 567.
 
-The builders read each distribution off one Walsh transform per shift of
-the stored first member.  Their oracle is the direct scan over all member
-pairs and shifts (``_scan``), whose oracle in turn is the per-pair loop of
-``correlate``.  The Walsh-identity tests pin the maps both rest on: every
-correlation value is recomputed from spectra of f(x1,x2)+f(b x1,x2+eps)
+Each family stores one block, s_0 over its domain, and derives its
+members from it.  ``full_distribution`` reads each distribution off one
+Walsh transform per shift of that block.  Its oracle is the direct scan
+over all member pairs and shifts (``_scan``), whose oracle in turn is the
+per-pair loop of ``correlate``; both also run on stand-ins for member sets
+that no builder makes.  The Walsh-identity tests pin the maps both rest
+on: every correlation value is recomputed from spectra of f(x1,x2)+f(b x1,x2+eps)
 (quaternary / binary) or g(x)+g(beta^tau x) (semi-bent) and compared
 entry for entry at m=4 / n=3.
 """
 
 import math
+from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclicbent import boolfun as bf
+from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.gf2 import mk_field
@@ -62,11 +67,11 @@ def test_quaternary_inf_autocorrelation():
 
 def test_quaternary_zero_shift_cross_correlations():
     # distinct lam, lam' at shift 0 always give -1
-    fam = sf.quaternary_family(kerdock(4))
+    members = sf.quaternary_family(kerdock(4)).members
     for i in range(8):
         for j in range(8):
             want = (7, 0) if i == j else (-1, 0)
-            assert sf.correlate(fam.members[i], fam.members[j], 0) == want
+            assert sf.correlate(members[i], members[j], 0) == want
 
 
 def test_quaternary_requires_normalization():
@@ -223,15 +228,23 @@ def test_semibent_distribution_n5_closed_form():
 # -- one-pass scan against the per-pair oracle --------------------------------------
 
 
+def _stand_in(period, *members):
+    """What _scan and the per-pair oracle read of a family, for a member set
+    that no builder makes."""
+    return SimpleNamespace(members=list(members), size=len(members), period=period)
+
+
 def _identical_pair():
     # the zero-shift cross peak R = k between two equal members must count
     mem = sf.quaternary_family(kerdock(4)).members[1]
-    return sf.SequenceFamily("quaternary", 7, [mem, sf.Member("copy", mem.re, mem.im)])
+    return _stand_in(7, mem, sf.Member("copy", mem.re, mem.im))
 
 
 def _single_member():
-    return sf.SequenceFamily("binary", 7, [sf.quaternary_family(kerdock(4)).members[-1]])
+    return _stand_in(7, sf.quaternary_family(kerdock(4)).members[-1])
 
+
+STAND_INS = {"identical-pair": _identical_pair, "single-member": _single_member}
 
 SCAN_FAMILIES = {
     "quaternary-m4": lambda: sf.quaternary_family(kerdock(4)),
@@ -240,8 +253,6 @@ SCAN_FAMILIES = {
     "binary-m6": lambda: sf.binary_family(kerdock(6)),
     "semibent-n3": lambda: sf.semibent_family(trace_cube(3)),
     "semibent-n5": lambda: sf.semibent_family(trace_cube(5)),
-    "identical-pair": _identical_pair,
-    "single-member": _single_member,
 }
 
 
@@ -249,19 +260,15 @@ def _key(dist):
     return dist.counts, dist.total, dist.r_max_sq
 
 
-@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES | STAND_INS))
 def test_scan_matches_per_pair_oracle(name):
-    fam = SCAN_FAMILIES[name]()
-    dist = sf.full_distribution(fam)
-    want = correlation_scan_by_pairs(fam)
-    assert _key(dist) == want
-    assert _key(sf._scan(fam)) == want
-    assert sf.r_max_sq(fam) == dist.r_max_sq
+    fam = (SCAN_FAMILIES | STAND_INS)[name]()
+    assert _key(sf._scan(fam)) == correlation_scan_by_pairs(fam)
 
 
 def test_scan_masks_only_each_members_own_zero_shift():
-    assert sf.r_max_sq(_identical_pair()) == 7 * 7
-    assert sf.r_max_sq(_single_member()) == 1  # m-sequence: -1 off the peak
+    assert sf._scan(_identical_pair()).r_max_sq == 7 * 7
+    assert sf._scan(_single_member()).r_max_sq == 1  # m-sequence: -1 off the peak
 
 
 def test_scan_rejects_non_unit_symbols():
@@ -271,7 +278,7 @@ def test_scan_rejects_non_unit_symbols():
     re[3] = 2
     fam.members[0] = sf.Member("bad", re, mem.im)
     with pytest.raises(ValueError, match="symbols"):
-        sf.full_distribution(fam)
+        sf._scan(fam)
 
 
 # -- shift-product distributions against the scan -----------------------------------
@@ -280,9 +287,9 @@ def test_scan_rejects_non_unit_symbols():
 @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
 def test_spectral_distribution_matches_scan(name):
     fam = SCAN_FAMILIES[name]()
-    hand_built = name in ("identical-pair", "single-member")
-    assert (fam.dist is None) == hand_built
-    assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
+    dist = sf.full_distribution(fam)
+    assert _key(dist) == _key(sf._scan(fam))
+    assert sf.r_max_sq(fam) == dist.r_max_sq
 
 
 @pytest.mark.parametrize("build", [
@@ -292,7 +299,6 @@ def test_spectral_distribution_matches_scan(name):
 ], ids=["quaternary-m8", "binary-m8", "semibent-n7"])
 def test_spectral_distribution_matches_scan_at_the_largest_scanned_sizes(build):
     fam = build()
-    assert fam.dist is not None
     assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
 
 
@@ -333,13 +339,13 @@ def test_spectral_distributions_match_scan_on_functions_that_are_not_bent(data):
                 table[1] = table[0] ^ ctx.trace_table(1)
             f = bf.BoolFun(bf.Domain(ctx, with_bit=True), table.ravel())
             fam = (sf.binary_family if kind == "binary" else sf.quaternary_family)(f)
-    assert _key(fam.dist) == _key(sf._scan(fam))
+    assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
 
 
 @pytest.mark.parametrize("m", [4, 6])
 def test_quaternary_outside_reduced_hypothesis_carries_its_distribution(monkeypatch, m):
     # f is certified in full mode; its family's distribution is read off the
-    # members all the same, and no direct scan runs
+    # stored block all the same, and no direct scan runs
     monkeypatch.setattr(cn, "affine_bit_difference", lambda f: None)
     assert cn.certify_cyclic_bent(kerdock(m)).mode == "full"
     scans = []
@@ -350,46 +356,6 @@ def test_quaternary_outside_reduced_hypothesis_carries_its_distribution(monkeypa
     assert scans == []
     assert dist.counts == sf.expected_quaternary_distribution(m)
     assert _key(dist) == _key(scan(fam))
-
-
-_TAMPERED = {
-    "quaternary-3": (lambda: sf.quaternary_family(kerdock(4)), 3),
-    "quaternary-inf": (lambda: sf.quaternary_family(kerdock(4)), 8),
-    "binary-5": (lambda: sf.binary_family(kerdock(4)), 5),
-    "semibent-first": (lambda: sf.semibent_family(trace_cube(3)), 0),
-    "semibent-inf": (lambda: sf.semibent_family(trace_cube(3)), 8),
-}
-
-
-def _build_tampered(monkeypatch, name):
-    # one symbol of one member times -1: still a unit, but no longer the
-    # first member times a character (or the m-sequence)
-    build, index = _TAMPERED[name]
-    made = []
-    member = sf.Member
-
-    def tampered(label, re, im):
-        if len(made) == index:
-            re, im = re.copy(), im.copy()
-            re[0], im[0] = -re[0], -im[0]
-        made.append(label)
-        return member(label, re, im)
-
-    monkeypatch.setattr(sf, "Member", tampered)
-    with pytest.raises(ValueError, match="member"):
-        build()
-
-
-@pytest.mark.parametrize("name", sorted(_TAMPERED))
-def test_builders_reject_a_tampered_member(monkeypatch, name):
-    _build_tampered(monkeypatch, name)
-
-
-@pytest.mark.parametrize("name", ["quaternary-3", "binary-5"])
-def test_layout_check_reads_every_batch(monkeypatch, name):
-    # one member per batch: a tampered member past the first batch is found
-    monkeypatch.setattr(bf, "BATCH_VALUES", 1)
-    _build_tampered(monkeypatch, name)
 
 
 @pytest.mark.parametrize("m", [4, 6, 8, 10])
@@ -416,15 +382,15 @@ def test_semibent_family_meets_closed_form(n):
 
 
 def test_spectral_distributions_do_not_depend_on_the_batch_schedule(monkeypatch):
-    builds = [lambda: sf.quaternary_family(kerdock(6)), lambda: sf.binary_family(kerdock(6)),
-              lambda: sf.semibent_family(trace_cube(5))]
-    whole = [_key(build().dist) for build in builds]
+    fams = [sf.quaternary_family(kerdock(6)), sf.binary_family(kerdock(6)),
+            sf.semibent_family(trace_cube(5))]
+    whole = [_key(sf.full_distribution(fam)) for fam in fams]
     # from one to nine shifts per kernel call and rows per count (rows of 32
     # or 64 values), with ragged last batches
     for batch in (100, 300):
         monkeypatch.setattr(bf, "BATCH_VALUES", batch)
         monkeypatch.setattr(sf, "_COUNT_VALUES", batch)
-        assert [_key(build().dist) for build in builds] == whole
+        assert [_key(sf.full_distribution(fam)) for fam in fams] == whole
 
 
 def test_semibent_family_needs_three_variables():
@@ -438,7 +404,7 @@ def test_semibent_family_needs_three_variables():
 def test_quaternary_correlations_match_walsh_identity_m4():
     f = kerdock(4)
     ctx = f.domain.ctx
-    fam = sf.quaternary_family(f)
+    members = sf.quaternary_family(f).members
     q = ctx.order
     period = q - 1
     for tau in range(period):
@@ -452,20 +418,20 @@ def test_quaternary_correlations_match_walsh_identity_m4():
         wf = bf.walsh(f)
         for li, lam in enumerate(range(q)):
             for lj, lam2 in enumerate(range(q)):
-                got = sf.correlate(fam.members[li], fam.members[lj], tau)
+                got = sf.correlate(members[li], members[lj], tau)
                 mix = ctx.mul(lam, bt) ^ lam2
                 want_re = w0.value_at(mix, 0) // 2 - 1
                 want_im = -w1.value_at(mix, 1) // 2
                 assert got == (want_re + 0, want_im)
             # lam against infinity
-            got = sf.correlate(fam.members[li], fam.members[-1], tau)
+            got = sf.correlate(members[li], members[-1], tau)
             mix = ctx.mul(lam, bt) ^ 1
             assert got == (
                 wb.value_at(mix, 0) // 2 - 1,
                 wb.value_at(mix, 1) // 2,
             )
             # infinity against lam
-            got = sf.correlate(fam.members[-1], fam.members[li], tau)
+            got = sf.correlate(members[-1], members[li], tau)
             mix = lam ^ bt
             assert got == (
                 wf.value_at(mix, 0) // 2 - 1,
@@ -476,13 +442,13 @@ def test_quaternary_correlations_match_walsh_identity_m4():
 def test_binary_correlations_match_walsh_identity_m4():
     f = kerdock(4)
     ctx = f.domain.ctx
-    fam = sf.binary_family(f)
+    members = sf.binary_family(f).members
     q = ctx.order
     half = q - 1
-    labels = [tuple(int(v) for v in mem.label.split(",")) for mem in fam.members]
+    labels = [tuple(int(v) for v in mem.label.split(",")) for mem in members]
     off = 1 << (f.n_vars - 2)
-    for (lam, nu), mem in zip(labels, fam.members):
-        for (lam2, nu2), mem2 in zip(labels, fam.members):
+    for (lam, nu), mem in zip(labels, members):
+        for (lam2, nu2), mem2 in zip(labels, members):
             for tau0 in range(half):
                 # even shift
                 b = ctx.pow(ctx.generator, tau0)
@@ -507,7 +473,7 @@ def test_binary_correlations_match_walsh_identity_m4():
 def test_semibent_correlations_match_walsh_identity_n3():
     g = trace_cube(3)
     ctx = g.domain.ctx
-    fam = sf.semibent_family(g)
+    members = sf.semibent_family(g).members
     q = ctx.order
     wg = bf.walsh(g)
     for tau in range(q - 1):
@@ -516,12 +482,12 @@ def test_semibent_correlations_match_walsh_identity_n3():
         w = bf.walsh(gd)
         for lam in range(q):
             for lam2 in range(q):
-                got = sf.correlate(fam.members[lam], fam.members[lam2], tau)
+                got = sf.correlate(members[lam], members[lam2], tau)
                 assert got == (w.value_at(ctx.mul(lam, bt) ^ lam2) - 1, 0)
-            got = sf.correlate(fam.members[lam], fam.members[-1], tau)
+            got = sf.correlate(members[lam], members[-1], tau)
             binv = ctx.inv(bt)
             assert got == (wg.value_at(lam ^ binv) - 1, 0)
-            got = sf.correlate(fam.members[-1], fam.members[lam], tau)
+            got = sf.correlate(members[-1], members[lam], tau)
             assert got == (wg.value_at(lam ^ bt) - 1, 0)
 
 
@@ -539,3 +505,39 @@ def test_csv_export_and_dist_json(tmp_path):
     # r_max_sq stays out of the JSON form and of equality
     assert "r_max_sq" not in js
     assert dist == sf.CorrDist(dict(dist.counts), dist.total, dist.r_max_sq + 1)
+
+
+# -- one-block storage ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, kind, period", [
+    (lambda: sf.quaternary_family(kerdock(6)), "quaternary", 31),
+    (lambda: sf.binary_family(kerdock(6)), "binary", 62),
+    (lambda: sf.semibent_family(trace_cube(5)), "semibent", 31),
+], ids=["quaternary", "binary", "semibent"])
+def test_families_store_one_block_and_derive_their_members(build, kind, period):
+    fam = build()
+    assert [fld.name for fld in fields(fam)] == ["kind", "block"]
+    assert fam.kind == kind and fam.block.n_blocks == 1 and fam.period == period
+    # member 0 (lam = 0, nu = 0) is s_0 read along y_t; that the others are
+    # s_0 times their characters shows in the scan and Walsh-identity tests,
+    # which read the members where full_distribution reads the block
+    members = fam.members
+    assert len(members) == fam.size
+    assert np.array_equal(members[0].re, fam.block.re[0, fam.pos])
+    assert np.array_equal(members[0].im, fam.block.im[0, fam.pos])
+    if kind != "binary":
+        assert members[-1].label == "inf" and np.array_equal(members[-1].re, fam.inf)
+
+
+def test_csv_export_checks_the_output_cap_before_deriving_members(tmp_path, monkeypatch):
+    fam = sf.semibent_family(trace_cube(3))  # 9 members of period 7
+    monkeypatch.setattr(cbk, "MAX_ENTRIES", 9 * 7)
+    fam.write_csv(str(tmp_path / "at.csv"))
+    assert len((tmp_path / "at.csv").read_text().splitlines()) == 9
+    monkeypatch.setattr(cbk, "MAX_ENTRIES", 9 * 7 - 1)
+    monkeypatch.setattr(sf.SequenceFamily, "members",
+                        property(lambda fam: pytest.fail("derived the members")))
+    with pytest.raises(ValueError, match="output cap"):
+        fam.write_csv(str(tmp_path / "over.csv"))
+    assert not (tmp_path / "over.csv").exists()
