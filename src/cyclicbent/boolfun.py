@@ -19,9 +19,10 @@ exact for rows with entries in {-1, 0, 1}: sign rows, and the real and
 imaginary parts of a product of two unit Gaussian-integer vectors.  The
 matrix entries are +-1, so every partial sum of both products is an integer
 of size at most 2^n, and float32 holds every such integer exactly while
-n <= 24 (MAX_WALSH_VARS; a function on GF(2^24) x GF(2) is past it).  Summation order and fused multiply-adds therefore cannot
-change any value.  ``walsh`` returns the spectrum as 64-bit signed
-integers; classification is exact membership, no tolerances.
+n <= 24 (MAX_WALSH_VARS; past the 21 variables of GF(2^20) x GF(2), it
+bounds raw ``walsh_many`` rows).  Summation order and fused multiply-adds
+therefore cannot change any value.  ``walsh`` returns the spectrum as 64-bit
+signed integers; classification is exact membership, no tolerances.
 """
 
 from __future__ import annotations

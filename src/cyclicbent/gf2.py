@@ -1,4 +1,4 @@
-"""Exact arithmetic in binary fields GF(2^d) for 1 <= d <= 24.
+"""Exact arithmetic in binary fields GF(2^d) for 1 <= d <= 20.
 
 Field elements are plain Python ints: the integer is the little-endian
 bit pattern of the polynomial-basis coordinates, so 0 and 1 are the field
@@ -11,19 +11,20 @@ index outside [0, 2^d) instead of wrapping round a table.
 
 The default modulus for each degree comes from an embedded table of
 primitive polynomials.  The table is untrusted: every modulus (default or
-user-supplied) is re-verified for irreducibility at construction, and the
-generator's multiplicative order is re-verified to be 2^d - 1.
-
-Discrete-log/antilog tables are built for d <= 20; above that, multiply
-falls back to carry-less polynomial multiplication plus reduction.
+user-supplied) is re-verified for irreducibility at construction.  Every
+context then builds its discrete-log/antilog tables, which proves that the
+generator's multiplicative order is 2^d - 1, and multiplies, powers and
+inverts through them.  The tables are two int64 arrays of 2^d entries, 16
+MB at d = 20, the largest degree: every certifier of the package stops
+below it (the bent ones at m <= 16, the semi-bent ones at n <= 15, the
+quadratic characterization at m <= 19).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-MAX_DEGREE = 24
-LOG_TABLE_MAX_DEGREE = 20
+MAX_DEGREE = 20
 
 # Primitive polynomials over GF(2), one per degree; bit i is the x^i coefficient.
 DEFAULT_MODULUS = {
@@ -47,10 +48,6 @@ DEFAULT_MODULUS = {
     18: 0b1000000000010000001,
     19: 0b10000000000000100111,
     20: 0b100000000000000001001,
-    21: 0b1000000000000000000101,
-    22: 0b10000000000000000000011,
-    23: 0b100000000000000000100001,
-    24: 0b1000000000000000010000111,
 }
 
 
@@ -90,20 +87,6 @@ def xor_rank(vectors) -> int:
         if v:
             pivots[v.bit_length()] = v
     return len(pivots)
-
-
-def _prime_factors(n: int) -> list[int]:
-    fs = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            fs.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        fs.append(n)
-    return fs
 
 
 def _linear_table(images: list[int]) -> np.ndarray:
@@ -157,12 +140,7 @@ class GF2m:
         self.modulus = modulus
         self.order = 1 << degree
         self.generator = poly_mod(2, modulus)  # == 2 unless degree == 1
-
-        self._exp = None
-        self._log = None
-        if degree <= LOG_TABLE_MAX_DEGREE:
-            self._build_log_tables()
-        self._check_generator_order()
+        self._build_log_tables()
         # Images of the basis 2^j under the absolute-trace bit, packed as a mask:
         # tr(x) = parity(x & trace_mask).
         self._trace1_mask = 0
@@ -203,18 +181,6 @@ class GF2m:
         self._exp = exp
         self._log = log
 
-    def _check_generator_order(self):
-        q = self.order - 1
-        if q == 1:
-            return
-        if self._log is not None:
-            return  # log-table construction already proved the order
-        for p in _prime_factors(q):
-            if self.pow(self.generator, q // p) == 1:
-                raise ValueError(
-                    f"x has order dividing {q // p} in GF(2^{self.degree}); not primitive"
-                )
-
     # -- scalar arithmetic --------------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -234,11 +200,9 @@ class GF2m:
     def mul(self, a: int, b: int) -> int:
         if (a | b) >> self.degree:
             raise self._out_of_range(a, b)
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[(self._log[a] + self._log[b]) % (self.order - 1)])
-        return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return int(self._exp[(self._log[a] + self._log[b]) % (self.order - 1)])
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
@@ -253,16 +217,7 @@ class GF2m:
                 raise ZeroDivisionError("0 has no negative powers")
             return 0
         q = self.order - 1
-        e %= q
-        if self._log is not None:
-            return int(self._exp[(self._log[a] * e) % q])
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return r
+        return int(self._exp[(self._log[a] * (e % q)) % q])
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -337,23 +292,19 @@ class GF2m:
             raise self._out_of_range(b)
         if b == 0:
             return np.zeros(self.order, dtype=np.int64)
-        if self._log is not None:
-            q = self.order - 1
-            p = np.empty(self.order, dtype=np.int64)
-            p[0] = 0
-            p[1:] = self._exp[(self._log[1:] + int(self._log[b])) % q]
-            return p
-        return np.array([self.mul(b, x) for x in range(self.order)], dtype=np.int64)
+        q = self.order - 1
+        p = np.empty(self.order, dtype=np.int64)
+        p[0] = 0
+        p[1:] = self._exp[(self._log[1:] + int(self._log[b])) % q]
+        return p
 
     def pow_table(self, e: int) -> np.ndarray:
         """Vector with x^e over all x."""
-        if self._log is not None:
-            q = self.order - 1
-            p = np.empty(self.order, dtype=np.int64)
-            p[0] = 0 if e != 0 else 1
-            p[1:] = self._exp[(self._log[np.arange(1, self.order)] * (e % q)) % q]
-            return p
-        return np.array([self.pow(x, e) for x in range(self.order)], dtype=np.int64)
+        q = self.order - 1
+        p = np.empty(self.order, dtype=np.int64)
+        p[0] = 0 if e != 0 else 1
+        p[1:] = self._exp[(self._log[1:] * (e % q)) % q]
+        return p
 
     def dual_index_table(self) -> np.ndarray:
         """D with D[lam] = bit mask (tr(lam*2^j))_j, linking tr(lam x) to bit dot products.
@@ -386,15 +337,11 @@ class GF2m:
 
     def generator_powers(self, t) -> np.ndarray:
         """beta^t for every integer in t (any shape), read from the antilog table."""
-        if self._exp is None:
-            raise ValueError(f"no antilog table above degree {LOG_TABLE_MAX_DEGREE}")
         return self._exp[np.asarray(t) % (self.order - 1)]
 
     def discrete_logs(self, x) -> np.ndarray:
         """log_beta x in [0, 2^d - 1) for every element index in x (any
         shape), and -1 where x is 0, read from the log table."""
-        if self._log is None:
-            raise ValueError(f"no log table above degree {LOG_TABLE_MAX_DEGREE}")
         x = np.asarray(x)
         if x.size and (x.min() < 0 or x.max() >= self.order):
             raise self._out_of_range(int(x.min()), int(x.max()))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclicbent.boolfun import BoolFun, Domain
-from cyclicbent.gf2 import LOG_TABLE_MAX_DEGREE, GF2m, xor_rank
+from cyclicbent.gf2 import GF2m, xor_rank
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def phi_kernel_dims(L: LinPoly, taus, path: str = "gcrd") -> np.ndarray:
 
     path 'gcrd' takes deg gcrd(phi_{L,tau}, x^m - 1), path 'rank' the GF(2)
     kernel dimension; both read the coefficients c_i (1 + tau^{2^i+1}) as
-    discrete logs, so they need the field's log tables (m <= 20).
+    discrete logs, read off the field's log tables.
     """
     if path not in ("gcrd", "rank"):
         raise ValueError(f"unknown path {path!r}")
@@ -330,9 +330,6 @@ def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, 
     m = ctx.degree
     if m % 2 == 0:
         raise ValueError("the characterization needs odd m")
-    if m > LOG_TABLE_MAX_DEGREE:
-        raise ValueError(f"the characterization reads the field's log tables, which "
-                         f"exist for m <= {LOG_TABLE_MAX_DEGREE}; got m = {m}")
     if path not in ("gcrd", "rank"):
         raise ValueError(f"unknown path {path!r}")
 

@@ -88,31 +88,46 @@ class SequenceFamily:
         """The int8 m-sequence chi_1(beta^t), the last member of the field kinds."""
         return 1 - 2 * self.block.domain.ctx.trace_table(1)[self.pos].astype(np.int8)
 
-    @property
-    def members(self) -> list[Member]:
-        """Rows lam (for the binary kind (lam, nu) with tr(lam) = 0) of the
-        block at the columns y_t, then inf for the field kinds."""
+    def _member_batches(self):
+        """(labels, re, im) of the members, about bf.BATCH_VALUES symbols at a
+        time: rows lam (for the binary kind (lam, nu) with tr(lam) = 0) of the
+        block at the columns y_t, s_0(y_t) (-1)^{<lam, y_t>}, with the sign
+        read as the parity of the dual mask of lam and y_t in the narrowest
+        unsigned dtype; then inf for the field kinds."""
         binary, ctx = self.kind == "binary", self.block.domain.ctx
         q, duals = ctx.order, np.arange(ctx.order)
         if binary:
             lams = np.flatnonzero(ctx.trace_table(1) == 0)
             duals = np.concatenate([lams, q + lams])
         labels = [f"{d % q},{d // q}" if binary else str(d) for d in duals.tolist()]
-        re, im, _ = self.block.basis(1)
-        cols = np.ix_(duals, self.pos)
-        out = [Member(*row) for row in zip(labels, re[cols], im[cols])]
+        dtype = np.min_scalar_type(self.block.length - 1)
+        masks = bf._dual_permutation(self.block.domain)[duals].astype(dtype)
+        pos = self.pos.astype(dtype)
+        re, im = self.block.re[0, self.pos], self.block.im[0, self.pos]
+        real = not im.any()  # then every member shares the zero row im
+        step = max(1, bf.BATCH_VALUES // self.period)
+        for lo in range(0, len(duals), step):
+            bits = np.bitwise_count(masks[lo : lo + step, None] & pos)
+            sign = 1 - 2 * (bits & 1).astype(np.int8)
+            im_rows = np.broadcast_to(im, sign.shape) if real else sign * im
+            yield labels[lo : lo + step], sign * re, im_rows
         if not binary:
-            out.append(Member("inf", self.inf, np.zeros(self.period, dtype=np.int8)))
-        return out
+            yield ["inf"], self.inf[None], np.zeros((1, self.period), dtype=np.int8)
+
+    @property
+    def members(self) -> list[Member]:
+        """Every member, in the order of ``_member_batches``."""
+        return [Member(*row) for batch in self._member_batches() for row in zip(*batch)]
 
     def write_csv(self, path: str) -> None:
         """One row per sequence: label, then symbols in {1, i, -1, -i} / {1, -1}."""
         cbk._check_entries(self.size, self.period)
-        names = {(1, 0): "1", (-1, 0): "-1", (0, 1): "i", (0, -1): "-i"}
+        # the four unit symbols, numbered by the alphabet key 3(re + 1) + (im + 1)
+        names = np.array(["", "-1", "", "-i", "", "i", "", "1", ""], dtype=object)
         with open(path, "w") as fh:
-            for mem in self.members:
-                syms = [names[(int(a), int(b))] for a, b in zip(mem.re, mem.im)]
-                fh.write(",".join([mem.label] + syms) + "\n")
+            for labels, re, im in self._member_batches():
+                for label, row in zip(labels, 3 * (re + 1) + (im + 1)):
+                    fh.write(",".join([label, *names[row].tolist()]) + "\n")
 
 
 @dataclass

@@ -4,15 +4,17 @@ Everything here is deliberately written from the defining formulas, without
 sharing code paths with the library (no Walsh kernel, no log-table
 shortcuts in the hot loop beyond plain context arithmetic).  The exception
 is the routes the library replaced, kept as references: the sequential
-log-table loop, the per-scalar orbit compositions, the per-point trace
-and dual-index tables, the squaring-chain evaluation, elimination rank and
-per-point quadratic form of linearized polynomials, the per-tau loop of the
-quadratic semi-bent characterization, the int64 Walsh
+log-table loop, the carry-less multiply and square-and-multiply power that
+the log tables replaced, the per-scalar orbit compositions, the per-point
+trace and dual-index tables, the squaring-chain evaluation, elimination
+rank and per-point quadratic form of linearized polynomials, the per-tau
+loop of the quadratic semi-bent characterization, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
 transform), the dense Gram route of the codebook scans (int64 Grams on the
 materialized rows, masked tiles, every cross-basis Gram of a MUB set), the
-per-cell CSV writer, the codes as packed uint64 words with the popcount scan
-of their distributions and the pairwise XOR-closure test of linearity, and
+per-cell CSV writer, the sequence-family members as rows of the dense
+basis with their per-symbol CSV writer, the codes as packed uint64 words
+with the popcount scan of their distributions and the pairwise XOR-closure test of linearity, and
 the codebook and code builders as per-block and per-label loops (without
 certification).
 """
@@ -44,6 +46,22 @@ def log_tables_by_loop(ctx) -> tuple[np.ndarray, np.ndarray]:
         log[v] = i
         v = gf2.poly_mod(gf2.clmul(v, ctx.generator), ctx.modulus)
     return exp, log
+
+
+def mul_by_clmul(ctx, a: int, b: int) -> int:
+    """a b in the field as the carry-less product reduced by the modulus."""
+    return gf2.poly_mod(gf2.clmul(a, b), ctx.modulus)
+
+
+def pow_by_squaring(ctx, a: int, e: int) -> int:
+    """a^e for e >= 0 by square-and-multiply over ``mul_by_clmul``."""
+    r = 1
+    while e:
+        if e & 1:
+            r = mul_by_clmul(ctx, r, a)
+        a = mul_by_clmul(ctx, a, a)
+        e >>= 1
+    return r
 
 
 def scale_compose_by_halves(f: BoolFun, a: int, eps: int = 0) -> BoolFun:
@@ -272,6 +290,33 @@ def correlation_scan_by_pairs(fam: sf.SequenceFamily):
                 if i != j or tau != 0:
                     rmax_sq = max(rmax_sq, re * re + im * im)
     return counts, sum(counts.values()), rmax_sq
+
+
+def members_by_basis(fam: sf.SequenceFamily) -> list[sf.Member]:
+    """The members as the rows lam (for the binary kind (lam, nu) with
+    tr(lam) = 0) of the block's dense basis, its K x K characters times s_0,
+    at the columns y_t; then inf for the field kinds."""
+    binary, ctx = fam.kind == "binary", fam.block.domain.ctx
+    q, duals = ctx.order, np.arange(ctx.order)
+    if binary:
+        lams = np.flatnonzero(ctx.trace_table(1) == 0)
+        duals = np.concatenate([lams, q + lams])
+    labels = [f"{d % q},{d // q}" if binary else str(d) for d in duals.tolist()]
+    re, im, _ = fam.block.basis(1)
+    cols = np.ix_(duals, fam.pos)
+    out = [sf.Member(*row) for row in zip(labels, re[cols], im[cols])]
+    if not binary:
+        out.append(sf.Member("inf", fam.inf, np.zeros(fam.period, dtype=np.int8)))
+    return out
+
+
+def write_family_csv_by_symbols(fam: sf.SequenceFamily, path: str) -> None:
+    """Family CSV from ``members_by_basis``, one lookup per symbol."""
+    names = {(1, 0): "1", (-1, 0): "-1", (0, 1): "i", (0, -1): "-i"}
+    with open(path, "w") as fh:
+        for mem in members_by_basis(fam):
+            syms = [names[(int(a), int(b))] for a, b in zip(mem.re, mem.im)]
+            fh.write(",".join([mem.label] + syms) + "\n")
 
 
 def gram_int64(re1, im1, re2, im2):

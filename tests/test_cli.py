@@ -227,7 +227,7 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
       for flag in ("--chain 1,x", "--gamma 1,,9999")],
     ("charquad --m 4 --L x^2", 2),
     ("charquad --m 40 --L x^2", 2),
-    # the tau scan reads the log tables, which stop at m = 20
+    # no field past the log tables (d > 20)
     ("charquad --m 21 --L x^2", 2),
     ("charquad --m 23 --L x^2", 2),
     ("verify --m 18 --mode reduced", 2),
@@ -308,8 +308,7 @@ _SEMIBENT_CAP = "reduced semi-bent certification capped at n <= 15, got n = 21"
     ("charquad --m 21 --L x^2 --walsh-check", _SEMIBENT_CAP),
 ])
 def test_sizes_past_every_certifier_exit_before_building(capsys, monkeypatch, argv, error):
-    # past the log tables these builders fill their tables one element at a
-    # time, for longer than any caller waits; the certifier's cap comes first
+    # the certifier's cap comes before the function or the tau scan is built
     for mod, name in ((cn, "chain_fn"), (cn, "kerdock_fn"), (cn, "admissible_gammas"),
                       (lp, "quad_form"), (lp, "is_cyclic_semibent_quadratic")):
         monkeypatch.setattr(mod, name, lambda *a, name=name, **k: pytest.fail(f"called {name}"))

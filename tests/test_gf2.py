@@ -7,26 +7,46 @@ Expected values for GF(8) were derived by hand-reduction modulo x^3 + x + 1
     tr(x)     = x + x^2 + x^4 = x + x^2 + (x^2 + x) = 0
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclicbent.gf2 import DEFAULT_MODULUS, GF2m, is_irreducible, mk_field
+from cyclicbent import boolfun as bf
+from cyclicbent import construct as cn
+from cyclicbent.gf2 import DEFAULT_MODULUS, MAX_DEGREE, GF2m, is_irreducible, mk_field
 
 from oracles import (
     dual_index_table_by_points,
     generator_powers_by_pow,
     log_tables_by_loop,
+    mul_by_clmul,
+    pow_by_squaring,
     trace_pairing_by_rows,
     trace_table_by_points,
 )
 
 
 def test_default_table_every_degree_validates():
-    for d in range(1, 25):
+    assert MAX_DEGREE == 20 and sorted(DEFAULT_MODULUS) == list(range(1, 21))
+    for d in range(1, 21):
         ctx = GF2m(d)
         assert ctx.order == 1 << d
         assert ctx.modulus == DEFAULT_MODULUS[d]
+    # past the log tables: x^21 + x^2 + 1 is primitive, but 21 is no degree
+    for d, modulus in ((0, None), (21, None), (21, 0b1000000000000000000101)):
+        with pytest.raises(ValueError, match=r"degree must be in \[1, 20\], got"):
+            GF2m(d, modulus)
+
+
+def test_library_calls_past_the_log_tables_raise():
+    table = {"n": 21, "domain": "field", "degree": 21, "modulus": 0b1000000000000000000101,
+             "table_hex": ""}
+    with pytest.raises(ValueError, match="got 21"):
+        bf.BoolFun.from_json(json.dumps(table))
+    with pytest.raises(ValueError, match="got 21"):
+        cn.kerdock_fn(22)
 
 
 def test_gf8_default_modulus_and_generator_order():
@@ -230,19 +250,6 @@ def test_linear_tables_match_the_per_point_loops(d):
     assert dual.dtype == np.int64 and np.array_equal(dual, dual_index_table_by_points(ctx))
 
 
-def test_large_degree_no_log_tables():
-    ctx = mk_field(24)
-    assert ctx._log is None
-    with pytest.raises(ValueError, match="antilog"):
-        ctx.generator_powers([1])
-    with pytest.raises(ValueError, match="log table"):
-        ctx.discrete_logs([1])
-    a, b = 0x9A3F21, 0x45D1
-    assert ctx.mul(a, b) == ctx.mul(b, a)
-    assert ctx.mul(a, ctx.inv(a)) == 1
-    assert ctx.trace(0) == 0
-
-
 def test_mk_field_caches():
     assert mk_field(5) is mk_field(5)
 
@@ -289,9 +296,24 @@ def test_field_axioms_at_every_default_modulus(case, e, k):
     assert ctx.trace(ctx.frobenius(a, k)) == ctx.trace(a) in (0, 1)
 
 
+@pytest.mark.parametrize("d", range(1, MAX_DEGREE + 1))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_log_table_arithmetic_matches_the_carry_less_route(d, data):
+    # the tables are the one multiply path; the carry-less product and
+    # square-and-multiply over it are the reference at every default degree
+    ctx = mk_field(d)
+    a, b = (data.draw(st.integers(0, ctx.order - 1)) for _ in range(2))
+    e = data.draw(st.integers(0, 1 << 40))
+    assert ctx.mul(a, b) == mul_by_clmul(ctx, a, b)
+    assert ctx.pow(a, e) == pow_by_squaring(ctx, a, e)
+    if a:
+        assert ctx.inv(a) == pow_by_squaring(ctx, a, ctx.order - 2)
+
+
 @st.composite
 def field_and_bad_index(draw):
-    ctx = mk_field(draw(st.sampled_from([*range(1, 13), 24])))
+    ctx = mk_field(draw(st.sampled_from([*range(1, 13), 20])))
     bad = draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=ctx.order)))
     return ctx, bad
 

@@ -374,9 +374,10 @@ def test_batched_tau_scan_rejects_bad_input():
             lp.phi_kernel_dims(L, taus)
     with pytest.raises(ValueError, match="unknown path"):
         lp.phi_kernel_dims(L, [2], "walsh")
+    # no field past the log tables, so no characterization there either
     for m in (21, 23):
-        with pytest.raises(ValueError, match="m <= 20"):
-            lp.is_cyclic_semibent_quadratic(monomial(mk_field(m), 1))
+        with pytest.raises(ValueError, match=rf"degree must be in \[1, 20\], got {m}"):
+            mk_field(m)
 
 
 def test_first_failure_is_reported_as_plain_ints(capsys):

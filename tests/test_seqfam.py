@@ -32,7 +32,7 @@ from cyclicbent import construct as cn
 from cyclicbent import seqfam as sf
 from cyclicbent.gf2 import mk_field
 
-from oracles import correlation_scan_by_pairs
+from oracles import correlation_scan_by_pairs, members_by_basis, write_family_csv_by_symbols
 
 
 def kerdock(m):
@@ -536,8 +536,34 @@ def test_csv_export_checks_the_output_cap_before_deriving_members(tmp_path, monk
     fam.write_csv(str(tmp_path / "at.csv"))
     assert len((tmp_path / "at.csv").read_text().splitlines()) == 9
     monkeypatch.setattr(cbk, "MAX_ENTRIES", 9 * 7 - 1)
-    monkeypatch.setattr(sf.SequenceFamily, "members",
-                        property(lambda fam: pytest.fail("derived the members")))
+    monkeypatch.setattr(sf.SequenceFamily, "_member_batches",
+                        lambda fam: pytest.fail("derived the members"))
     with pytest.raises(ValueError, match="output cap"):
         fam.write_csv(str(tmp_path / "over.csv"))
     assert not (tmp_path / "over.csv").exists()
+
+
+@pytest.mark.parametrize("batch", [1, 100, bf.BATCH_VALUES])
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+def test_members_and_csv_match_the_dense_basis_route(tmp_path, monkeypatch, name, batch):
+    # one member per batch, ragged batches, and the default schedule
+    fam = SCAN_FAMILIES[name]()
+    monkeypatch.setattr(bf, "BATCH_VALUES", batch)
+    got, want = fam.members, members_by_basis(fam)
+    assert [mem.label for mem in got] == [mem.label for mem in want]
+    for mem, ref in zip(got, want):
+        assert mem.re.dtype == mem.im.dtype == np.int8
+        assert np.array_equal(mem.re, ref.re) and np.array_equal(mem.im, ref.im)
+    fam.write_csv(str(tmp_path / "got.csv"))
+    write_family_csv_by_symbols(fam, str(tmp_path / "want.csv"))
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+def test_members_and_csv_never_build_the_dense_basis(tmp_path, monkeypatch, name):
+    fam = SCAN_FAMILIES[name]()
+    monkeypatch.setattr(cbk.Codebook, "basis", lambda *a: pytest.fail("called basis"))
+    monkeypatch.setattr(cbk.Codebook, "_chars", property(lambda cb: pytest.fail("built _chars")))
+    assert len(fam.members) == fam.size
+    fam.write_csv(str(tmp_path / "fam.csv"))
+    assert len((tmp_path / "fam.csv").read_text().splitlines()) == fam.size
