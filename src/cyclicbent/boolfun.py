@@ -253,16 +253,18 @@ def walsh(f: BoolFun) -> WalshSpectrum:
     return WalshSpectrum(f.domain, w[_dual_permutation(f.domain)])
 
 
-def walsh_many(signs: np.ndarray) -> np.ndarray:
+def walsh_many(signs: np.ndarray, out=None, work=None) -> np.ndarray:
     """Row-wise Walsh transform of a batch of rows (no dual reindex).
 
     Contract: every entry is -1, 0 or 1 and the rows have length 2^n with
     n <= 24.  The float32 result is exact only under this contract (see the
     module docstring); other lengths raise ValueError, other entries are
     not checked.  Only the value multiset is meaningful per row; use
-    :func:`walsh` when dual indexing matters.
+    :func:`walsh` when dual indexing matters.  out and work, C-contiguous
+    float32 arrays shaped like signs, take the spectra and the kernel's
+    intermediate in place of new arrays.
     """
-    return _hadamard_rows(signs)
+    return _hadamard_rows(signs, out, work)
 
 
 def classify_values(values: np.ndarray, n_vars: int) -> WalshClass:
@@ -288,24 +290,57 @@ def is_semibent(f: BoolFun) -> bool:
     return classify(walsh(f)) is WalshClass.SEMI_BENT
 
 
+def orbit_gather(f: BoolFun):
+    """rows(c, eps=0) -> the uint8 truth tables of f(c x1, x2 + eps_c)
+    (field-times-bit domain) or f(c x) (plain field, eps = 0), one row per
+    entry of the 1-D integer array c; eps is one bit or one bit per scalar.
+
+    The rows are read from f in log order: f(c x) = F[log c + log x] for
+    nonzero c and x, where F[k] = f(beta^k) over the doubled antilog table.
+    So the rows of c are the windows of F that start at log c, copied whole,
+    and one column permutation x -> log x puts every row in index order;
+    x = 0 and c = 0 read f(0).  F is built here, once per f, so a scan
+    that gathers rows batch by batch shares it.
+    """
+    ctx = f.domain.ctx
+    q = ctx.order
+    antilog, log = ctx.log_window_tables()
+    halves = f.domain.size // q  # x2 = 0 and x2 = 1, or the field alone
+    width = len(antilog)
+    ordered = f.table.reshape(halves, q).take(antilog, axis=1)  # row x2: F of that half
+    # windows[s] = ordered.flat[s : s + q - 1], a view: row s starts one byte after row s - 1
+    windows = np.ndarray((ordered.size - q + 2, q - 1), np.uint8, ordered, strides=(1, 1))
+    at_zero = f.table[::q]  # f(0, x2) by x2
+
+    def rows(c: np.ndarray, eps=0) -> np.ndarray:
+        # src[..., x2] is the half that x2 + eps reads, for each scalar or for all
+        src = np.arange(halves) ^ (np.asarray(eps)[..., None] & 1)
+        start = src * width + np.maximum(ctx.discrete_logs(c), 0)[:, None]
+        out = np.empty((len(c), halves, q), dtype=np.uint8)
+        # every index is in range; "clip" lets take write straight into out
+        np.take(windows[start.ravel()], log, axis=1, out=out.reshape(-1, q), mode="clip")
+        out[..., 0] = at_zero[src]
+        if not c.all():
+            zero = c == 0
+            out[zero] = out[zero, :, :1]
+        return out.reshape(len(c), f.domain.size)
+
+    return rows
+
+
 def orbit_tables(f: BoolFun, scalars, eps=0) -> np.ndarray:
     """uint8 truth tables of f(c x1, x2 + eps_c) (field-times-bit domain) or
     f(c x) (plain field, eps = 0) for each scalar c, shaped like ``scalars``
     plus a last axis over the domain; eps is one bit or one bit per scalar.
-    Rows are gathered one scalar at a time, so temporaries stay O(2^n).
+    The rows are log-order windows of f (see orbit_gather).
     """
     if not f.domain.with_bit and np.any(eps):
         raise ValueError("eps needs a field-times-bit domain")
-    ctx = f.domain.ctx
     c = np.asarray(scalars)
-    halves = f.domain.size // ctx.order  # x2 = 0 and x2 = 1, or the field alone
-    # offset[..., x2] is the index where the half that x2 + eps_c reads starts
-    offset = ctx.order * (np.arange(halves) ^ (np.asarray(eps)[..., None] & 1))
-    offset = np.broadcast_to(offset, c.shape + (halves,))
-    out = np.empty(c.shape + (halves, ctx.order), dtype=np.uint8)
-    for i in np.ndindex(c.shape):
-        out[i] = f.table[offset[i][:, None] + ctx.mul_table(int(c[i]))]
-    return out.reshape(c.shape + (f.domain.size,))
+    eps = np.asarray(eps)
+    if eps.ndim:
+        eps = eps.reshape(c.shape).ravel()
+    return orbit_gather(f)(c.ravel(), eps).reshape(c.shape + (f.domain.size,))
 
 
 def scale_compose(f: BoolFun, a: int, eps: int = 0) -> BoolFun:

@@ -16,10 +16,11 @@ from a certificate that fails on bentness.
 The four certifiers run on two scans, one full and one reduced, each
 serving both kinds: the domain (field-times-bit or plain field) fixes the
 kind, the eps axis and the witness shape.  Both gather their pair sums from
-the orbit rows of boolfun.orbit_tables, Walsh-transform them in batches of
-about 2^22 values and return the first sum that is not bent (even m) or
-semi-bent (odd n).  Memory
-is bounded by the batch at every m.  A certifier returns its certificate
+the orbit rows of f, read in log order (boolfun.orbit_gather),
+Walsh-transform them in batches of about bf.BATCH_VALUES = 2^18 values, the
+engine's budget, in float32 buffers that each worker reuses, and return the
+first sum that is not bent (even m) or semi-bent (odd n).  Memory is
+bounded by the batch at every m.  A certifier returns its certificate
 and nothing else: every object built from a certified function is checked
 from what it stores, not from the certifier's spectra.
 
@@ -29,6 +30,7 @@ m <= 8; reduced mode is allowed to m <= 16.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -238,31 +240,32 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 # -- certifiers --------------------------------------------------------------------
 
 
-# Pair-sum truth tables go through the Walsh transform about this many
-# values at a time: a few tens of MB of float32, whatever m is.
-_BATCH_VALUES = 1 << 22
-
-
 def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int:
     """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
 
     sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
     one row each.  A row passes when every |W| = 2^{n/2} for even n_vars
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
-    Batches are independent, so the scan parallelizes; the min-reduction
-    keeps the result (and hence any witness) deterministic regardless of
-    schedule.
+    Batches of about bf.BATCH_VALUES values, the engine's budget, are
+    independent, so the scan parallelizes; each worker reuses one set of
+    float32 buffers (signs, X H' and spectra) for all its batches.  The
+    min-reduction keeps the result (and hence any witness) deterministic
+    regardless of schedule.
     """
-    batch = max(1, _BATCH_VALUES >> n_vars)
+    length = 1 << n_vars
+    batch = max(1, min(n_cases, bf.BATCH_VALUES // length))
     peak = 1 << ((n_vars + 1) // 2)
+    mine = threading.local()
 
     def first_bad(start: int) -> int:
+        if not hasattr(mine, "buffers"):
+            mine.buffers = [np.empty((batch, length), dtype=np.float32) for _ in range(3)]
         stop = min(start + batch, n_cases)
-        rows = sum_rows(start, stop)
-        signs = np.multiply(rows, np.float32(-2), dtype=np.float32)
-        signs += 1  # (-1)^rows, built in the float32 the transform runs in
-        w = bf.walsh_many(signs)
-        mag = np.abs(w, out=w)
+        signs, work, out = (b[: stop - start] for b in mine.buffers)
+        # (-1)^rows, built in the float32 the transform runs in
+        np.multiply(sum_rows(start, stop), np.float32(-2), out=signs)
+        signs += 1
+        mag = np.abs(bf.walsh_many(signs, out=out, work=work), out=out)
         ok = mag == peak
         if n_vars % 2:
             ok |= mag == 0
@@ -311,8 +314,12 @@ def _certify_reduced(f: BoolFun, threads: int) -> CyclicCertificate:
         # f + f(0 .) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
         return CyclicCertificate(kind, "reduced", False, 0, (1, 0) + tail)
 
+    orbit = bf.orbit_gather(f)  # f in log order, once for every batch
+
     def sum_rows(start: int, stop: int) -> np.ndarray:
-        return f.table ^ bf.orbit_tables(f, range(start + 2, stop + 2))
+        rows = orbit(np.arange(start + 2, stop + 2))
+        rows ^= f.table
+        return rows
 
     q = f.domain.ctx.order
     bad = _first_failure(q - 2, sum_rows, f.n_vars, threads)

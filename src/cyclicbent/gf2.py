@@ -149,6 +149,7 @@ class GF2m:
                 self._trace1_mask |= 1 << j
         self._trace_tables: dict[int, np.ndarray] = {}
         self._dual_index = None
+        self._log_window = None
 
     # -- construction-time checks -------------------------------------------------
 
@@ -323,6 +324,21 @@ class GF2m:
                 imgs.append(mask)
             self._dual_index = _linear_table(imgs)
         return self._dual_index
+
+    def log_window_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, L), cached and read-only: E[k] = beta^k for k in [0, 2(2^d - 1)),
+        the antilog table twice round the cycle, and L[x] = log_beta x with
+        L[0] = 0.  So c x = E[L[c] + L[x]] for nonzero c and x with no
+        reduction mod 2^d - 1, and x -> E[L[c] + L[x]] reads a window of
+        2^d - 1 consecutive entries of E.
+        """
+        if self._log_window is None:
+            antilog = np.concatenate([self._exp, self._exp])
+            log = np.maximum(self._log, 0)
+            for t in (antilog, log):
+                t.setflags(write=False)
+            self._log_window = antilog, log
+        return self._log_window
 
     def trace_pairing(self) -> np.ndarray:
         """q x q uint8 matrix T with T[lam, x] = tr(lam x).

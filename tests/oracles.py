@@ -81,6 +81,22 @@ def scale_field_by_perm(f: BoolFun, a: int) -> BoolFun:
     return BoolFun(f.domain, f.table[f.domain.ctx.mul_table(a)])
 
 
+def orbit_tables_by_mul_table(f: BoolFun, scalars, eps=0) -> np.ndarray:
+    """``bf.orbit_tables`` one scalar at a time through the multiplication
+    permutation of each scalar: row c reads f at c x in each half that
+    x2 + eps_c selects."""
+    ctx = f.domain.ctx
+    c = np.asarray(scalars)
+    halves = f.domain.size // ctx.order
+    # offset[..., x2] is the index where the half that x2 + eps_c reads starts
+    offset = ctx.order * (np.arange(halves) ^ (np.asarray(eps)[..., None] & 1))
+    offset = np.broadcast_to(offset, c.shape + (halves,))
+    out = np.empty(c.shape + (halves, ctx.order), dtype=np.uint8)
+    for i in np.ndindex(c.shape):
+        out[i] = f.table[offset[i][:, None] + ctx.mul_table(int(c[i]))]
+    return out.reshape(c.shape + (f.domain.size,))
+
+
 def wht_inplace(v: np.ndarray) -> np.ndarray:
     """In-place fast Walsh-Hadamard butterfly along the last axis (length 2^n),
     exact in the array's own integer dtype."""

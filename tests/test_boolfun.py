@@ -9,6 +9,7 @@ from cyclicbent import boolfun as bf
 from cyclicbent.gf2 import mk_field
 
 from oracles import (
+    orbit_tables_by_mul_table,
     scale_compose_by_halves,
     scale_field_by_perm,
     walsh_bruteforce,
@@ -274,6 +275,43 @@ def test_orbit_tables_match_the_per_scalar_compositions(d, with_bit):
     c = int(scalars[0])
     assert bf.scale_compose(f, c, 1) == scale_compose_by_halves(f, c, 1)
     assert np.array_equal(bf.orbit_tables(f, c, 1), scale_compose_by_halves(f, c, 1).table)
+
+
+@st.composite
+def _orbit_cases(draw, degrees=st.integers(1, 12)):
+    """A random f, scalars (one, a vector or a matrix; 0 and 1 among them
+    when they fit) and eps (one bit, or one per scalar on field-times-bit
+    domains)."""
+    d = draw(degrees)
+    with_bit = draw(st.booleans())
+    dom = bf.Domain(mk_field(d), with_bit)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    f = bf.BoolFun(dom, rng.integers(0, 2, dom.size).astype(np.uint8))
+    shape = draw(st.sampled_from([(), (1,), (5,), (2, 3), (4, 1)]))
+    scalars = rng.integers(0, dom.ctx.order, shape)
+    if scalars.size >= 2:
+        scalars.flat[:2] = 0, 1
+    per_scalar = with_bit and draw(st.booleans())
+    eps = rng.integers(0, 2, shape) if per_scalar else draw(st.integers(0, 1)) * with_bit
+    return f, scalars, eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_orbit_cases())
+def test_orbit_tables_match_the_mul_table_gather(case):
+    f, scalars, eps = case
+    rows = bf.orbit_tables(f, scalars, eps)
+    assert rows.dtype == np.uint8 and rows.shape == np.shape(scalars) + (f.domain.size,)
+    assert np.array_equal(rows, orbit_tables_by_mul_table(f, scalars, eps))
+
+
+@settings(max_examples=2, deadline=None)
+@given(case=_orbit_cases(st.just(20)))
+def test_orbit_tables_match_the_mul_table_gather_at_degree_20(case):
+    f, scalars, eps = case
+    assert np.array_equal(bf.orbit_tables(f, scalars, eps),
+                          orbit_tables_by_mul_table(f, scalars, eps))
 
 
 def test_xor_and_restrict():

@@ -438,9 +438,9 @@ def test_seqfam_certifies_once_and_skips_the_direct_scan(capsys, monkeypatch):
         return scan(fam)
 
     def counted_rows(fn, n_rows):
-        def wrapper(arg):
+        def wrapper(arg, **kwargs):
             rows.append(n_rows(arg))
-            return fn(arg)
+            return fn(arg, **kwargs)
         return wrapper
 
     scan = sf._scan

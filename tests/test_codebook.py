@@ -338,7 +338,8 @@ def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     monkeypatch.setattr(bf, "_hadamard_rows", lambda x, *args, **kwargs: kernel_rows.append(
         int(np.prod(np.shape(x)[:-1]))) or kernel(x, *args, **kwargs))
     monkeypatch.setattr(bf, "walsh", lambda f: walsh_rows.append(1) or walsh(f))
-    monkeypatch.setattr(bf, "walsh_many", lambda s: walsh_rows.append(len(s)) or walsh_many(s))
+    monkeypatch.setattr(bf, "walsh_many",
+                        lambda s, **kw: walsh_rows.append(len(s)) or walsh_many(s, **kw))
     cases = []
     for n in (3, 5):
         ctx = mk_field(n)

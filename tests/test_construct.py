@@ -6,7 +6,10 @@ gamma-twisted quadratic part); chain_fn must reproduce both truth tables
 exactly at the matching parameters.
 """
 
+import sys
+import threading
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -364,12 +367,16 @@ def _bent_scan_corpus():
     rng = np.random.default_rng(2024)
     corpus = [_random_hypothesis_quadratic(ctx, rng) for _ in range(100)]
     affine = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
-    # bent, but f + f(4 x1, x2) is not: the reduced scan fails at its third sum
+    return corpus + [cn.kerdock_fn(4), cn.kerdock_fn(6), affine, _late_failure()]
+
+
+def _late_failure():
+    """Bent, but f + f(4 x1, x2) is not: the reduced scan fails at its third
+    sum and the full scan at its case 68, (a, b, eps) = (1, 4, 0)."""
     ctx5 = mk_field(5)
-    late = bf.from_field_bit_fn(
+    return bf.from_field_bit_fn(
         ctx5, lambda x1, x2: ctx5.trace(ctx5.pow(x1, 5)) ^ (x2 & ctx5.trace(ctx5.mul(3, x1)))
     )
-    return corpus + [cn.kerdock_fn(4), cn.kerdock_fn(6), affine, late]
 
 
 def _semibent_scan_corpus():
@@ -395,7 +402,7 @@ def _same(cert, expected):
 def test_scan_matches_per_case_routes(monkeypatch, small_batches, threads):
     if small_batches:
         # 100 values: between one and twelve rows per batch at these sizes
-        monkeypatch.setattr(cn, "_BATCH_VALUES", 100)
+        monkeypatch.setattr(bf, "BATCH_VALUES", 100)
     late = set()  # routes seen failing after their first case
     for f in _bent_scan_corpus():
         full = cn.is_cyclic_bent_full(f, threads=threads)
@@ -432,25 +439,70 @@ def _outside_reduced_hypothesis():
     return [violating, bf.BoolFun(bf.Domain(mk_field(5), True), table.astype(np.uint8))]
 
 
-def test_reduced_certifier_memory_is_bounded():
-    f = cn.kerdock_fn(12)
+def _certifier_peak(certify, f, *args) -> int:
+    """Peak traced bytes of one passing certifier call on a prebuilt f."""
     tracemalloc.start()
     try:
-        assert cn.is_cyclic_bent_reduced(f).passed
-        peak = tracemalloc.get_traced_memory()[1]
+        assert certify(f, *args).passed
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 128 << 20
+
+
+def _batch_bound(threads: int) -> int:
+    # each worker holds three float32 buffers of bf.BATCH_VALUES values and,
+    # per batch, the uint8 rows, their log-order windows and the pass masks:
+    # six batches' worth is ample; the O(2^n) tables fit in 1 MB here.  At
+    # m = 12 (one worker) and m = 8 (two) the peaks were 3.6 and 7.2 MB, and
+    # a 2^22-value budget would take them to 56 and 113 MB
+    return threads * 6 * 4 * bf.BATCH_VALUES + (1 << 20)
+
+
+def test_reduced_certifier_memory_is_bounded():
+    assert _certifier_peak(cn.is_cyclic_bent_reduced, cn.kerdock_fn(12)) < _batch_bound(1)
+
+
+def test_full_certifier_memory_is_bounded_per_thread():
+    assert _certifier_peak(cn.is_cyclic_bent_full, cn.kerdock_fn(8), 2) < _batch_bound(2)
+
+
+def test_each_worker_reuses_one_set_of_buffers(monkeypatch):
+    # the serial scan and every pool worker transform all their batches in
+    # the same (signs, X H', spectra) buffers, and no two workers share them
+    seen = defaultdict(set)
+    walsh_many = bf.walsh_many
+
+    def recorded(signs, out=None, work=None):
+        seen[threading.get_ident()].add(
+            tuple(a.__array_interface__["data"][0] for a in (signs, work, out)))
+        return walsh_many(signs, out=out, work=work)
+
+    f, late = cn.kerdock_fn(6), _late_failure()  # late fails in its second batch
+    expected = cyclic_bent_full_by_cases(late)
+    monkeypatch.setattr(bf, "walsh_many", recorded)
+    monkeypatch.setattr(bf, "BATCH_VALUES", 1 << 12)  # 31 batches of 64 rows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        for threads in (1, 3):
+            seen.clear()
+            assert cn.is_cyclic_bent_full(f, threads=threads).passed
+            assert all(len(buffers) == 1 for buffers in seen.values())
+            assert len(set().union(*seen.values())) == len(seen)
+            assert cn.is_cyclic_bent_full(late, threads=threads) == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_walsh_rows_match_closed_forms(monkeypatch, small_batches):
     if small_batches:
-        monkeypatch.setattr(cn, "_BATCH_VALUES", 100)
+        monkeypatch.setattr(bf, "BATCH_VALUES", 100)
     rows = []
     walsh, walsh_many = bf.walsh, bf.walsh_many
     monkeypatch.setattr(bf, "walsh", lambda f: rows.append(1) or walsh(f))
-    monkeypatch.setattr(bf, "walsh_many", lambda s: rows.append(len(s)) or walsh_many(s))
+    monkeypatch.setattr(bf, "walsh_many",
+                        lambda s, **kw: rows.append(len(s)) or walsh_many(s, **kw))
 
     def transformed(certify, *args):
         rows.clear()

@@ -240,6 +240,19 @@ def test_discrete_logs_invert_generator_powers(d):
             ctx.discrete_logs(bad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 9])
+def test_log_window_tables_multiply_without_a_reduction(d):
+    ctx = mk_field(d)
+    antilog, log = ctx.log_window_tables()
+    assert ctx.log_window_tables()[0] is antilog  # cached
+    assert antilog.shape == (2 * (ctx.order - 1),) and log[0] == 0
+    assert not antilog.flags.writeable and not log.flags.writeable
+    x = np.arange(1, ctx.order)
+    prod = antilog[log[x][:, None] + log[x][None, :]]
+    assert prod.tolist() == [[ctx.mul(a, b) for b in range(1, ctx.order)]
+                             for a in range(1, ctx.order)]
+
+
 @pytest.mark.parametrize("d", range(1, 17))
 def test_linear_tables_match_the_per_point_loops(d):
     ctx = mk_field(d)
