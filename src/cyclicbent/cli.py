@@ -6,6 +6,10 @@ only those three subcommands take.  Reports embed exact rationals as
 "num/den" strings next to float renderings.  Exit code 0 means every check
 the invocation requested passed.
 
+main(argv) may be called any number of times in one process (selftest runs
+its checks through it): the argument parser is built on the first call and
+reused, and each call parses into a fresh namespace.
+
 Subcommands: construct, verify, codebook, mub, seqfam, code, design,
 charquad, selftest.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -380,7 +385,10 @@ class _JsonErrorParser(argparse.ArgumentParser):
         self.exit(2, json.dumps({"error": message}) + "\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _JsonErrorParser:
+    """The whole argument tree, built on the first main() call (not at import)
+    and reused by every later call in the process."""
     ap = _JsonErrorParser(
         prog="cyclicbent",
         description="exact pipelines for cyclic bent/semi-bent functions and "
@@ -445,7 +453,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("selftest", help="run the subcommands' checks at m=4 / n=3, 5")
     p.set_defaults(fn=cmd_selftest)
+    return ap
 
+
+def main(argv=None) -> int:
+    ap = _parser()
     args = ap.parse_args(argv)
     if getattr(args, "m", None) is None and getattr(args, "n", None) is None \
             and args.cmd in ("construct", "verify", "codebook", "mub", "seqfam", "code", "design"):

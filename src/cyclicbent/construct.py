@@ -248,9 +248,12 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
     Batches of about bf.BATCH_VALUES values, the engine's budget, are
     independent, so the scan parallelizes; each worker reuses one set of
-    float32 buffers (signs, X H' and spectra) for all its batches.  The
-    min-reduction keeps the result (and hence any witness) deterministic
-    regardless of schedule.
+    float32 buffers (signs, X H' and spectra) for all its batches.  With
+    threads > 1, `threads` workers take the batches in order, and batch i
+    starts only once batches 0 .. i - threads have passed.  So every batch
+    before the first failing one is transformed (the witness does not
+    depend on the schedule), and the scan stops having transformed no batch
+    more than threads - 1 past it.
     """
     length = 1 << n_vars
     batch = max(1, min(n_cases, bf.BATCH_VALUES // length))
@@ -275,8 +278,39 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int
     starts = range(0, n_cases, batch)
     if threads <= 1 or len(starts) <= 1:
         return next((bad for bad in map(first_bad, starts) if bad >= 0), -1)
+    taken = head = 0  # batches before head have passed
+    stop = len(starts)  # no batch from stop on is needed
+    passed, failures, cond = set(), [], threading.Condition()
+
+    def worker() -> None:
+        nonlocal taken, head, stop
+        while True:
+            with cond:
+                i, taken = taken, taken + 1
+                cond.wait_for(lambda: head > i - threads or i >= stop)
+                if i >= stop:
+                    return
+            try:
+                bad = first_bad(starts[i])
+            except BaseException:
+                with cond:  # release the waiting workers before raising
+                    stop = 0
+                    cond.notify_all()
+                raise
+            with cond:
+                if bad < 0:
+                    passed.add(i)
+                    while head in passed:
+                        head += 1
+                else:
+                    failures.append(bad)
+                    stop = min(stop, i + 1)
+                cond.notify_all()
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return min((bad for bad in pool.map(first_bad, starts) if bad >= 0), default=-1)
+        for done in [pool.submit(worker) for _ in range(threads)]:
+            done.result()
+    return min(failures, default=-1)
 
 
 def _certify_full(f: BoolFun, threads: int) -> CyclicCertificate:

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -365,6 +368,75 @@ def test_help_is_usage_text(capsys):
         main(["verify", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: cyclicbent verify")
+
+
+# -- one parser per process ------------------------------------------------------------
+
+
+def _call(capsys, argv: str) -> tuple:
+    """Exit code, stdout and stderr of one main() call, usage errors included."""
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+_EVERY_SUBCOMMAND = ["construct --m 4", "verify --m 4 --threads 2", "codebook --m 4",
+                     "mub --m 4", "seqfam --kind binary --m 4", "code --n 3",
+                     "design --m 4 --k 6 --t 3", "charquad --m 5 --L x^4", "selftest"]
+
+
+def test_the_parser_is_built_on_the_first_call_and_reused(capsys, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    cli._parser.cache_clear()
+    assert _call(capsys, "verify --m 4")[0] == 0
+    assert len(added) > 0
+    added.clear()
+    for argv in _EVERY_SUBCOMMAND:
+        assert _call(capsys, argv)[0] == 0, argv
+    assert added == []
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import cyclicbent.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("verify --m 4 --threads 2", "verify --m 4"),
+    ("codebook --m 4 --format csv --out {tmp}", "codebook --m 4"),
+    # the --m / --n check must not see the first call's --n
+    ("seqfam --kind semibent --n 3", "seqfam --kind quaternary --m 4"),
+    ("codebook --m 4 --kind nope", "codebook --m 4"),  # an exit-2 usage error first
+    ("codebook", "codebook --m 4"),
+])
+def test_no_state_leaks_between_calls(capsys, tmp_path, first, second):
+    cli._parser.cache_clear()
+    alone = _call(capsys, second)
+    cli._parser.cache_clear()
+    _call(capsys, first.format(tmp=tmp_path / "rows.csv"))
+    assert _call(capsys, second) == alone
+    code, out, err = alone
+    assert code == 0 and err == "" and json.loads(out)["command"] == second.split()[0]
+
+
+@pytest.mark.parametrize("argv", ["--help", "codebook --help"])
+def test_help_prints_the_same_usage_text_twice(capsys, argv):
+    code, out, _ = _call(capsys, argv)
+    assert code == 0 and out.startswith("usage: cyclicbent")
+    assert _call(capsys, argv) == (code, out, "")
 
 
 @pytest.mark.parametrize("n", range(1, 12))

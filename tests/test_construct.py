@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
+from cyclicbent import linpoly as lp
 from cyclicbent.gf2 import mk_field
 
 from oracles import (
@@ -492,6 +493,77 @@ def test_each_worker_reuses_one_set_of_buffers(monkeypatch):
             assert cn.is_cyclic_bent_full(late, threads=threads) == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def _flipped_kerdock8():
+    """kerdock_fn(8) with one table bit flipped: its full scan fails at case 0."""
+    f = cn.kerdock_fn(8)
+    table = f.table.copy()
+    table[5] ^= 1
+    return bf.BoolFun(f.domain, table)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_threaded_scan_stops_at_its_first_failing_batch(monkeypatch, threads):
+    # a worker starts batch i only once batches 0 .. i - threads have passed,
+    # so the scan transforms at most threads batches from the first failing
+    # one on, and gives the serial scan's witness and verified_pairs
+    rows = []
+    walsh_many = bf.walsh_many
+    monkeypatch.setattr(bf, "walsh_many",
+                        lambda s, **kw: rows.append(len(s)) or walsh_many(s, **kw))
+    gold3 = lp.quad_form(lp.LinPoly.from_dict(mk_field(9), {3: 1}))  # gcd(3, 9) > 1
+    cases = [  # (function, certifier, batch budget, index of the first failing batch)
+        (_flipped_kerdock8(), cn.is_cyclic_bent_full, bf.BATCH_VALUES, 0),
+        (gold3, lambda g, threads: cn.is_cyclic_semibent(g, "full", threads=threads),
+         bf.BATCH_VALUES, 0),
+        (_late_failure(), cn.is_cyclic_bent_full, 1 << 10, 68 // 16),  # 16 rows a batch
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switching often, to shuffle the workers
+    try:
+        for f, certify, budget, first in cases:
+            monkeypatch.setattr(bf, "BATCH_VALUES", budget)
+            batch = budget >> f.n_vars
+            rows.clear()
+            serial = certify(f, threads=1)
+            assert not serial.passed and sum(rows) == (first + 1) * batch
+            for _ in range(5):
+                rows.clear()
+                assert certify(f, threads=threads) == serial
+                assert (first + 1) * batch <= sum(rows) <= (first + threads) * batch
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_batch_that_raises_stops_every_worker(monkeypatch):
+    # the other workers are released, so the error surfaces and nothing hangs
+    calls = []
+    walsh_many = bf.walsh_many
+
+    def failing(signs, **kw):
+        calls.append(len(signs))
+        if len(calls) == 3:
+            raise MemoryError("batch 3")
+        return walsh_many(signs, **kw)
+
+    def scan():
+        try:
+            cn.is_cyclic_bent_full(cn.kerdock_fn(6), threads=3)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    monkeypatch.setattr(bf, "walsh_many", failing)
+    monkeypatch.setattr(bf, "BATCH_VALUES", 1 << 12)  # 31 batches of 64 rows
+    raised = []
+    runner = threading.Thread(target=scan, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert [str(exc) for exc in raised] == ["batch 3"]
+    # the raising batch k is at most 4 (it follows two calls, and batch i
+    # needs batches 0 .. i - 3 done), and no batch from k + 3 on starts
+    assert len(calls) <= 7
 
 
 @pytest.mark.parametrize("small_batches", [False, True])
