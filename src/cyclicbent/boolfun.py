@@ -169,7 +169,8 @@ def _hadamard_rows(signs, out=None, work=None) -> np.ndarray:
     float32: each row, read as a 2^{k1} x 2^{k2} matrix X, maps to
     H_{2^{k1}} X H_{2^{k2}}.  Exact for rows of length 2^n, n <= 24, with
     entries in {-1, 0, 1}.  out and work, C-contiguous float32 arrays shaped
-    like signs, take the spectra and X H_{2^{k2}} in place of new arrays.
+    like signs, take the spectra and X H_{2^{k2}} in place of new arrays;
+    out may be signs itself, which the second product no longer reads.
     """
     shape = np.shape(signs)
     size = shape[-1] if shape else 0
@@ -207,9 +208,10 @@ def product_spectra(n_rows: int, length: int, real: bool, pairs) -> Iterator[np.
     """
     parts = 1 if real else 2
     rows = max(1, min(n_rows, BATCH_VALUES // (parts * length)))
-    # the products in int8, then the kernel's input, X H' and spectra in float32
+    # the products in int8, then the kernel's input, which the spectra
+    # overwrite, and X H' in float32
     prod = np.empty((rows, parts, length), dtype=np.int8)
-    x, work, out = (np.empty((rows, parts, length), dtype=np.float32) for _ in range(3))
+    x, work = (np.empty((rows, parts, length), dtype=np.float32) for _ in range(2))
     for start in range(0, n_rows, rows):
         r = min(rows, n_rows - start)
         xr, xi, yr, yi = pairs(start, r)
@@ -220,7 +222,7 @@ def product_spectra(n_rows: int, length: int, real: bool, pairs) -> Iterator[np.
             np.multiply(xi, yr, out=v[:, 1])
             v[:, 1] -= xr * yi
         x[:r] = v
-        yield _hadamard_rows(x[:r], out=out[:r], work=work[:r])
+        yield _hadamard_rows(x[:r], out=x[:r], work=work[:r])
 
 
 def _dual_permutation(domain: Domain) -> np.ndarray:
@@ -262,7 +264,8 @@ def walsh_many(signs: np.ndarray, out=None, work=None) -> np.ndarray:
     not checked.  Only the value multiset is meaningful per row; use
     :func:`walsh` when dual indexing matters.  out and work, C-contiguous
     float32 arrays shaped like signs, take the spectra and the kernel's
-    intermediate in place of new arrays.
+    intermediate in place of new arrays; out may be signs itself, so the
+    spectra overwrite the rows.
     """
     return _hadamard_rows(signs, out, work)
 

@@ -158,18 +158,17 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     if args.n is not None:
         g = _semibent_input(args)
-        cert = cn.is_cyclic_semibent(g, "full" if args.mode == "full" else "reduced",
-                                     threads=args.threads)
+        cert = cn.is_cyclic_semibent(g, "full" if args.mode == "full" else "reduced")
         report = {"command": "verify", "n": args.n, "certificate": cert.to_json_obj()}
         # auto cross-checks with the full scan only within its cap
         if args.mode == "auto" and g.n_vars <= cn.SEMIBENT_FULL_MAX_N:
-            full = cn.is_cyclic_semibent(g, "full", threads=args.threads)
+            full = cn.is_cyclic_semibent(g, "full")
             report["full_reduced_agree"] = full.passed == cert.passed
         _emit(report, args)
         return 0 if cert.passed and report.get("full_reduced_agree", True) else 1
     spec = _chain_spec(args)
     f = cn.chain_fn(spec)
-    cert = (cn.is_cyclic_bent_full(f, threads=args.threads) if args.mode == "full"
+    cert = (cn.is_cyclic_bent_full(f) if args.mode == "full"
             else cn.certify_cyclic_bent(f, args.mode))
     _emit({"command": "verify", "spec": spec.to_json_obj(),
            "certificate": cert.to_json_obj()}, args)
@@ -378,6 +377,11 @@ def _add_common(p, with_m=True, with_n=False, with_csv=False):
         p.add_argument("--eps-bit", type=int, default=0, choices=[0, 1])
 
 
+def _add_ignored_threads(p):
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored: the command runs on one thread")
+
+
 class _JsonErrorParser(argparse.ArgumentParser):
     """Reports a usage error as {"error": message} on stderr, with exit code 2."""
 
@@ -406,8 +410,7 @@ def _parser() -> _JsonErrorParser:
     p = sub.add_parser("verify", help="certify cyclic bentness / semi-bentness")
     _add_common(p, with_n=True)
     p.add_argument("--mode", choices=["auto", "full", "reduced"], default="auto")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the certifier scans")
+    _add_ignored_threads(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("codebook", help="build a codebook and compare to the bound")
@@ -415,8 +418,7 @@ def _parser() -> _JsonErrorParser:
     p.add_argument("--kind", choices=["real", "complex", "semibent"], default="real")
     p.add_argument("--eps", choices=["zeros", "ones", "random"], default="zeros")
     p.add_argument("--seed", type=int, default=2024, help="seed for --eps random")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and ignored: codebook runs on one thread")
+    _add_ignored_threads(p)
     p.set_defaults(fn=cmd_codebook)
 
     p = sub.add_parser("mub", help="build and verify the complete MUB set")

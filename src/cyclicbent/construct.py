@@ -18,8 +18,8 @@ serving both kinds: the domain (field-times-bit or plain field) fixes the
 kind, the eps axis and the witness shape.  Both gather their pair sums from
 the orbit rows of f, read in log order (boolfun.orbit_gather),
 Walsh-transform them in batches of about bf.BATCH_VALUES = 2^18 values, the
-engine's budget, in float32 buffers that each worker reuses, and return the
-first sum that is not bent (even m) or semi-bent (odd n).  Memory is
+engine's budget, in two float32 buffers that every batch reuses, and return
+the first sum that is not bent (even m) or semi-bent (odd n).  Memory is
 bounded by the batch at every m.  A certifier returns its certificate
 and nothing else: every object built from a certified function is checked
 from what it stores, not from the certifier's spectra.
@@ -30,8 +30,6 @@ m <= 8; reduced mode is allowed to m <= 16.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,80 +238,38 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 # -- certifiers --------------------------------------------------------------------
 
 
-def _first_failure(n_cases: int, sum_rows, n_vars: int, threads: int = 1) -> int:
+def _first_failure(n_cases: int, sum_rows, n_vars: int) -> int:
     """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
 
     sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
     one row each.  A row passes when every |W| = 2^{n/2} for even n_vars
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
-    Batches of about bf.BATCH_VALUES values, the engine's budget, are
-    independent, so the scan parallelizes; each worker reuses one set of
-    float32 buffers (signs, X H' and spectra) for all its batches.  With
-    threads > 1, `threads` workers take the batches in order, and batch i
-    starts only once batches 0 .. i - threads have passed.  So every batch
-    before the first failing one is transformed (the witness does not
-    depend on the schedule), and the scan stops having transformed no batch
-    more than threads - 1 past it.
+    The cases are scanned in order, in batches of about bf.BATCH_VALUES
+    values, the engine's budget, and the scan stops at the first batch with
+    a failing row.  Every batch reuses two float32 buffers: the signs,
+    which the spectra overwrite, and X H'.
     """
     length = 1 << n_vars
     batch = max(1, min(n_cases, bf.BATCH_VALUES // length))
     peak = 1 << ((n_vars + 1) // 2)
-    mine = threading.local()
-
-    def first_bad(start: int) -> int:
-        if not hasattr(mine, "buffers"):
-            mine.buffers = [np.empty((batch, length), dtype=np.float32) for _ in range(3)]
+    signs_buf, work_buf = (np.empty((batch, length), dtype=np.float32) for _ in range(2))
+    for start in range(0, n_cases, batch):
         stop = min(start + batch, n_cases)
-        signs, work, out = (b[: stop - start] for b in mine.buffers)
+        signs, work = signs_buf[: stop - start], work_buf[: stop - start]
         # (-1)^rows, built in the float32 the transform runs in
         np.multiply(sum_rows(start, stop), np.float32(-2), out=signs)
         signs += 1
-        mag = np.abs(bf.walsh_many(signs, out=out, work=work), out=out)
+        mag = np.abs(bf.walsh_many(signs, out=signs, work=work), out=signs)
         ok = mag == peak
         if n_vars % 2:
             ok |= mag == 0
         bad = np.flatnonzero(~ok.all(axis=1))
-        return start + int(bad[0]) if len(bad) else -1
-
-    starts = range(0, n_cases, batch)
-    if threads <= 1 or len(starts) <= 1:
-        return next((bad for bad in map(first_bad, starts) if bad >= 0), -1)
-    taken = head = 0  # batches before head have passed
-    stop = len(starts)  # no batch from stop on is needed
-    passed, failures, cond = set(), [], threading.Condition()
-
-    def worker() -> None:
-        nonlocal taken, head, stop
-        while True:
-            with cond:
-                i, taken = taken, taken + 1
-                cond.wait_for(lambda: head > i - threads or i >= stop)
-                if i >= stop:
-                    return
-            try:
-                bad = first_bad(starts[i])
-            except BaseException:
-                with cond:  # release the waiting workers before raising
-                    stop = 0
-                    cond.notify_all()
-                raise
-            with cond:
-                if bad < 0:
-                    passed.add(i)
-                    while head in passed:
-                        head += 1
-                else:
-                    failures.append(bad)
-                    stop = min(stop, i + 1)
-                cond.notify_all()
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for done in [pool.submit(worker) for _ in range(threads)]:
-            done.result()
-    return min(failures, default=-1)
+        if len(bad):
+            return start + int(bad[0])
+    return -1
 
 
-def _certify_full(f: BoolFun, threads: int) -> CyclicCertificate:
+def _certify_full(f: BoolFun) -> CyclicCertificate:
     """Scan f(a .) + f(b ., . + eps) over ordered pairs a != b, a-major, and
     eps = 0, 1 on a field-times-bit domain (bent; witness (a, b, eps)), or
     eps = 0 alone on a plain field (semi-bent; witness (a, b))."""
@@ -328,7 +284,7 @@ def _certify_full(f: BoolFun, threads: int) -> CyclicCertificate:
         return by_eps[0, a_of[pair]] ^ by_eps[eps, b_of[pair]]
 
     n_cases = n_eps * len(a_of)
-    bad = _first_failure(n_cases, sum_rows, f.n_vars, threads)
+    bad = _first_failure(n_cases, sum_rows, f.n_vars)
     if bad < 0:
         return CyclicCertificate(kind, "full", True, n_cases)
     pair, eps = divmod(bad, n_eps)
@@ -336,7 +292,7 @@ def _certify_full(f: BoolFun, threads: int) -> CyclicCertificate:
     return CyclicCertificate(kind, "full", False, bad, witness)
 
 
-def _certify_reduced(f: BoolFun, threads: int) -> CyclicCertificate:
+def _certify_reduced(f: BoolFun) -> CyclicCertificate:
     """Check f, then scan f + f(c .) for c = 2 .. q-1 (case c - 2).  A
     field-times-bit domain is the bent case (witness (1, b, 0)), a plain
     field the semi-bent case (witness (1, b))."""
@@ -356,13 +312,13 @@ def _certify_reduced(f: BoolFun, threads: int) -> CyclicCertificate:
         return rows
 
     q = f.domain.ctx.order
-    bad = _first_failure(q - 2, sum_rows, f.n_vars, threads)
+    bad = _first_failure(q - 2, sum_rows, f.n_vars)
     if bad >= 0:
         return CyclicCertificate(kind, "reduced", False, 1 + bad, (1, bad + 2) + tail)
     return CyclicCertificate(kind, "reduced", True, q - 1)
 
 
-def is_cyclic_bent_full(f: BoolFun, threads: int = 1) -> CyclicCertificate:
+def is_cyclic_bent_full(f: BoolFun) -> CyclicCertificate:
     """Exhaustive check of f(a x1, x2) + f(b x1, x2+eps) over all ordered a != b, eps."""
     m = f.n_vars
     if m % 2 != 0 or not f.domain.with_bit:
@@ -372,7 +328,7 @@ def is_cyclic_bent_full(f: BoolFun, threads: int = 1) -> CyclicCertificate:
             f"full certification is O(4^m) Walsh transforms; m={m} exceeds the "
             f"cap {FULL_MODE_MAX_M} (use the reduced certifier)"
         )
-    return _certify_full(f, threads)
+    return _certify_full(f)
 
 
 def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
@@ -392,7 +348,7 @@ def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "
             "does not apply"
         )
-    return _certify_reduced(f, 1)
+    return _certify_reduced(f)
 
 
 def certify_cyclic_bent(f: BoolFun, mode: str = "auto") -> CyclicCertificate:
@@ -410,7 +366,7 @@ def certify_cyclic_bent(f: BoolFun, mode: str = "auto") -> CyclicCertificate:
         return is_cyclic_bent_full(f)
 
 
-def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1) -> CyclicCertificate:
+def is_cyclic_semibent(g: BoolFun, mode: str = "reduced") -> CyclicCertificate:
     """Certify g(ax)+g(bx) semi-bent for all a != b on GF(2^n), n odd.
 
     reduced mode uses homogeneity: it checks g itself and g + g(c.) for all
@@ -428,8 +384,8 @@ def is_cyclic_semibent(g: BoolFun, mode: str = "reduced", threads: int = 1) -> C
     if g.n_vars > cap:
         raise ValueError(f"{mode} semi-bent certification capped at n <= {cap}, got n = {g.n_vars}")
     if mode == "reduced":
-        return _certify_reduced(g, threads)
-    return _certify_full(g, threads)
+        return _certify_reduced(g)
+    return _certify_full(g)
 
 
 def require_cyclic_bent(f: BoolFun, cert: CyclicCertificate | None = None) -> CyclicCertificate:

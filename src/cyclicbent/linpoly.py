@@ -212,8 +212,8 @@ def gcrd_kernel_dim(L: LinPoly) -> int:
     return skew_gcrd(assoc(L), x_pow_m_minus_1(L.ctx)).degree
 
 
-# tau values per batch of the characterization scan: the rank route's
-# (T, m, m) block of basis-image terms is about 12 MB at m = 19
+# tau values per batch of the characterization scan: each (T, m) int64 array
+# of either route is about 0.6 MB at m = 19
 _SCAN_TAUS = 1 << 12
 
 
@@ -260,14 +260,16 @@ def _gcrd_degrees(b: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray
 def _rank_kernel_dims(c_log: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np.ndarray:
     """dim ker of sum_i c_i x^{2^i} for each row of the (T, m) coefficient
     logs c_log (-1 for a zero coefficient): the images of the basis 2^j,
-    xor sums of the log sums c_log_i + 2^i log 2^j, then one xor elimination
-    over the m bit positions for all rows."""
+    xor sums over i of the terms at the log sums c_log_i + 2^i log 2^j,
+    accumulated one (T, m) term at a time rather than as a (T, m, m) block,
+    then one xor elimination over the m bit positions for all rows."""
     t, m = c_log.shape
     q1 = len(exp)
     frob = (np.left_shift(1, np.arange(m))[:, None] * log[np.left_shift(1, np.arange(m))]) % q1
-    terms = exp[(c_log[:, :, None] + frob) % q1]  # [tau, i, j] = c_i (2^j)^{2^i}
-    terms[c_log < 0] = 0
-    img = np.bitwise_xor.reduce(terms, axis=1)
+    img = np.zeros((t, m), dtype=np.int64)
+    for i in range(m):
+        ci = c_log[:, i, None]
+        img ^= np.where(ci >= 0, exp[(ci + frob[i]) % q1], 0)  # [tau, j] = c_i (2^j)^{2^i}
     r, rank = np.arange(t), np.zeros(t, dtype=np.int64)
     for p in range(m):
         bit = (img >> p) & 1 != 0

@@ -432,6 +432,17 @@ def test_no_state_leaks_between_calls(capsys, tmp_path, first, second):
     assert code == 0 and err == "" and json.loads(out)["command"] == second.split()[0]
 
 
+@pytest.mark.parametrize("argv, code", [
+    ("verify --m 8 --mode full", 0),  # a passing full bent scan
+    ("verify --n 7 --mode full", 0),  # a passing full semi-bent scan
+    ("verify --n 9 --gold 3 --mode full", 1),  # fails at its first case
+])
+def test_verify_threads_flag_is_accepted_and_ignored(capsys, argv, code):
+    alone = _call(capsys, argv)
+    assert _call(capsys, argv + " --threads 2") == alone
+    assert alone[0] == code and alone[2] == ""
+
+
 @pytest.mark.parametrize("argv", ["--help", "codebook --help"])
 def test_help_prints_the_same_usage_text_twice(capsys, argv):
     code, out, _ = _call(capsys, argv)

@@ -241,8 +241,8 @@ def test_imax_sq_threads_deterministic(monkeypatch):
 
 def test_imax_sq_memory_is_bounded():
     # the engine's batch is 2^18 float32 values (1 MB); the scan of the
-    # m = 10 real codebook's C(512, 2) block pairs peaked at 4.3 MB: its
-    # three float32 buffers, the int8 products and the two int8 gathers
+    # m = 10 real codebook's C(512, 2) block pairs peaked at 3.3 MB: its
+    # two float32 buffers, the int8 products and the two int8 gathers
     cb = cbk.build_real_codebook(cn.kerdock_fn(10))
     tracemalloc.start()
     try:

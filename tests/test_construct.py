@@ -6,10 +6,7 @@ gamma-twisted quadratic part); chain_fn must reproduce both truth tables
 exactly at the matching parameters.
 """
 
-import sys
-import threading
 import tracemalloc
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -336,18 +333,6 @@ def test_all_chains_small_m_certify_reduced():
                 assert cn.is_cyclic_bent_reduced(f).passed
 
 
-def test_threads_do_not_change_verdict():
-    K = cn.kerdock_fn(4)
-    c1 = cn.is_cyclic_bent_full(K, threads=1)
-    c4 = cn.is_cyclic_bent_full(K, threads=4)
-    assert (c1.passed, c1.verified_pairs) == (c4.passed, c4.verified_pairs)
-    ctx = mk_field(3)
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
-    w1 = cn.is_cyclic_bent_full(f, threads=1).witness
-    w4 = cn.is_cyclic_bent_full(f, threads=4).witness
-    assert w1 == w4
-
-
 # -- the batched pair-sum scan against the per-case routes ----------------------------
 
 
@@ -399,27 +384,26 @@ def _same(cert, expected):
 
 
 @pytest.mark.parametrize("small_batches", [False, True])
-@pytest.mark.parametrize("threads", [1, 3])
-def test_scan_matches_per_case_routes(monkeypatch, small_batches, threads):
+def test_scan_matches_per_case_routes(monkeypatch, small_batches):
     if small_batches:
         # 100 values: between one and twelve rows per batch at these sizes
         monkeypatch.setattr(bf, "BATCH_VALUES", 100)
     late = set()  # routes seen failing after their first case
     for f in _bent_scan_corpus():
-        full = cn.is_cyclic_bent_full(f, threads=threads)
+        full = cn.is_cyclic_bent_full(f)
         _same(full, cyclic_bent_full_by_cases(f))
         reduced = cn.is_cyclic_bent_reduced(f)
         _same(reduced, cyclic_bent_reduced_by_rows(f))
         late |= {f"bent {c.mode}" for c in (full, reduced) if not c.passed and c.verified_pairs > 1}
     for g in _semibent_scan_corpus():
         for mode in ("full", "reduced"):
-            cert = cn.is_cyclic_semibent(g, mode, threads=threads)
+            cert = cn.is_cyclic_semibent(g, mode)
             _same(cert, cyclic_semibent_by_cases(g, mode))
             if not cert.passed and cert.verified_pairs > 1:
                 late.add(f"semi-bent {mode}")
     assert late == {"bent full", "bent reduced", "semi-bent full", "semi-bent reduced"}
     for f in _outside_reduced_hypothesis():
-        full = cn.is_cyclic_bent_full(f, threads=threads)
+        full = cn.is_cyclic_bent_full(f)
         _same(full, cyclic_bent_full_by_cases(f))
         for reduced in (cn.is_cyclic_bent_reduced, cyclic_bent_reduced_by_rows):
             with pytest.raises(cn.AffineDifferenceError):
@@ -440,59 +424,53 @@ def _outside_reduced_hypothesis():
     return [violating, bf.BoolFun(bf.Domain(mk_field(5), True), table.astype(np.uint8))]
 
 
-def _certifier_peak(certify, f, *args) -> int:
+def _certifier_peak(certify, f) -> int:
     """Peak traced bytes of one passing certifier call on a prebuilt f."""
     tracemalloc.start()
     try:
-        assert certify(f, *args).passed
+        assert certify(f).passed
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def _batch_bound(threads: int) -> int:
-    # each worker holds three float32 buffers of bf.BATCH_VALUES values and,
-    # per batch, the uint8 rows, their log-order windows and the pass masks:
+def _batch_bound() -> int:
+    # the scan holds two float32 buffers of bf.BATCH_VALUES values and, per
+    # batch, the uint8 rows, their log-order windows and the pass masks:
     # six batches' worth is ample; the O(2^n) tables fit in 1 MB here.  At
-    # m = 12 (one worker) and m = 8 (two) the peaks were 3.6 and 7.2 MB, and
-    # a 2^22-value budget would take them to 56 and 113 MB
-    return threads * 6 * 4 * bf.BATCH_VALUES + (1 << 20)
+    # m = 12 (reduced) and m = 8 (full) the peaks were 2.9 and 3.1 MB, and
+    # a 2^22-value budget would take them to 44 and 45 MB
+    return 6 * 4 * bf.BATCH_VALUES + (1 << 20)
 
 
 def test_reduced_certifier_memory_is_bounded():
-    assert _certifier_peak(cn.is_cyclic_bent_reduced, cn.kerdock_fn(12)) < _batch_bound(1)
+    assert _certifier_peak(cn.is_cyclic_bent_reduced, cn.kerdock_fn(12)) < _batch_bound()
 
 
-def test_full_certifier_memory_is_bounded_per_thread():
-    assert _certifier_peak(cn.is_cyclic_bent_full, cn.kerdock_fn(8), 2) < _batch_bound(2)
+def test_full_certifier_memory_is_bounded():
+    assert _certifier_peak(cn.is_cyclic_bent_full, cn.kerdock_fn(8)) < _batch_bound()
 
 
-def test_each_worker_reuses_one_set_of_buffers(monkeypatch):
-    # the serial scan and every pool worker transform all their batches in
-    # the same (signs, X H', spectra) buffers, and no two workers share them
-    seen = defaultdict(set)
+def test_scan_reuses_one_buffer_pair(monkeypatch):
+    # every batch of a scan is transformed in the same (signs, X H') pair,
+    # and its spectra overwrite the signs
+    seen = set()
     walsh_many = bf.walsh_many
 
     def recorded(signs, out=None, work=None):
-        seen[threading.get_ident()].add(
-            tuple(a.__array_interface__["data"][0] for a in (signs, work, out)))
+        assert out is signs
+        seen.add(tuple(a.__array_interface__["data"][0] for a in (signs, work)))
         return walsh_many(signs, out=out, work=work)
 
     f, late = cn.kerdock_fn(6), _late_failure()  # late fails in its second batch
     expected = cyclic_bent_full_by_cases(late)
     monkeypatch.setattr(bf, "walsh_many", recorded)
     monkeypatch.setattr(bf, "BATCH_VALUES", 1 << 12)  # 31 batches of 64 rows
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
-    try:
-        for threads in (1, 3):
-            seen.clear()
-            assert cn.is_cyclic_bent_full(f, threads=threads).passed
-            assert all(len(buffers) == 1 for buffers in seen.values())
-            assert len(set().union(*seen.values())) == len(seen)
-            assert cn.is_cyclic_bent_full(late, threads=threads) == expected
-    finally:
-        sys.setswitchinterval(interval)
+    assert cn.is_cyclic_bent_full(f).passed
+    assert len(seen) == 1
+    seen.clear()
+    assert cn.is_cyclic_bent_full(late) == expected
+    assert len(seen) == 1
 
 
 def _flipped_kerdock8():
@@ -503,67 +481,26 @@ def _flipped_kerdock8():
     return bf.BoolFun(f.domain, table)
 
 
-@pytest.mark.parametrize("threads", [2, 3])
-def test_threaded_scan_stops_at_its_first_failing_batch(monkeypatch, threads):
-    # a worker starts batch i only once batches 0 .. i - threads have passed,
-    # so the scan transforms at most threads batches from the first failing
-    # one on, and gives the serial scan's witness and verified_pairs
+def test_scan_stops_at_its_first_failing_batch(monkeypatch):
+    # the scan transforms every batch up to the first failing one, and no more
     rows = []
     walsh_many = bf.walsh_many
     monkeypatch.setattr(bf, "walsh_many",
                         lambda s, **kw: rows.append(len(s)) or walsh_many(s, **kw))
     gold3 = lp.quad_form(lp.LinPoly.from_dict(mk_field(9), {3: 1}))  # gcd(3, 9) > 1
-    cases = [  # (function, certifier, batch budget, index of the first failing batch)
-        (_flipped_kerdock8(), cn.is_cyclic_bent_full, bf.BATCH_VALUES, 0),
-        (gold3, lambda g, threads: cn.is_cyclic_semibent(g, "full", threads=threads),
-         bf.BATCH_VALUES, 0),
-        (_late_failure(), cn.is_cyclic_bent_full, 1 << 10, 68 // 16),  # 16 rows a batch
+    cases = [  # (function, certifier, batch budget, index of the first failing batch,
+        # witness, verified pairs)
+        (_flipped_kerdock8(), cn.is_cyclic_bent_full, bf.BATCH_VALUES, 0, (0, 1, 0), 0),
+        (gold3, lambda g: cn.is_cyclic_semibent(g, "full"), bf.BATCH_VALUES, 0, (0, 1), 0),
+        (_late_failure(), cn.is_cyclic_bent_full, 1 << 10, 68 // 16, (1, 4, 0), 68),  # 16 rows a batch
     ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switching often, to shuffle the workers
-    try:
-        for f, certify, budget, first in cases:
-            monkeypatch.setattr(bf, "BATCH_VALUES", budget)
-            batch = budget >> f.n_vars
-            rows.clear()
-            serial = certify(f, threads=1)
-            assert not serial.passed and sum(rows) == (first + 1) * batch
-            for _ in range(5):
-                rows.clear()
-                assert certify(f, threads=threads) == serial
-                assert (first + 1) * batch <= sum(rows) <= (first + threads) * batch
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_a_batch_that_raises_stops_every_worker(monkeypatch):
-    # the other workers are released, so the error surfaces and nothing hangs
-    calls = []
-    walsh_many = bf.walsh_many
-
-    def failing(signs, **kw):
-        calls.append(len(signs))
-        if len(calls) == 3:
-            raise MemoryError("batch 3")
-        return walsh_many(signs, **kw)
-
-    def scan():
-        try:
-            cn.is_cyclic_bent_full(cn.kerdock_fn(6), threads=3)
-        except MemoryError as exc:
-            raised.append(exc)
-
-    monkeypatch.setattr(bf, "walsh_many", failing)
-    monkeypatch.setattr(bf, "BATCH_VALUES", 1 << 12)  # 31 batches of 64 rows
-    raised = []
-    runner = threading.Thread(target=scan, daemon=True)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive()
-    assert [str(exc) for exc in raised] == ["batch 3"]
-    # the raising batch k is at most 4 (it follows two calls, and batch i
-    # needs batches 0 .. i - 3 done), and no batch from k + 3 on starts
-    assert len(calls) <= 7
+    for f, certify, budget, first, witness, verified in cases:
+        monkeypatch.setattr(bf, "BATCH_VALUES", budget)
+        batch = budget >> f.n_vars
+        rows.clear()
+        cert = certify(f)
+        assert (cert.passed, cert.witness, cert.verified_pairs) == (False, witness, verified)
+        assert sum(rows) == (first + 1) * batch
 
 
 @pytest.mark.parametrize("small_batches", [False, True])

@@ -7,6 +7,7 @@ right divisions):
 """
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -365,6 +366,32 @@ def test_batched_tau_scan_at_even_m(m):
         phis = [lp.phi_l_tau(L, int(tau)) for tau in taus]
         assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [lp.gcrd_kernel_dim(p) for p in phis]
         assert lp.phi_kernel_dims(L, taus, "rank").tolist() == [lp.kernel_dim(p) for p in phis]
+
+
+def test_tau_scan_routes_agree_where_the_log_sums_are_widest():
+    # at m = 19 the rank route's log sums c_i + 2^i log 2^j reach 2 (2^19 - 2)
+    ctx = mk_field(19)
+    rng = np.random.default_rng(19)
+    L = lp.LinPoly(ctx, tuple(int(rng.integers(1, ctx.order)) for _ in range(19)))
+    taus = np.concatenate([np.arange(2, 258), np.arange(ctx.order - 768, ctx.order)])
+    rank = lp.phi_kernel_dims(L, taus, "rank")
+    assert rank.tolist() == lp.phi_kernel_dims(L, taus, "gcrd").tolist()
+    assert len(set(rank.tolist())) > 1  # both verdicts occur
+    for tau in taus[::64]:
+        assert rank[taus.tolist().index(tau)] == lp.kernel_dim(lp.phi_l_tau(L, int(tau)))
+
+
+def test_rank_route_memory_is_bounded():
+    # the rank route keeps (T, m) arrays; a (T, m, m) int64 block of its
+    # basis-image terms would alone take 2 MB at m = 11 (T = 2046)
+    L = lp.LinPoly.from_dict(mk_field(11), {2: 1})
+    tracemalloc.start()
+    try:
+        assert lp.is_cyclic_semibent_quadratic(L, "rank")[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2046 * 11 * 11 * 8
 
 
 def test_batched_tau_scan_rejects_bad_input():
