@@ -293,10 +293,12 @@ def is_semibent(f: BoolFun) -> bool:
     return classify(walsh(f)) is WalshClass.SEMI_BENT
 
 
-def orbit_gather(f: BoolFun):
-    """rows(c, eps=0) -> the uint8 truth tables of f(c x1, x2 + eps_c)
-    (field-times-bit domain) or f(c x) (plain field, eps = 0), one row per
+def orbit_gather(domain: Domain, table: np.ndarray):
+    """rows(c, eps=0) -> the uint8 table f read at (c x1, x2 + eps_c)
+    (field-times-bit domain) or at c x (plain field, eps = 0), one row per
     entry of the 1-D integer array c; eps is one bit or one bit per scalar.
+    f is any uint8 table over the domain: a truth table, or keys of the
+    entries of a codebook block.
 
     The rows are read from f in log order: f(c x) = F[log c + log x] for
     nonzero c and x, where F[k] = f(beta^k) over the doubled antilog table.
@@ -305,15 +307,15 @@ def orbit_gather(f: BoolFun):
     x = 0 and c = 0 read f(0).  F is built here, once per f, so a scan
     that gathers rows batch by batch shares it.
     """
-    ctx = f.domain.ctx
+    ctx = domain.ctx
     q = ctx.order
     antilog, log = ctx.log_window_tables()
-    halves = f.domain.size // q  # x2 = 0 and x2 = 1, or the field alone
+    halves = domain.size // q  # x2 = 0 and x2 = 1, or the field alone
     width = len(antilog)
-    ordered = f.table.reshape(halves, q).take(antilog, axis=1)  # row x2: F of that half
+    ordered = table.reshape(halves, q).take(antilog, axis=1)  # row x2: F of that half
     # windows[s] = ordered.flat[s : s + q - 1], a view: row s starts one byte after row s - 1
     windows = np.ndarray((ordered.size - q + 2, q - 1), np.uint8, ordered, strides=(1, 1))
-    at_zero = f.table[::q]  # f(0, x2) by x2
+    at_zero = table[::q]  # f(0, x2) by x2
 
     def rows(c: np.ndarray, eps=0) -> np.ndarray:
         # src[..., x2] is the half that x2 + eps reads, for each scalar or for all
@@ -326,7 +328,7 @@ def orbit_gather(f: BoolFun):
         if not c.all():
             zero = c == 0
             out[zero] = out[zero, :, :1]
-        return out.reshape(len(c), f.domain.size)
+        return out.reshape(len(c), domain.size)
 
     return rows
 
@@ -343,7 +345,7 @@ def orbit_tables(f: BoolFun, scalars, eps=0) -> np.ndarray:
     eps = np.asarray(eps)
     if eps.ndim:
         eps = eps.reshape(c.shape).ravel()
-    return orbit_gather(f)(c.ravel(), eps).reshape(c.shape + (f.domain.size,))
+    return orbit_gather(f.domain, f.table)(c.ravel(), eps).reshape(c.shape + (f.domain.size,))
 
 
 def scale_compose(f: BoolFun, a: int, eps: int = 0) -> BoolFun:

@@ -10,10 +10,16 @@ unnormalized, with squared norm 1 on the standard basis and K on the blocks.
 The cross Gram of blocks a and b is chi diag(s_a conj(s_b)) chi^T, so every
 overlap between them is a Walsh value of the one vector s_a conj(s_b):
 ``imax_sq``, ``verify_mub`` and the code distances of ``codes`` read them
-off one ``bf.product_spectra`` scan of the block pairs and never form an
-N x N Gram; maxima and Levenshtein bounds are exact fractions.  Dense rows
-are built only by ``basis`` and ``write_csv``, one basis at a time; CSV
-output is normalized floats (12 significant digits).
+off one ``bf.product_spectra`` scan of block pairs and never form an N x N
+Gram; maxima and Levenshtein bounds are exact fractions.  The builders lay
+their blocks out as one orbit: block 0 constant, block a >= 1 block 1 read
+at (a x1, x2 + d_a).  Once ``_layout`` has checked that against every
+stored entry, the scan transforms one block pair per class (c, d) =
+(b / a, d_a + d_b), q - 1 rows when every d_a is equal, in place of all
+C(B, 2); any other codebook keeps the scan of every pair, which is also
+the oracle of the classes.  Dense rows are built only by ``basis`` and
+``write_csv``, one basis at a time; CSV output is normalized floats (12
+significant digits).
 
 Row ordering is fixed for reproducible serialization: the standard basis,
 then the blocks in order (for the real codebooks the characters, then the
@@ -35,9 +41,9 @@ from cyclicbent import construct as cn
 from cyclicbent.boolfun import BoolFun
 
 # Block entries (B K) of the largest codebook or MUB set the builders make:
-# the real codebook at m = 12, 2^11 blocks of length 2^12, whose block-pair
-# scan takes about a minute.  Sizes past it raise ValueError before anything
-# is certified.
+# the real codebook at m = 12, 2^11 blocks of length 2^12, whose orbit-class
+# scan takes well under a second (the scan of every block pair took about a
+# minute).  Sizes past it raise ValueError before anything is certified.
 MAX_BLOCK_ENTRIES = 1 << 23
 # Dense entries (N K) of the largest codebook or MUB set written out in
 # full; the real codebook at m = 10, (2^9 + 1) 2^20 entries, fits.
@@ -80,9 +86,12 @@ class Codebook:
             )
         if self.re.dtype != np.int8 or self.im.dtype != np.int8:
             raise ValueError(f"block vectors must be int8, got {self.re.dtype} and {self.im.dtype}")
-        # in int8, |re| + |im| == 1 holds at the four units and nowhere else
-        if not np.all(np.abs(self.re) + np.abs(self.im) == 1):
-            raise ValueError("block vector entries must be units: 1, -1, i or -i")
+        # in int8, |re| + |im| == 1 holds at the four units and nowhere else;
+        # checked about bf.BATCH_VALUES entries at a time
+        step = max(1, bf.BATCH_VALUES // k)
+        for lo in range(0, len(self.re), step):
+            if not np.all(np.abs(self.re[lo : lo + step]) + np.abs(self.im[lo : lo + step]) == 1):
+                raise ValueError("block vector entries must be units: 1, -1, i or -i")
 
     @property
     def n_blocks(self) -> int:
@@ -161,21 +170,108 @@ class Codebook:
                     fh.write(",".join(cells[norm][row].tolist()) + "\n")
 
 
-def _block_pair_spectra(cb: Codebook) -> Iterator[np.ndarray]:
-    """``bf.product_spectra`` batches (pairs, parts, K) of s_a conj(s_b) for
-    the block pairs a < b in order, one part when the codebook is real and
-    two when complex.  Memory is bounded by the batch, not by C(B, 2)."""
+def _layout(cb: Codebook) -> np.ndarray | None:
+    """The offsets d_a (uint8, one per block) when the codebook is laid out
+    as one orbit, else None.
+
+    The layout: one block per field element a, block 0 constant, and block
+    a >= 1 block 1 read at (a x1, x2 + d_a), or at a x on a plain field,
+    where d_a = 0.  The real, complex (MUB) and semi-bent builders lay their
+    blocks out so.  Every stored entry is compared, about bf.BATCH_VALUES
+    at a time, with one orbit gather of block 1: O(B K).
+    """
+    dom, q = cb.domain, cb.domain.ctx.order
+    if cb.n_blocks != q or (cb.re[0] != cb.re[0, 0]).any() or (cb.im[0] != cb.im[0, 0]).any():
+        return None
+
+    def keys(lo, hi):  # 3 re + im is 3, -3, 1, -1 at the four units
+        return (3 * cb.re[lo:hi] + cb.im[lo:hi]).view(np.uint8).reshape(hi - lo, -1, q)
+
+    rows = bf.orbit_gather(dom, keys(1, 2).ravel())
+    d = np.zeros(q, dtype=np.uint8)
+    step = max(1, bf.BATCH_VALUES // dom.size)
+    for lo in range(1, q, step):
+        hi = min(q, lo + step)
+        want = keys(lo, hi)
+        got = rows(np.arange(lo, hi)).reshape(want.shape)
+        same = (got == want).all(axis=(1, 2))
+        d[lo:hi] = ~same
+        # on x2 + 1 the gathered halves swap
+        if not same.all() and not (dom.with_bit and (got[~same, ::-1] == want[~same]).all()):
+            return None
+    return d
+
+
+def _block_pair_spectra(cb: Codebook,
+                        d: np.ndarray | None) -> tuple[Iterator[np.ndarray], np.ndarray]:
+    """``bf.product_spectra`` batches (pairs, parts, K) of s_a conj(s_b), one
+    part when the codebook is real and two when complex, over one block pair
+    per class; and for each pair the number of ordered block pairs of its
+    class, all of whose spectra are its spectrum permuted with signs
+    changed.  d is ``_layout(cb)``.
+
+    A codebook laid out as one orbit (offsets d, not None) pairs blocks a, b >= 1
+    as h and h(c ., . + d) read at (a x1, x2 + d_a), h block 1, c = b / a and
+    d = d_a + d_b; and block 0 with block a as a unit times h read so.  So
+    its classes are (0, 1), standing for the 2(q - 1) ordered pairs with
+    block 0, and one pair (a, a c) for each (c, d) that occurs, standing for
+    the N(c, d) = #{a : d_a + d_{ac} = d} ordered pairs (a, a c): q - 1 rows
+    when no d_a is 1.  Any other codebook keeps every pair a < b as its own
+    class of two ordered pairs, read off B row offsets, so neither route
+    builds a C(B, 2) array.
+    """
     n, real = cb.n_blocks, cb.is_real()
-    # first[a] is the index of the pair (a, a + 1) in the order of the scan
-    first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    if d is None:
+        n_rows = n * (n - 1) // 2
+        # first[a] is the index of the pair (a, a + 1) in the order of the scan
+        first = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+
+        def pick(start, rows):
+            p = np.arange(start, start + rows)
+            a = np.searchsorted(first, p, side="right") - 1
+            return a, p - first[a] + a + 1
+
+        weight = np.broadcast_to(np.int64(2), (n_rows,))
+    else:
+        a, b, weight = _pair_classes(cb.domain.ctx, d)
+        n_rows = len(a)
+
+        def pick(start, rows):
+            return a[start : start + rows], b[start : start + rows]
 
     def pairs(start, rows):
-        p = np.arange(start, start + rows)
-        a = np.searchsorted(first, p, side="right") - 1
-        b = p - first[a] + a + 1
+        a, b = pick(start, rows)
         return cb.re[a], None if real else cb.im[a], cb.re[b], None if real else cb.im[b]
 
-    return bf.product_spectra(n * (n - 1) // 2, cb.length, real, pairs)
+    return bf.product_spectra(n_rows, cb.length, real, pairs), weight
+
+
+def _pair_classes(ctx, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, N): the block pairs (0, 1) and (a, a c), one per class (c, d)
+    of an orbit layout with offsets d, and the ordered pairs of each class.
+
+    In log order, a = beta^i and c = beta^j (j != 0, so c != 1), the class
+    of (a, a c) is D[i] + D[i + j] with D[i] = d of beta^i; row j of the
+    window X[j, i] = D[i] + D[i + j] counts N(c, 1) and its first 0 and 1
+    give the pairs.  O(q^2) bit operations, about bf.BATCH_VALUES at a time.
+    """
+    k = ctx.order - 1
+    at = ctx.generator_powers(np.arange(k))  # the block of beta^i
+    dlog = d[at]
+    # win[j, i] = D[i + j], a view: row j starts one entry after row j - 1
+    win = np.ndarray((k + 1, k), np.uint8, np.concatenate([dlog, dlog]), strides=(1, 1))
+    a, b, n = [np.array([0])], [np.array([1])], [np.array([2 * k])]
+    step = max(1, bf.BATCH_VALUES // k)
+    for lo in range(1, k, step):
+        x = win[lo : min(lo + step, k)] ^ dlog
+        ones = x.sum(axis=1, dtype=np.int64)
+        # row 0 the classes d = 0, row 1 those of d = 1
+        count, i = np.stack([k - ones, ones]), np.stack([x.argmin(axis=1), x.argmax(axis=1)])
+        seen = count > 0
+        a.append(at[i[seen]])
+        b.append(at[(i + np.arange(lo, lo + len(x)))[seen] % k])
+        n.append(count[seen])
+    return tuple(np.concatenate(v) for v in (a, b, n))
 
 
 def _max_sq(w: np.ndarray) -> int:
@@ -198,7 +294,7 @@ def imax_sq(cb: Codebook) -> Fraction:
     a Walsh value of s_a conj(s_b), and lam + mu runs over every dual point.
     """
     k = cb.length
-    best = max(map(_max_sq, _block_pair_spectra(cb)), default=0)
+    best = max(map(_max_sq, _block_pair_spectra(cb, _layout(cb))[0]), default=0)
     return max(Fraction(best, k * k), Fraction(int(cb.n_blocks > 0), k))
 
 
@@ -219,10 +315,13 @@ def _check_entries(n_rows: int, length: int) -> None:
 
 def _orbit_codebook(tables: np.ndarray, domain: bf.Domain) -> Codebook:
     """Blocks (-1)^t chi for the zero table t (the characters themselves),
-    then for each truth table t (row) in turn."""
-    signs = np.ones((len(tables) + 1, domain.size), dtype=np.int8)
-    signs[1:] -= 2 * tables.astype(np.int8)
-    return Codebook(domain, signs, np.zeros_like(signs))
+    then for each truth table t (row) in turn.  The imaginary parts are one
+    read-only zero-stride view, not B K stored zeros."""
+    signs = np.empty((len(tables) + 1, domain.size), dtype=np.int8)
+    signs[0] = 1
+    np.multiply(tables, -2, out=signs[1:], dtype=np.int8, casting="unsafe")
+    signs[1:] += 1
+    return Codebook(domain, signs, np.broadcast_to(np.int8(0), signs.shape))
 
 
 def build_real_codebook(f: BoolFun, eps=None) -> Codebook:

@@ -7,6 +7,11 @@ the coset t_b + RM(1).  C(f) and C(g) are the codes of
 ``build_real_codebook(f)`` and ``build_semibent_codebook(g)``, whose blocks
 are t_0 = 0 and the rows f(a x1, x2) (g(a x)), a != 0.  No word is stored:
 weights and distances are read from the Walsh spectra of the blocks and pairs.
+When the codebook is checked to be laid out as one orbit
+(``codebook._layout``), every block a >= 1 has the |W| of block 1 and every
+block pair those of one pair per class, so A_i reads two rows and B_i q - 1
+rows, each weighted by the ordered pairs of its class; otherwise every
+block and every pair of blocks is transformed.
 
 Design checking is direct: every t-subset's coverage is counted over the
 weight-k words and compared; nothing is inferred from general
@@ -155,18 +160,26 @@ def build_code_g(g: bf.BoolFun) -> NonlinearCode:
     return NonlinearCode(cbk.build_semibent_codebook(g))
 
 
-def _block_spectra(cb: cbk.Codebook):
-    """``bf.product_spectra`` batches (blocks, 1, K) of the blocks s_b conj(1)."""
-    return bf.product_spectra(cb.n_blocks, cb.length, True,
-                              lambda lo, rows: (cb.re[lo : lo + rows], None, 1, None))
+def _block_spectra(cb: cbk.Codebook, blocks: np.ndarray):
+    """``bf.product_spectra`` batches (blocks, 1, K) of the blocks s_b conj(1), b in blocks."""
+    return bf.product_spectra(len(blocks), cb.length, True,
+                              lambda lo, rows: (cb.re[blocks[lo : lo + rows]], None, 1, None))
 
 
-def _split(spectra, v: int) -> np.ndarray:
-    """int64 counts over 0..v of (v -+ |W|)/2 for float batches of W: the
-    weights of t + chi and of its complement, or two distances likewise."""
+def _split(spectra, weight: np.ndarray, v: int) -> np.ndarray:
+    """int64 counts over 0..v of (v -+ |W|)/2 for float batches of W, row r
+    of the scan counted weight[r] times: the weights of t + chi and of its
+    complement, or two distances likewise."""
     counts = np.zeros(v + 1, dtype=np.int64)
+    lo = 0
     for w in spectra:
-        counts += np.bincount(np.abs(w, out=w).astype(np.int64).ravel(), minlength=v + 1)
+        rows = len(w)
+        # row r's |W| in cells r (v + 1) .. r (v + 1) + v of one bincount
+        cells = np.abs(w, out=w).reshape(rows, -1).astype(np.int64)
+        cells += (v + 1) * np.arange(rows)[:, None]
+        per_row = np.bincount(cells.ravel(), minlength=rows * (v + 1)).reshape(rows, v + 1)
+        counts += weight[lo : lo + rows] @ per_row
+        lo += rows
     # |W| is even: a sum of v = 2^n signs
     out = np.zeros(v + 1, dtype=np.int64)
     out[v // 2 :] += counts[::2]
@@ -175,19 +188,28 @@ def _split(spectra, v: int) -> np.ndarray:
 
 
 def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
-    """Exact A_i and B_i from B + C(B, 2) Walsh kernel rows.
+    """Exact A_i and B_i from the Walsh spectra of the blocks and of one
+    block pair per class.
 
     Block b has the weights (K -+ W(s_b))/2, one pair per dual point.  For
-    blocks a != b and each dual point, 4K of the ordered word pairs across
-    them lie at each of (K -+ W(s_a s_b))/2, from ``_block_pair_spectra``;
-    the 4K^2 ordered pairs within a block lie 2K at 0, 2K at K and the rest
-    at K/2.  Dividing by M = 2KB leaves 2/B per pair spectrum value, checked
-    exact.
+    blocks a != b and each dual point, 2K of the ordered word pairs from a
+    to b lie at each of (K -+ W(s_a s_b))/2; ``_block_pair_spectra`` gives
+    one pair per class and the ordered block pairs it stands for, whose
+    |W| are the same.  The 4K^2 ordered pairs within a block lie 2K at 0,
+    2K at K and the rest at K/2.  Dividing by M = 2KB leaves 1/B per
+    ordered block pair and spectrum value, checked exact.  A codebook laid
+    out as one orbit (``cbk._layout``) has the |W| of block 1 in every block
+    a >= 1, so A_i reads two rows: block 0 and block 1 counted B - 1 times.
     """
     cb = code.codebook
     v, n = code.length, cb.n_blocks
-    weight = _split(_block_spectra(cb), v)
-    dist = 2 * _split(cbk._block_pair_spectra(cb), v)
+    layout = cbk._layout(cb)
+    if layout is None:
+        blocks, times = np.arange(n), np.ones(n, dtype=np.int64)
+    else:
+        blocks, times = np.arange(2), np.array([1, n - 1])
+    weight = _split(_block_spectra(cb, blocks), times, v)
+    dist = _split(*cbk._block_pair_spectra(cb, layout), v)
     dist[[0, v // 2, v]] += n * np.array([1, 2 * v - 2, 1])
     if (dist % n).any():
         raise AssertionError("distance counts must be divisible by B")
@@ -213,13 +235,14 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
         )
     # the weight-k words, by one Walsh row per block: t_b + chi_lam has
     # weight (v - W(s_b)(lam))/2 and its complement v minus that
-    dom = code.codebook.domain
-    w = np.concatenate([b[:, 0].copy() for b in _block_spectra(code.codebook)])
+    cb = code.codebook
+    dom = cb.domain
+    w = np.concatenate([b[:, 0].copy() for b in _block_spectra(cb, np.arange(cb.n_blocks))])
     wt = (v - w[:, bf._dual_permutation(dom)]) // 2
     words = []
     for c, hit in ((0, wt == k), (1, wt == v - k)):
         blk, lam = np.nonzero(hit)
-        words.append((code.codebook.re[blk] < 0) ^ bf.char_bits(dom)[lam] ^ c)
+        words.append((cb.re[blk] < 0) ^ bf.char_bits(dom)[lam] ^ c)
     blocks = np.concatenate(words).astype(bool)
     b = blocks.shape[0]
     if b == 0:

@@ -304,7 +304,7 @@ def _certify_reduced(f: BoolFun) -> CyclicCertificate:
         # f + f(0 .) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
         return CyclicCertificate(kind, "reduced", False, 0, (1, 0) + tail)
 
-    orbit = bf.orbit_gather(f)  # f in log order, once for every batch
+    orbit = bf.orbit_gather(f.domain, f.table)  # f in log order, once for every batch
 
     def sum_rows(start: int, stop: int) -> np.ndarray:
         rows = orbit(np.arange(start + 2, stop + 2))

@@ -89,6 +89,22 @@ def xor_rank(vectors) -> int:
     return len(pivots)
 
 
+def orbit_minima(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of the permutation perm of 0 .. len(perm) - 1: their least
+    elements, ascending, and their sizes.
+
+    One pass of O(len(perm)) per power of perm up to its order, so O(N d)
+    for a Frobenius map t -> 2^k t mod N of order d / k.
+    """
+    start = np.arange(len(perm))
+    low, cur = start.copy(), np.asarray(perm)
+    while not np.array_equal(cur, start):
+        np.minimum(low, cur, out=low)
+        cur = perm[cur]
+    reps = np.flatnonzero(low == start)
+    return reps, np.bincount(low)[reps]
+
+
 def _linear_table(images: list[int]) -> np.ndarray:
     """Values over all x of the GF(2)-linear map sending 2^j to images[j].
 

@@ -22,10 +22,14 @@ the members are built only on demand (CSV output, the tests) as rows of
 the block.  Every correlation between character members is one Walsh value
 of the shift product V_tau(t) = s_0(t + tau) conj(s_0(t)) placed at y_t, at
 the dual point lam c + lam', so ``full_distribution`` reads the exact
-histogram (CorrDist) off one ``bf.product_spectra`` scan of the block: a
-kernel row per shift and part, plus one per part for s_0 itself, in place
-of the S^2 k^2 products of the direct scan (``_scan``, the test oracle).
-The closed-form distributions are the expected_* functions.
+histogram (CorrDist) off one ``bf.product_spectra`` scan of the block, in
+place of the S^2 k^2 products of the direct scan (``_scan``, the test
+oracle).  The paper's functions are sums of traces, and tr(y^2) = tr(y), so
+s_0(y^{2^k}) = s_0(y) for some k | d less than d; ``_shift_orbits`` finds
+the least such k from the stored s_0, and the scan transforms one shift per
+orbit of tau -> 2^k tau, weighted by the orbit size: a kernel row per
+orbit and part, plus one per part for s_0 itself.  At k = d every shift is
+its own orbit.  The closed-form distributions are the expected_* functions.
 
 beta is always the context generator (the class of x of the default
 modulus): distributions are independent of the choice of primitive element,
@@ -45,6 +49,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from cyclicbent import boolfun as bf
 from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
+from cyclicbent import gf2
 from cyclicbent.boolfun import BoolFun
 
 
@@ -246,26 +251,31 @@ def _shift_spectra(fam: SequenceFamily, real: bool, taus: np.ndarray):
     return bf.product_spectra(len(taus), fam.block.length, real, pairs)
 
 
-def _count(counts: Counter, weight: int, re: np.ndarray, im: np.ndarray | None = None) -> None:
-    """Add weight to counts[(a, b)] for each index at which re reads a and
-    im (0 when None) reads b: integer-valued arrays of one 2-D shape.
+def _count(counts: Counter, weight: np.ndarray, re: np.ndarray,
+           im: np.ndarray | None = None) -> None:
+    """Add weight[r] to counts[(a, b)] for each entry of row r at which re
+    reads a and im (0 when None) reads b: integer-valued arrays of one 2-D
+    shape, and one integer weight per row.
 
-    Rows are taken about _COUNT_VALUES values at a time, so no int64
-    temporary grows with the kernel batch.  Within them re is replaced by
-    the ranks of its distinct values, so the joint bincount has one cell per
-    distinct a and per b in range: never one per pair of possible values.
+    Rows are taken about _COUNT_VALUES values at a time, so no temporary
+    grows with the kernel batch.  Within them re is replaced by the ranks of
+    its distinct values, so the joint bincount has one cell per distinct a
+    and per b in range: never one per pair of possible values.  It sums the
+    weights in float64, exactly: a step adds at most 2^21 weights below
+    2^26 (q times an orbit size of at most d, d <= 20).
     """
     step = max(1, _COUNT_VALUES // re.shape[1])
     for lo in range(0, len(re), step):
-        a = re[lo : lo + step].astype(np.int64).ravel()
-        b = 0 if im is None else im[lo : lo + step].astype(np.int64).ravel()
+        a = re[lo : lo + step].astype(np.int64)
+        b = 0 if im is None else im[lo : lo + step].astype(np.int64)
         a_min, b_min = int(a.min()), int(np.min(b))
         span = int(np.max(b)) - b_min + 1
-        seen = np.bincount(a - a_min) > 0
-        joint = np.bincount((np.cumsum(seen) - 1)[a - a_min] * span + (b - b_min))
+        seen = np.bincount((a - a_min).ravel()) > 0
+        cell = (np.cumsum(seen) - 1)[a - a_min] * span + (b - b_min)
+        joint = np.bincount(cell.ravel(), np.repeat(weight[lo : lo + step], a.shape[1]))
         values = np.flatnonzero(seen) + a_min
-        for cell in np.flatnonzero(joint).tolist():
-            counts[(int(values[cell // span]), cell % span + b_min)] += weight * int(joint[cell])
+        for c in np.flatnonzero(joint).tolist():
+            counts[(int(values[c // span]), c % span + b_min)] += int(joint[c])
 
 
 def _corr_dist(counts: Counter, size: int, period: int) -> CorrDist:
@@ -281,31 +291,83 @@ def _corr_dist(counts: Counter, size: int, period: int) -> CorrDist:
     return CorrDist(counts, total, r_max)
 
 
+def _frobenius_map(fam: SequenceFamily, k: int) -> np.ndarray:
+    """sigma: the sample of y_t^{2^k} for each sample t, 2^k t mod q - 1, and
+    for the binary kind the one of its two lifts to Z/2(q - 1) with the
+    parity of t (q - 1 is odd, so adding it flips the parity).  sigma is an
+    automorphism of the group of shifts."""
+    n = fam.block.domain.ctx.order - 1
+    t = np.arange(fam.period)
+    u = (t << k) % n
+    return u if fam.kind != "binary" else u + n * ((u ^ t) & 1)
+
+
+def _shift_orbits(fam: SequenceFamily) -> tuple[np.ndarray, np.ndarray]:
+    """One shift per orbit of sigma = ``_frobenius_map(fam, k)``, ascending,
+    and the orbit sizes, for the least k | d at which the stored s_0
+    satisfies s_0(y^{2^k}) = s_0(y) at every sample (O(period) per divisor).
+
+    Then V_{sigma tau}(sigma t) = V_tau(t), so the spectrum of V_{sigma tau}
+    is that of V_tau read through the linear bijection y -> y^{2^k} (x1 ->
+    x1^{2^k}): the same values at dual points permuted by lam -> lam^{2^-k},
+    which keeps the trace-0 hyperplane.  At k = d sigma is the identity and
+    every shift is its own orbit: the scan of every shift.
+    """
+    d = fam.block.domain.ctx.degree
+    s0 = np.stack([fam.block.re[0, fam.pos], fam.block.im[0, fam.pos]])
+    for k in range(1, d + 1):
+        if d % k == 0:
+            sigma = _frobenius_map(fam, k)
+            if np.array_equal(s0[:, sigma], s0):
+                return gf2.orbit_minima(sigma)
+    raise AssertionError("the identity map always leaves s_0 invariant")
+
+
+def _count_shifts(fam: SequenceFamily, real: bool, taus: np.ndarray, weight: np.ndarray,
+                  groups) -> None:
+    """Count the spectra of V_tau, tau in taus, row r with weight[r], in one
+    ``_shift_spectra`` scan: groups are (stop, counts, cols) for runs of
+    consecutive rows, each run ending before row stop, added to counts at
+    the dual columns cols."""
+    lo = 0
+    for w in _shift_spectra(fam, real, taus):
+        start = 0
+        for stop, counts, cols in groups:
+            a, b = max(start - lo, 0), min(stop - lo, len(w))
+            if a < b:
+                _count(counts, weight[lo + a : lo + b], *w[a:b, :, cols].swapaxes(0, 1))
+            start = stop
+        lo += len(w)
+
+
 def _field_dist(fam: SequenceFamily) -> CorrDist:
     """The quaternary and semi-bent families: s_lam = s_0 chi_lam(beta^t) for
     lam over the field, then inf = chi_1(beta^t).
 
     R_{lam,lam'}(tau) = W(V_tau)(lam beta^tau + lam'), and at each shift
     the dual point runs over the field q times as (lam, lam') does: q per
-    dual point of the k shift spectra.  lam against inf is
+    dual point of the k shift spectra, read from one shift per orbit
+    (``_shift_orbits``) times its orbit size.  lam against inf is
     W(s_0)(lam + beta^{-tau}) and inf against lam its conjugate, so k
     copies of W(s_0) and of its conjugate.  inf against itself is the
-    autocorrelation of the m-sequence.
+    autocorrelation of the m-sequence, which is Frobenius-invariant too.
     """
     k, q, real = fam.period, fam.period + 1, fam.kind != "quaternary"
+    taus, sizes = _shift_orbits(fam)
     counts = Counter()
-    for w in _shift_spectra(fam, real, np.arange(k)):
-        _count(counts, q, *w.swapaxes(0, 1))
-    # s_0 itself is s_0 conj(1), placed the same way
+    _count_shifts(fam, real, taus, q * sizes, [(len(taus), counts, slice(None))])
+    # s_0 itself is s_0 conj(1), placed the same way, then its conjugate
     y = _placed(fam)
     (own,) = bf.product_spectra(1, q, real, lambda start, rows: (*y, 1, 0))
-    _count(counts, k, *own.swapaxes(0, 1))
-    own[:, 1:] *= -1  # the conjugate
-    _count(counts, k, *own.swapaxes(0, 1))
+    both = np.concatenate([own, own * np.array([1, -1][: own.shape[1]])[:, None]])
+    _count(counts, np.array([k, k]), *both.swapaxes(0, 1))
     inf = fam.inf.astype(np.int32)
-    wins = sliding_window_view(np.concatenate([inf, inf]), k)[:k]
-    for v, n in zip(*np.unique(wins @ inf, return_counts=True)):
-        counts[(int(v), 0)] += int(n)
+    wins = sliding_window_view(np.concatenate([inf, inf]), k)
+    step = max(1, bf.BATCH_VALUES // k)
+    for lo in range(0, len(taus), step):
+        auto = wins[taus[lo : lo + step]] @ inf
+        for v, n in zip(auto.tolist(), sizes[lo : lo + step].tolist()):
+            counts[(v, 0)] += n
     return _corr_dist(counts, fam.size, k)
 
 
@@ -320,17 +382,24 @@ def _interleaved_dist(fam: SequenceFamily) -> CorrDist:
     runs over the field q/4 times; for c = 1 (tau = 0 or q - 1) it runs over
     H, the even natural-order dual indices, q/2 times.  Each dual point
     (mu, e) is reached from nu = 0 and from nu = 1: twice with the same
-    value at an even shift, and with each sign once at an odd shift.
+    value at an even shift, and with each sign once at an odd shift.  The
+    shifts are read one per orbit (``_shift_orbits``) times its orbit size:
+    sigma keeps the parity of tau and fixes 0 and q - 1.
     """
     k, q = fam.period // 2, fam.period // 2 + 1
+    taus, sizes = _shift_orbits(fam)
+    rest = (taus != 0) & (taus != k)
+    even = taus % 2 == 0
+    # tau = 0 and q - 1 on H, then the other even and odd orbits
+    order = np.concatenate([[0, k], taus[rest & even], taus[rest & ~even]])
+    weight = np.concatenate([[q, q // 2], q // 2 * sizes[rest & even],
+                             q // 4 * sizes[rest & ~even]])
     dist, odd = Counter(), Counter()
-    # the hyperplane H is the even columns; even shifts count twice
-    for taus, counts, cols, weight in ((np.array([0]), dist, slice(0, None, 2), q),
-                                       (np.arange(2, 2 * k, 2), dist, slice(None), q // 2),
-                                       (np.array([k]), odd, slice(0, None, 2), q // 2),
-                                       (np.r_[1:k:2, k + 2 : 2 * k : 2], odd, slice(None), q // 4)):
-        for w in _shift_spectra(fam, True, taus):
-            _count(counts, weight, w[:, 0, cols])
+    n_even = 2 + int((rest & even).sum())
+    _count_shifts(fam, True, order, weight, [(1, dist, slice(0, None, 2)),
+                                             (2, odd, slice(0, None, 2)),
+                                             (n_even, dist, slice(None)),
+                                             (len(order), odd, slice(None))])
     for (v, _), n in odd.items():
         dist[(v, 0)] += n
         dist[(-v, 0)] += n

@@ -7,6 +7,7 @@ bound formulas:
     real (72, 8):     (216 - 64 - 16) / (64 * 10)   = 136/640  = 17/80
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -24,9 +25,11 @@ from cyclicbent import boolfun as bf
 
 from oracles import (
     dense_rows,
+    distributions_by_popcount,
     gram_int64,
     imax_sq_masked_tiles,
     mub_by_blocks,
+    packed_words,
     real_codebook_by_blocks,
     semibent_codebook_by_blocks,
     verify_mub_by_pairs,
@@ -313,13 +316,29 @@ def _kernel_rows(monkeypatch) -> list:
     return rows
 
 
+def _pair_classes_by_division(cb, eps) -> int:
+    """1 + the classes (b / a, d_a + d_b) of the ordered pairs of blocks
+    a != b >= 1 of the real codebook built with eps, d_a = eps_a + eps_1."""
+    ctx = cb.domain.ctx
+    d = [0] + [e ^ eps[0] for e in eps]
+    nonzero = range(1, ctx.order)
+    return 1 + len({(ctx.div(b, a), d[a] ^ d[b]) for a in nonzero for b in nonzero if a != b})
+
+
 def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
-    # C(B, 2) kernel rows for a real codebook of B blocks, 2 C(B, 2) for a
-    # complex one, and no call of walsh or walsh_many
+    # an orbit layout transforms one block pair per class: q - 1 kernel rows
+    # for a real or semi-bent codebook on GF(2^d) with every d_a equal (eps
+    # 0 or all ones), one more per extra class (c, d) for other eps, and
+    # 2(q - 1) for the complex (MUB) stack; a hand-built codebook keeps
+    # C(B, 2) rows, 2 C(B, 2) when complex; no call of walsh or walsh_many
     f6 = cn.kerdock_fn(6)
-    cases = [*zip(_stock_codebooks(), (28, 28, 28, 56, 28)),
-             (cbk.build_real_codebook(f6), 496),
-             (cbk.mub_to_codebook(cbk.build_mub(f6)), 992)]
+    eps = [int(b) for b in np.random.default_rng(3).integers(0, 2, 7)]
+    stock = _stock_codebooks()
+    cases = [*zip(stock, (7, 7, _pair_classes_by_division(stock[2], eps), 14, 7)),
+             (cbk.build_real_codebook(f6), 31),
+             (cbk.mub_to_codebook(cbk.build_mub(f6)), 62)]
+    cases += [(cb, (1 if cb.is_real() else 2) * cb.n_blocks * (cb.n_blocks - 1) // 2)
+              for cb in _hand_codebooks()]
     rows = _kernel_rows(monkeypatch)
     for cb, want in cases:
         rows.clear()
@@ -327,12 +346,22 @@ def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
         assert sum(rows) == want
 
 
+def _necklaces(d: int) -> int:
+    """Binary necklaces of length d, (1/d) sum_{j | d} phi(j) 2^{d/j}; the
+    orbits of t -> 2t on Z/(2^d - 1) are one fewer (0 and 2^d - 1 meet)."""
+    phi = [sum(math.gcd(i, j) == 1 for i in range(1, j + 1)) for j in range(d + 1)]
+    return sum(phi[j] << (d // j) for j in range(1, d + 1) if d % j == 0) // d
+
+
 def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     # each builder certifies its function with q - 1 rows through walsh and
-    # walsh_many; full_distribution then scans k + 1 kernel rows of the
-    # stored block for the semi-bent family (one per shift, one for s_0),
-    # twice that for the quaternary family (one per part), and 2k for the
-    # interleaved binary family of period 2k
+    # walsh_many; full_distribution then scans one shift per orbit of
+    # tau -> 2 tau mod q - 1, N(d) - 1 of them (N(d) binary necklaces: 3, 7
+    # and 19 at d = 3, 5 and 7), plus one row for s_0: N(d) kernel rows for
+    # the semi-bent family, twice that for the quaternary family (one per
+    # part), and for the interleaved binary family tau = 0, q - 1 and the
+    # even and odd lift of each other orbit, 2 N(d) - 2
+    assert [_necklaces(d) - 1 for d in (3, 5, 7)] == [3, 7, 19]
     kernel_rows, walsh_rows = [], []
     kernel, walsh, walsh_many = bf._hadamard_rows, bf.walsh, bf.walsh_many
     monkeypatch.setattr(bf, "_hadamard_rows", lambda x, *args, **kwargs: kernel_rows.append(
@@ -341,12 +370,14 @@ def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     monkeypatch.setattr(bf, "walsh_many",
                         lambda s, **kw: walsh_rows.append(len(s)) or walsh_many(s, **kw))
     cases = []
-    for n in (3, 5):
+    for n in (3, 5, 7):
         ctx = mk_field(n)
         f = cn.kerdock_fn(n + 1)
         g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
-        cases += [(sf.quaternary_family, f, 2 * ctx.order), (sf.binary_family, f, 2 * ctx.order - 2),
-                  (sf.semibent_family, g, ctx.order)]
+        necklaces = _necklaces(n)
+        cases += [(sf.quaternary_family, f, 2 * necklaces),
+                  (sf.binary_family, f, 2 * necklaces - 2),
+                  (sf.semibent_family, g, necklaces)]
     for build, fn, scan_rows in cases:
         kernel_rows.clear()
         walsh_rows.clear()
@@ -356,21 +387,151 @@ def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
 
 
 def test_code_scans_transform_closed_form_row_counts(monkeypatch):
-    # B + C(B, 2) kernel rows for the distributions of a code of B blocks,
-    # B for a support design, and no call of walsh or walsh_many
+    # the distributions of a code laid out as one orbit transform two block
+    # rows for A_i and q - 1 block-pair rows for B_i, B + 1 in all; a
+    # hand-built code keeps B + C(B, 2); a support design transforms B
+    # rows; no call of walsh or walsh_many
     ctx = mk_field(5)
     codes = [cd.build_code_f(cn.kerdock_fn(4)), cd.build_code_f(cn.kerdock_fn(6)),
              cd.build_code_g(cn.derive_semibent(cn.kerdock_fn(4), 0)),
              cd.build_code_g(bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3))))]
+    # C(f) at m = 4 with its blocks in reverse order: the same code, no layout
+    cb = codes[0].codebook
+    hand = cd.NonlinearCode(cbk.Codebook(cb.domain, cb.re[::-1].copy(), cb.im))
     rows = _kernel_rows(monkeypatch)
     for code, n_blocks, k in zip(codes, (8, 32, 8, 32), (6, 28, 4, 12)):
         assert code.codebook.n_blocks == n_blocks
         rows.clear()
         cd.weight_distance_distributions(code)
-        assert sum(rows) == n_blocks + n_blocks * (n_blocks - 1) // 2
+        assert sum(rows) == n_blocks + 1
         rows.clear()
         assert cd.support_design(code, k, 2).passed
         assert sum(rows) == n_blocks
+    want = cd.weight_distance_distributions(codes[0])
+    rows.clear()
+    assert cd.weight_distance_distributions(hand) == want
+    assert sum(rows) == 8 + 28
+
+
+# -- orbit layouts against the C(B, 2) pair scan -------------------------------------
+
+
+def _by_pair_scan(fn, *args):
+    """fn(*args) with the orbit layout check failing, so every block pair a < b
+    is transformed: the scan the layout route replaces, kept as its oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cbk, "_layout", lambda cb: None)
+        return fn(*args)
+
+
+def _assert_layout_matches_pair_scan(cb):
+    assert cbk._layout(cb) is not None
+    assert cbk.imax_sq(cb) == _by_pair_scan(cbk.imax_sq, cb)
+    if cb.is_real():
+        code = cd.NonlinearCode(cb)
+        want = _by_pair_scan(cd.weight_distance_distributions, code)
+        assert cd.weight_distance_distributions(code) == want
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 10])
+def test_layout_routes_match_the_pair_scan(m):
+    # the real codebooks with eps 0, all ones and random, and the MUB stack
+    f = cn.kerdock_fn(m)
+    q = f.domain.ctx.order
+    rng = np.random.default_rng(m)
+    for eps in (None, [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
+        _assert_layout_matches_pair_scan(cbk.build_real_codebook(f, eps))
+    _assert_layout_matches_pair_scan(cbk.build_mub(f).codebook)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_semibent_layout_route_matches_the_pair_scan(n):
+    ctx = mk_field(n)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    _assert_layout_matches_pair_scan(cbk.build_semibent_codebook(g))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_layout_route_matches_the_pair_scan_for_any_eps(data):
+    # and transforms one row per class (b / a, d_a + d_b) that occurs
+    f = cn.kerdock_fn(data.draw(st.sampled_from([4, 6])))
+    q = f.domain.ctx.order
+    eps = data.draw(st.lists(st.integers(0, 1), min_size=q - 1, max_size=q - 1))
+    cb = cbk.build_real_codebook(f, eps)
+    _assert_layout_matches_pair_scan(cb)
+    rows = len(cbk._block_pair_spectra(cb, cbk._layout(cb))[1])
+    assert rows == _pair_classes_by_division(cb, eps)
+
+
+def _broken_layouts():
+    """The m = 4 real codebook (random eps) and MUB stack with two blocks
+    swapped, one entry flipped (times -1 or i), or block 0 made
+    non-constant: none is an orbit layout."""
+    f = kerdock4()
+    out = []
+    for cb in (cbk.build_real_codebook(f, [1, 0, 0, 1, 1, 0, 1]), cbk.build_mub(f).codebook):
+        re, im = cb.re.copy(), cb.im.copy()
+        re[[2, 5]], im[[2, 5]] = re[[5, 2]], im[[5, 2]]
+        out.append(("swapped", cbk.Codebook(cb.domain, re, im)))
+        re, im = cb.re.copy(), cb.im.copy()
+        if cb.is_real():
+            re[3, 5] *= -1
+        else:
+            re[3, 5], im[3, 5] = -im[3, 5], re[3, 5]
+        out.append(("flipped", cbk.Codebook(cb.domain, re, im)))
+        re, im = cb.re.copy(), cb.im.copy()
+        re[0, 1], im[0, 1] = re[1, 1], im[1, 1]
+        re[0, 2], im[0, 2] = -re[0, 2], -im[0, 2]
+        out.append(("block 0", cbk.Codebook(cb.domain, re, im)))
+    return out
+
+
+def test_broken_layouts_take_the_pair_scan():
+    for name, cb in _broken_layouts():
+        assert cbk._layout(cb) is None, name
+        assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb), name
+        assert len(cbk._block_pair_spectra(cb, cbk._layout(cb))[1]) == 28, name
+    # the swapped real codebook is the same code, block for block
+    name, cb = _broken_layouts()[0]
+    code = cd.NonlinearCode(cb)
+    want = distributions_by_popcount(packed_words(code), code.length)
+    assert cd.weight_distance_distributions(code) == want
+
+
+def _dense_orbit_codebook(tables, domain):
+    """The orbit codebook's arrays stored densely: an int8 B x K array of
+    imaginary zeros beside the signs, each unit checked over the whole block
+    array at once."""
+    signs = np.ones((len(tables) + 1, domain.size), dtype=np.int8)
+    signs[1:] -= 2 * tables.astype(np.int8)
+    im = np.zeros_like(signs)
+    assert np.all(np.abs(signs) + np.abs(im) == 1)
+    return signs, im
+
+
+def test_real_codebooks_store_no_imaginary_zeros():
+    # one read-only zero-stride view: at m = 10 the build's tracemalloc
+    # peak is lower than the dense build's by at least the B K bytes of zeros
+    f = cn.kerdock_fn(10)
+    tables = bf.orbit_tables(f, range(1, f.domain.ctx.order))
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            out = build(tables, f.domain)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    cb, lean = peak(cbk._orbit_codebook)
+    (re, im), dense = peak(_dense_orbit_codebook)
+    assert cb.im.strides == (0, 0) and not cb.im.flags.writeable
+    assert np.array_equal(cb.re, re) and np.array_equal(cb.im, im)
+    assert lean + cb.n_blocks * cb.length <= dense
+    ctx = mk_field(5)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    assert cbk.build_semibent_codebook(g).im.strides == (0, 0)
 
 
 # -- imax_sq on block pairs against the masked-tile oracle on the dense rows ----------

@@ -381,13 +381,74 @@ def test_semibent_family_meets_closed_form(n):
     assert dist.r_max_sq == (1 + (1 << ((n + 1) // 2))) ** 2
 
 
+def _every_shift(fam):
+    """What ``_shift_orbits`` returns when s_0 is invariant only at k = d:
+    every shift, an orbit of its own."""
+    return np.arange(fam.period), np.ones(fam.period, dtype=np.int64)
+
+
+def _by_every_shift(fam):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf, "_shift_orbits", _every_shift)
+        return sf.full_distribution(fam)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sf.quaternary_family(kerdock(10)),
+    lambda: sf.binary_family(kerdock(10)),
+    lambda: sf.semibent_family(trace_cube(9)),
+], ids=["quaternary-m10", "binary-m10", "semibent-n9"])
+def test_shift_orbits_match_every_shift_past_the_scanned_sizes(build):
+    # _scan takes minutes here; the scan of every shift is the route the
+    # orbits replace, and _scan's match at m <= 8 and n <= 7 pins it
+    fam = build()
+    taus, sizes = sf._shift_orbits(fam)
+    assert sizes.sum() == fam.period and len(taus) < fam.period
+    assert _key(sf.full_distribution(fam)) == _key(_by_every_shift(fam))
+
+
+@pytest.mark.parametrize("kind", ["quaternary", "binary"])
+def test_chain_function_outside_gf2_orbits_at_its_subfield(kind):
+    # gamma_1 in GF(8) but not GF(2): s_0(y^2) != s_0(y), s_0(y^8) = s_0(y),
+    # so the shifts fall into orbits of tau -> 8 tau, of size 1 or 3
+    gamma = next(g for g in cn.admissible_gammas(10, (1, 3, 9)) if g[1] > 1)
+    f = cn.chain_fn(cn.ChainSpec(10, (1, 3, 9), gamma))
+    fam = getattr(sf, f"{kind}_family")(f)
+    taus, sizes = sf._shift_orbits(fam)
+    assert sorted(set(sizes.tolist())) == [1, 3]
+    assert not np.array_equal(fam.block.re[0, fam.pos][sf._frobenius_map(fam, 1)],
+                              fam.block.re[0, fam.pos])
+    dist = sf.full_distribution(fam)
+    assert _key(dist) == _key(_by_every_shift(fam))
+    assert dist.counts == getattr(sf, f"expected_{kind}_distribution")(10)
+
+
+@pytest.mark.parametrize("kind", ["quaternary", "binary", "semibent"])
+def test_non_invariant_block_scans_every_shift(monkeypatch, kind):
+    # a random s_0 is invariant only at k = d: the scan of every shift,
+    # against the direct scan
+    monkeypatch.setattr(cn, "require_cyclic_bent", lambda f: None)
+    monkeypatch.setattr(cn, "require_cyclic_semibent", lambda g: None)
+    ctx = mk_field(5)
+    table = np.random.default_rng(11).integers(0, 2, (2, ctx.order)).astype(np.uint8)
+    table[:, 0] = 0
+    if kind == "semibent":
+        fam = sf.semibent_family(bf.BoolFun(bf.Domain(ctx), table[0]))
+    else:
+        table[1] = table[0] ^ ctx.trace_table(1)
+        fam = getattr(sf, f"{kind}_family")(bf.BoolFun(bf.Domain(ctx, True), table.ravel()))
+    taus, sizes = sf._shift_orbits(fam)
+    assert np.array_equal(taus, np.arange(fam.period)) and (sizes == 1).all()
+    assert _key(sf.full_distribution(fam)) == _key(sf._scan(fam))
+
+
 def test_spectral_distributions_do_not_depend_on_the_batch_schedule(monkeypatch):
     fams = [sf.quaternary_family(kerdock(6)), sf.binary_family(kerdock(6)),
             sf.semibent_family(trace_cube(5))]
     whole = [_key(sf.full_distribution(fam)) for fam in fams]
     # from one to nine shifts per kernel call and rows per count (rows of 32
     # or 64 values), with ragged last batches
-    for batch in (100, 300):
+    for batch in (1, 100, 300):
         monkeypatch.setattr(bf, "BATCH_VALUES", batch)
         monkeypatch.setattr(sf, "_COUNT_VALUES", batch)
         assert [_key(sf.full_distribution(fam)) for fam in fams] == whole
