@@ -15,8 +15,9 @@ The Walsh transform of a row of length 2^n is one Kronecker-factored
 Hadamard product: the row is read as a 2^{k1} x 2^{k2} matrix X
 (k1 = floor(n/2), k2 = n - k1) and the spectrum is H_{2^{k1}} X H_{2^{k2}},
 two float32 BLAS matmuls with the +-1 Sylvester-Hadamard matrices.  This is
-exact for rows with entries in {-1, 0, 1}: sign rows, and the real and
-imaginary parts of a product of two unit Gaussian-integer vectors.  The
+exact for rows with entries in {-1, 0, 1}: sign rows, 0/1 truth tables
+(the certifiers' pair sums), and the real and imaginary parts of a product
+of two unit Gaussian-integer vectors.  The
 matrix entries are +-1, so every partial sum of both products is an integer
 of size at most 2^n, and float32 holds every such integer exactly while
 n <= 24 (MAX_WALSH_VARS; past the 21 variables of GF(2^20) x GF(2), it

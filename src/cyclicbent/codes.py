@@ -45,7 +45,10 @@ class NonlinearCode:
     def __post_init__(self):
         if not self.codebook.is_real() or self.codebook.n_blocks == 0:
             raise ValueError("a code needs a real codebook with at least one block")
-        if len(np.unique(self._coset_leaders, axis=0)) < self.codebook.n_blocks:
+        # one void key per packed leader: a byte-string sort, not a row sort
+        packed = np.packbits(self._coset_leaders, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        if len(np.unique(keys)) < self.codebook.n_blocks:
             raise ValueError("codewords are not distinct")
 
     @property

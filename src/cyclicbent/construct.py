@@ -16,11 +16,15 @@ from a certificate that fails on bentness.
 The four certifiers run on two scans, one full and one reduced, each
 serving both kinds: the domain (field-times-bit or plain field) fixes the
 kind, the eps axis and the witness shape.  Both gather their pair sums from
-the orbit rows of f, read in log order (boolfun.orbit_gather),
-Walsh-transform them in batches of about bf.BATCH_VALUES = 2^18 values, the
-engine's budget, in two float32 buffers that every batch reuses, and return
-the first sum that is not bent (even m) or semi-bent (odd n).  Memory is
-bounded by the batch at every m.  A certifier returns its certificate
+the orbit rows of f, read in log order (boolfun.orbit_gather); the full
+scan stores them once as one (q n_eps, N) table and fills each batch from
+at most two slices of it per a.  Both Walsh-transform the 0/1 pair sums as
+they are, in batches of about bf.BATCH_VALUES = 2^18 values, the engine's
+budget, in two float32 buffers that every batch reuses, and return the
+first sum that is not bent (even m) or semi-bent (odd n).  A batch is
+decided by Parseval's identity in two or three whole-batch reductions, and
+only a failing batch is searched row by row (see _first_failure).  Memory
+is bounded by the batch at every m.  A certifier returns its certificate
 and nothing else: every object built from a certified function is checked
 from what it stores, not from the certifier's spectra.
 
@@ -246,26 +250,48 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int) -> int:
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
     The cases are scanned in order, in batches of about bf.BATCH_VALUES
     values, the engine's budget, and the scan stops at the first batch with
-    a failing row.  Every batch reuses two float32 buffers: the signs,
-    which the spectra overwrite, and X H'.
+    a failing row.  Every batch reuses two float32 buffers: the rows, which
+    the spectra overwrite, and X H'.
+
+    The 0/1 rows t are transformed as they are: H t = 2^{n-1} delta_0 - W/2,
+    so with 2^{n-1} taken off column 0 every value is V = -W/2, an integer,
+    and sum_lam V^2 = 4^{n-1} in every row (Parseval).  A batch is decided
+    by whole-batch reductions, and only a failing batch is searched row by
+    row for its first failure:
+
+    * even n: a batch passes iff every |V| <= 2^{n/2-1}, as max V and min V
+      show: no |V| can then be smaller, or the squares would sum below
+      4^{n-1};
+    * odd n, p = 2^{(n-1)/2}: a batch passes iff every |V| <= p and every
+      row has sum |V| = 4^{n-1}/p, since V^2 <= p |V| with equality exactly
+      at |V| in {0, p}.  The max test alone is not enough (some 0/1 rows
+      have |W| in {0, 4, 8} at n = 5).  The row sums are one float32
+      mat-vec, exact: once every |V| <= p, each partial sum is an integer
+      of at most 2^{(3n-1)/2}, 2^22 at the n = 15 cap.
     """
     length = 1 << n_vars
     batch = max(1, min(n_cases, bf.BATCH_VALUES // length))
-    peak = 1 << ((n_vars + 1) // 2)
-    signs_buf, work_buf = (np.empty((batch, length), dtype=np.float32) for _ in range(2))
+    odd = n_vars % 2
+    peak = 1 << (n_vars // 2 - 1 + odd)  # |V| of a bent row, or p
+    ones = np.ones(length, dtype=np.float32)
+    row_sum = (1 << (2 * n_vars - 2)) // peak
+    spec_buf, work_buf = (np.empty((batch, length), dtype=np.float32) for _ in range(2))
     for start in range(0, n_cases, batch):
         stop = min(start + batch, n_cases)
-        signs, work = signs_buf[: stop - start], work_buf[: stop - start]
-        # (-1)^rows, built in the float32 the transform runs in
-        np.multiply(sum_rows(start, stop), np.float32(-2), out=signs)
-        signs += 1
-        mag = np.abs(bf.walsh_many(signs, out=signs, work=work), out=signs)
-        ok = mag == peak
-        if n_vars % 2:
-            ok |= mag == 0
-        bad = np.flatnonzero(~ok.all(axis=1))
-        if len(bad):
-            return start + int(bad[0])
+        v, work = spec_buf[: stop - start], work_buf[: stop - start]
+        v[...] = sum_rows(start, stop)
+        bf.walsh_many(v, out=v, work=work)
+        v[:, 0] -= length >> 1
+        if odd:
+            mag = np.abs(v, out=v)
+            if mag.max() <= peak and bool(np.all(mag @ ones == row_sum)):
+                continue
+            ok = (mag == peak) | (mag == 0)
+        elif v.max() <= peak and v.min() >= -peak:
+            continue
+        else:
+            ok = np.abs(v, out=v) == peak
+        return start + int(np.flatnonzero(~ok.all(axis=1))[0])
     return -1
 
 
@@ -275,20 +301,33 @@ def _certify_full(f: BoolFun) -> CyclicCertificate:
     eps = 0 alone on a plain field (semi-bent; witness (a, b))."""
     kind, n_eps = ("bent", 2) if f.domain.with_bit else ("semi-bent", 1)
     q = f.domain.ctx.order
-    # by_eps[eps, b] is f(b x1, x2 + eps)
-    by_eps = np.stack([bf.orbit_tables(f, range(q), eps) for eps in range(n_eps)])
-    a_of, b_of = np.nonzero(~np.eye(q, dtype=bool))
+    # row b n_eps + eps of by_b is f(b x1, x2 + eps); the cases of a are its
+    # rows without those of b = a, each XORed with row a n_eps: two slices
+    by_b = bf.orbit_tables(f, np.repeat(np.arange(q), n_eps), np.tile(np.arange(n_eps), q))
+    per_a = (q - 1) * n_eps
+    buf = np.empty((0, f.domain.size), dtype=np.uint8)
 
     def sum_rows(start: int, stop: int) -> np.ndarray:
-        pair, eps = np.divmod(np.arange(start, stop), n_eps)
-        return by_eps[0, a_of[pair]] ^ by_eps[eps, b_of[pair]]
+        nonlocal buf
+        if len(buf) < stop - start:
+            buf = np.empty((stop - start, f.domain.size), dtype=np.uint8)
+        at = 0
+        for a in range(start // per_a, (stop - 1) // per_a + 1):
+            k0, k1 = max(start - a * per_a, 0), min(stop - a * per_a, per_a)
+            # case k of a is row k while b < a, that is k < a n_eps, else row k + n_eps
+            cut = min(max(k0, a * n_eps), k1)
+            for r0, r1 in ((k0, cut), (cut + n_eps, k1 + n_eps)):
+                np.bitwise_xor(by_b[r0:r1], by_b[a * n_eps], out=buf[at : at + r1 - r0])
+                at += r1 - r0
+        return buf[:at]
 
-    n_cases = n_eps * len(a_of)
+    n_cases = q * per_a
     bad = _first_failure(n_cases, sum_rows, f.n_vars)
     if bad < 0:
         return CyclicCertificate(kind, "full", True, n_cases)
-    pair, eps = divmod(bad, n_eps)
-    witness = (int(a_of[pair]), int(b_of[pair]), eps)[: 1 + n_eps]
+    a, k = divmod(bad, per_a)
+    b, eps = divmod(k + n_eps * (k >= a * n_eps), n_eps)
+    witness = (a, b, eps)[: 1 + n_eps]
     return CyclicCertificate(kind, "full", False, bad, witness)
 
 

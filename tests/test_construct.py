@@ -22,6 +22,8 @@ from oracles import (
     cyclic_bent_full_by_cases,
     cyclic_bent_reduced_by_rows,
     cyclic_semibent_by_cases,
+    scale_compose_by_halves,
+    scale_field_by_perm,
 )
 
 
@@ -436,9 +438,11 @@ def _certifier_peak(certify, f) -> int:
 
 def _batch_bound() -> int:
     # the scan holds two float32 buffers of bf.BATCH_VALUES values and, per
-    # batch, the uint8 rows, their log-order windows and the pass masks:
-    # six batches' worth is ample; the O(2^n) tables fit in 1 MB here.  At
-    # m = 12 (reduced) and m = 8 (full) the peaks were 2.9 and 3.1 MB, and
+    # batch, the uint8 rows (in one reused buffer for the full scan, from
+    # their log-order windows for the reduced one); a passing batch is
+    # decided by whole-batch reductions and allocates no mask: six
+    # batches' worth is ample; the O(2^n) tables fit in 1 MB here.  At
+    # m = 12 (reduced) and m = 8 (full) the peaks were 2.5 and 2.3 MB, and
     # a 2^22-value budget would take them to 44 and 45 MB
     return 6 * 4 * bf.BATCH_VALUES + (1 << 20)
 
@@ -473,6 +477,34 @@ def test_scan_reuses_one_buffer_pair(monkeypatch):
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("with_bit, degree", [(True, 3), (True, 4), (False, 3), (False, 5)])
+def test_full_scan_rows_are_the_cases_in_order(monkeypatch, with_bit, degree):
+    # the batches, filled from slices of the orbit table, hold f(a .) +
+    # f(b ., . + eps) for a != b, a-major, at every batch size, so a
+    # witness with b < a is found at its own case
+    rng = np.random.default_rng(degree)
+    dom = bf.Domain(mk_field(degree), with_bit)
+    f = bf.BoolFun(dom, rng.integers(0, 2, dom.size, dtype=np.uint8))
+    q = dom.ctx.order
+    if with_bit:
+        want = [scale_compose_by_halves(f, a).table ^ scale_compose_by_halves(f, b, eps).table
+                for a in range(q) for b in range(q) if a != b for eps in (0, 1)]
+    else:
+        want = [scale_field_by_perm(f, a).table ^ scale_field_by_perm(f, b).table
+                for a in range(q) for b in range(q) if a != b]
+    for per_batch in (1, 3, 7, len(want)):
+        got = []
+
+        def scan(n_cases, sum_rows, n_vars):
+            for start in range(0, n_cases, per_batch):
+                got.extend(sum_rows(start, min(start + per_batch, n_cases)).copy())
+            return -1
+
+        monkeypatch.setattr(cn, "_first_failure", scan)
+        cn._certify_full(f)
+        assert np.array_equal(got, want)
+
+
 def _flipped_kerdock8():
     """kerdock_fn(8) with one table bit flipped: its full scan fails at case 0."""
     f = cn.kerdock_fn(8)
@@ -501,6 +533,32 @@ def test_scan_stops_at_its_first_failing_batch(monkeypatch):
         cert = certify(f)
         assert (cert.passed, cert.witness, cert.verified_pairs) == (False, witness, verified)
         assert sum(rows) == (first + 1) * batch
+
+
+# A 0/1 row at n = 5 with |W| in {0, 4, 8}: every |V| = |W|/2 is at most
+# p = 4, so only its row sum, 80 against 4^4/p = 64, shows that it is not
+# semi-bent
+WIDE_N5 = np.array([1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 1, 0, 1, 0,
+                    0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 1], dtype=np.uint8)
+
+
+def test_semibent_batches_are_decided_by_their_row_sums(monkeypatch):
+    w = bf.walsh_many(1 - 2 * WIDE_N5[None].astype(np.float32))[0]
+    assert set(np.abs(w).tolist()) == {0, 4, 8}
+    v = bf.walsh_many(WIDE_N5[None].astype(np.float32))[0]
+    v[0] -= 16
+    assert np.abs(v).max() <= 4  # a max-only batch test would pass it
+    assert np.abs(v).sum() == 80
+    assert cn._first_failure(1, lambda start, stop: WIDE_N5[None], 5) == 0
+    # planted among the 31 semi-bent rows tr((c x)^3), c != 0, in batches of 4
+    ctx = mk_field(5)
+    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    semi = bf.orbit_tables(g, range(1, 32))
+    assert cn._first_failure(len(semi), lambda start, stop: semi[start:stop], 5) == -1
+    monkeypatch.setattr(bf, "BATCH_VALUES", 4 * 32)
+    for at in (0, 13, 22, 31):
+        rows = np.insert(semi, at, WIDE_N5, axis=0)
+        assert cn._first_failure(len(rows), lambda start, stop: rows[start:stop], 5) == at
 
 
 @pytest.mark.parametrize("small_batches", [False, True])

@@ -12,12 +12,18 @@ Notation used below for a cyclic bent f with f(0,.) = 0:
 with peak = 2^{m/2} and H the trace-zero hyperplane.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent.gf2 import mk_field
+
+from oracles import _first_non_bent, _first_non_semibent
+from test_construct import WIDE_N5
 
 
 def chain_function(m):
@@ -144,3 +150,61 @@ def test_hyperplane_pair_counts(m):
                 else:
                     want = (1 << (m - 2)) * (1 << (m - 3))
                 assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_walsh_of_a_01_row_is_minus_half_its_sign_spectrum(data):
+    # H t = 2^{n-1} delta_0 - W/2 for a 0/1 row t and W = H (1 - 2t): the
+    # certifiers transform the truth tables of the pair sums as they are
+    n = data.draw(st.integers(1, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    t = rng.integers(0, 2, (data.draw(st.integers(1, 4)), 1 << n)).astype(np.float32)
+    v = bf.walsh_many(t)
+    v[:, 0] -= 1 << (n - 1)
+    assert np.array_equal(v, -bf.walsh_many(1 - 2 * t) / 2)
+
+
+@cache
+def _passing_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bent (even n) or semi-bent (odd n) 0/1 rows, f(c x1, x2 + eps) for the
+    Kerdock function or g(c x) for g = tr(x^3), and the affine functions
+    without their constant: each row plus each affine function passes."""
+    if n % 2 == 0:
+        f = cn.kerdock_fn(n)
+        q = f.domain.ctx.order
+        rows = bf.orbit_tables(f, np.repeat(np.arange(1, q), 2), np.tile([0, 1], q - 1))
+    else:
+        ctx = mk_field(n)
+        f = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+        rows = bf.orbit_tables(f, range(1, ctx.order))
+    return rows, bf.char_bits(f.domain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batch_test_finds_the_first_failing_row_of_the_per_row_oracle(data):
+    n = data.draw(st.sampled_from([4, 5, 6, 7, 8, 9]))
+    good, chars = _passing_rows(n)
+    # "wide" is WIDE_N5: every |V| <= p, yet not semi-bent
+    choices = ["pass"] * 6 + ["flip", "random"] + ["wide"] * (n == 5)
+    kinds = data.draw(st.lists(st.sampled_from(choices), min_size=1, max_size=40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        row = (good[data.draw(st.integers(0, len(good) - 1))]
+               ^ chars[data.draw(st.integers(0, len(chars) - 1))] ^ data.draw(st.integers(0, 1)))
+        if kind == "flip":  # one bit moves every |W| by 2
+            row[data.draw(st.integers(0, len(row) - 1))] ^= 1
+        elif kind == "random":
+            row = rng.integers(0, 2, len(row), dtype=np.uint8)
+        elif kind == "wide":
+            row = WIDE_N5
+        rows.append(row)
+    rows = np.array(rows)
+    oracle = _first_non_semibent if n % 2 else _first_non_bent
+    want = oracle(1 - 2 * rows.astype(np.int64), n)
+    budget = data.draw(st.sampled_from([1, 3 << n, bf.BATCH_VALUES]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bf, "BATCH_VALUES", budget)
+        assert cn._first_failure(len(rows), lambda start, stop: rows[start:stop], n) == want
