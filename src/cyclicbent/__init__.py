@@ -54,7 +54,6 @@ from cyclicbent.linpoly import (
 from cyclicbent.seqfam import (
     SequenceFamily,
     binary_family,
-    correlate,
     full_distribution,
     quaternary_family,
     r_max_sq,
@@ -71,7 +70,7 @@ __all__ = [
     "Codebook", "MubSet", "levenshtein_real_sq", "levenshtein_complex_sq",
     "build_real_codebook", "build_mub", "mub_to_codebook",
     "build_semibent_codebook", "imax_sq", "verify_mub",
-    "SequenceFamily", "quaternary_family", "binary_family", "semibent_family", "correlate",
+    "SequenceFamily", "quaternary_family", "binary_family", "semibent_family",
     "full_distribution", "r_max_sq",
     "NonlinearCode", "build_code_f", "build_code_g",
     "weight_distance_distributions", "support_design",

@@ -133,28 +133,6 @@ class WalshSpectrum:
     domain: Domain
     values: np.ndarray  # int64, indexed like the truth table
 
-    def value_at(self, lam: int, nu: int = 0) -> int:
-        return int(self.values[self.domain.index(lam, nu)])
-
-    def distribution(self) -> dict[int, int]:
-        vals, counts = np.unique(self.values, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
-
-def from_field_bit_fn(ctx: GF2m, fn) -> BoolFun:
-    """Build a BoolFun on GF(2^d) x GF(2) from a callable fn(x1, x2) -> bit."""
-    dom = Domain(ctx, with_bit=True)
-    table = np.zeros(dom.size, dtype=np.uint8)
-    for x2 in (0, 1):
-        for x1 in range(ctx.order):
-            table[dom.index(x1, x2)] = fn(x1, x2) & 1
-    return BoolFun(dom, table)
-
-
-def from_field_fn(ctx: GF2m, fn) -> BoolFun:
-    dom = Domain(ctx)
-    return BoolFun(dom, np.array([fn(x) & 1 for x in range(ctx.order)], dtype=np.uint8))
-
 
 @cache
 def _sylvester(k: int) -> np.ndarray:
@@ -286,14 +264,6 @@ def classify(spec: WalshSpectrum) -> WalshClass:
     return classify_values(spec.values, spec.domain.n_vars)
 
 
-def is_bent(f: BoolFun) -> bool:
-    return classify(walsh(f)) is WalshClass.BENT
-
-
-def is_semibent(f: BoolFun) -> bool:
-    return classify(walsh(f)) is WalshClass.SEMI_BENT
-
-
 def orbit_gather(domain: Domain, table: np.ndarray):
     """rows(c, eps=0) -> the uint8 table f read at (c x1, x2 + eps_c)
     (field-times-bit domain) or at c x (plain field, eps = 0), one row per
@@ -367,10 +337,6 @@ def xor(f: BoolFun, g: BoolFun) -> BoolFun:
     if f.domain != g.domain:
         raise ValueError("domain mismatch in xor")
     return BoolFun(f.domain, f.table ^ g.table)
-
-
-def xor_const(f: BoolFun, c: int) -> BoolFun:
-    return BoolFun(f.domain, f.table ^ (c & 1))
 
 
 def restrict(f: BoolFun, eps: int) -> BoolFun:

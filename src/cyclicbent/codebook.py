@@ -123,10 +123,15 @@ class Codebook:
         characters take both signs.
         """
         # 3(re + 1) + (im + 1) numbers the nine entry values 0..8, and the
-        # negative of value v is 8 - v
-        key = 3 * (self.re + 1) + (self.im + 1)
+        # negative of value v is 8 - v; columns x != 0 are counted about
+        # bf.BATCH_VALUES entries at a time, each value with its negative
         seen = np.zeros(9, dtype=bool)
-        seen[key[:, 0]] = seen[key[:, 1:]] = seen[8 - key[:, 1:]] = True
+        seen[3 * (self.re[:, 0] + 1) + (self.im[:, 0] + 1)] = True
+        step = max(1, bf.BATCH_VALUES // self.length)
+        for lo in range(0, self.n_blocks, step):
+            key = 3 * (self.re[lo : lo + step, 1:] + 1) + (self.im[lo : lo + step, 1:] + 1)
+            counts = np.bincount(key.ravel(), minlength=9)
+            seen |= (counts + counts[::-1]) > 0
         keys = {(1, 0, 1), (0, 0, 1)}
         keys.update((int(v) // 3 - 1, int(v) % 3 - 1, self.length) for v in np.flatnonzero(seen))
         return keys

@@ -406,20 +406,6 @@ def _interleaved_dist(fam: SequenceFamily) -> CorrDist:
     return _corr_dist(dist, fam.size, 2 * k)
 
 
-def correlate(s: Member, s2: Member, tau: int) -> tuple[int, int]:
-    """R_{s,s2}(tau) = sum_t s(t+tau) conj(s2(t)), exact Gaussian integer."""
-    k = len(s.re)
-    if len(s2.re) != k:
-        raise ValueError("periods differ")
-    if not 0 <= tau < k:
-        raise ValueError("shift out of range")
-    r1 = np.roll(s.re.astype(np.int64), -tau)
-    i1 = np.roll(s.im.astype(np.int64), -tau)
-    r2 = s2.re.astype(np.int64)
-    i2 = s2.im.astype(np.int64)
-    return int(r1 @ r2 + i1 @ i2), int(i1 @ r2 - r1 @ i2)
-
-
 def _scan(fam: SequenceFamily) -> CorrDist:
     """Every R_{i,j}(tau) in one pass of exact int64 matrix products, from
     ``members``, ``size`` and ``period`` alone: the test oracle.

@@ -16,7 +16,10 @@ per-cell CSV writer, the sequence-family members as rows of the dense
 basis with their per-symbol CSV writer, the codes as packed uint64 words
 with the popcount scan of their distributions and the pairwise XOR-closure test of linearity, and
 the codebook and code builders as per-block and per-label loops (without
-certification).
+certification).  The package ships none of the test-side helpers: the
+truth-table builders from Python callables (``from_field_fn``,
+``from_field_bit_fn``), ``correlate``, the defining correlation sum, and
+``is_bent`` and ``is_semibent``, which classify the library's spectrum.
 """
 
 from __future__ import annotations
@@ -62,6 +65,29 @@ def pow_by_squaring(ctx, a: int, e: int) -> int:
         a = mul_by_clmul(ctx, a, a)
         e >>= 1
     return r
+
+
+def from_field_bit_fn(ctx, fn) -> BoolFun:
+    """The BoolFun on GF(2^d) x GF(2) with table fn(x1, x2) & 1 at every point."""
+    dom = bf.Domain(ctx, with_bit=True)
+    table = np.zeros(dom.size, dtype=np.uint8)
+    for x2 in (0, 1):
+        for x1 in range(ctx.order):
+            table[dom.index(x1, x2)] = fn(x1, x2) & 1
+    return BoolFun(dom, table)
+
+
+def from_field_fn(ctx, fn) -> BoolFun:
+    """The BoolFun on GF(2^d) with table fn(x) & 1 at every point."""
+    return BoolFun(bf.Domain(ctx), np.array([fn(x) & 1 for x in range(ctx.order)], dtype=np.uint8))
+
+
+def is_bent(f: BoolFun) -> bool:
+    return bf.classify(bf.walsh(f)) is bf.WalshClass.BENT
+
+
+def is_semibent(f: BoolFun) -> bool:
+    return bf.classify(bf.walsh(f)) is bf.WalshClass.SEMI_BENT
 
 
 def scale_compose_by_halves(f: BoolFun, a: int, eps: int = 0) -> BoolFun:
@@ -265,7 +291,7 @@ def kernel_dim_by_elimination(L) -> int:
 def quad_form_by_points(L) -> BoolFun:
     """tr(x L(x)), one trace and one product per x."""
     ctx = L.ctx
-    return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, linpoly_eval_by_squaring(L, x))))
+    return from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, linpoly_eval_by_squaring(L, x))))
 
 
 def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]:
@@ -287,6 +313,20 @@ def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]
     return ok, report
 
 
+def correlate(s: sf.Member, s2: sf.Member, tau: int) -> tuple[int, int]:
+    """R_{s,s2}(tau) = sum_t s(t+tau) conj(s2(t)), exact Gaussian integer."""
+    k = len(s.re)
+    if len(s2.re) != k:
+        raise ValueError("periods differ")
+    if not 0 <= tau < k:
+        raise ValueError("shift out of range")
+    r1 = np.roll(s.re.astype(np.int64), -tau)
+    i1 = np.roll(s.im.astype(np.int64), -tau)
+    r2 = s2.re.astype(np.int64)
+    i2 = s2.im.astype(np.int64)
+    return int(r1 @ r2 + i1 @ i2), int(i1 @ r2 - r1 @ i2)
+
+
 def correlation_scan_by_pairs(fam: sf.SequenceFamily):
     """(counts, total, r_max_sq) of a family (or of anything with its
     ``members`` and ``period``), one ``correlate`` call per (member, member,
@@ -301,7 +341,7 @@ def correlation_scan_by_pairs(fam: sf.SequenceFamily):
     for i, s in enumerate(members):
         for j, s2 in enumerate(members):
             for tau in range(fam.period):
-                re, im = sf.correlate(s, s2, tau)
+                re, im = correlate(s, s2, tau)
                 counts[(re, im)] = counts.get((re, im), 0) + 1
                 if i != j or tau != 0:
                     rmax_sq = max(rmax_sq, re * re + im * im)
@@ -431,7 +471,7 @@ def cyclic_bent_reduced_by_rows(f: BoolFun) -> cn.CyclicCertificate:
     """f bent, then one (q-2) x 2q array of the signs of f + f(b.), b >= 2."""
     if cn.affine_bit_difference(f) is None:
         raise cn.AffineDifferenceError("f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu")
-    if not bf.is_bent(f):
+    if not is_bent(f):
         return cn.CyclicCertificate("bent", "reduced", False, 0, (1, 0, 0))
     q = f.domain.ctx.order
     rows = np.empty((q - 2, 2 * q), dtype=np.int64)
@@ -449,7 +489,7 @@ def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:
     q = g.domain.ctx.order
     n = g.n_vars
     if mode == "reduced":
-        if not bf.is_semibent(g):
+        if not is_semibent(g):
             return cn.CyclicCertificate("semi-bent", "reduced", False, 0, (1, 0))
         rows = np.empty((q - 2, q), dtype=np.int64)
         for i, c in enumerate(range(2, q)):

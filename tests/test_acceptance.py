@@ -19,6 +19,8 @@ from cyclicbent import linpoly as lp
 from cyclicbent import seqfam as sf
 from cyclicbent.gf2 import mk_field
 
+from oracles import from_field_fn
+
 import test_spectral_identities
 
 
@@ -30,7 +32,7 @@ def criterion(num, desc, ok, t0):
 
 def gold(n, i=1):
     ctx = mk_field(n)
-    return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+    return from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
 
 
 def test_c1_cyclic_bent_certification():
@@ -183,10 +185,11 @@ def test_c11_semibent_walsh_distribution():
     for g in cases:
         n = g.n_vars
         if int(g.table[0]) != 0:
-            g = bf.xor_const(g, int(g.table[0]))
+            g = bf.BoolFun(g.domain, g.table ^ 1)
         cert = cn.is_cyclic_semibent(g, "reduced")
         ok = ok and cert.passed
-        dist = bf.walsh(g).distribution()
+        vals, counts = np.unique(bf.walsh(g).values, return_counts=True)
+        dist = dict(zip(vals.tolist(), counts.tolist()))
         ok = ok and dist == sf.expected_semibent_walsh_distribution(n)
     criterion(11, "certified semi-bents at n=3,5,7 have the exact Walsh histogram {0, ±2^{(n+1)/2}}", ok, t0)
 

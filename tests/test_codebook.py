@@ -26,6 +26,8 @@ from cyclicbent import boolfun as bf
 from oracles import (
     dense_rows,
     distributions_by_popcount,
+    from_field_bit_fn,
+    from_field_fn,
     gram_int64,
     imax_sq_masked_tiles,
     mub_by_blocks,
@@ -103,7 +105,7 @@ def test_real_codebook_standard_rows_orthogonal():
 
 def test_real_codebook_rejects_uncertified():
     ctx = mk_field(3)
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
+    f = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
     with pytest.raises(ValueError, match="not certified"):
         cbk.build_real_codebook(f)
 
@@ -202,7 +204,7 @@ def test_complex_codebook_m4():
 
 def test_semibent_codebook_n3():
     ctx = mk_field(3)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     cb = cbk.build_semibent_codebook(g)
     assert (cb.n_rows, cb.length) == (72, 8)
     assert cb.alphabet_size == 4
@@ -215,7 +217,7 @@ def test_semibent_codebook_n3():
 
 def test_semibent_codebook_rejects_uncertified():
     ctx = mk_field(3)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(x))
+    g = from_field_fn(ctx, lambda x: ctx.trace(x))
     with pytest.raises(ValueError, match="not certified"):
         cbk.build_semibent_codebook(g)
 
@@ -373,7 +375,7 @@ def test_seqfam_scans_transform_closed_form_row_counts(monkeypatch):
     for n in (3, 5, 7):
         ctx = mk_field(n)
         f = cn.kerdock_fn(n + 1)
-        g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+        g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
         necklaces = _necklaces(n)
         cases += [(sf.quaternary_family, f, 2 * necklaces),
                   (sf.binary_family, f, 2 * necklaces - 2),
@@ -394,7 +396,7 @@ def test_code_scans_transform_closed_form_row_counts(monkeypatch):
     ctx = mk_field(5)
     codes = [cd.build_code_f(cn.kerdock_fn(4)), cd.build_code_f(cn.kerdock_fn(6)),
              cd.build_code_g(cn.derive_semibent(cn.kerdock_fn(4), 0)),
-             cd.build_code_g(bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3))))]
+             cd.build_code_g(from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3))))]
     # C(f) at m = 4 with its blocks in reverse order: the same code, no layout
     cb = codes[0].codebook
     hand = cd.NonlinearCode(cbk.Codebook(cb.domain, cb.re[::-1].copy(), cb.im))
@@ -447,7 +449,7 @@ def test_layout_routes_match_the_pair_scan(m):
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_semibent_layout_route_matches_the_pair_scan(n):
     ctx = mk_field(n)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     _assert_layout_matches_pair_scan(cbk.build_semibent_codebook(g))
 
 
@@ -530,7 +532,7 @@ def test_real_codebooks_store_no_imaginary_zeros():
     assert np.array_equal(cb.re, re) and np.array_equal(cb.im, im)
     assert lean + cb.n_blocks * cb.length <= dense
     ctx = mk_field(5)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     assert cbk.build_semibent_codebook(g).im.strides == (0, 0)
 
 
@@ -563,7 +565,7 @@ def _stock_codebooks():
     f = kerdock4()
     rng = np.random.default_rng(3)
     ctx3 = mk_field(3)
-    g = bf.from_field_fn(ctx3, lambda x: ctx3.trace(ctx3.pow(x, 3)))
+    g = from_field_fn(ctx3, lambda x: ctx3.trace(ctx3.pow(x, 3)))
     return [
         cbk.build_real_codebook(f),
         cbk.build_real_codebook(f, [1] * 7),
@@ -609,20 +611,41 @@ def test_imax_sq_matches_oracle_on_real_codebook_m6():
     cb = cbk.mub_to_codebook(cbk.build_mub(f))
     assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 32)
     ctx = mk_field(5)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     cb = cbk.build_semibent_codebook(g)
     assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 16)
 
 
-def test_alphabet_of_hand_built_codebooks():
-    for cb in _hand_codebooks() + _stock_codebooks():
+def test_alphabet_of_hand_built_codebooks(monkeypatch):
+    # with the default batch, then one block row at a time
+    cbs = _hand_codebooks() + _stock_codebooks()
+    expected = []
+    for cb in cbs:
         re, im, norm_sq = dense_rows(cb)
-        expected = {
+        expected.append({
             (0, 0, 1) if a == b == 0 else (int(a), int(b), int(n))
             for row_re, row_im, n in zip(re, im, norm_sq)
             for a, b in zip(row_re, row_im)
-        }
-        assert cb.alphabet() == expected
+        })
+    assert [cb.alphabet() for cb in cbs] == expected
+    monkeypatch.setattr(bf, "BATCH_VALUES", 1)
+    assert [cb.alphabet() for cb in cbs] == expected
+
+
+def test_alphabet_memory_is_bounded():
+    # the m = 12 real codebook has 2^11 blocks of 2^12 entries; its columns
+    # x != 0 are counted about bf.BATCH_VALUES entries at a time, so the
+    # peak (2.25 MB measured) stays far below the 8 MB of one int8 key per
+    # entry
+    cb = cbk.build_real_codebook(cn.kerdock_fn(12))
+    tracemalloc.start()
+    try:
+        alphabet = cb.alphabet()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alphabet == {(1, 0, 1), (0, 0, 1), (1, 0, 4096), (-1, 0, 4096)}
+    assert peak < 4 << 20
 
 
 # -- Codebook input validation ---------------------------------------------------------
@@ -688,7 +711,7 @@ def test_real_and_complex_codebooks_match_block_builders(m):
 @pytest.mark.parametrize("i", [1, 2])
 def test_semibent_codebook_matches_block_builder(n, i):
     ctx = mk_field(n)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
     _assert_same_rows(cbk.build_semibent_codebook(g), semibent_codebook_by_blocks(g))
 
 
@@ -699,7 +722,7 @@ def test_sizes_past_the_entry_cap_are_rejected_before_certifying(monkeypatch):
     monkeypatch.setattr(cn, "is_cyclic_semibent", lambda *a, **k: pytest.fail("certified"))
     f = cn.kerdock_fn(14)
     ctx = mk_field(13)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     for build, arg in ((cbk.build_real_codebook, f), (cbk.build_mub, f),
                        (cbk.build_semibent_codebook, g), (cd.build_code_f, f),
                        (cd.build_code_g, g)):

@@ -24,6 +24,8 @@ from oracles import (
     code_f_by_labels,
     code_g_by_labels,
     distributions_by_popcount,
+    from_field_bit_fn,
+    from_field_fn,
     is_linear_by_pairs,
     packed_words,
 )
@@ -31,7 +33,7 @@ from oracles import (
 
 def trace_cube(n):
     ctx = mk_field(n)
-    return bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    return from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
 
 
 def test_code_f_m4_parameters():
@@ -47,9 +49,10 @@ def test_code_f_m4_parameters():
 
 def test_code_f_requires_normalized_certified():
     with pytest.raises(ValueError, match="f\\(0,0\\)"):
-        cd.build_code_f(bf.xor_const(cn.kerdock_fn(4), 1))
+        k = cn.kerdock_fn(4)
+        cd.build_code_f(bf.BoolFun(k.domain, k.table ^ 1))
     ctx = mk_field(3)
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
+    f = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
     with pytest.raises(ValueError, match="not certified"):
         cd.build_code_f(f)
 
@@ -110,7 +113,7 @@ def test_code_g_n3():
 
 def test_code_g_n3_requires_zero():
     ctx = mk_field(3)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)) ^ 1)
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)) ^ 1)
     with pytest.raises(ValueError, match="g\\(0\\)"):
         cd.build_code_g(g)
 
@@ -293,6 +296,6 @@ def test_code_f_matches_label_builder(m):
 @pytest.mark.parametrize("i", [1, 2])
 def test_code_g_matches_label_builder(n, i):
     ctx = mk_field(n)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, (1 << i) + 1)))
     got = packed_words(cd.build_code_g(g))
     assert np.array_equal(np.sort(got), np.sort(code_g_by_labels(g)))

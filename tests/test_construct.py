@@ -22,6 +22,10 @@ from oracles import (
     cyclic_bent_full_by_cases,
     cyclic_bent_reduced_by_rows,
     cyclic_semibent_by_cases,
+    from_field_bit_fn,
+    from_field_fn,
+    is_bent,
+    is_semibent,
     scale_compose_by_halves,
     scale_field_by_perm,
 )
@@ -37,7 +41,7 @@ def kerdock_pointwise(m):
             acc ^= ctx.trace(ctx.pow(x1, (1 << i) + 1))
         return acc ^ (x2 & ctx.trace(x1))
 
-    return bf.from_field_bit_fn(ctx, fn)
+    return from_field_bit_fn(ctx, fn)
 
 
 def zhou_pointwise(m, e, gamma):
@@ -54,7 +58,7 @@ def zhou_pointwise(m, e, gamma):
             acc ^= ctx.trace(ctx.pow(gx, (1 << (e * i)) + 1))
         return acc ^ (x2 & ctx.trace(x1))
 
-    return bf.from_field_bit_fn(ctx, fn)
+    return from_field_bit_fn(ctx, fn)
 
 
 def test_kerdock_values_m4():
@@ -168,14 +172,14 @@ def test_full_certification_kerdock_m4():
 
 def test_full_certification_rejects_linear_part_alone():
     ctx = mk_field(3)
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
+    f = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
     cert = cn.is_cyclic_bent_full(f)
     assert not cert.passed
     a, b, eps = cert.witness
     assert a != b
     # the witness really is a non-bent sum
     g = bf.xor(bf.scale_compose(f, a, 0), bf.scale_compose(f, b, eps))
-    assert not bf.is_bent(g)
+    assert not is_bent(g)
 
 
 def test_full_certification_m6():
@@ -194,7 +198,7 @@ def test_reduced_hypothesis_and_pass_m4():
 def test_reduced_raises_on_hypothesis_violation():
     ctx = mk_field(3)
     # difference f(x1,1)+f(x1,0) = tr(x1^3): quadratic, not affine-in-trace
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
+    f = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
     with pytest.raises(cn.AffineDifferenceError):
         cn.is_cyclic_bent_reduced(f)
 
@@ -217,7 +221,7 @@ def _random_hypothesis_quadratic(ctx, rng):
         v ^= x2 & ctx.trace(ctx.mul(lam0, x1))
         return v
 
-    return bf.from_field_bit_fn(ctx, fn)
+    return from_field_bit_fn(ctx, fn)
 
 
 def test_full_reduced_agreement_random_corpus():
@@ -239,14 +243,14 @@ def test_quadratic_bentness_equals_kernel_criterion():
     rng = np.random.default_rng(77)
     for _ in range(100):
         f = _random_hypothesis_quadratic(ctx, rng)
-        assert bf.is_bent(f) == (bilinear_kernel_dim(f) == 0)
+        assert is_bent(f) == (bilinear_kernel_dim(f) == 0)
     assert bilinear_kernel_dim(cn.kerdock_fn(4)) == 0
 
 
 def test_reduced_fails_before_b_loop_on_non_bent():
     ctx = mk_field(3)
     # satisfies the hypothesis but is affine, hence not bent
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
+    f = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
     cert = cn.is_cyclic_bent_reduced(f)
     assert not cert.passed and cert.witness == (1, 0, 0)
 
@@ -254,7 +258,7 @@ def test_reduced_fails_before_b_loop_on_non_bent():
 def test_certify_auto_dispatch():
     assert cn.certify_cyclic_bent(cn.kerdock_fn(4), "auto").passed
     ctx = mk_field(3)
-    f = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
+    f = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
     cert = cn.certify_cyclic_bent(f, "auto")  # hypothesis fails -> full route
     assert cert.mode == "full" and not cert.passed
 
@@ -267,7 +271,7 @@ def test_agreement_full_vs_reduced_on_constructed():
 
 def test_cyclic_semibent_trace_cube():
     ctx = mk_field(3)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     full = cn.is_cyclic_semibent(g, "full")
     red = cn.is_cyclic_semibent(g, "reduced")
     assert full.passed and red.passed
@@ -276,14 +280,14 @@ def test_cyclic_semibent_trace_cube():
 
 def test_cyclic_semibent_gold_n5():
     ctx = mk_field(5)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     assert cn.is_cyclic_semibent(g, "full").passed
     assert cn.is_cyclic_semibent(g, "reduced").passed
 
 
 def test_cyclic_semibent_rejects_affine():
     ctx = mk_field(3)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(x))
+    g = from_field_fn(ctx, lambda x: ctx.trace(x))
     for mode in ("full", "reduced"):
         cert = cn.is_cyclic_semibent(g, mode)
         assert not cert.passed and cert.witness is not None
@@ -294,9 +298,9 @@ def test_bent_family_m4():
     fam = cn.bent_family(K, [0] * 7)
     assert len(fam) == 7
     for i in range(7):
-        assert bf.is_bent(fam[i])
+        assert is_bent(fam[i])
         for j in range(i + 1, 7):
-            assert bf.is_bent(bf.xor(fam[i], fam[j]))
+            assert is_bent(bf.xor(fam[i], fam[j]))
     fam2 = cn.bent_family(K, [1] + [0] * 6)
     assert fam2[0] != fam[0]
 
@@ -305,21 +309,21 @@ def test_semibent_family_and_derive():
     K = cn.kerdock_fn(4)
     ctx = K.domain.ctx
     g = cn.derive_semibent(K, 0)
-    assert g == bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    assert g == from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     assert cn.is_cyclic_semibent(g, "full").passed
     assert cn.is_cyclic_semibent(cn.derive_semibent(K, 1), "full").passed
     fam = cn.derived_semibent_family(K, [0] * 7)
     assert len(fam) == 7
     for i in range(7):
-        assert bf.is_semibent(fam[i])
+        assert is_semibent(fam[i])
         for j in range(i + 1, 7):
-            assert bf.is_semibent(bf.xor(fam[i], fam[j]))
+            assert is_semibent(bf.xor(fam[i], fam[j]))
 
 
 def test_normalize_zero():
     K = cn.kerdock_fn(4)
     assert cn.normalize_zero(K) == K  # already normalized
-    K1 = bf.xor_const(K, 1)
+    K1 = bf.BoolFun(K.domain, K.table ^ 1)
     assert cn.normalize_zero(K1) == K
     rng = np.random.default_rng(9)
     f = bf.BoolFun(K.domain, rng.integers(0, 2, K.domain.size).astype(np.uint8))
@@ -343,7 +347,7 @@ def _random_quadratic_field_fn(ctx, rng):
     d = ctx.degree
     coeffs = [(i, j) for i in range(d) for j in range(i + 1, d) if rng.integers(0, 2)]
     lin = int(rng.integers(0, ctx.order))
-    return bf.from_field_fn(
+    return from_field_fn(
         ctx,
         lambda x: ctx.trace(ctx.mul(lin, x))
         ^ sum((x >> i) & (x >> j) & 1 for i, j in coeffs),
@@ -354,7 +358,7 @@ def _bent_scan_corpus():
     ctx = mk_field(3)
     rng = np.random.default_rng(2024)
     corpus = [_random_hypothesis_quadratic(ctx, rng) for _ in range(100)]
-    affine = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
+    affine = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(x1))
     return corpus + [cn.kerdock_fn(4), cn.kerdock_fn(6), affine, _late_failure()]
 
 
@@ -362,7 +366,7 @@ def _late_failure():
     """Bent, but f + f(4 x1, x2) is not: the reduced scan fails at its third
     sum and the full scan at its case 68, (a, b, eps) = (1, 4, 0)."""
     ctx5 = mk_field(5)
-    return bf.from_field_bit_fn(
+    return from_field_bit_fn(
         ctx5, lambda x1, x2: ctx5.trace(ctx5.pow(x1, 5)) ^ (x2 & ctx5.trace(ctx5.mul(3, x1)))
     )
 
@@ -373,9 +377,9 @@ def _semibent_scan_corpus():
     for n in (3, 5):
         ctx = mk_field(n)
         # the trace cube (i = 1) and the Gold function with i = 2
-        out += [bf.from_field_fn(ctx, lambda x, i=i: ctx.trace(ctx.pow(x, (1 << i) + 1)))
+        out += [from_field_fn(ctx, lambda x, i=i: ctx.trace(ctx.pow(x, (1 << i) + 1)))
                 for i in (1, 2)]
-        out.append(bf.from_field_fn(ctx, lambda x: ctx.trace(x)))  # affine
+        out.append(from_field_fn(ctx, lambda x: ctx.trace(x)))  # affine
         out += [_random_quadratic_field_fn(ctx, rng) for _ in range(20)]
     return out
 
@@ -416,7 +420,7 @@ def test_scan_matches_per_case_routes(monkeypatch, small_batches):
 def _outside_reduced_hypothesis():
     """Functions whose x2-difference is not tr(lam x1) + nu."""
     ctx = mk_field(3)
-    violating = bf.from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
+    violating = from_field_bit_fn(ctx, lambda x1, x2: x2 & ctx.trace(ctx.pow(x1, 3)))
     # a cubic Maiorana-McFarland bent function <u, pi(v)> + h(v) of the index
     # bits u = 0..2, v = 3..5: f + f(2 x1, x2) is bent, f + f(2 x1, x2 + 1) is not
     u, v = np.arange(64) & 7, np.arange(64) >> 3
@@ -456,15 +460,16 @@ def test_full_certifier_memory_is_bounded():
 
 
 def test_scan_reuses_one_buffer_pair(monkeypatch):
-    # every batch of a scan is transformed in the same (signs, X H') pair,
-    # and its spectra overwrite the signs
+    # every batch of a scan is transformed in the same (rows, X H') pair:
+    # the first buffer holds the batch's 0/1 pair sums, and their spectra
+    # overwrite them
     seen = set()
     walsh_many = bf.walsh_many
 
-    def recorded(signs, out=None, work=None):
-        assert out is signs
-        seen.add(tuple(a.__array_interface__["data"][0] for a in (signs, work)))
-        return walsh_many(signs, out=out, work=work)
+    def recorded(rows, out=None, work=None):
+        assert out is rows
+        seen.add(tuple(a.__array_interface__["data"][0] for a in (rows, work)))
+        return walsh_many(rows, out=out, work=work)
 
     f, late = cn.kerdock_fn(6), _late_failure()  # late fails in its second batch
     expected = cyclic_bent_full_by_cases(late)
@@ -552,7 +557,7 @@ def test_semibent_batches_are_decided_by_their_row_sums(monkeypatch):
     assert cn._first_failure(1, lambda start, stop: WIDE_N5[None], 5) == 0
     # planted among the 31 semi-bent rows tr((c x)^3), c != 0, in batches of 4
     ctx = mk_field(5)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     semi = bf.orbit_tables(g, range(1, 32))
     assert cn._first_failure(len(semi), lambda start, stop: semi[start:stop], 5) == -1
     monkeypatch.setattr(bf, "BATCH_VALUES", 4 * 32)
@@ -583,7 +588,7 @@ def test_walsh_rows_match_closed_forms(monkeypatch, small_batches):
         assert transformed(cn.is_cyclic_bent_full, f) == 2 * q * (q - 1)
     for n in (3, 5):
         ctx = mk_field(n)
-        g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+        g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
         q = ctx.order
         assert transformed(cn.is_cyclic_semibent, g, "reduced") == q - 1
         assert transformed(cn.is_cyclic_semibent, g, "full") == q * (q - 1)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
 from cyclicbent import linpoly as lp
 from cyclicbent.cli import main
@@ -23,6 +22,8 @@ from cyclicbent.gf2 import mk_field
 
 from oracles import (
     cyclic_semibent_quadratic_by_tau,
+    from_field_fn,
+    is_semibent,
     kernel_dim_by_elimination,
     linpoly_eval_by_squaring,
     quad_form_by_points,
@@ -37,12 +38,12 @@ def test_evaluate_and_quad_form():
     ctx = mk_field(3)
     L = monomial(ctx, 1)  # x^2
     q = lp.quad_form(L)  # tr(x * x^2) = tr(x^3)
-    g = bf.from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
     assert q == g
     assert q.value(0) == 0
     ident = monomial(ctx, 0)
     q2 = lp.quad_form(ident)  # tr(x^2) = tr(x)
-    assert q2 == bf.from_field_fn(ctx, lambda x: ctx.trace(x))
+    assert q2 == from_field_fn(ctx, lambda x: ctx.trace(x))
 
 
 def test_adjoint_monomials_and_involution():
@@ -329,7 +330,7 @@ def test_semibent_classification_equals_kernel_one():
         rng = np.random.default_rng(m * 7)
         for _ in range(60):
             L = lp.LinPoly(ctx, tuple(int(rng.integers(0, ctx.order)) for _ in range(m)))
-            semi = bf.is_semibent(lp.quad_form(L))
+            semi = is_semibent(lp.quad_form(L))
             assert semi == (lp.kernel_dim(L.add(lp.adjoint(L))) == 1)
 
 
