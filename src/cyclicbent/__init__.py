@@ -10,14 +10,12 @@ in human-readable report output.
 from cyclicbent.boolfun import BoolFun, Domain, WalshClass, classify, walsh
 from cyclicbent.codebook import (
     Codebook,
-    MubSet,
     build_mub,
     build_real_codebook,
     build_semibent_codebook,
     imax_sq,
     levenshtein_complex_sq,
     levenshtein_real_sq,
-    mub_to_codebook,
     verify_mub,
 )
 from cyclicbent.codes import (
@@ -67,9 +65,8 @@ __all__ = [
     "is_cyclic_bent_full", "is_cyclic_bent_reduced", "certify_cyclic_bent",
     "is_cyclic_semibent", "bent_family", "derive_semibent", "derived_semibent_family",
     "normalize_zero",
-    "Codebook", "MubSet", "levenshtein_real_sq", "levenshtein_complex_sq",
-    "build_real_codebook", "build_mub", "mub_to_codebook",
-    "build_semibent_codebook", "imax_sq", "verify_mub",
+    "Codebook", "levenshtein_real_sq", "levenshtein_complex_sq",
+    "build_real_codebook", "build_mub", "build_semibent_codebook", "imax_sq", "verify_mub",
     "SequenceFamily", "quaternary_family", "binary_family", "semibent_family",
     "full_distribution", "r_max_sq",
     "NonlinearCode", "build_code_f", "build_code_g",

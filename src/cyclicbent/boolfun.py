@@ -24,6 +24,11 @@ n <= 24 (MAX_WALSH_VARS; past the 21 variables of GF(2^20) x GF(2), it
 bounds raw ``walsh_many`` rows).  Summation order and fused multiply-adds
 therefore cannot change any value.  ``walsh`` returns the spectrum as 64-bit
 signed integers; classification is exact membership, no tolerances.
+
+Every character table is one parity kernel, popcount(mask & x) mod 2: the
+Sylvester matrices (mask i, point j) and ``char_bits`` (the dual mask of
+(lam, nu), point (x1, x2)), which returns only the rows and columns a
+caller asks for.
 """
 
 from __future__ import annotations
@@ -134,11 +139,17 @@ class WalshSpectrum:
     values: np.ndarray  # int64, indexed like the truth table
 
 
+def _parity(masks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """popcount(masks & x) mod 2 as uint8, broadcast: the bit dot products."""
+    t = np.bitwise_count(masks & x)
+    return np.bitwise_and(t, 1, out=t)
+
+
 @cache
 def _sylvester(k: int) -> np.ndarray:
     """H_{2^k}[i, j] = (-1)^{popcount(i & j)} as a read-only float32 matrix."""
     i = np.arange(1 << k)
-    h = 1 - 2 * (np.bitwise_count(i[:, None] & i[None, :]) & 1).astype(np.float32)
+    h = 1 - 2 * _parity(i[:, None], i).astype(np.float32)
     h.setflags(write=False)
     return h
 
@@ -213,14 +224,19 @@ def _dual_permutation(domain: Domain) -> np.ndarray:
     return np.concatenate([d, d + half])
 
 
-def char_bits(domain: Domain) -> np.ndarray:
-    """B[index(lam, nu), index(x1, x2)] = tr(lam x1) + nu x2 as uint8 bits:
-    the characters of the domain, with dual points indexed like spectra."""
-    t = domain.ctx.trace_pairing()
-    if not domain.with_bit:
-        return t
-    # nu = x2 = 1 is the one block where nu x2 flips the bit
-    return np.block([[t, t], [t, t ^ 1]])
+def char_bits(domain: Domain, duals=None, points=None) -> np.ndarray:
+    """B[i, j] = tr(lam x1) + nu x2 as uint8 bits, for the dual point
+    (lam, nu) at index duals[i] and the point (x1, x2) at index points[j]:
+    the characters of the domain, with dual points indexed like spectra.
+    duals and points default to every index; either may be a scalar, which
+    drops its axis.  Each bit is the parity of the dual mask of (lam, nu)
+    and (x1, x2), taken in the narrowest unsigned dtype that holds them.
+    """
+    dtype = np.min_scalar_type(domain.size - 1)
+    masks = _dual_permutation(domain)
+    masks = np.asarray(masks if duals is None else masks[duals], dtype=dtype)
+    x = np.arange(domain.size, dtype=dtype) if points is None else np.asarray(points, dtype=dtype)
+    return _parity(masks[..., None], x)
 
 
 def walsh(f: BoolFun) -> WalshSpectrum:

@@ -133,6 +133,8 @@ def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
 
 def cmd_construct(args) -> int:
     if args.enumerate_gamma:
+        if args.gamma:
+            raise ValueError("--enumerate-gamma runs every admissible gamma and takes no --gamma")
         e = _chain_levels(args)
         rows = []
         for gamma in cn.admissible_gammas(args.m, e):
@@ -168,8 +170,7 @@ def cmd_verify(args) -> int:
         return 0 if cert.passed and report.get("full_reduced_agree", True) else 1
     spec = _chain_spec(args)
     f = cn.chain_fn(spec)
-    cert = (cn.is_cyclic_bent_full(f) if args.mode == "full"
-            else cn.certify_cyclic_bent(f, args.mode))
+    cert = cn.certify_cyclic_bent(f, args.mode)
     _emit({"command": "verify", "spec": spec.to_json_obj(),
            "certificate": cert.to_json_obj()}, args)
     return 0 if cert.passed else 1
@@ -183,7 +184,7 @@ def cmd_codebook(args) -> int:
         if args.kind == "real":
             cb = cbk.build_real_codebook(f, _eps_vector(args, f.domain.ctx.order))
         else:
-            cb = cbk.mub_to_codebook(cbk.build_mub(f))
+            cb = cbk.build_mub(f)
     csv = _csv(args, cb.write_csv)
     rep = cbk.optimality_report(cb, "complex" if args.kind == "complex" else "real")
     if args.kind == "semibent":
@@ -201,18 +202,18 @@ def cmd_codebook(args) -> int:
 
 def cmd_mub(args) -> int:
     f = cn.chain_fn(_chain_spec(args))
-    mubs = cbk.build_mub(f)
-    csv = _csv(args, cbk.mub_to_codebook(mubs).write_csv)
-    rep = cbk.verify_mub(mubs)
+    cb = cbk.build_mub(f)
+    csv = _csv(args, cb.write_csv)
+    rep = cbk.verify_mub(cb)
     ok = rep["complete"] and rep["orthonormal"] and rep["unbiased"]
-    report = {"command": "mub", "k": mubs.k, **rep, **csv}
+    report = {"command": "mub", "k": cb.length, **rep, **csv}
     if args.walsh_check:
         agree = True
-        for a in range(mubs.k):
-            re, im, _ = mubs.basis(1 + a)
+        for a in range(cb.length):
+            re, im, _ = cb.basis(1 + a)
             b = re + 1j * im
-            for a2 in range(a + 1, mubs.k):
-                re2, im2, _ = mubs.basis(1 + a2)
+            for a2 in range(a + 1, cb.length):
+                re2, im2, _ = cb.basis(1 + a2)
                 # basis a times conj(basis a2): every partial sum is a Gaussian
                 # integer of size at most 2K, so the complex128 product is exact
                 gram = b @ (re2 - 1j * im2).T

@@ -245,7 +245,7 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     words = []
     for c, hit in ((0, wt == k), (1, wt == v - k)):
         blk, lam = np.nonzero(hit)
-        words.append((cb.re[blk] < 0) ^ bf.char_bits(dom)[lam] ^ c)
+        words.append((cb.re[blk] < 0) ^ bf.char_bits(dom, lam) ^ c)
     blocks = np.concatenate(words).astype(bool)
     b = blocks.shape[0]
     if b == 0:

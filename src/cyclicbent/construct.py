@@ -160,25 +160,6 @@ def chain_fn(spec: ChainSpec) -> BoolFun:
     return BoolFun(Domain(ctx, with_bit=True), table)
 
 
-def divisor_chains(n: int) -> list[tuple[int, ...]]:
-    """All chains 1 = e_0 < e_1 < ... < e_l = n with e_i | e_{i+1}."""
-    if n == 1:
-        return []
-    chains = []
-
-    def grow(prefix):
-        last = prefix[-1]
-        if last == n:
-            chains.append(tuple(prefix))
-            return
-        for d in range(2 * last, n + 1, last):
-            if d % last == 0 and n % d == 0:
-                grow(prefix + [d])
-
-    grow([1])
-    return chains
-
-
 def admissible_gammas(m: int, e: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All gamma vectors satisfying the partial-sum condition, as big-field indices."""
     ctx = mk_field(m - 1)

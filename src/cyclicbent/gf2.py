@@ -356,17 +356,6 @@ class GF2m:
             self._log_window = antilog, log
         return self._log_window
 
-    def trace_pairing(self) -> np.ndarray:
-        """q x q uint8 matrix T with T[lam, x] = tr(lam x).
-
-        Built from the dual index table as parity(D[lam] & x); not cached,
-        since it is q^2 bytes.
-        """
-        d = self.dual_index_table().astype(np.min_scalar_type(self.order - 1))
-        x = np.arange(self.order, dtype=d.dtype)
-        t = np.bitwise_count(d[:, None] & x[None, :])
-        return np.bitwise_and(t, 1, out=t)
-
     def generator_powers(self, t) -> np.ndarray:
         """beta^t for every integer in t (any shape), read from the antilog table."""
         return self._exp[np.asarray(t) % (self.order - 1)]

@@ -92,24 +92,6 @@ def quad_form(L: LinPoly) -> BoolFun:
     return BoolFun(Domain(ctx), ctx.trace_table(1)[acc].astype(np.uint8))
 
 
-def phi_l_tau(L: LinPoly, tau: int) -> LinPoly:
-    """phi_{L,tau}(x) = (L+L*)(x) + tau (L+L*)(tau x), for tau outside GF(2).
-
-    Coefficientwise this is (a_i + a_{m-i}^{2^i}) (1 + tau^{2^i+1}) on x^{2^i}
-    for i >= 1, with zero constant-level coefficient.
-    """
-    ctx = L.ctx
-    if tau in (0, 1):
-        raise ValueError("tau must lie outside GF(2)")
-    m = ctx.degree
-    a = L.coeffs
-    out = [0]
-    for i in range(1, m):
-        ci = a[i] ^ ctx.frobenius(a[m - i], i)
-        out.append(ctx.mul(ci, 1 ^ ctx.pow(tau, (1 << i) + 1)))
-    return LinPoly(ctx, tuple(out))
-
-
 # -- skew polynomials ---------------------------------------------------------------
 
 

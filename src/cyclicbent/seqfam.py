@@ -96,24 +96,19 @@ class SequenceFamily:
     def _member_batches(self):
         """(labels, re, im) of the members, about bf.BATCH_VALUES symbols at a
         time: rows lam (for the binary kind (lam, nu) with tr(lam) = 0) of the
-        block at the columns y_t, s_0(y_t) (-1)^{<lam, y_t>}, with the sign
-        read as the parity of the dual mask of lam and y_t in the narrowest
-        unsigned dtype; then inf for the field kinds."""
-        binary, ctx = self.kind == "binary", self.block.domain.ctx
-        q, duals = ctx.order, np.arange(ctx.order)
+        block at the columns y_t, s_0(y_t) (-1)^{<lam, y_t>}, with the signs
+        read from ``bf.char_bits``; then inf for the field kinds."""
+        binary, dom = self.kind == "binary", self.block.domain
+        q, duals = dom.ctx.order, np.arange(dom.ctx.order)
         if binary:
-            lams = np.flatnonzero(ctx.trace_table(1) == 0)
+            lams = np.flatnonzero(dom.ctx.trace_table(1) == 0)
             duals = np.concatenate([lams, q + lams])
         labels = [f"{d % q},{d // q}" if binary else str(d) for d in duals.tolist()]
-        dtype = np.min_scalar_type(self.block.length - 1)
-        masks = bf._dual_permutation(self.block.domain)[duals].astype(dtype)
-        pos = self.pos.astype(dtype)
         re, im = self.block.re[0, self.pos], self.block.im[0, self.pos]
         real = not im.any()  # then every member shares the zero row im
         step = max(1, bf.BATCH_VALUES // self.period)
         for lo in range(0, len(duals), step):
-            bits = np.bitwise_count(masks[lo : lo + step, None] & pos)
-            sign = 1 - 2 * (bits & 1).astype(np.int8)
+            sign = 1 - 2 * bf.char_bits(dom, duals[lo : lo + step], self.pos).astype(np.int8)
             im_rows = np.broadcast_to(im, sign.shape) if real else sign * im
             yield labels[lo : lo + step], sign * re, im_rows
         if not binary:
@@ -125,14 +120,17 @@ class SequenceFamily:
         return [Member(*row) for batch in self._member_batches() for row in zip(*batch)]
 
     def write_csv(self, path: str) -> None:
-        """One row per sequence: label, then symbols in {1, i, -1, -i} / {1, -1}."""
+        """One row per sequence: label, then symbols in {1, i, -1, -i} / {1, -1}.
+        A label with a comma (the binary kind's "lam,nu") is quoted, so that
+        every row has 1 + period fields."""
         cbk._check_entries(self.size, self.period)
         # the four unit symbols, numbered by the alphabet key 3(re + 1) + (im + 1)
         names = np.array(["", "-1", "", "-i", "", "i", "", "1", ""], dtype=object)
         with open(path, "w") as fh:
             for labels, re, im in self._member_batches():
                 for label, row in zip(labels, 3 * (re + 1) + (im + 1)):
-                    fh.write(",".join([label, *names[row].tolist()]) + "\n")
+                    cell = f'"{label}"' if "," in label else label
+                    fh.write(",".join([cell, *names[row].tolist()]) + "\n")
 
 
 @dataclass
@@ -524,14 +522,4 @@ def expected_semibent_distribution(n: int) -> dict[tuple[int, int], int]:
         (-1, 0): 2 * q * (q - 1) + (q - 2) * ((1 << (2 * n - 1)) + 1),
         (r - 1, 0): ((1 << (2 * n)) - 2) * plus,
         (-r - 1, 0): ((1 << (2 * n)) - 2) * minus,
-    }
-
-
-def expected_semibent_walsh_distribution(n: int) -> dict[int, int]:
-    """Walsh value histogram of a semi-bent g with g(0) = 0."""
-    r = 1 << ((n + 1) // 2)
-    return {
-        0: 1 << (n - 1),
-        r: (1 << (n - 2)) + (1 << ((n - 3) // 2)),
-        -r: (1 << (n - 2)) - (1 << ((n - 3) // 2)),
     }

@@ -16,14 +16,20 @@ per-cell CSV writer, the sequence-family members as rows of the dense
 basis with their per-symbol CSV writer, the codes as packed uint64 words
 with the popcount scan of their distributions and the pairwise XOR-closure test of linearity, and
 the codebook and code builders as per-block and per-label loops (without
-certification).  The package ships none of the test-side helpers: the
-truth-table builders from Python callables (``from_field_fn``,
-``from_field_bit_fn``), ``correlate``, the defining correlation sum, and
-``is_bent`` and ``is_semibent``, which classify the library's spectrum.
+certification).  ``trace_pairing_by_rows`` is the reference of
+``bf.char_bits``, in block form on field-times-bit domains.  The package
+ships none of the test-side helpers: the truth-table builders from Python
+callables (``from_field_fn``, ``from_field_bit_fn``), ``correlate``, the
+defining correlation sum, ``is_bent`` and ``is_semibent``, which classify
+the library's spectrum, ``divisor_chains``, which lists the chains the
+chain-function tests draw from, ``phi_l_tau``, the per-tau map of the
+scalar characterization, and ``expected_semibent_walsh_distribution``, the
+Walsh histogram of a semi-bent g.
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +94,35 @@ def is_bent(f: BoolFun) -> bool:
 
 def is_semibent(f: BoolFun) -> bool:
     return bf.classify(bf.walsh(f)) is bf.WalshClass.SEMI_BENT
+
+
+def divisor_chains(n: int) -> list[tuple[int, ...]]:
+    """All chains 1 = e_0 < e_1 < ... < e_l = n with e_i | e_{i+1}."""
+    if n == 1:
+        return []
+    chains = []
+
+    def grow(prefix):
+        last = prefix[-1]
+        if last == n:
+            chains.append(tuple(prefix))
+            return
+        for d in range(2 * last, n + 1, last):
+            if d % last == 0 and n % d == 0:
+                grow(prefix + [d])
+
+    grow([1])
+    return chains
+
+
+def expected_semibent_walsh_distribution(n: int) -> dict[int, int]:
+    """Walsh value histogram of a semi-bent g with g(0) = 0."""
+    r = 1 << ((n + 1) // 2)
+    return {
+        0: 1 << (n - 1),
+        r: (1 << (n - 2)) + (1 << ((n - 3) // 2)),
+        -r: (1 << (n - 2)) - (1 << ((n - 3) // 2)),
+    }
 
 
 def scale_compose_by_halves(f: BoolFun, a: int, eps: int = 0) -> BoolFun:
@@ -294,6 +329,24 @@ def quad_form_by_points(L) -> BoolFun:
     return from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, linpoly_eval_by_squaring(L, x))))
 
 
+def phi_l_tau(L: lp.LinPoly, tau: int) -> lp.LinPoly:
+    """phi_{L,tau}(x) = (L+L*)(x) + tau (L+L*)(tau x), for tau outside GF(2).
+
+    Coefficientwise this is (a_i + a_{m-i}^{2^i}) (1 + tau^{2^i+1}) on x^{2^i}
+    for i >= 1, with zero constant-level coefficient.
+    """
+    ctx = L.ctx
+    if tau in (0, 1):
+        raise ValueError("tau must lie outside GF(2)")
+    m = ctx.degree
+    a = L.coeffs
+    out = [0]
+    for i in range(1, m):
+        ci = a[i] ^ ctx.frobenius(a[m - i], i)
+        out.append(ctx.mul(ci, 1 ^ ctx.pow(tau, (1 << i) + 1)))
+    return lp.LinPoly(ctx, tuple(out))
+
+
 def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]:
     """The gcrd characterization with one scalar skew gcrd (or GF(2) rank)
     of phi_{L,tau} per tau, stopping at the first failing tau."""
@@ -304,7 +357,7 @@ def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]
     ok = d0 == 1
     if ok:
         for tau in range(2, ctx.order):
-            d = dim_of(lp.phi_l_tau(L, tau))
+            d = dim_of(phi_l_tau(L, tau))
             if d != 1:
                 report["tau_failures"].append((tau, d))
                 ok = False
@@ -369,10 +422,10 @@ def members_by_basis(fam: sf.SequenceFamily) -> list[sf.Member]:
 def write_family_csv_by_symbols(fam: sf.SequenceFamily, path: str) -> None:
     """Family CSV from ``members_by_basis``, one lookup per symbol."""
     names = {(1, 0): "1", (-1, 0): "-1", (0, 1): "i", (0, -1): "-i"}
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
         for mem in members_by_basis(fam):
-            syms = [names[(int(a), int(b))] for a, b in zip(mem.re, mem.im)]
-            fh.write(",".join([mem.label] + syms) + "\n")
+            out.writerow([mem.label] + [names[(int(a), int(b))] for a, b in zip(mem.re, mem.im)])
 
 
 def gram_int64(re1, im1, re2, im2):
@@ -514,7 +567,7 @@ def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:
 
 def char_sign_matrix(domain) -> np.ndarray:
     """S[dual index, point index] = (-1)^{<(lam,nu),(x1,x2)>}, int8."""
-    c = 1 - 2 * domain.ctx.trace_pairing().astype(np.int8)
+    c = 1 - 2 * trace_pairing_by_rows(domain.ctx).astype(np.int8)
     if not domain.with_bit:
         return c
     # nu = x2 = 1 is the one block where nu x2 flips the sign
@@ -563,7 +616,7 @@ def mub_by_blocks(f: BoolFun):
     return np.concatenate(bases_re), np.concatenate(bases_im), norm
 
 
-def verify_mub_by_pairs(mubs: cbk.MubSet) -> dict:
+def verify_mub_by_pairs(cb: cbk.Codebook) -> dict:
     """Exact orthonormality and unbiasedness checks over every basis pair of
     the materialized rows (``dense_rows``), k rows per basis.
 
@@ -573,8 +626,8 @@ def verify_mub_by_pairs(mubs: cbk.MubSet) -> dict:
     Each basis's norm is read from its first row, so every norm must be 1
     or K.
     """
-    k = mubs.k
-    re, im, norm_sq = dense_rows(mubs.codebook)
+    k = cb.length
+    re, im, norm_sq = dense_rows(cb)
     n_bases = len(re) // k
     bases = [(re[i * k:(i + 1) * k], im[i * k:(i + 1) * k]) for i in range(n_bases)]
     norms = [int(norm_sq[i * k]) for i in range(n_bases)]
@@ -613,7 +666,7 @@ def code_f_by_labels(f: BoolFun) -> np.ndarray:
     ctx = f.domain.ctx
     q = ctx.order
     size = f.domain.size
-    lam_words = [pack_table(np.tile(row, 2)) for row in ctx.trace_pairing()]
+    lam_words = [pack_table(np.tile(row, 2)) for row in trace_pairing_by_rows(ctx)]
     x2_word = pack_table(np.concatenate([np.zeros(q, np.int64), np.ones(q, np.int64)]))
     full = (1 << size) - 1
     words = []
@@ -630,7 +683,7 @@ def code_g_by_labels(g: BoolFun) -> np.ndarray:
     """C(g) as uint64 words, one packed word per label (a, lam, u)."""
     ctx = g.domain.ctx
     q = ctx.order
-    lam_words = [pack_table(row) for row in ctx.trace_pairing()]
+    lam_words = [pack_table(row) for row in trace_pairing_by_rows(ctx)]
     full = (1 << q) - 1
     words = []
     for a in range(q):

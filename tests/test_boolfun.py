@@ -1,5 +1,7 @@
 """Walsh transform and classification tests against brute-force oracles."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from oracles import (
     orbit_tables_by_mul_table,
     scale_compose_by_halves,
     scale_field_by_perm,
+    trace_pairing_by_rows,
     walsh_bruteforce,
     walsh_spectrum_bruteforce,
     wht_inplace,
@@ -205,11 +208,35 @@ def test_walsh_involution_and_parseval(d, with_bit, seed):
     # sum_(lam,nu) W(lam,nu) (-1)^{tr(lam x1) + nu x2} = 2^n (-1)^{f(x1,x2)}
     f = random_boolfun(d, with_bit, seed)
     w = bf.walsh(f).values
-    chars = 1 - 2 * f.domain.ctx.trace_pairing().astype(np.int64)
+    chars = 1 - 2 * trace_pairing_by_rows(f.domain.ctx).astype(np.int64)
     if with_bit:
         chars = np.kron(np.array([[1, 1], [1, -1]]), chars)
     assert np.array_equal(chars.T @ w, f.domain.size * f.signs())
     assert int(np.sum(w * w)) == 1 << (2 * f.n_vars)
+
+
+@cache
+def _char_bits_by_rows(d: int, with_bit: bool) -> np.ndarray:
+    t = trace_pairing_by_rows(mk_field(d))
+    # nu = x2 = 1 is the one block where nu x2 flips the bit
+    return np.block([[t, t], [t, t ^ 1]]) if with_bit else t
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 10), with_bit=st.booleans(), data=st.data())
+def test_char_bits_reads_the_asked_rows_and_columns_of_the_trace_pairing(d, with_bit, data):
+    dom = bf.Domain(mk_field(d), with_bit)
+    want = _char_bits_by_rows(d, with_bit)
+    index = st.integers(0, dom.size - 1)
+    duals, points = (np.array(data.draw(st.lists(index, max_size=12), label=name), dtype=np.int64)
+                     for name in ("duals", "points"))
+    got = bf.char_bits(dom, duals, points)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want[np.ix_(duals, points)])
+    # a scalar drops its axis; an omitted argument is every index
+    lam = data.draw(index, label="lam")
+    assert np.array_equal(bf.char_bits(dom, lam), want[lam])
+    assert np.array_equal(bf.char_bits(dom, points=points), want[:, points])
 
 
 @pytest.mark.parametrize("shape", [(1 << 25,), (2, 1 << 25), (3, 1000), (5,), (2, 0), ()])

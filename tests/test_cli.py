@@ -12,6 +12,7 @@ from cyclicbent import boolfun as bf
 from cyclicbent import cli
 from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
+from cyclicbent import gf2
 from cyclicbent import linpoly as lp
 from cyclicbent import seqfam as sf
 from cyclicbent.cli import _semibent_input, main
@@ -272,6 +273,8 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     ("seqfam --kind quaternary --m 4 --n 3", 2),
     ("code --m 4 --n 3", 2),
     ("design --m 4 --n 3 --k 6 --t 3", 2),
+    # --enumerate-gamma runs every gamma vector and takes no --gamma
+    ("construct --m 4 --enumerate-gamma --gamma 1", 2),
 ])
 def test_kind_and_size_flags(capsys, argv, code):
     assert main(argv.split()) == code
@@ -417,17 +420,22 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_public_surface_is_what_the_package_runs():
-    # the correlation sum and the test-input builders live in tests/oracles.py
+    # the correlation sum, the test-input builders, the divisor chains, phi_{L,tau}
+    # and the semi-bent Walsh histogram live in tests/oracles.py; a MUB set is
+    # the Codebook build_mub returns, and char_bits is the one character table
     import cyclicbent
 
     assert all(hasattr(cyclicbent, name) for name in cyclicbent.__all__)
-    assert "correlate" not in cyclicbent.__all__
+    assert {"correlate", "MubSet", "mub_to_codebook"}.isdisjoint(cyclicbent.__all__)
     gone = [(bf, "is_bent"), (bf, "is_semibent"), (bf, "xor_const"), (bf, "from_field_fn"),
             (bf, "from_field_bit_fn"), (bf.WalshSpectrum, "value_at"),
-            (bf.WalshSpectrum, "distribution"), (sf, "correlate")]
+            (bf.WalshSpectrum, "distribution"), (sf, "correlate"), (cyclicbent, "MubSet"),
+            (cbk, "MubSet"), (gf2.GF2m, "trace_pairing"), (cn, "divisor_chains"),
+            (lp, "phi_l_tau"), (sf, "expected_semibent_walsh_distribution")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     # bench/tracer.py wraps these by name
     assert all(hasattr(bf, name) for name in ("scale_compose", "scale_field", "xor", "restrict"))
+    assert hasattr(cbk, "mub_to_codebook")
 
 
 @pytest.mark.parametrize("first, second", [

@@ -112,14 +112,14 @@ def test_real_codebook_rejects_uncertified():
 
 def test_mub_m4_complete_and_exact():
     mubs = cbk.build_mub(kerdock4())
-    assert mubs.n_bases == 9 and mubs.k == 8
+    assert mubs.n_blocks + 1 == 9 and mubs.length == 8
     rep = cbk.verify_mub(mubs)
     assert rep == {"bases": 9, "complete": True, "orthonormal": True, "unbiased": True}
 
 
 def test_mub_entries_are_unit_gaussian():
     mubs = cbk.build_mub(kerdock4())
-    for i in range(1, mubs.n_bases):
+    for i in range(1, mubs.n_blocks + 1):
         re, im, norm = mubs.basis(i)
         mag = re.astype(np.int64) ** 2 + im.astype(np.int64) ** 2
         assert np.all(mag == 1) and norm == 8
@@ -145,23 +145,22 @@ def test_mub_gram_walsh_route_agrees():
 def _mub_variants(m):
     """The built set and five sets made from its block vectors, with their
     expected (complete, orthonormal, unbiased) verdicts."""
-    mubs = cbk.build_mub(cn.kerdock_fn(m))
-    cb = mubs.codebook
+    cb = cbk.build_mub(cn.kerdock_fn(m))
     n = cb.n_blocks
     rng = np.random.default_rng(m)
 
     def from_blocks(order):
-        return cbk.MubSet(cbk.Codebook(cb.domain, cb.re[order], cb.im[order]))
+        return cbk.Codebook(cb.domain, cb.re[order], cb.im[order])
 
     negated = from_blocks(np.arange(n))
-    negated.codebook.re[2] *= -1
-    negated.codebook.im[2] *= -1
+    negated.re[2] *= -1
+    negated.im[2] *= -1
     # one entry of the last block vector times i: (re, im) -> (-im, re)
     turned = from_blocks(np.arange(n))
-    turned.codebook.re[n - 1, 3] = -cb.im[n - 1, 3]
-    turned.codebook.im[n - 1, 3] = cb.re[n - 1, 3]
+    turned.re[n - 1, 3] = -cb.im[n - 1, 3]
+    turned.im[n - 1, 3] = cb.re[n - 1, 3]
     return [
-        ("built", mubs, (True, True, True)),
+        ("built", cb, (True, True, True)),
         ("blocks reordered", from_blocks(rng.permutation(n)), (True, True, True)),
         ("a block copied", from_blocks(np.r_[0:n - 1, 2]), (True, True, False)),
         ("a block negated", negated, (True, True, True)),
@@ -180,21 +179,19 @@ def test_verify_mub_matches_pairwise_oracle(m):
 
 
 def test_mub_set_needs_whole_bases():
-    # the bases of a MubSet are whole by construction: block vectors must
-    # have the domain's length K, so every block is one basis of K rows
-    mubs = cbk.build_mub(kerdock4())
-    cb = mubs.codebook
-    assert cb.n_rows == mubs.n_bases * mubs.k == 72
+    # the bases of a MUB codebook are whole by construction: block vectors
+    # must have the domain's length K, so every block is one basis of K rows
+    cb = cbk.build_mub(kerdock4())
+    assert cb.n_rows == (cb.n_blocks + 1) * cb.length == 72
     for cols in (slice(0, 4), slice(0, 0)):
         with pytest.raises(ValueError, match="block vectors"):
-            cbk.MubSet(cbk.Codebook(cb.domain, cb.re[:, cols], cb.im[:, cols]))
+            cbk.Codebook(cb.domain, cb.re[:, cols], cb.im[:, cols])
     with pytest.raises(IndexError):
-        mubs.basis(mubs.n_bases)
+        cb.basis(cb.n_blocks + 1)
 
 
 def test_complex_codebook_m4():
-    mubs = cbk.build_mub(kerdock4())
-    cb = cbk.mub_to_codebook(mubs)
+    cb = cbk.build_mub(kerdock4())
     assert (cb.n_rows, cb.length) == (72, 8)
     assert cbk.imax_sq(cb) == Fraction(1, 8) == cbk.levenshtein_complex_sq(72, 8)
     assert cb.alphabet_size == 6
@@ -236,7 +233,7 @@ def test_codebook_csv_and_basis(tmp_path):
 def test_imax_sq_threads_deterministic(monkeypatch):
     # one value, however many block pairs go into one kernel call
     cb = cbk.build_real_codebook(kerdock4())
-    mcb = cbk.mub_to_codebook(cbk.build_mub(kerdock4()))
+    mcb = cbk.build_mub(kerdock4())
     assert cbk.imax_sq(cb) == Fraction(1, 16) and cbk.imax_sq(mcb) == Fraction(1, 8)
     for batch in (50, 17, 1):
         monkeypatch.setattr(bf, "BATCH_VALUES", batch)
@@ -338,7 +335,7 @@ def test_imax_sq_transforms_one_row_per_block_pair(monkeypatch):
     stock = _stock_codebooks()
     cases = [*zip(stock, (7, 7, _pair_classes_by_division(stock[2], eps), 14, 7)),
              (cbk.build_real_codebook(f6), 31),
-             (cbk.mub_to_codebook(cbk.build_mub(f6)), 62)]
+             (cbk.build_mub(f6), 62)]
     cases += [(cb, (1 if cb.is_real() else 2) * cb.n_blocks * (cb.n_blocks - 1) // 2)
               for cb in _hand_codebooks()]
     rows = _kernel_rows(monkeypatch)
@@ -443,7 +440,7 @@ def test_layout_routes_match_the_pair_scan(m):
     rng = np.random.default_rng(m)
     for eps in (None, [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
         _assert_layout_matches_pair_scan(cbk.build_real_codebook(f, eps))
-    _assert_layout_matches_pair_scan(cbk.build_mub(f).codebook)
+    _assert_layout_matches_pair_scan(cbk.build_mub(f))
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
@@ -472,7 +469,7 @@ def _broken_layouts():
     non-constant: none is an orbit layout."""
     f = kerdock4()
     out = []
-    for cb in (cbk.build_real_codebook(f, [1, 0, 0, 1, 1, 0, 1]), cbk.build_mub(f).codebook):
+    for cb in (cbk.build_real_codebook(f, [1, 0, 0, 1, 1, 0, 1]), cbk.build_mub(f)):
         re, im = cb.re.copy(), cb.im.copy()
         re[[2, 5]], im[[2, 5]] = re[[5, 2]], im[[5, 2]]
         out.append(("swapped", cbk.Codebook(cb.domain, re, im)))
@@ -570,7 +567,7 @@ def _stock_codebooks():
         cbk.build_real_codebook(f),
         cbk.build_real_codebook(f, [1] * 7),
         cbk.build_real_codebook(f, [int(b) for b in rng.integers(0, 2, 7)]),
-        cbk.mub_to_codebook(cbk.build_mub(f)),
+        cbk.build_mub(f),
         cbk.build_semibent_codebook(g),
     ]
 
@@ -608,7 +605,7 @@ def test_imax_sq_matches_oracle_on_real_codebook_m6():
     for eps in ([0] * (q - 1), [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
         cb = cbk.build_real_codebook(f, eps)
         assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 64)
-    cb = cbk.mub_to_codebook(cbk.build_mub(f))
+    cb = cbk.build_mub(f)
     assert cbk.imax_sq(cb) == imax_sq_masked_tiles(cb) == Fraction(1, 32)
     ctx = mk_field(5)
     g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
@@ -697,9 +694,9 @@ def test_real_and_complex_codebooks_match_block_builders(m):
     for eps in ([0] * (q - 1), [1] * (q - 1), [int(b) for b in rng.integers(0, 2, q - 1)]):
         _assert_same_rows(cbk.build_real_codebook(f, eps), real_codebook_by_blocks(f, eps))
     mubs, want = cbk.build_mub(f), mub_by_blocks(f)
-    _assert_same_rows(cbk.mub_to_codebook(mubs), want)
-    k = mubs.k
-    assert mubs.n_bases == k + 1
+    _assert_same_rows(mubs, want)
+    k = mubs.length
+    assert mubs.n_blocks + 1 == k + 1
     for i in range(k + 1):
         r = slice(i * k, (i + 1) * k)
         re, im, norm = mubs.basis(i)
@@ -738,10 +735,10 @@ def test_dense_output_past_the_entry_cap_is_rejected_before_writing(tmp_path, mo
     with pytest.raises(ValueError, match="output cap"):
         cb.write_csv(str(out))
     assert not out.exists()
-    cbk.mub_to_codebook(mubs).write_csv(str(out))
+    mubs.write_csv(str(out))
     assert len(out.read_text().splitlines()) == 72
     out.unlink()
     monkeypatch.setattr(cbk, "MAX_ENTRIES", 72 * 8 - 1)
     with pytest.raises(ValueError, match="output cap"):
-        cbk.mub_to_codebook(mubs).write_csv(str(out))
+        mubs.write_csv(str(out))
     assert not out.exists()

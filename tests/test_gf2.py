@@ -217,7 +217,7 @@ def test_vector_tables_match_scalars():
 def test_trace_pairing_and_generator_powers_match_loops():
     for d in range(1, 13):
         ctx = mk_field(d)
-        pairing = ctx.trace_pairing()
+        pairing = bf.char_bits(bf.Domain(ctx))
         assert pairing.dtype == np.uint8 and pairing.shape == (ctx.order, ctx.order)
         assert np.array_equal(pairing, trace_pairing_by_rows(ctx))
         t = np.arange(-2, 2 * ctx.order + 3)  # wraps past the period both ways

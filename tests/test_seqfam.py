@@ -17,6 +17,7 @@ on: every correlation value is recomputed from spectra of f(x1,x2)+f(b x1,x2+eps
 entry for entry at m=4 / n=3.
 """
 
+import csv
 import math
 from dataclasses import fields
 from types import SimpleNamespace
@@ -574,6 +575,19 @@ def test_csv_export_and_dist_json(tmp_path):
     # r_max_sq stays out of the JSON form and of equality
     assert "r_max_sq" not in js
     assert dist == sf.CorrDist(dict(dist.counts), dist.total, dist.r_max_sq + 1)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FAMILIES))
+def test_csv_rows_are_the_label_then_one_field_per_symbol(tmp_path, name):
+    # the binary kind's label "lam,nu" is one quoted field, not two
+    fam = SCAN_FAMILIES[name]()
+    p = tmp_path / "fam.csv"
+    fam.write_csv(str(p))
+    with open(p, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == [mem.label for mem in fam.members]
+    assert {len(row) for row in rows} == {1 + fam.period}
+    assert set().union(*(row[1:] for row in rows)) <= {"1", "-1", "i", "-i"}
 
 
 # -- one-block storage ---------------------------------------------------------------
