@@ -25,6 +25,10 @@ bounds raw ``walsh_many`` rows).  Summation order and fused multiply-adds
 therefore cannot change any value.  ``walsh`` returns the spectrum as 64-bit
 signed integers; classification is exact membership, no tolerances.
 
+``product_spectra`` yields the spectra of pair products in batches, and
+``count_values`` counts their (Re W, Im W) exactly, for the codes and the
+sequence families alike.
+
 Every character table is one parity kernel, popcount(mask & x) mod 2: the
 Sylvester matrices (mask i, point j) and ``char_bits`` (the dual mask of
 (lam, nu), point (x1, x2)), which returns only the rows and columns a
@@ -34,6 +38,7 @@ caller asks for.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -213,6 +218,45 @@ def product_spectra(n_rows: int, length: int, real: bool, pairs) -> Iterator[np.
             v[:, 1] -= xr * yi
         x[:r] = v
         yield _hadamard_rows(x[:r], out=x[:r], work=work[:r])
+
+
+# values per counting step of count_values, which bounds its int64 temporaries
+_COUNT_VALUES = 1 << 16
+
+
+def count_values(counts: Counter, batch: np.ndarray, weight: np.ndarray,
+                 cols=slice(None)) -> None:
+    """Add weight[r] to counts[(a, b)] for each column in cols of row r of
+    an integer-valued batch shaped (rows, parts, length), such as a
+    ``product_spectra`` batch, where part 0 reads a and part 1 b (0 with
+    one part); one integer weight per row.
+
+    Rows are taken about _COUNT_VALUES values at a time, so no temporary
+    grows with the batch.  One part is counted by one bincount over the
+    range of a.  With two, a is replaced by the ranks of its distinct
+    values, so the joint bincount has one cell per distinct a and per b in
+    range: never one per pair of possible values.  Weights are summed in
+    float64, exactly: a step adds at most 2^21 values (a row of GF(2^20) x
+    GF(2)) and every caller's weight is below 2^26 (at most q d, d <= 20),
+    so no cell passes 2^47.
+    """
+    width = batch[:1, 0, cols].shape[1]
+    step = max(1, _COUNT_VALUES // width)
+    for lo in range(0, len(batch), step):
+        a = batch[lo : lo + step, 0, cols].astype(np.int64)
+        a_min = int(a.min())
+        a -= a_min
+        values, b_min, span = range(a_min, a_min + int(a.max()) + 1), 0, 1
+        if batch.shape[1] > 1:
+            seen = np.bincount(a.ravel()) > 0
+            values = (np.flatnonzero(seen) + a_min).tolist()
+            b = batch[lo : lo + step, 1, cols].astype(np.int64)
+            b_min = int(b.min())
+            span = int(b.max()) - b_min + 1
+            a = (np.cumsum(seen) - 1)[a] * span + (b - b_min)
+        joint = np.bincount(a.ravel(), np.repeat(weight[lo : lo + step], width))
+        for c in np.flatnonzero(joint).tolist():
+            counts[(values[c // span], c % span + b_min)] += int(joint[c])
 
 
 def _dual_permutation(domain: Domain) -> np.ndarray:

@@ -108,12 +108,6 @@ class Codebook:
     def n_rows(self) -> int:
         return (self.n_blocks + 1) * self.length
 
-    @property
-    def norm_sq(self) -> np.ndarray:
-        """int64 squared row norms: 1 on the standard basis, K on the blocks."""
-        k = self.length
-        return np.repeat(np.array([1, k], dtype=np.int64), [k, self.n_blocks * k])
-
     def is_real(self) -> bool:
         return not self.im.any()
 

@@ -6,7 +6,8 @@ word t_b + chi (the row (-1)^{t_b} chi read over GF(2)) and its complement:
 the coset t_b + RM(1).  C(f) and C(g) are the codes of
 ``build_real_codebook(f)`` and ``build_semibent_codebook(g)``, whose blocks
 are t_0 = 0 and the rows f(a x1, x2) (g(a x)), a != 0.  No word is stored:
-weights and distances are read from the Walsh spectra of the blocks and pairs.
+weights and distances are counted by ``bf.count_values`` from the Walsh
+spectra of the blocks and pairs, and the code holds its packed coset leaders.
 When the codebook is checked to be laid out as one orbit
 (``codebook._layout``), every block a >= 1 has the |W| of block 1 and every
 block pair those of one pair per class, so A_i reads two rows and B_i q - 1
@@ -20,8 +21,8 @@ design-theoretic results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -38,17 +39,31 @@ MAX_DESIGN_LENGTH = 64
 
 @dataclass
 class NonlinearCode:
-    """The 2 K B words t_b + chi + c of a real codebook of B blocks of length K."""
+    """The 2 K B words t_b + chi + c of a real codebook of B blocks of length K,
+    held as one packed coset leader per block (B K / 8 bytes), made about
+    bf.BATCH_VALUES entries at a time: t_b plus the affine function that
+    agrees with it at the origin and every unit vector, built by doubling.
+    The characters are the linear forms of the index bits, so two blocks
+    share a coset exactly when they share a leader."""
 
     codebook: cbk.Codebook
+    _leaders: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.codebook.is_real() or self.codebook.n_blocks == 0:
+        cb = self.codebook
+        if not cb.is_real() or cb.n_blocks == 0:
             raise ValueError("a code needs a real codebook with at least one block")
+        self._leaders = np.empty((cb.n_blocks, (cb.length + 7) // 8), dtype=np.uint8)
+        step = max(1, bf.BATCH_VALUES // cb.length)
+        for lo in range(0, cb.n_blocks, step):
+            t = (cb.re[lo : lo + step] < 0).view(np.uint8)
+            affine = t[:, :1]
+            for i in range(cb.length.bit_length() - 1):
+                affine = np.concatenate([affine, affine ^ t[:, 1 << i, None] ^ t[:, :1]], axis=1)
+            self._leaders[lo : lo + step] = np.packbits(t ^ affine, axis=1)
         # one void key per packed leader: a byte-string sort, not a row sort
-        packed = np.packbits(self._coset_leaders, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        if len(np.unique(keys)) < self.codebook.n_blocks:
+        keys = self._leaders.view(np.dtype((np.void, self._leaders.shape[1]))).ravel()
+        if len(np.unique(keys)) < cb.n_blocks:
             raise ValueError("codewords are not distinct")
 
     @property
@@ -59,18 +74,6 @@ class NonlinearCode:
     def size(self) -> int:
         return 2 * self.codebook.n_blocks * self.length
 
-    @cached_property
-    def _coset_leaders(self) -> np.ndarray:
-        """The word of t_b + RM(1) that is 0 at the origin and at every unit
-        vector: t_b plus the affine function that agrees with it there, built
-        by doubling.  The characters are the linear forms of the index bits,
-        so two blocks share a coset exactly when they share a leader."""
-        t = (self.codebook.re < 0).view(np.uint8)
-        affine = t[:, :1]
-        for i in range(self.length.bit_length() - 1):
-            affine = np.concatenate([affine, affine ^ t[:, 1 << i, None] ^ t[:, :1]], axis=1)
-        return t ^ affine
-
     def is_linear(self) -> bool:
         """Closure of the word set under XOR.
 
@@ -78,7 +81,7 @@ class NonlinearCode:
         words r_b + RM(1) span RM(1) + span(r_b), of 2K 2^rank(r) words, and
         are closed exactly when B = 2^rank(r).
         """
-        rows = (int((r + ord("0")).tobytes(), 2) for r in self._coset_leaders)
+        rows = (int.from_bytes(r.tobytes(), "big") for r in self._leaders)
         return self.codebook.n_blocks == 1 << xor_rank(rows)
 
 
@@ -170,23 +173,17 @@ def _block_spectra(cb: cbk.Codebook, blocks: np.ndarray):
 
 
 def _split(spectra, weight: np.ndarray, v: int) -> np.ndarray:
-    """int64 counts over 0..v of (v -+ |W|)/2 for float batches of W, row r
-    of the scan counted weight[r] times: the weights of t + chi and of its
-    complement, or two distances likewise."""
-    counts = np.zeros(v + 1, dtype=np.int64)
-    lo = 0
+    """int64 counts over 0..v of (v -+ W)/2 for the batches of W, row r of
+    the scan counted weight[r] times by ``bf.count_values``: the weights of
+    t + chi and of its complement, or two distances likewise."""
+    counts, lo = Counter(), 0
     for w in spectra:
-        rows = len(w)
-        # row r's |W| in cells r (v + 1) .. r (v + 1) + v of one bincount
-        cells = np.abs(w, out=w).reshape(rows, -1).astype(np.int64)
-        cells += (v + 1) * np.arange(rows)[:, None]
-        per_row = np.bincount(cells.ravel(), minlength=rows * (v + 1)).reshape(rows, v + 1)
-        counts += weight[lo : lo + rows] @ per_row
-        lo += rows
-    # |W| is even: a sum of v = 2^n signs
+        bf.count_values(counts, w, weight[lo : lo + len(w)])
+        lo += len(w)
     out = np.zeros(v + 1, dtype=np.int64)
-    out[v // 2 :] += counts[::2]
-    out[v // 2 :: -1] += counts[::2]
+    for (value, _), n in counts.items():
+        out[(v - value) // 2] += n
+        out[(v + value) // 2] += n
     return out
 
 

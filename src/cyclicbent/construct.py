@@ -203,17 +203,11 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
     diff = f.table[:half] ^ f.table[half:]
     nu = int(diff[0])
     lin = diff ^ nu
-    # tr(lam . ) has bit pattern dual_index_table()[lam] on the basis points;
-    # invert that bijection from the basis values, then verify everywhere.
-    mask = 0
-    for j in range(ctx.degree):
-        if lin[1 << j]:
-            mask |= 1 << j
-    dual = ctx.dual_index_table()
-    lam_candidates = np.nonzero(dual == mask)[0]
-    if len(lam_candidates) != 1:
-        return None
-    lam = int(lam_candidates[0])
+    # tr(lam . ) has bit pattern dual_index_table()[lam] on the basis points,
+    # a bijection; invert it at the basis values, then verify everywhere
+    basis = 1 << np.arange(ctx.degree)
+    mask = int(lin[basis] @ basis)
+    lam = int(np.flatnonzero(ctx.dual_index_table() == mask)[0])
     tr1 = ctx.trace_table(1)
     if np.array_equal(tr1[ctx.mul_table(lam)], lin.astype(np.int64)):
         return lam, nu

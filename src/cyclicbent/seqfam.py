@@ -21,8 +21,9 @@ and s_0 as a one-block ``Codebook``; the rest follows from the kind, and
 the members are built only on demand (CSV output, the tests) as rows of
 the block.  Every correlation between character members is one Walsh value
 of the shift product V_tau(t) = s_0(t + tau) conj(s_0(t)) placed at y_t, at
-the dual point lam c + lam', so ``full_distribution`` reads the exact
-histogram (CorrDist) off one ``bf.product_spectra`` scan of the block, in
+the dual point lam c + lam', so ``full_distribution`` counts the exact
+histogram (CorrDist) with ``bf.count_values`` off one
+``bf.product_spectra`` scan of the block, in
 place of the S^2 k^2 products of the direct scan (``_scan``, the test
 oracle).  The paper's functions are sums of traces, and tr(y^2) = tr(y), so
 s_0(y^{2^k}) = s_0(y) for some k | d less than d; ``_shift_orbits`` finds
@@ -222,10 +223,6 @@ def semibent_family(g: BoolFun) -> SequenceFamily:
 
 # -- distributions from the stored block ---------------------------------------------
 
-# values per counting step of _count, which bounds its int64 temporaries
-_COUNT_VALUES = 1 << 16
-
-
 def _placed(fam: SequenceFamily) -> np.ndarray:
     """int8 (2, n): Re and Im of s_0 at the points y_t, 0 at the points no sample reaches."""
     y = np.zeros((2, fam.block.length), dtype=np.int8)
@@ -247,33 +244,6 @@ def _shift_spectra(fam: SequenceFamily, real: bool, taus: np.ndarray):
         return win[0, tau][:, at], None if real else win[1, tau][:, at], *y
 
     return bf.product_spectra(len(taus), fam.block.length, real, pairs)
-
-
-def _count(counts: Counter, weight: np.ndarray, re: np.ndarray,
-           im: np.ndarray | None = None) -> None:
-    """Add weight[r] to counts[(a, b)] for each entry of row r at which re
-    reads a and im (0 when None) reads b: integer-valued arrays of one 2-D
-    shape, and one integer weight per row.
-
-    Rows are taken about _COUNT_VALUES values at a time, so no temporary
-    grows with the kernel batch.  Within them re is replaced by the ranks of
-    its distinct values, so the joint bincount has one cell per distinct a
-    and per b in range: never one per pair of possible values.  It sums the
-    weights in float64, exactly: a step adds at most 2^21 weights below
-    2^26 (q times an orbit size of at most d, d <= 20).
-    """
-    step = max(1, _COUNT_VALUES // re.shape[1])
-    for lo in range(0, len(re), step):
-        a = re[lo : lo + step].astype(np.int64)
-        b = 0 if im is None else im[lo : lo + step].astype(np.int64)
-        a_min, b_min = int(a.min()), int(np.min(b))
-        span = int(np.max(b)) - b_min + 1
-        seen = np.bincount((a - a_min).ravel()) > 0
-        cell = (np.cumsum(seen) - 1)[a - a_min] * span + (b - b_min)
-        joint = np.bincount(cell.ravel(), np.repeat(weight[lo : lo + step], a.shape[1]))
-        values = np.flatnonzero(seen) + a_min
-        for c in np.flatnonzero(joint).tolist():
-            counts[(int(values[c // span]), c % span + b_min)] += int(joint[c])
 
 
 def _corr_dist(counts: Counter, size: int, period: int) -> CorrDist:
@@ -324,16 +294,17 @@ def _shift_orbits(fam: SequenceFamily) -> tuple[np.ndarray, np.ndarray]:
 def _count_shifts(fam: SequenceFamily, real: bool, taus: np.ndarray, weight: np.ndarray,
                   groups) -> None:
     """Count the spectra of V_tau, tau in taus, row r with weight[r], in one
-    ``_shift_spectra`` scan: groups are (stop, counts, cols) for runs of
-    consecutive rows, each run ending before row stop, added to counts at
-    the dual columns cols."""
+    ``_shift_spectra`` scan through ``bf.count_values``: groups are (stop,
+    counts, cols) for runs of consecutive rows, each run ending before row
+    stop, added to counts at the dual columns cols, so the interleaved
+    family's four runs share one scan."""
     lo = 0
     for w in _shift_spectra(fam, real, taus):
         start = 0
         for stop, counts, cols in groups:
             a, b = max(start - lo, 0), min(stop - lo, len(w))
             if a < b:
-                _count(counts, weight[lo + a : lo + b], *w[a:b, :, cols].swapaxes(0, 1))
+                bf.count_values(counts, w[a:b], weight[lo + a : lo + b], cols)
             start = stop
         lo += len(w)
 
@@ -358,14 +329,13 @@ def _field_dist(fam: SequenceFamily) -> CorrDist:
     y = _placed(fam)
     (own,) = bf.product_spectra(1, q, real, lambda start, rows: (*y, 1, 0))
     both = np.concatenate([own, own * np.array([1, -1][: own.shape[1]])[:, None]])
-    _count(counts, np.array([k, k]), *both.swapaxes(0, 1))
+    bf.count_values(counts, both, np.array([k, k]))
     inf = fam.inf.astype(np.int32)
     wins = sliding_window_view(np.concatenate([inf, inf]), k)
     step = max(1, bf.BATCH_VALUES // k)
     for lo in range(0, len(taus), step):
         auto = wins[taus[lo : lo + step]] @ inf
-        for v, n in zip(auto.tolist(), sizes[lo : lo + step].tolist()):
-            counts[(v, 0)] += n
+        bf.count_values(counts, auto[:, None, None], sizes[lo : lo + step])
     return _corr_dist(counts, fam.size, k)
 
 

@@ -1,5 +1,6 @@
 """Walsh transform and classification tests against brute-force oracles."""
 
+from collections import Counter
 from functools import cache
 
 import numpy as np
@@ -190,6 +191,33 @@ def test_product_spectra_match_int64_oracle(data):
     got = np.concatenate(batches)
     assert got.dtype == np.float32 and got.shape == (n_rows, parts, length)
     assert np.array_equal(got, wht_inplace(want))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_count_values_matches_a_plain_counter(data):
+    # one and two parts, every column or a strided slice of them, weights up
+    # to 2^25 and step budgets from one value to the default: each
+    # (row, column) entry adds its row's weight once, at (Re, Im) or (Re, 0)
+    rows = data.draw(st.integers(1, 9), label="rows")
+    parts = data.draw(st.integers(1, 2), label="parts")
+    length = data.draw(st.integers(2, 40), label="length")
+    batch = data.draw(hnp.arrays(np.float32, (rows, parts, length),
+                                 elements=st.integers(-70, 70).map(float)), label="batch")
+    weight = data.draw(hnp.arrays(np.int64, rows, elements=st.integers(0, 1 << 25)),
+                       label="weight")
+    cols = data.draw(st.sampled_from([slice(None), slice(1, None, 2), slice(0, 3)]), label="cols")
+    budget = data.draw(st.sampled_from([1, 100, bf._COUNT_VALUES]), label="budget")
+    want = Counter()
+    for r in range(rows):
+        for j in range(length)[cols]:
+            im = int(batch[r, 1, j]) if parts == 2 else 0
+            want[(int(batch[r, 0, j]), im)] += int(weight[r])
+    got = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bf, "_COUNT_VALUES", budget)
+        bf.count_values(got, batch, weight, cols)
+    assert +got == +want
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from cyclicbent import boolfun as bf
 from cyclicbent import cli
 from cyclicbent import codebook as cbk
+from cyclicbent import codes as cd
 from cyclicbent import construct as cn
 from cyclicbent import gf2
 from cyclicbent import linpoly as lp
@@ -422,7 +423,9 @@ def test_importing_the_cli_builds_no_parser():
 def test_public_surface_is_what_the_package_runs():
     # the correlation sum, the test-input builders, the divisor chains, phi_{L,tau}
     # and the semi-bent Walsh histogram live in tests/oracles.py; a MUB set is
-    # the Codebook build_mub returns, and char_bits is the one character table
+    # the Codebook build_mub returns, and char_bits is the one character table;
+    # bf.count_values is the one value counter, and a code keeps only its
+    # packed coset leaders
     import cyclicbent
 
     assert all(hasattr(cyclicbent, name) for name in cyclicbent.__all__)
@@ -431,7 +434,9 @@ def test_public_surface_is_what_the_package_runs():
             (bf, "from_field_bit_fn"), (bf.WalshSpectrum, "value_at"),
             (bf.WalshSpectrum, "distribution"), (sf, "correlate"), (cyclicbent, "MubSet"),
             (cbk, "MubSet"), (gf2.GF2m, "trace_pairing"), (cn, "divisor_chains"),
-            (lp, "phi_l_tau"), (sf, "expected_semibent_walsh_distribution")]
+            (lp, "phi_l_tau"), (sf, "expected_semibent_walsh_distribution"),
+            (cbk.Codebook, "norm_sq"), (sf, "_count"), (sf, "_COUNT_VALUES"),
+            (cd.NonlinearCode, "_coset_leaders")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     # bench/tracer.py wraps these by name
     assert all(hasattr(bf, name) for name in ("scale_compose", "scale_field", "xor", "restrict"))

@@ -683,7 +683,8 @@ def _assert_same_rows(cb, want):
     bases = [cb.basis(i) for i in range(cb.n_blocks + 1)]
     for part in range(2):
         assert np.array_equal(np.concatenate([b[part] for b in bases]), want[part])
-    assert np.array_equal(cb.norm_sq, want[2]) and cb.n_rows == len(want[0])
+    norms = np.repeat([b[2] for b in bases], [len(b[0]) for b in bases])
+    assert np.array_equal(norms, want[2]) and cb.n_rows == len(want[0])
 
 
 @pytest.mark.parametrize("m", [4, 6])

@@ -10,6 +10,8 @@ The design lambdas below were frozen from the exhaustive coverage counts
          at desk scale.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +231,23 @@ def test_is_linear_matches_pairwise_closure_on_hand_built_sets(name):
 def test_is_linear_matches_pairwise_closure_on_stock_codes(stock_codes):
     for code in stock_codes.values():
         assert code.is_linear() == is_linear_by_pairs(packed_words(code))
+
+
+def test_code_holds_only_its_packed_leaders():
+    # at m = 10 the code keeps one bit per leader entry, B K / 8 = 64 KB,
+    # and is_linear reads those rows without keeping anything; a first
+    # build outside the trace pays numpy's lazy imports
+    cb = cbk.build_real_codebook(cn.kerdock_fn(10))
+    cd.NonlinearCode(cb)
+    tracemalloc.start()
+    try:
+        code = cd.NonlinearCode(cb)
+        assert not code.is_linear()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    packed = cb.n_blocks * cb.length // 8
+    assert packed <= held <= packed + 4096
 
 
 def test_code_rejects_duplicate_cosets_and_complex_codebooks():

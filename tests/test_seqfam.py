@@ -459,7 +459,7 @@ def test_spectral_distributions_do_not_depend_on_the_batch_schedule(monkeypatch)
     # or 64 values), with ragged last batches
     for batch in (1, 100, 300):
         monkeypatch.setattr(bf, "BATCH_VALUES", batch)
-        monkeypatch.setattr(sf, "_COUNT_VALUES", batch)
+        monkeypatch.setattr(bf, "_COUNT_VALUES", batch)
         assert [_key(sf.full_distribution(fam)) for fam in fams] == whole
 
 
