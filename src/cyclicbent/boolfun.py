@@ -38,6 +38,7 @@ caller asks for.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -190,6 +191,17 @@ def _hadamard_rows(signs, out=None, work=None) -> np.ndarray:
 BATCH_VALUES = 1 << 18
 
 
+def _aligned_pair(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two uninitialised C-contiguous float32 arrays shaped shape, a batch's
+    rows and the kernel's X H', each on a 64-byte boundary: the kernel's
+    speed moves by a few percent with where the heap puts np.empty buffers."""
+    size = 4 * math.prod(shape)
+    stride = -(-size // 64) * 64
+    raw = np.empty(2 * stride + 64, dtype=np.uint8)
+    at = -raw.ctypes.data % 64
+    return tuple(raw[at + k * stride :][:size].view(np.float32).reshape(shape) for k in (0, 1))
+
+
 def product_spectra(n_rows: int, length: int, real: bool, pairs) -> Iterator[np.ndarray]:
     """Walsh spectra (natural bit order) of x conj(y) for rows 0..n_rows - 1,
     in order, about BATCH_VALUES float32 values at a time.
@@ -206,7 +218,7 @@ def product_spectra(n_rows: int, length: int, real: bool, pairs) -> Iterator[np.
     # the products in int8, then the kernel's input, which the spectra
     # overwrite, and X H' in float32
     prod = np.empty((rows, parts, length), dtype=np.int8)
-    x, work = (np.empty((rows, parts, length), dtype=np.float32) for _ in range(2))
+    x, work = _aligned_pair((rows, parts, length))
     for start in range(0, n_rows, rows):
         r = min(rows, n_rows - start)
         xr, xi, yr, yi = pairs(start, r)
@@ -309,8 +321,8 @@ def walsh_many(signs: np.ndarray, out=None, work=None) -> np.ndarray:
     return _hadamard_rows(signs, out, work)
 
 
-def classify_values(values: np.ndarray, n_vars: int) -> WalshClass:
-    a = np.abs(values)
+def classify(spec: WalshSpectrum) -> WalshClass:
+    a, n_vars = np.abs(spec.values), spec.domain.n_vars
     if n_vars % 2 == 0 and bool(np.all(a == 1 << (n_vars // 2))):
         return WalshClass.BENT
     if n_vars % 2 == 1:
@@ -318,10 +330,6 @@ def classify_values(values: np.ndarray, n_vars: int) -> WalshClass:
         if bool(np.all((a == 0) | (a == peak))):
             return WalshClass.SEMI_BENT
     return WalshClass.NEITHER
-
-
-def classify(spec: WalshSpectrum) -> WalshClass:
-    return classify_values(spec.values, spec.domain.n_vars)
 
 
 def orbit_gather(domain: Domain, table: np.ndarray):

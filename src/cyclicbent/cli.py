@@ -1,10 +1,12 @@
 """Batch command-line front end.
 
-Every subcommand emits a JSON report (stdout or --out); codebooks, MUB
-sets and sequence families can be exported as CSV with --format csv, which
-only those three subcommands take.  Reports embed exact rationals as
-"num/den" strings next to float renderings.  Exit code 0 means every check
-the invocation requested passed.
+Every subcommand returns its JSON report and whether every check the
+invocation requested passed; main alone emits the report (stdout or
+--out) and maps the verdict to the exit code, 0 when it passed.  selftest
+prints its own lines and returns no report.  Codebooks, MUB sets and
+sequence families can be exported as CSV with --format csv, which only
+those three subcommands take.  Reports embed exact rationals as "num/den"
+strings next to float renderings.
 
 main(argv) may be called any number of times in one process (selftest runs
 its checks through it): the argument parser is built on the first call and
@@ -57,8 +59,7 @@ def _parse_ints(flag: str, s: str) -> tuple[int, ...]:
 
 
 def _chain_levels(args) -> tuple[int, ...]:
-    if args.m > cn.REDUCED_MODE_MAX_M:  # past every certifier: reject before chain_fn
-        raise ValueError(f"reduced certification capped at m <= {cn.REDUCED_MODE_MAX_M}")
+    cn.check_reduced_cap(args.m, bent=True)  # past every certifier: reject before chain_fn
     return _parse_ints("--chain", args.chain) if args.chain else (1, args.m - 1)
 
 
@@ -86,16 +87,10 @@ def _eps_vector(args, q: int) -> list[int]:
     return [int(args.eps == "ones")] * (q - 1)
 
 
-def _check_semibent_cap(n: int) -> None:
-    if n > cn.SEMIBENT_REDUCED_MAX_N:  # past every semi-bent certifier
-        raise ValueError(f"reduced semi-bent certification capped at n <= "
-                         f"{cn.SEMIBENT_REDUCED_MAX_N}, got n = {n}")
-
-
 def _semibent_input(args) -> bf.BoolFun:
     if args.n is None:
         raise ValueError("a semi-bent input needs --n")
-    _check_semibent_cap(args.n)  # before building g
+    cn.check_reduced_cap(args.n, bent=False)  # before building g
     ctx = mk_field(args.n)
     if getattr(args, "restrict_bent", False):
         return cn.derive_semibent(cn.kerdock_fn(args.n + 1), getattr(args, "eps_bit", 0))
@@ -131,7 +126,7 @@ def _parse_linpoly(ctx, text: str) -> lp.LinPoly:
 # -- subcommands ---------------------------------------------------------------------
 
 
-def cmd_construct(args) -> int:
+def cmd_construct(args) -> tuple[dict, bool]:
     if args.enumerate_gamma:
         if args.gamma:
             raise ValueError("--enumerate-gamma runs every admissible gamma and takes no --gamma")
@@ -142,22 +137,15 @@ def cmd_construct(args) -> int:
             cert = cn.certify_cyclic_bent(cn.chain_fn(spec), args.mode)
             rows.append({"spec": spec.to_json_obj(), "certificate": cert.to_json_obj()})
         ok = all(row["certificate"]["passed"] for row in rows)
-        _emit({"command": "construct", "chains": rows, "all_passed": ok}, args)
-        return 0 if ok else 1
+        return {"command": "construct", "chains": rows, "all_passed": ok}, ok
     spec = _chain_spec(args)
     f = cn.chain_fn(spec)
     cert = cn.certify_cyclic_bent(f, args.mode)
-    report = {
-        "command": "construct",
-        "spec": spec.to_json_obj(),
-        "certificate": cert.to_json_obj(),
-        "truth_table": json.loads(f.to_json()),
-    }
-    _emit(report, args)
-    return 0 if cert.passed else 1
+    return {"command": "construct", "spec": spec.to_json_obj(), "certificate": cert.to_json_obj(),
+            "truth_table": json.loads(f.to_json())}, cert.passed
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     if args.n is not None:
         g = _semibent_input(args)
         cert = cn.is_cyclic_semibent(g, "full" if args.mode == "full" else "reduced")
@@ -166,17 +154,14 @@ def cmd_verify(args) -> int:
         if args.mode == "auto" and g.n_vars <= cn.SEMIBENT_FULL_MAX_N:
             full = cn.is_cyclic_semibent(g, "full")
             report["full_reduced_agree"] = full.passed == cert.passed
-        _emit(report, args)
-        return 0 if cert.passed and report.get("full_reduced_agree", True) else 1
+        return report, cert.passed and report.get("full_reduced_agree", True)
     spec = _chain_spec(args)
-    f = cn.chain_fn(spec)
-    cert = cn.certify_cyclic_bent(f, args.mode)
-    _emit({"command": "verify", "spec": spec.to_json_obj(),
-           "certificate": cert.to_json_obj()}, args)
-    return 0 if cert.passed else 1
+    cert = cn.certify_cyclic_bent(cn.chain_fn(spec), args.mode)
+    return {"command": "verify", "spec": spec.to_json_obj(),
+            "certificate": cert.to_json_obj()}, cert.passed
 
 
-def cmd_codebook(args) -> int:
+def cmd_codebook(args) -> tuple[dict, bool]:
     if args.kind == "semibent":
         cb = cbk.build_semibent_codebook(_semibent_input(args))
     else:
@@ -186,21 +171,17 @@ def cmd_codebook(args) -> int:
         else:
             cb = cbk.build_mub(f)
     csv = _csv(args, cb.write_csv)
-    rep = cbk.optimality_report(cb, "complex" if args.kind == "complex" else "real")
+    rep = cbk.optimality_report(cb)
     if args.kind == "semibent":
         expected_sq = Fraction(1, 1 << (args.n - 1))  # exact 2^{1-n}
         passed = Fraction(rep["imax_sq"]) == expected_sq
         status = "ALMOST (exact imax_sq = 2^(1-n))" if passed else "UNEXPECTED"
-        report = {"command": "codebook", "kind": "semibent", **rep, "status": status, **csv}
-    else:
-        report = {"command": "codebook", "kind": args.kind,
-                  "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep, **csv}
-        passed = rep["optimal"]
-    _emit(report, args)
-    return 0 if passed else 1
+        return {"command": "codebook", "kind": "semibent", **rep, "status": status, **csv}, passed
+    return {"command": "codebook", "kind": args.kind,
+            "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep, **csv}, rep["optimal"]
 
 
-def cmd_mub(args) -> int:
+def cmd_mub(args) -> tuple[dict, bool]:
     f = cn.chain_fn(_chain_spec(args))
     cb = cbk.build_mub(f)
     csv = _csv(args, cb.write_csv)
@@ -222,11 +203,10 @@ def cmd_mub(args) -> int:
         report["walsh_route_agrees"] = agree
         ok = ok and agree
     report["status"] = "PASS" if ok else "FAIL"
-    _emit(report, args)
-    return 0 if ok else 1
+    return report, ok
 
 
-def cmd_seqfam(args) -> int:
+def cmd_seqfam(args) -> tuple[dict, bool]:
     if args.kind == "semibent":
         fn, size = _semibent_input(args), args.n
     else:
@@ -251,8 +231,7 @@ def cmd_seqfam(args) -> int:
             {"value": sf.format_gaussian(v), "count": c} for v, c in sorted(expected.items())
         ]
     report.update(csv)
-    _emit(report, args)
-    return 0 if passed else 1
+    return report, passed
 
 
 def _code_input(args) -> cd.NonlinearCode:
@@ -261,7 +240,7 @@ def _code_input(args) -> cd.NonlinearCode:
     return cd.build_code_f(cn.chain_fn(_chain_spec(args)))
 
 
-def cmd_code(args) -> int:
+def cmd_code(args) -> tuple[dict, bool]:
     code = _code_input(args)
     expected_weight = (cd.expected_weights_g(args.n) if args.n is not None
                        else cd.expected_weights_f(args.m))
@@ -278,21 +257,18 @@ def cmd_code(args) -> int:
         "closed_form_check": "PASS" if weight_ok else "FAIL",
         "linear": code.is_linear(),
     }
-    _emit(report, args)
-    return 0 if weight_ok and dist_ok else 1
+    return report, weight_ok and dist_ok
 
 
-def cmd_design(args) -> int:
+def cmd_design(args) -> tuple[dict, bool]:
     res = cd.support_design(_code_input(args), args.k, args.t)
-    report = {"command": "design", **res.to_json_obj(),
-              "status": "DESIGN" if res.passed else "NOT A DESIGN"}
-    _emit(report, args)
-    return 0 if res.passed else 1
+    return {"command": "design", **res.to_json_obj(),
+            "status": "DESIGN" if res.passed else "NOT A DESIGN"}, res.passed
 
 
-def cmd_charquad(args) -> int:
+def cmd_charquad(args) -> tuple[dict, bool]:
     if args.walsh_check:
-        _check_semibent_cap(args.m)  # before the tau scans
+        cn.check_reduced_cap(args.m, bent=False)  # before the tau scans
     ctx = mk_field(args.m)
     L = _parse_linpoly(ctx, args.L)
     ok_gcrd, rep_gcrd = lp.is_cyclic_semibent_quadratic(L, path="gcrd")
@@ -312,8 +288,7 @@ def cmd_charquad(args) -> int:
         report["walsh_verdict"] = cert.passed
         agree = agree and (cert.passed == ok_gcrd)
         report["paths_agree"] = agree
-    _emit(report, args)
-    return 0 if agree else 1
+    return report, agree
 
 
 # Each selftest line: its label, and the subcommands it runs through main,
@@ -348,14 +323,15 @@ def _selftest_call(argv: str, want: dict) -> bool:
     return rc == 0 and want.items() <= json.loads(out.getvalue()).items()
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[None, bool]:
+    """Print one line per check; the lines are the report, so there is no JSON."""
     passed = 0
     for label, calls in _SELFTEST:
         ok = all(_selftest_call(argv, want) for argv, want in calls.items())
         passed += ok
         print(f"{'PASS' if ok else 'FAIL'}  {label}")
     print(f"{passed}/{len(_SELFTEST)} selftest checks passed")
-    return 0 if passed == len(_SELFTEST) else 1
+    return None, passed == len(_SELFTEST)
 
 
 # -- argument wiring -----------------------------------------------------------------
@@ -472,7 +448,10 @@ def main(argv=None) -> int:
             raise ValueError(f"--threads must be at least 1, got {args.threads}")
         if getattr(args, "format", "json") == "csv" and not args.out:
             raise ValueError("--format csv needs --out")
-        return args.fn(args)
+        report, passed = args.fn(args)
+        if report is not None:
+            _emit(report, args)
+        return 0 if passed else 1
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

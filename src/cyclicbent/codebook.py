@@ -429,15 +429,11 @@ def build_semibent_codebook(g: BoolFun) -> Codebook:
     return _orbit_codebook(bf.orbit_tables(g, range(1, q)), g.domain)
 
 
-def optimality_report(cb: Codebook, kind: str) -> dict:
-    """Compare imax_sq against the applicable Levenshtein bound, exactly."""
+def optimality_report(cb: Codebook) -> dict:
+    """Compare imax_sq, exactly, against the Levenshtein bound that applies
+    to cb's entries: the real bound when they are real, else the complex one."""
     actual = imax_sq(cb)
-    if kind == "real":
-        bound = levenshtein_real_sq(cb.n_rows, cb.length)
-    elif kind == "complex":
-        bound = levenshtein_complex_sq(cb.n_rows, cb.length)
-    else:
-        raise ValueError(f"unknown bound kind {kind!r}")
+    bound = (levenshtein_real_sq if cb.is_real() else levenshtein_complex_sq)(cb.n_rows, cb.length)
     return {
         "n_rows": cb.n_rows,
         "length": cb.length,

@@ -7,7 +7,9 @@ the coset t_b + RM(1).  C(f) and C(g) are the codes of
 ``build_real_codebook(f)`` and ``build_semibent_codebook(g)``, whose blocks
 are t_0 = 0 and the rows f(a x1, x2) (g(a x)), a != 0.  No word is stored:
 weights and distances are counted by ``bf.count_values`` from the Walsh
-spectra of the blocks and pairs, and the code holds its packed coset leaders.
+spectra of the blocks and pairs, and the code holds its packed coset leaders:
+each block minus its affine part, read by the one doubling kernel
+``gf2.linear_table``.
 When the codebook is checked to be laid out as one orbit
 (``codebook._layout``), every block a >= 1 has the |W| of block 1 and every
 block pair those of one pair per class, so A_i reads two rows and B_i q - 1
@@ -31,7 +33,7 @@ import numpy as np
 from cyclicbent import boolfun as bf
 from cyclicbent import codebook as cbk
 from cyclicbent import construct as cn
-from cyclicbent.gf2 import xor_rank
+from cyclicbent.gf2 import linear_table, xor_rank
 
 # Points of the largest design whose t-subsets are all counted: C(f) at m = 6.
 MAX_DESIGN_LENGTH = 64
@@ -42,7 +44,8 @@ class NonlinearCode:
     """The 2 K B words t_b + chi + c of a real codebook of B blocks of length K,
     held as one packed coset leader per block (B K / 8 bytes), made about
     bf.BATCH_VALUES entries at a time: t_b plus the affine function that
-    agrees with it at the origin and every unit vector, built by doubling.
+    agrees with it at the origin and every unit vector, whose linear part
+    is one batched gf2.linear_table, the package's one doubling kernel.
     The characters are the linear forms of the index bits, so two blocks
     share a coset exactly when they share a leader."""
 
@@ -55,12 +58,12 @@ class NonlinearCode:
             raise ValueError("a code needs a real codebook with at least one block")
         self._leaders = np.empty((cb.n_blocks, (cb.length + 7) // 8), dtype=np.uint8)
         step = max(1, bf.BATCH_VALUES // cb.length)
+        units = 1 << np.arange(cb.length.bit_length() - 1)
         for lo in range(0, cb.n_blocks, step):
             t = (cb.re[lo : lo + step] < 0).view(np.uint8)
-            affine = t[:, :1]
-            for i in range(cb.length.bit_length() - 1):
-                affine = np.concatenate([affine, affine ^ t[:, 1 << i, None] ^ t[:, :1]], axis=1)
-            self._leaders[lo : lo + step] = np.packbits(t ^ affine, axis=1)
+            t0 = t[:, :1]
+            self._leaders[lo : lo + step] = np.packbits(t ^ t0 ^ linear_table(t[:, units] ^ t0),
+                                                        axis=1)
         # one void key per packed leader: a byte-string sort, not a row sort
         keys = self._leaders.view(np.dtype((np.void, self._leaders.shape[1]))).ravel()
         if len(np.unique(keys)) < cb.n_blocks:

@@ -23,13 +23,16 @@ they are, in batches of about bf.BATCH_VALUES = 2^18 values, the engine's
 budget, in two float32 buffers that every batch reuses, and return the
 first sum that is not bent (even m) or semi-bent (odd n).  A batch is
 decided by Parseval's identity in two or three whole-batch reductions, and
-only a failing batch is searched row by row (see _first_failure).  Memory
-is bounded by the batch at every m.  A certifier returns its certificate
-and nothing else: every object built from a certified function is checked
-from what it stores, not from the certifier's spectra.
+only a failing batch is searched row by row (see _first_failure).  The
+reduced scan first decides f itself as a one-row batch of the same test,
+so one rule decides every row a certifier transforms.  Memory is bounded
+by the batch at every m.  A certifier returns its certificate and nothing
+else: every object built from a certified function is checked from what
+it stores, not from the certifier's spectra.
 
 Cost control: full bent mode is O(4^m) Walsh transforms and is capped at
-m <= 8; reduced mode is allowed to m <= 16.
+m <= 8; reduced mode is allowed to m <= 16 (n <= 15 semi-bent), and
+check_reduced_cap, which every caller runs, holds those caps.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclicbent import boolfun as bf
-from cyclicbent.boolfun import BoolFun, Domain, WalshClass
-from cyclicbent.gf2 import GF2m, mk_field
+from cyclicbent.boolfun import BoolFun, Domain
+from cyclicbent.gf2 import GF2m, linear_table, mk_field
 
 FULL_MODE_MAX_M = 8
 REDUCED_MODE_MAX_M = 16
@@ -48,6 +51,16 @@ REDUCED_MODE_MAX_M = 16
 # for the full one
 SEMIBENT_FULL_MAX_N = 9
 SEMIBENT_REDUCED_MAX_N = 15
+
+
+def check_reduced_cap(n_vars: int, bent: bool) -> None:
+    """Raise ValueError past the reduced bent (m) or semi-bent (n) cap, past
+    which no certifier of the kind runs: a caller may check before building."""
+    if bent and n_vars > REDUCED_MODE_MAX_M:
+        raise ValueError(f"reduced certification capped at m <= {REDUCED_MODE_MAX_M}")
+    if not bent and n_vars > SEMIBENT_REDUCED_MAX_N:
+        raise ValueError(f"reduced semi-bent certification capped at n <= "
+                         f"{SEMIBENT_REDUCED_MAX_N}, got n = {n_vars}")
 
 
 class AffineDifferenceError(ValueError):
@@ -203,15 +216,14 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
     diff = f.table[:half] ^ f.table[half:]
     nu = int(diff[0])
     lin = diff ^ nu
-    # tr(lam . ) has bit pattern dual_index_table()[lam] on the basis points,
-    # a bijection; invert it at the basis values, then verify everywhere
+    # lin is tr(lam .) for some lam exactly when it is GF(2)-linear, and
+    # tr(lam .) has bit pattern dual_index_table()[lam] on the basis points,
+    # a bijection
     basis = 1 << np.arange(ctx.degree)
+    if not np.array_equal(linear_table(lin[basis]), lin):
+        return None
     mask = int(lin[basis] @ basis)
-    lam = int(np.flatnonzero(ctx.dual_index_table() == mask)[0])
-    tr1 = ctx.trace_table(1)
-    if np.array_equal(tr1[ctx.mul_table(lam)], lin.astype(np.int64)):
-        return lam, nu
-    return None
+    return int(np.flatnonzero(ctx.dual_index_table() == mask)[0]), nu
 
 
 # -- certifiers --------------------------------------------------------------------
@@ -225,8 +237,8 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int) -> int:
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
     The cases are scanned in order, in batches of about bf.BATCH_VALUES
     values, the engine's budget, and the scan stops at the first batch with
-    a failing row.  Every batch reuses two float32 buffers: the rows, which
-    the spectra overwrite, and X H'.
+    a failing row.  Every batch reuses one aligned pair of float32 buffers
+    (bf._aligned_pair): the rows, which the spectra overwrite, and X H'.
 
     The 0/1 rows t are transformed as they are: H t = 2^{n-1} delta_0 - W/2,
     so with 2^{n-1} taken off column 0 every value is V = -W/2, an integer,
@@ -250,7 +262,7 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int) -> int:
     peak = 1 << (n_vars // 2 - 1 + odd)  # |V| of a bent row, or p
     ones = np.ones(length, dtype=np.float32)
     row_sum = (1 << (2 * n_vars - 2)) // peak
-    spec_buf, work_buf = (np.empty((batch, length), dtype=np.float32) for _ in range(2))
+    spec_buf, work_buf = bf._aligned_pair((batch, length))
     for start in range(0, n_cases, batch):
         stop = min(start + batch, n_cases)
         v, work = spec_buf[: stop - start], work_buf[: stop - start]
@@ -309,12 +321,11 @@ def _certify_full(f: BoolFun) -> CyclicCertificate:
 def _certify_reduced(f: BoolFun) -> CyclicCertificate:
     """Check f, then scan f + f(c .) for c = 2 .. q-1 (case c - 2).  A
     field-times-bit domain is the bent case (witness (1, b, 0)), a plain
-    field the semi-bent case (witness (1, b))."""
-    if f.domain.with_bit:
-        kind, walsh_class, tail = "bent", WalshClass.BENT, (0,)
-    else:
-        kind, walsh_class, tail = "semi-bent", WalshClass.SEMI_BENT, ()
-    if bf.classify(bf.walsh(f)) is not walsh_class:
+    field the semi-bent case (witness (1, b)).  f itself is decided as a
+    one-row batch of the same Parseval test, so one rule decides every row
+    the certifier transforms."""
+    kind, tail = ("bent", (0,)) if f.domain.with_bit else ("semi-bent", ())
+    if _first_failure(1, lambda start, stop: f.table[None], f.n_vars) == 0:
         # f + f(0 .) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
         return CyclicCertificate(kind, "reduced", False, 0, (1, 0) + tail)
 
@@ -355,8 +366,7 @@ def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
     m = f.n_vars
     if m % 2 != 0 or not f.domain.with_bit:
         raise ValueError("cyclic bent functions need even m, on GF(2^{m-1}) x GF(2)")
-    if m > REDUCED_MODE_MAX_M:
-        raise ValueError(f"reduced certification capped at m <= {REDUCED_MODE_MAX_M}")
+    check_reduced_cap(m, bent=True)
     if affine_bit_difference(f) is None:
         raise AffineDifferenceError(
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "
@@ -392,13 +402,14 @@ def is_cyclic_semibent(g: BoolFun, mode: str = "reduced") -> CyclicCertificate:
         raise ValueError("cyclic semi-bent functions live on a plain field domain")
     if g.n_vars % 2 != 1:
         raise ValueError("cyclic semi-bent functions need an odd number of variables")
-    if mode not in ("reduced", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
-    cap = SEMIBENT_REDUCED_MAX_N if mode == "reduced" else SEMIBENT_FULL_MAX_N
-    if g.n_vars > cap:
-        raise ValueError(f"{mode} semi-bent certification capped at n <= {cap}, got n = {g.n_vars}")
     if mode == "reduced":
+        check_reduced_cap(g.n_vars, bent=False)
         return _certify_reduced(g)
+    if mode != "full":
+        raise ValueError(f"unknown mode {mode!r}")
+    if g.n_vars > SEMIBENT_FULL_MAX_N:
+        raise ValueError(f"full semi-bent certification capped at n <= "
+                         f"{SEMIBENT_FULL_MAX_N}, got n = {g.n_vars}")
     return _certify_full(g)
 
 

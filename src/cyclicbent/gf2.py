@@ -18,6 +18,10 @@ inverts through them.  The tables are two int64 arrays of 2^d entries, 16
 MB at d = 20, the largest degree: every certifier of the package stops
 below it (the bent ones at m <= 16, the semi-bent ones at n <= 15, the
 quadratic characterization at m <= 19).
+
+Every table of a GF(2)-linear map (trace, dual index, x -> beta^B x, the
+linear parts that construct tests and codes takes off its coset leaders)
+comes from one batched doubling kernel, ``linear_table``.
 """
 
 from __future__ import annotations
@@ -105,15 +109,18 @@ def orbit_minima(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.bincount(low)[reps]
 
 
-def _linear_table(images: list[int]) -> np.ndarray:
-    """Values over all x of the GF(2)-linear map sending 2^j to images[j].
+def linear_table(images) -> np.ndarray:
+    """Values over all x of the GF(2)-linear map sending 2^j to images[..., j]:
+    one map per leading index, so images shaped (..., d) give a table
+    shaped (..., 2^d), in their dtype (int64 for a list of ints).
 
-    Built by doubling: the values on [2^j, 2^{j+1}) are those on [0, 2^j)
-    plus images[j].
+    Built by doubling in place: the values on [2^j, 2^{j+1}) are those on
+    [0, 2^j) plus images[..., j].
     """
-    t = np.zeros(1, dtype=np.int64)
-    for img in images:
-        t = np.concatenate([t, t ^ img])
+    images = np.asarray(images)
+    t = np.zeros(images.shape[:-1] + (1 << images.shape[-1],), dtype=images.dtype)
+    for j in range(images.shape[-1]):
+        np.bitwise_xor(t[..., : 1 << j], images[..., j, None], out=t[..., 1 << j : 2 << j])
     return t
 
 
@@ -159,10 +166,7 @@ class GF2m:
         self._build_log_tables()
         # Images of the basis 2^j under the absolute-trace bit, packed as a mask:
         # tr(x) = parity(x & trace_mask).
-        self._trace1_mask = 0
-        for j in range(degree):
-            if self._trace_direct(1 << j) == 1:
-                self._trace1_mask |= 1 << j
+        self._trace1_mask = sum(self._trace_direct(1 << j) << j for j in range(degree))
         self._trace_tables: dict[int, np.ndarray] = {}
         self._dual_index = None
         self._log_window = None
@@ -179,7 +183,7 @@ class GF2m:
         for _ in range(1 << -(-self.degree // 2)):
             block.append(self._mul_raw(block[-1], self.generator))
         step = block.pop()  # beta^B
-        times_step = _linear_table([self._mul_raw(step, 1 << j) for j in range(self.degree)])
+        times_step = linear_table([self._mul_raw(step, 1 << j) for j in range(self.degree)])
         blocks = [np.array(block, dtype=np.int64)]
         while len(blocks) * len(block) < order - 1:
             blocks.append(times_step[blocks[-1]])
@@ -278,7 +282,7 @@ class GF2m:
         if r not in self._trace_tables:
             if self.degree % r != 0:
                 raise ValueError(f"subfield degree {r} does not divide {self.degree}")
-            self._trace_tables[r] = _linear_table(
+            self._trace_tables[r] = linear_table(
                 [self._trace_direct(1 << j, r) for j in range(self.degree)])
         return self._trace_tables[r]
 
@@ -331,14 +335,9 @@ class GF2m:
         by the fast Walsh butterfly.
         """
         if self._dual_index is None:
-            imgs = []
-            for j in range(self.degree):
-                mask = 0
-                for i in range(self.degree):
-                    if self.trace(self.mul(1 << j, 1 << i)) == 1:
-                        mask |= 1 << i
-                imgs.append(mask)
-            self._dual_index = _linear_table(imgs)
+            bits = range(self.degree)
+            self._dual_index = linear_table(
+                [sum(self.trace(self.mul(1 << j, 1 << i)) << i for i in bits) for j in bits])
         return self._dual_index
 
     def log_window_tables(self) -> tuple[np.ndarray, np.ndarray]:

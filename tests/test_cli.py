@@ -412,6 +412,20 @@ def test_the_parser_is_built_on_the_first_call_and_reused(capsys, monkeypatch):
     assert added == []
 
 
+@pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND)
+def test_commands_return_their_reports_and_main_emits_them(capsys, argv):
+    args = cli._parser().parse_args(argv.split())
+    report, passed = args.fn(args)
+    out = capsys.readouterr().out
+    assert passed
+    if args.cmd == "selftest":  # its lines are its report
+        assert report is None and out.endswith(" selftest checks passed\n")
+    else:
+        assert out == ""
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == json.dumps(report, indent=2, default=str) + "\n"
+
+
 def test_importing_the_cli_builds_no_parser():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
@@ -436,7 +450,8 @@ def test_public_surface_is_what_the_package_runs():
             (cbk, "MubSet"), (gf2.GF2m, "trace_pairing"), (cn, "divisor_chains"),
             (lp, "phi_l_tau"), (sf, "expected_semibent_walsh_distribution"),
             (cbk.Codebook, "norm_sq"), (sf, "_count"), (sf, "_COUNT_VALUES"),
-            (cd.NonlinearCode, "_coset_leaders")]
+            (cd.NonlinearCode, "_coset_leaders"), (cli, "_check_semibent_cap"),
+            (gf2, "_linear_table"), (bf, "classify_values")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     # bench/tracer.py wraps these by name
     assert all(hasattr(bf, name) for name in ("scale_compose", "scale_field", "xor", "restrict"))

@@ -79,7 +79,7 @@ def test_real_codebook_m4_parameters_and_optimality():
     actual = cbk.imax_sq(cb)
     assert actual == Fraction(1, 16)
     assert actual == cbk.levenshtein_real_sq(144, 16)
-    rep = cbk.optimality_report(cb, "real")
+    rep = cbk.optimality_report(cb)
     assert rep["optimal"] and rep["imax_sq"] == "1/16"
 
 
@@ -195,7 +195,7 @@ def test_complex_codebook_m4():
     assert (cb.n_rows, cb.length) == (72, 8)
     assert cbk.imax_sq(cb) == Fraction(1, 8) == cbk.levenshtein_complex_sq(72, 8)
     assert cb.alphabet_size == 6
-    rep = cbk.optimality_report(cb, "complex")
+    rep = cbk.optimality_report(cb)
     assert rep["optimal"]
 
 
@@ -208,8 +208,19 @@ def test_semibent_codebook_n3():
     actual = cbk.imax_sq(cb)
     assert actual == Fraction(1, 4)  # exact 2^{1-n}, not the bound 17/80
     assert actual / cbk.levenshtein_real_sq(72, 8) == Fraction(20, 17)
-    rep = cbk.optimality_report(cb, "real")
+    rep = cbk.optimality_report(cb)
     assert not rep["optimal"] and rep["ratio_sq"] == "20/17"
+
+
+def test_optimality_report_takes_the_bound_of_the_entries():
+    # real entries are measured against the real Levenshtein bound, the MUB
+    # set's complex ones against the complex bound
+    ctx = mk_field(3)
+    g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
+    for cb, bound in [(cbk.build_real_codebook(kerdock4()), cbk.levenshtein_real_sq),
+                      (cbk.build_mub(kerdock4()), cbk.levenshtein_complex_sq),
+                      (cbk.build_semibent_codebook(g), cbk.levenshtein_real_sq)]:
+        assert cbk.optimality_report(cb)["bound_sq"] == str(bound(cb.n_rows, cb.length))
 
 
 def test_semibent_codebook_rejects_uncertified():

@@ -463,14 +463,19 @@ def test_full_certifier_memory_is_bounded():
 def test_scan_reuses_one_buffer_pair(monkeypatch):
     # every batch of a scan is transformed in the same (rows, X H') pair:
     # the first buffer holds the batch's 0/1 pair sums, and their spectra
-    # overwrite them
+    # overwrite them; both start on a 64-byte boundary, as does every
+    # product_spectra batch
     seen = set()
     walsh_many = bf.walsh_many
 
     def recorded(rows, out=None, work=None):
         assert out is rows
+        assert [a.ctypes.data % 64 for a in (rows, work)] == [0, 0]
         seen.add(tuple(a.__array_interface__["data"][0] for a in (rows, work)))
         return walsh_many(rows, out=out, work=work)
+
+    batch = next(bf.product_spectra(3, 16, False, lambda start, rows: (1, 0, 1, 0)))
+    assert batch.shape == (3, 2, 16) and batch.ctypes.data % 64 == 0
 
     f, late = cn.kerdock_fn(6), _late_failure()  # late fails in its second batch
     expected = cyclic_bent_full_by_cases(late)
@@ -539,6 +544,38 @@ def test_scan_stops_at_its_first_failing_batch(monkeypatch):
         cert = certify(f)
         assert (cert.passed, cert.witness, cert.verified_pairs) == (False, witness, verified)
         assert sum(rows) == (first + 1) * batch
+
+
+@pytest.mark.parametrize("budget", [1, None])
+def test_reduced_certifiers_decide_f_as_a_one_row_batch(monkeypatch, budget):
+    # f itself goes through the scan's Parseval batch test, never through
+    # walsh and classify: one kernel row, witness (1, 0[, 0]), no verified pair
+    if budget is not None:
+        monkeypatch.setattr(bf, "BATCH_VALUES", budget)
+    for name in ("walsh", "classify"):
+        monkeypatch.setattr(bf, name, lambda *a, name=name: pytest.fail(f"called bf.{name}"))
+    rows = []
+    walsh_many = bf.walsh_many
+    monkeypatch.setattr(bf, "walsh_many",
+                        lambda s, **kw: rows.append(len(s)) or walsh_many(s, **kw))
+    kerdock = cn.kerdock_fn(6)
+    table = kerdock.table.copy()
+    # f(5, x2) flipped in both halves: not bent, and the x2-difference stays tr(x1)
+    table[[5, 5 + 32]] ^= 1
+    flipped = bf.BoolFun(kerdock.domain, table)
+
+    def gold(n, i):
+        return lp.quad_form(lp.LinPoly.from_dict(mk_field(n), {i: 1}))
+
+    for f, certify, witness in [
+        (flipped, cn.is_cyclic_bent_reduced, (1, 0, 0)),
+        (gold(9, 3), lambda g: cn.is_cyclic_semibent(g, "reduced"), (1, 0)),  # gcd(3, 9) > 1
+    ]:
+        rows.clear()
+        cert = certify(f)
+        assert (cert.passed, cert.witness, cert.verified_pairs, rows) == (False, witness, 0, [1])
+    assert cn.is_cyclic_bent_reduced(kerdock).passed
+    assert cn.is_cyclic_semibent(gold(9, 1), "reduced").passed
 
 
 # A 0/1 row at n = 5 with |W| in {0, 4, 8}: every |V| = |W|/2 is at most

@@ -15,11 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import construct as cn
-from cyclicbent.gf2 import DEFAULT_MODULUS, MAX_DEGREE, GF2m, is_irreducible, mk_field
+from cyclicbent.gf2 import (
+    DEFAULT_MODULUS, MAX_DEGREE, GF2m, is_irreducible, linear_table, mk_field,
+)
 
 from oracles import (
     dual_index_table_by_points,
     generator_powers_by_pow,
+    linear_table_by_points,
     log_tables_by_loop,
     mul_by_clmul,
     pow_by_squaring,
@@ -261,6 +264,32 @@ def test_linear_tables_match_the_per_point_loops(d):
         assert t.dtype == np.int64 and np.array_equal(t, trace_table_by_points(ctx, r))
     dual = ctx.dual_index_table()
     assert dual.dtype == np.int64 and np.array_equal(dual, dual_index_table_by_points(ctx))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_table_rows_and_the_affine_differences_it_reads(data):
+    # one batched doubling equals the per-row, per-point tables, in the
+    # images' dtype; affine_bit_difference finds (lam, nu) for every
+    # x2-difference tr(lam x1) + nu, and None once one entry is flipped
+    d = data.draw(st.integers(2, 8), label="d")
+    rows = data.draw(st.integers(1, 6), label="rows")
+    images = np.array(data.draw(st.lists(st.lists(st.integers(0, 255), min_size=d, max_size=d),
+                                         min_size=rows, max_size=rows)), dtype=np.int64)
+    table = linear_table(images)
+    assert table.shape == (rows, 1 << d) and table.dtype == np.int64
+    assert [r.tolist() for r in table] == [linear_table_by_points(r).tolist() for r in images]
+    bits = linear_table((images & 1).astype(np.uint8))
+    assert bits.dtype == np.uint8 and np.array_equal(bits, table & 1)
+    ctx = mk_field(d)
+    lam, nu = data.draw(st.integers(0, ctx.order - 1), label="lam"), data.draw(st.integers(0, 1))
+    dom = bf.Domain(ctx, with_bit=True)
+    low = np.array(data.draw(st.lists(st.integers(0, 1), min_size=ctx.order,
+                                      max_size=ctx.order)), dtype=np.uint8)
+    diff = (ctx.trace_table(1)[ctx.mul_table(lam)] ^ nu).astype(np.uint8)
+    assert cn.affine_bit_difference(bf.BoolFun(dom, np.concatenate([low, low ^ diff]))) == (lam, nu)
+    diff[data.draw(st.integers(0, ctx.order - 1), label="flip")] ^= 1
+    assert cn.affine_bit_difference(bf.BoolFun(dom, np.concatenate([low, low ^ diff]))) is None
 
 
 def test_mk_field_caches():
