@@ -229,16 +229,18 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 # -- certifiers --------------------------------------------------------------------
 
 
-def _first_failure(n_cases: int, sum_rows, n_vars: int) -> int:
+def _first_failure(n_cases: int, sum_rows, n_vars: int, lead: int = 0) -> int:
     """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
 
     sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
     one row each.  A row passes when every |W| = 2^{n/2} for even n_vars
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
     The cases are scanned in order, in batches of about bf.BATCH_VALUES
-    values, the engine's budget, and the scan stops at the first batch with
-    a failing row.  Every batch reuses one aligned pair of float32 buffers
-    (bf._aligned_pair): the rows, which the spectra overwrite, and X H'.
+    values, the engine's budget, after the first lead cases (0 or 1) as a
+    batch of their own, and the scan stops at the first batch with a
+    failing row.  Every batch reuses one aligned pair of float32
+    buffers (bf._aligned_pair): the rows, which the spectra overwrite, and
+    X H'.
 
     The 0/1 rows t are transformed as they are: H t = 2^{n-1} delta_0 - W/2,
     so with 2^{n-1} taken off column 0 every value is V = -W/2, an integer,
@@ -257,14 +259,14 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int) -> int:
       of at most 2^{(3n-1)/2}, 2^22 at the n = 15 cap.
     """
     length = 1 << n_vars
-    batch = max(1, min(n_cases, bf.BATCH_VALUES // length))
+    batch = max(1, min(n_cases - lead, bf.BATCH_VALUES // length))
     odd = n_vars % 2
     peak = 1 << (n_vars // 2 - 1 + odd)  # |V| of a bent row, or p
     ones = np.ones(length, dtype=np.float32)
     row_sum = (1 << (2 * n_vars - 2)) // peak
     spec_buf, work_buf = bf._aligned_pair((batch, length))
-    for start in range(0, n_cases, batch):
-        stop = min(start + batch, n_cases)
+    edges = [0] * (lead > 0) + list(range(lead, n_cases, batch)) + [n_cases]
+    for start, stop in zip(edges, edges[1:]):
         v, work = spec_buf[: stop - start], work_buf[: stop - start]
         v[...] = sum_rows(start, stop)
         bf.walsh_many(v, out=v, work=work)
@@ -319,35 +321,39 @@ def _certify_full(f: BoolFun) -> CyclicCertificate:
 
 
 def _certify_reduced(f: BoolFun) -> CyclicCertificate:
-    """Check f, then scan f + f(c .) for c = 2 .. q-1 (case c - 2).  A
+    """Scan f (case 0), then f + f(c .) for c = 2 .. q-1 (case c - 1).  A
     field-times-bit domain is the bent case (witness (1, b, 0)), a plain
     field the semi-bent case (witness (1, b)).  f itself is decided as a
     one-row batch of the same Parseval test, so one rule decides every row
-    the certifier transforms."""
+    the certifier transforms, and a failing f costs one row."""
     kind, tail = ("bent", (0,)) if f.domain.with_bit else ("semi-bent", ())
-    if _first_failure(1, lambda start, stop: f.table[None], f.n_vars) == 0:
-        # f + f(0 .) is EA-equivalent to f, so (a, b) = (1, 0) witnesses it
-        return CyclicCertificate(kind, "reduced", False, 0, (1, 0) + tail)
-
     orbit = bf.orbit_gather(f.domain, f.table)  # f in log order, once for every batch
 
     def sum_rows(start: int, stop: int) -> np.ndarray:
-        rows = orbit(np.arange(start + 2, stop + 2))
+        if start == 0:  # the lead batch
+            return f.table[None]
+        rows = orbit(np.arange(start + 1, stop + 1))
         rows ^= f.table
         return rows
 
     q = f.domain.ctx.order
-    bad = _first_failure(q - 2, sum_rows, f.n_vars)
-    if bad >= 0:
-        return CyclicCertificate(kind, "reduced", False, 1 + bad, (1, bad + 2) + tail)
-    return CyclicCertificate(kind, "reduced", True, q - 1)
+    bad = _first_failure(q - 1, sum_rows, f.n_vars, lead=1)
+    if bad < 0:
+        return CyclicCertificate(kind, "reduced", True, q - 1)
+    # case 0 stands for f + f(0 .), EA-equivalent to f: (a, b) = (1, 0) witnesses it
+    b = bad + 1 if bad else 0
+    return CyclicCertificate(kind, "reduced", False, bad, (1, b) + tail)
+
+
+def _check_bent_domain(f: BoolFun) -> None:
+    if f.n_vars % 2 != 0 or not f.domain.with_bit:
+        raise ValueError("cyclic bent functions need even m, on GF(2^{m-1}) x GF(2)")
 
 
 def is_cyclic_bent_full(f: BoolFun) -> CyclicCertificate:
     """Exhaustive check of f(a x1, x2) + f(b x1, x2+eps) over all ordered a != b, eps."""
+    _check_bent_domain(f)
     m = f.n_vars
-    if m % 2 != 0 or not f.domain.with_bit:
-        raise ValueError("cyclic bent functions need even m, on GF(2^{m-1}) x GF(2)")
     if m > FULL_MODE_MAX_M:
         raise ValueError(
             f"full certification is O(4^m) Walsh transforms; m={m} exceeds the "
@@ -363,10 +369,8 @@ def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
     Raises AffineDifferenceError when f(x1,x2+1)+f(x1,x2) is not of the form
     tr(lam x1) + nu, in which case the reduction does not apply.
     """
-    m = f.n_vars
-    if m % 2 != 0 or not f.domain.with_bit:
-        raise ValueError("cyclic bent functions need even m, on GF(2^{m-1}) x GF(2)")
-    check_reduced_cap(m, bent=True)
+    _check_bent_domain(f)
+    check_reduced_cap(f.n_vars, bent=True)
     if affine_bit_difference(f) is None:
         raise AffineDifferenceError(
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "

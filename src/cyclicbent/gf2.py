@@ -98,15 +98,20 @@ def orbit_minima(perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     elements, ascending, and their sizes.
 
     One pass of O(len(perm)) per power of perm up to its order, so O(N d)
-    for a Frobenius map t -> 2^k t mod N of order d / k.
+    for a Frobenius map t -> 2^k t mod N of order d / k.  The working
+    arrays take perm's dtype, so an int32 perm halves them.
     """
-    start = np.arange(len(perm))
-    low, cur = start.copy(), np.asarray(perm)
+    perm = cur = np.asarray(perm)
+    start = np.arange(len(perm), dtype=perm.dtype)
+    low = start.copy()
     while not np.array_equal(cur, start):
         np.minimum(low, cur, out=low)
         cur = perm[cur]
-    reps = np.flatnonzero(low == start)
-    return reps, np.bincount(low)[reps]
+    del start, cur  # before the int64 counts: at 2^19 entries this sets the peak
+    # low maps every index to the least element of its orbit
+    sizes = np.bincount(low)
+    reps = np.flatnonzero(sizes)
+    return reps, sizes[reps]
 
 
 def linear_table(images) -> np.ndarray:

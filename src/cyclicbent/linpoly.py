@@ -14,8 +14,10 @@ The two routes to kernel dimensions - GF(2)-matrix rank and
 deg gcrd(l, x^m - 1) - are both first class; tests force their agreement.
 The characterization runs each route on a whole batch of phi_{L,tau} at
 once (``phi_kernel_dims``), in integer log/antilog arithmetic on the
-field's tables; ``skew_gcrd``, ``rdivmod`` and ``kernel_dim`` take one
-polynomial at a time, and decide the base condition.
+field's tables, at the least tau of each orbit of tau -> tau^{2^e}, where
+GF(2^e) is the least subfield holding the coefficients of L + L*: the
+kernel dimension is constant on each orbit.  ``skew_gcrd``, ``rdivmod`` and
+``kernel_dim`` take one polynomial at a time, and decide the base condition.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclicbent.boolfun import BoolFun, Domain
-from cyclicbent.gf2 import GF2m, xor_rank
+from cyclicbent.gf2 import GF2m, orbit_minima, xor_rank
 
 
 @dataclass(frozen=True)
@@ -265,9 +267,10 @@ def _field_logs(L: LinPoly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The log and antilog tables of L's field, and the logs of the
     coefficients of L + L* (whose constant level a_0 + a_0 is 0, log -1)."""
     ctx = L.ctx
-    log = ctx.discrete_logs(np.arange(ctx.order))
+    index = np.arange(ctx.order, dtype=np.int32)  # field indices fit int32
+    log = ctx.discrete_logs(index)
     c = log[list(L.add(adjoint(L)).coeffs)]
-    return log, ctx.generator_powers(np.arange(ctx.order - 1)), c
+    return log, ctx.generator_powers(index[:-1]), c
 
 
 def _phi_dims(c: np.ndarray, taus: np.ndarray, path: str, log: np.ndarray,
@@ -299,6 +302,25 @@ def phi_kernel_dims(L: LinPoly, taus, path: str = "gcrd") -> np.ndarray:
     return _phi_dims(c, taus, path, log, exp)
 
 
+def _tau_representatives(base: LinPoly) -> np.ndarray:
+    """The least tau of each orbit of tau -> tau^{2^e} on [2, 2^m), ascending,
+    for the least e | m with every coefficient of base = L + L* in GF(2^e)
+    (e = m, where every tau is its own orbit, when no smaller e works).
+
+    The coefficients c_i (1 + tau^{2^i+1}) of phi_{L,tau^{2^e}} are those of
+    phi_{L,tau} raised to the 2^e-th power, so its kernel is the Frobenius
+    image of phi_{L,tau}'s and has the same dimension: both routes give one
+    answer across an orbit, and the least failing tau is a representative.
+    """
+    ctx = base.ctx
+    m = ctx.degree
+    e = next(e for e in range(1, m + 1)
+             if m % e == 0 and all(ctx.subfield_test(c, e) for c in base.coeffs))
+    # field indices fit int32, which halves orbit_minima's working arrays
+    reps = orbit_minima(ctx.pow_table(1 << e).astype(np.int32))[0]
+    return reps[reps >= 2].astype(np.int32)
+
+
 def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, dict]:
     """Decide whether q(x) = tr(x L(x)) is cyclic semi-bent (m odd, m <= 19).
 
@@ -306,13 +328,13 @@ def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, 
     Condition (2): deg gcrd(phi_{l,tau}, x^m - 1) = 1 for every tau outside GF(2).
     path 'rank' replaces each gcrd degree with the GF(2) kernel dimension of
     the matching linearized polynomial; the two must agree everywhere.
-    Condition (2) is decided _SCAN_TAUS values of tau at a time
-    (phi_kernel_dims), stopping at the first batch with a failure and
-    reporting its smallest tau.
+    Condition (2) holds on whole orbits of tau -> tau^{2^e}
+    (_tau_representatives), so it is decided at the least tau of each orbit,
+    in ascending order, _SCAN_TAUS of them at a time (phi_kernel_dims),
+    stopping at the first batch with a failure and reporting its smallest
+    tau: the smallest failing tau of the whole field.
     """
-    ctx = L.ctx
-    m = ctx.degree
-    if m % 2 == 0:
+    if L.ctx.degree % 2 == 0:
         raise ValueError("the characterization needs odd m")
     if path not in ("gcrd", "rank"):
         raise ValueError(f"unknown path {path!r}")
@@ -322,9 +344,10 @@ def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, 
     report = {"path": path, "base_dim": d0, "tau_failures": []}
     ok = d0 == 1
     if ok:
+        reps = _tau_representatives(base)
         log, exp, c = _field_logs(L)
-        for lo in range(2, ctx.order, _SCAN_TAUS):
-            taus = np.arange(lo, min(lo + _SCAN_TAUS, ctx.order))
+        for lo in range(0, len(reps), _SCAN_TAUS):
+            taus = reps[lo : lo + _SCAN_TAUS]
             dims = _phi_dims(c, taus, path, log, exp)
             bad = np.flatnonzero(dims != 1)
             if len(bad):

@@ -345,8 +345,18 @@ def odd_linpolys(draw):
     return lp.LinPoly(ctx, tuple(draw(coef) for _ in range(ctx.degree)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(L=odd_linpolys(), chunk=st.sampled_from([1, 7, 64, 1 << 12]))
+@st.composite
+def gf8_linpolys(draw):
+    """A linearized polynomial over GF(2^9) whose coefficients are zero or
+    lie in GF(8), so L + L* does too: the scan reads one tau per orbit of
+    tau -> tau^8 (e = 3), or of tau -> tau^2 when they all fall in GF(2)."""
+    ctx = mk_field(9)
+    coef = st.one_of(st.just(0), st.sampled_from(ctx.subfield_elements(3)))
+    return lp.LinPoly(ctx, tuple(draw(coef) for _ in range(ctx.degree)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.one_of(odd_linpolys(), gf8_linpolys()), chunk=st.sampled_from([1, 7, 64, 1 << 12]))
 def test_batched_tau_scan_matches_the_per_tau_routes(L, chunk):
     taus = np.arange(2, L.ctx.order)
     phis = [phi_l_tau(L, int(tau)) for tau in taus]
@@ -355,6 +365,29 @@ def test_batched_tau_scan_matches_the_per_tau_routes(L, chunk):
     with mock.patch.object(lp, "_SCAN_TAUS", chunk):
         for path in ("gcrd", "rank"):
             assert lp.is_cyclic_semibent_quadratic(L, path) == cyclic_semibent_quadratic_by_tau(L, path)
+
+
+@pytest.mark.parametrize("m, terms, decided", [
+    # x^4: L + L* = x^4 + x^{2^{m-2}} lies over GF(2), e = 1, one tau per
+    # orbit of tau -> tau^2: (2^m - 2)/m at prime m, and at m = 15 the
+    # orbits of GF(8) and GF(32) outside GF(2) (2 and 6) plus 32730/15
+    (7, {2: 1}, 18), (11, {2: 1}, 186), (13, {2: 1}, 630), (15, {2: 1}, 2190),
+    # 28 lies in GF(8) but not GF(2), e = 3: the 6 taus of GF(8) outside
+    # GF(2) each alone, and the other 504 in orbits of 3
+    (9, {1: 28}, 174),
+    # 2 = x lies in no proper subfield of GF(2^9), e = 9: every tau
+    (9, {1: 2}, 510),
+])
+def test_tau_scan_decides_one_tau_per_frobenius_orbit(m, terms, decided):
+    # every L here is cyclic semi-bent, so the scan decides every representative
+    L = lp.LinPoly.from_dict(mk_field(m), terms)
+    phi_dims = lp._phi_dims
+    for path in ("gcrd", "rank"):
+        seen = []
+        with mock.patch.object(lp, "_phi_dims",
+                               lambda c, taus, *rest: seen.append(len(taus)) or phi_dims(c, taus, *rest)):
+            assert lp.is_cyclic_semibent_quadratic(L, path)[0]
+        assert sum(seen) == decided
 
 
 @pytest.mark.parametrize("m", [2, 4, 6])
@@ -394,6 +427,26 @@ def test_rank_route_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2046 * 11 * 11 * 8
+
+
+def test_tau_scan_memory_is_bounded_at_m19():
+    # the orbit arrays are int32, and orbit_minima drops its working arrays
+    # before its int64 counts: the scan of x^4 (e = 1) on either route, and
+    # the representatives of an L with e = m (all 2^19 - 2 tau), each stay
+    # near the 32 bytes per field element of the int64 log, antilog and
+    # power tables they read (16 MB)
+    ctx = mk_field(19)
+    gold, dense = lp.LinPoly.from_dict(ctx, {2: 1}), lp.LinPoly.from_dict(ctx, {1: 2})
+    for run in (lambda: lp.is_cyclic_semibent_quadratic(gold, "gcrd")[0],
+                lambda: lp.is_cyclic_semibent_quadratic(gold, "rank")[0],
+                lambda: len(lp._tau_representatives(dense.add(lp.adjoint(dense)))) == ctx.order - 2):
+        tracemalloc.start()
+        try:
+            assert run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33 << 19
 
 
 def test_batched_tau_scan_rejects_bad_input():
