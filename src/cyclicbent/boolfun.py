@@ -332,6 +332,18 @@ def classify(spec: WalshSpectrum) -> WalshClass:
     return WalshClass.NEITHER
 
 
+def log_windows(ctx: GF2m, table: np.ndarray) -> np.ndarray:
+    """The windows of a uint8 table over GF(2^d) (x2 = 0 and, when given,
+    x2 = 1) read in log order: row 2h (2^d - 1) + s is f(beta^{s + k}, h)
+    for k in [0, 2^d - 1), s in [0, 2^d - 1], as one strided view of
+    F[h, k] = f(beta^k, h) over the doubled antilog table."""
+    q = ctx.order
+    antilog, _ = ctx.log_window_tables()
+    ordered = table.reshape(-1, q).take(antilog, axis=1)
+    # row s starts one byte after row s - 1
+    return np.ndarray((ordered.size - q + 2, q - 1), np.uint8, ordered, strides=(1, 1))
+
+
 def orbit_gather(domain: Domain, table: np.ndarray):
     """rows(c, eps=0) -> the uint8 table f read at (c x1, x2 + eps_c)
     (field-times-bit domain) or at c x (plain field, eps = 0), one row per
@@ -343,17 +355,15 @@ def orbit_gather(domain: Domain, table: np.ndarray):
     nonzero c and x, where F[k] = f(beta^k) over the doubled antilog table.
     So the rows of c are the windows of F that start at log c, copied whole,
     and one column permutation x -> log x puts every row in index order;
-    x = 0 and c = 0 read f(0).  F is built here, once per f, so a scan
-    that gathers rows batch by batch shares it.
+    x = 0 and c = 0 read f(0).  F (log_windows) is built here, once per f,
+    so a scan that gathers rows batch by batch shares it.
     """
     ctx = domain.ctx
     q = ctx.order
-    antilog, log = ctx.log_window_tables()
+    _, log = ctx.log_window_tables()
     halves = domain.size // q  # x2 = 0 and x2 = 1, or the field alone
-    width = len(antilog)
-    ordered = table.reshape(halves, q).take(antilog, axis=1)  # row x2: F of that half
-    # windows[s] = ordered.flat[s : s + q - 1], a view: row s starts one byte after row s - 1
-    windows = np.ndarray((ordered.size - q + 2, q - 1), np.uint8, ordered, strides=(1, 1))
+    width = 2 * (q - 1)
+    windows = log_windows(ctx, table)
     at_zero = table[::q]  # f(0, x2) by x2
 
     def rows(c: np.ndarray, eps=0) -> np.ndarray:

@@ -16,23 +16,34 @@ from a certificate that fails on bentness.
 The four certifiers run on two scans, one full and one reduced, each
 serving both kinds: the domain (field-times-bit or plain field) fixes the
 kind, the eps axis and the witness shape.  Both gather their pair sums from
-the orbit rows of f, read in log order (boolfun.orbit_gather); the full
+the orbit rows of f, read in log order (boolfun.log_windows); the full
 scan stores them once as one (q n_eps, N) table and fills each batch from
 at most two slices of it per a.  Both Walsh-transform the 0/1 pair sums as
-they are, in batches of about bf.BATCH_VALUES = 2^18 values, the engine's
-budget, in two float32 buffers that every batch reuses, and return the
-first sum that is not bent (even m) or semi-bent (odd n).  A batch is
-decided by Parseval's identity in two or three whole-batch reductions, and
-only a failing batch is searched row by row (see _first_failure).  The
-reduced scan first decides f itself as a one-row batch of the same test,
-so one rule decides every row a certifier transforms.  Memory is bounded
-by the batch at every m.  A certifier returns its certificate and nothing
-else: every object built from a certified function is checked from what
-it stores, not from the certifier's spectra.
+they are, in batches of bf.BATCH_VALUES / N rows (BATCH_VALUES = 2^18, the
+engine's budget), in two float32 buffers that every batch reuses, and
+return the first sum that is not bent (even m) or semi-bent (odd n).  A
+batch is decided by Parseval's identity in two or three whole-batch
+reductions, and only a failing batch is searched row by row (see
+_first_failure).  The reduced scan first decides f itself as a one-row
+batch of the same test, so one rule decides every row a certifier
+transforms.  Memory is bounded by the batch at every m.  A certifier
+returns its certificate and nothing else: every object built from a
+certified function is checked from what it stores, not from the
+certifier's spectra.
 
-Cost control: full bent mode is O(4^m) Walsh transforms and is capped at
-m <= 8; reduced mode is allowed to m <= 16 (n <= 15 semi-bent), and
-check_reduced_cap, which every caller runs, holds those caps.
+The reduced bent scan transforms rows of half length, 2^{m-1}.  Its
+hypothesis writes f = g(x1) + x2 (tr(lam x1) + nu), so each pair sum is
+G(y) + x2 y_top after a change of variable x1 = d y (see _half_rows), and
+its spectrum is W_G(w) +- W_G(w + top): one transform on m - 1 variables
+decides it, and its row is the XOR of two log-order windows of g.  The full
+scan keeps rows of length 2^m and checks the definition itself, so within
+its cap it is a computationally independent check of the reduced one.
+
+Cost control: the full bent scan transforms 2q(q - 1) rows (q = 2^{m-1}),
+523264 at m = 10, which Kerdock passes in about a second; it is capped at
+m <= 10.  The reduced scan transforms q - 1 rows and is allowed to m <= 16
+(n <= 15 semi-bent); check_reduced_cap, which every caller runs, holds
+those caps.
 """
 
 from __future__ import annotations
@@ -45,10 +56,10 @@ from cyclicbent import boolfun as bf
 from cyclicbent.boolfun import BoolFun, Domain
 from cyclicbent.gf2 import GF2m, linear_table, mk_field
 
-FULL_MODE_MAX_M = 8
+FULL_MODE_MAX_M = 10
 REDUCED_MODE_MAX_M = 16
-# the semi-bent scans grow as 8^n (full) and 4^n (reduced): 1.5 s at n = 9
-# for the full one
+# the semi-bent scans grow as 8^n (full) and 4^n (reduced): 0.25 s at n = 9
+# for the full one, and about 20 s at n = 11
 SEMIBENT_FULL_MAX_N = 9
 SEMIBENT_REDUCED_MAX_N = 15
 
@@ -229,28 +240,36 @@ def affine_bit_difference(f: BoolFun) -> tuple[int, int] | None:
 # -- certifiers --------------------------------------------------------------------
 
 
-def _first_failure(n_cases: int, sum_rows, n_vars: int, lead: int = 0) -> int:
+def _first_failure(n_cases: int, sum_rows, n_vars: int, lead: int = 0,
+                   halved: bool = False) -> int:
     """Smallest case index in [0, n_cases) whose pair sum fails, or -1.
 
     sum_rows(start, stop) returns the 0/1 truth tables of cases [start, stop),
     one row each.  A row passes when every |W| = 2^{n/2} for even n_vars
     (bent), or every |W| is 0 or 2^{(n+1)/2} for odd n_vars (semi-bent).
-    The cases are scanned in order, in batches of about bf.BATCH_VALUES
-    values, the engine's budget, after the first lead cases (0 or 1) as a
-    batch of their own, and the scan stops at the first batch with a
-    failing row.  Every batch reuses one aligned pair of float32
-    buffers (bf._aligned_pair): the rows, which the spectra overwrite, and
-    X H'.
+    With halved (even n_vars), a row has length 2^{n-1} and holds G of the
+    pair sum G(y) + x2 y_top (see _half_rows), which passes when every
+    |W_G(w)| + |W_G(w + top)| <= 2^{n/2}.
+    The cases are scanned in order, in batches of bf.BATCH_VALUES / 2^n
+    rows (halved or not), after the first lead cases (0 or 1) as a batch of
+    their own, and the scan stops at the first batch with a failing row.
+    Every batch reuses one aligned pair of float32 buffers
+    (bf._aligned_pair): the rows, which the spectra overwrite, and X H'.
 
-    The 0/1 rows t are transformed as they are: H t = 2^{n-1} delta_0 - W/2,
-    so with 2^{n-1} taken off column 0 every value is V = -W/2, an integer,
-    and sum_lam V^2 = 4^{n-1} in every row (Parseval).  A batch is decided
-    by whole-batch reductions, and only a failing batch is searched row by
-    row for its first failure:
+    The 0/1 rows t of length 2^k are transformed as they are:
+    H t = 2^{k-1} delta_0 - W/2, so with 2^{k-1} taken off column 0 every
+    value is V = -W/2, an integer, and sum_lam V^2 = 4^{k-1} in every row
+    (Parseval).  A batch is decided by whole-batch reductions, and only a
+    failing batch is searched row by row for its first failure:
 
     * even n: a batch passes iff every |V| <= 2^{n/2-1}, as max V and min V
       show: no |V| can then be smaller, or the squares would sum below
       4^{n-1};
+    * halved, k = n - 1: the spectrum of G(y) + x2 y_top is
+      W_G(w) +- W_G(w + top), whose largest magnitude is |W_G(w)| +
+      |W_G(w + top)|.  So a batch passes iff every |V_lo| + |V_hi| <=
+      2^{n/2-1}, taking the halves of the row: Parseval (2^n values whose
+      squares sum to 4^n) then forces every |W| = 2^{n/2};
     * odd n, p = 2^{(n-1)/2}: a batch passes iff every |V| <= p and every
       row has sum |V| = 4^{n-1}/p, since V^2 <= p |V| with equality exactly
       at |V| in {0, p}.  The max test alone is not enough (some 0/1 rows
@@ -258,8 +277,8 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, lead: int = 0) -> int:
       mat-vec, exact: once every |V| <= p, each partial sum is an integer
       of at most 2^{(3n-1)/2}, 2^22 at the n = 15 cap.
     """
-    length = 1 << n_vars
-    batch = max(1, min(n_cases - lead, bf.BATCH_VALUES // length))
+    length = (1 << n_vars) >> halved
+    batch = max(1, min(n_cases - lead, bf.BATCH_VALUES >> n_vars))
     odd = n_vars % 2
     peak = 1 << (n_vars // 2 - 1 + odd)  # |V| of a bent row, or p
     ones = np.ones(length, dtype=np.float32)
@@ -271,7 +290,14 @@ def _first_failure(n_cases: int, sum_rows, n_vars: int, lead: int = 0) -> int:
         v[...] = sum_rows(start, stop)
         bf.walsh_many(v, out=v, work=work)
         v[:, 0] -= length >> 1
-        if odd:
+        if halved:
+            mag = np.abs(v, out=v)
+            lo, hi = mag[:, : length >> 1], mag[:, length >> 1 :]
+            mag = np.add(lo, hi, out=lo)
+            if mag.max() <= peak:
+                continue
+            ok = mag <= peak
+        elif odd:
             mag = np.abs(v, out=v)
             if mag.max() <= peak and bool(np.all(mag @ ones == row_sum)):
                 continue
@@ -320,24 +346,63 @@ def _certify_full(f: BoolFun) -> CyclicCertificate:
     return CyclicCertificate(kind, "full", False, bad, witness)
 
 
-def _certify_reduced(f: BoolFun) -> CyclicCertificate:
-    """Scan f (case 0), then f + f(c .) for c = 2 .. q-1 (case c - 1).  A
-    field-times-bit domain is the bent case (witness (1, b, 0)), a plain
-    field the semi-bent case (witness (1, b)).  f itself is decided as a
-    one-row batch of the same Parseval test, so one rule decides every row
-    the certifier transforms, and a failing f costs one row."""
-    kind, tail = ("bent", (0,)) if f.domain.with_bit else ("semi-bent", ())
-    orbit = bf.orbit_gather(f.domain, f.table)  # f in log order, once for every batch
+def _half_rows(f: BoolFun, lam: int):
+    """sum_rows of the reduced bent scan, one row of length 2^{m-1} a case.
+
+    With g = f(., 0), f = g(x1) + x2 (tr(lam x1) + nu), so the case of c
+    (c = 0 for f itself, whose sum f + f(0 .) is f up to an affine part;
+    c = k + 1 for case k >= 1) is g(x1) + g(c x1) + x2 tr(lam (1 + c) x1),
+    up to an affine part.  Let theta be the element whose trace form is
+    the top index bit, tr(theta y) = y_top.  Then x1 = d y with
+    d = theta / (lam (1 + c)) turns it into G(y) + x2 y_top, with
+    G(y) = g(d y) + g(c d y) (g(0) for c = 0).  Both terms of G are windows
+    of g in log order, starting at log d and log c + log d: a row is their
+    XOR, put in index order by one column permutation (G(0) = 0).
+    lam is nonzero: with lam = 0, f is not bent (see _certify_reduced).
+    """
+    ctx = f.domain.ctx
+    q = ctx.order
+    _, log = ctx.log_window_tables()
+    windows = bf.log_windows(ctx, f.table[:q])
+    theta = int(np.flatnonzero(ctx.dual_index_table() == q >> 1)[0])
+    log_d0 = int(log[theta]) - int(log[lam])
 
     def sum_rows(start: int, stop: int) -> np.ndarray:
-        if start == 0:  # the lead batch
-            return f.table[None]
-        rows = orbit(np.arange(start + 1, stop + 1))
-        rows ^= f.table
-        return rows
+        c = np.arange(start + 1, stop + 1) if start else np.zeros(1, dtype=np.int64)
+        log_d = (log_d0 - log[c ^ 1]) % (q - 1)
+        rows = windows[log_d]
+        rows ^= windows[(log_d + log[c]) % (q - 1)] if start else f.table[0]
+        out = rows.take(log, axis=1)
+        out[:, 0] = 0
+        return out
 
+    return sum_rows
+
+
+def _certify_reduced(f: BoolFun, lam: int | None = None) -> CyclicCertificate:
+    """Scan f (case 0), then f + f(c .) for c = 2 .. q-1 (case c - 1).  A
+    field-times-bit domain is the bent case (witness (1, b, 0)), whose rows
+    are half length (_half_rows, with lam from affine_bit_difference), a
+    plain field the semi-bent case (witness (1, b)).  f itself is decided
+    as a one-row batch of the same Parseval test, so one rule decides every
+    row the certifier transforms, and a failing f costs one row."""
     q = f.domain.ctx.order
-    bad = _first_failure(q - 1, sum_rows, f.n_vars, lead=1)
+    if f.domain.with_bit:
+        kind, tail = "bent", (0,)
+        # lam = 0: f = g(x1) + nu x2, whose spectrum is 0 at every (u, nu + 1)
+        bad = _first_failure(q - 1, _half_rows(f, lam), f.n_vars, 1, True) if lam else 0
+    else:
+        kind, tail = "semi-bent", ()
+        orbit = bf.orbit_gather(f.domain, f.table)  # f in log order, once for every batch
+
+        def sum_rows(start: int, stop: int) -> np.ndarray:
+            if start == 0:  # the lead batch
+                return f.table[None]
+            rows = orbit(np.arange(start + 1, stop + 1))
+            rows ^= f.table
+            return rows
+
+        bad = _first_failure(q - 1, sum_rows, f.n_vars, lead=1)
     if bad < 0:
         return CyclicCertificate(kind, "reduced", True, q - 1)
     # case 0 stands for f + f(0 .), EA-equivalent to f: (a, b) = (1, 0) witnesses it
@@ -371,12 +436,13 @@ def is_cyclic_bent_reduced(f: BoolFun) -> CyclicCertificate:
     """
     _check_bent_domain(f)
     check_reduced_cap(f.n_vars, bent=True)
-    if affine_bit_difference(f) is None:
+    diff = affine_bit_difference(f)
+    if diff is None:
         raise AffineDifferenceError(
             "f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu; reduced certification "
             "does not apply"
         )
-    return _certify_reduced(f)
+    return _certify_reduced(f, diff[0])
 
 
 def certify_cyclic_bent(f: BoolFun, mode: str = "auto") -> CyclicCertificate:

@@ -204,6 +204,8 @@ class GF2m:
             )
         if self._mul_raw(int(exp[-1]), self.generator) != 1:
             raise ValueError("generator order does not divide 2^d - 1")
+        for t in (exp, log):
+            t.setflags(write=False)
         self._exp = exp
         self._log = log
 
@@ -359,6 +361,11 @@ class GF2m:
                 t.setflags(write=False)
             self._log_window = antilog, log
         return self._log_window
+
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L, E), the field's own read-only tables, not copies: L[x] =
+        log_beta x with L[0] = -1, and E[k] = beta^k for k < 2^d - 1."""
+        return self._log, self._exp
 
     def generator_powers(self, t) -> np.ndarray:
         """beta^t for every integer in t (any shape), read from the antilog table."""

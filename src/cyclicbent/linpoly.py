@@ -23,6 +23,7 @@ kernel dimension is constant on each orbit.  ``skew_gcrd``, ``rdivmod`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,12 @@ class LinPoly:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    @cached_property
+    def _tau_scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """_field_logs and _tau_representatives of L + L*: the set-up of the
+        tau scan, built once per L and shared by both routes."""
+        return *_field_logs(self), _tau_representatives(self.add(adjoint(self)))
 
 
 def adjoint(L: LinPoly) -> LinPoly:
@@ -264,13 +271,11 @@ def _rank_kernel_dims(c_log: np.ndarray, log: np.ndarray, exp: np.ndarray) -> np
 
 
 def _field_logs(L: LinPoly) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The log and antilog tables of L's field, and the logs of the
-    coefficients of L + L* (whose constant level a_0 + a_0 is 0, log -1)."""
-    ctx = L.ctx
-    index = np.arange(ctx.order, dtype=np.int32)  # field indices fit int32
-    log = ctx.discrete_logs(index)
-    c = log[list(L.add(adjoint(L)).coeffs)]
-    return log, ctx.generator_powers(index[:-1]), c
+    """The log and antilog tables of L's field (the field's own, read-only),
+    and the logs of the coefficients of L + L* (whose constant level
+    a_0 + a_0 is 0, log -1)."""
+    log, exp = L.ctx.log_tables()
+    return log, exp, log[list(L.add(adjoint(L)).coeffs)]
 
 
 def _phi_dims(c: np.ndarray, taus: np.ndarray, path: str, log: np.ndarray,
@@ -332,7 +337,9 @@ def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, 
     (_tau_representatives), so it is decided at the least tau of each orbit,
     in ascending order, _SCAN_TAUS of them at a time (phi_kernel_dims),
     stopping at the first batch with a failure and reporting its smallest
-    tau: the smallest failing tau of the whole field.
+    tau: the smallest failing tau of the whole field.  The scan's set-up
+    (L._tau_scan) is built on the first call for L, and a call on the other
+    route reuses it.
     """
     if L.ctx.degree % 2 == 0:
         raise ValueError("the characterization needs odd m")
@@ -344,8 +351,7 @@ def is_cyclic_semibent_quadratic(L: LinPoly, path: str = "gcrd") -> tuple[bool, 
     report = {"path": path, "base_dim": d0, "tau_failures": []}
     ok = d0 == 1
     if ok:
-        reps = _tau_representatives(base)
-        log, exp, c = _field_logs(L)
+        log, exp, c, reps = L._tau_scan
         for lo in range(0, len(reps), _SCAN_TAUS):
             taus = reps[lo : lo + _SCAN_TAUS]
             dims = _phi_dims(c, taus, path, log, exp)

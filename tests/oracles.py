@@ -10,7 +10,8 @@ trace and dual-index tables, the squaring-chain evaluation, elimination
 rank and per-point quadratic form of linearized polynomials, the per-tau
 loop of the quadratic semi-bent characterization, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
-transform), the dense Gram route of the codebook scans (int64 Grams on the
+transform), the reduced bent scan on full-length rows (which shares the
+library's batch test), the dense Gram route of the codebook scans (int64 Grams on the
 materialized rows, masked tiles, every cross-basis Gram of a MUB set), the
 per-cell CSV writer, the sequence-family members as rows of the dense
 basis with their per-symbol CSV writer, the codes as packed uint64 words
@@ -534,6 +535,29 @@ def cyclic_bent_reduced_by_rows(f: BoolFun) -> cn.CyclicCertificate:
     if bad >= 0:
         return cn.CyclicCertificate("bent", "reduced", False, 1 + bad, (1, bad + 2, 0))
     return cn.CyclicCertificate("bent", "reduced", True, q - 1)
+
+
+def cyclic_bent_reduced_by_full_rows(f: BoolFun) -> cn.CyclicCertificate:
+    """The reduced bent scan on rows of length 2^m, with no change of
+    variable: f as a one-row lead batch, then f + f(c .) for c = 2 .. q-1
+    from the log-order orbit rows, through the library's batch test
+    (cn._first_failure)."""
+    if cn.affine_bit_difference(f) is None:
+        raise cn.AffineDifferenceError("f(x1,x2+1)+f(x1,x2) is not tr(lam x1) + nu")
+    orbit = bf.orbit_gather(f.domain, f.table)
+
+    def sum_rows(start: int, stop: int) -> np.ndarray:
+        if start == 0:
+            return f.table[None]
+        rows = orbit(np.arange(start + 1, stop + 1))
+        rows ^= f.table
+        return rows
+
+    q = f.domain.ctx.order
+    bad = cn._first_failure(q - 1, sum_rows, f.n_vars, lead=1)
+    if bad < 0:
+        return cn.CyclicCertificate("bent", "reduced", True, q - 1)
+    return cn.CyclicCertificate("bent", "reduced", False, bad, (1, bad + 1 if bad else 0, 0))
 
 
 def cyclic_semibent_by_cases(g: BoolFun, mode: str) -> cn.CyclicCertificate:

@@ -151,6 +151,16 @@ def test_charquad_both_paths(capsys):
     assert rep["cyclic_semibent"] is False and rep["paths_agree"] is True
 
 
+def test_charquad_builds_one_tau_scan_set_up_for_both_routes(capsys, monkeypatch):
+    built = []
+    for name in ("_tau_representatives", "_field_logs"):
+        fn = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *a, fn=fn, name=name: built.append(name) or fn(*a))
+    code, rep = run_json(capsys, "charquad", "--m", "11", "--L", "x^4")
+    assert code == 0 and rep["paths_agree"] is True
+    assert sorted(built) == ["_field_logs", "_tau_representatives"]
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
@@ -255,6 +265,8 @@ _SEMIBENT_CMDS = ("verify", "codebook --kind semibent", "seqfam --kind semibent"
     ("design --m 8 --k 120 --t 3", 2),
     # dense output past the entry cap, rejected before the scan
     ("codebook --m 12 --format csv --out /dev/null", 2),
+    # full bent certification past its cap, m <= 10
+    ("verify --m 12 --mode full", 2),
     # semi-bent certification past its caps: full n <= 9, reduced n <= 15
     ("verify --n 11 --mode full", 2),
     ("verify --n 17 --mode reduced", 2),
@@ -456,6 +468,8 @@ def test_public_surface_is_what_the_package_runs():
     # bench/tracer.py wraps these by name
     assert all(hasattr(bf, name) for name in ("scale_compose", "scale_field", "xor", "restrict"))
     assert hasattr(cbk, "mub_to_codebook")
+    assert all(hasattr(lp, name) for name in ("is_cyclic_semibent_quadratic", "quad_form",
+                                              "kernel_dim", "rdivmod", "skew_gcrd"))
 
 
 @pytest.mark.parametrize("first, second", [

@@ -20,6 +20,7 @@ from cyclicbent.gf2 import mk_field
 from oracles import (
     bilinear_kernel_dim,
     cyclic_bent_full_by_cases,
+    cyclic_bent_reduced_by_full_rows,
     cyclic_bent_reduced_by_rows,
     cyclic_semibent_by_cases,
     divisor_chains,
@@ -606,27 +607,103 @@ def test_semibent_batches_are_decided_by_their_row_sums(monkeypatch):
 
 @pytest.mark.parametrize("small_batches", [False, True])
 def test_walsh_rows_match_closed_forms(monkeypatch, small_batches):
+    # and every row has the length its scan transforms: 2^{m-1} for the
+    # reduced bent scan, the whole domain for the others
     if small_batches:
         monkeypatch.setattr(bf, "BATCH_VALUES", 100)
-    rows = []
+    rows, lengths = [], set()
     walsh, walsh_many = bf.walsh, bf.walsh_many
     monkeypatch.setattr(bf, "walsh", lambda f: rows.append(1) or walsh(f))
-    monkeypatch.setattr(bf, "walsh_many",
-                        lambda s, **kw: rows.append(len(s)) or walsh_many(s, **kw))
+    monkeypatch.setattr(bf, "walsh_many", lambda s, **kw: rows.append(len(s))
+                        or lengths.add(s.shape[-1]) or walsh_many(s, **kw))
 
     def transformed(certify, *args):
         rows.clear()
+        lengths.clear()
         assert certify(*args).passed
-        return sum(rows)
+        return sum(rows), lengths.pop() if len(lengths) == 1 else lengths
 
     for m in (4, 6):
         q = 1 << (m - 1)
         f = cn.kerdock_fn(m)
-        assert transformed(cn.is_cyclic_bent_reduced, f) == (1 << (m - 1)) - 1
-        assert transformed(cn.is_cyclic_bent_full, f) == 2 * q * (q - 1)
+        assert transformed(cn.is_cyclic_bent_reduced, f) == (q - 1, 1 << (m - 1))
+        assert transformed(cn.is_cyclic_bent_full, f) == (2 * q * (q - 1), 1 << m)
     for n in (3, 5):
         ctx = mk_field(n)
         g = from_field_fn(ctx, lambda x: ctx.trace(ctx.pow(x, 3)))
         q = ctx.order
-        assert transformed(cn.is_cyclic_semibent, g, "reduced") == q - 1
-        assert transformed(cn.is_cyclic_semibent, g, "full") == q * (q - 1)
+        assert transformed(cn.is_cyclic_semibent, g, "reduced") == (q - 1, q)
+        assert transformed(cn.is_cyclic_semibent, g, "full") == (q * (q - 1), q)
+
+
+def _with_difference(g: np.ndarray, lam: int, nu: int) -> bf.BoolFun:
+    """f(x1, x2) = g(x1) + x2 (tr(lam x1) + nu) on GF(2^d) x GF(2), d = log2 len(g):
+    the functions whose x2-difference is (lam, nu)."""
+    ctx = mk_field(len(g).bit_length() - 1)
+    lin = ctx.trace_table(1)[ctx.mul_table(lam)].astype(np.uint8) ^ nu
+    return bf.BoolFun(bf.Domain(ctx, True), np.concatenate([g, g ^ lin]))
+
+
+def _random_g(kind: str, m: int, rng: np.random.Generator) -> np.ndarray:
+    """A uint8 table on GF(2^{m-1}): uniform, a random quadratic (bit
+    products and a linear part), or Kerdock's g, as it is or with one bit
+    flipped."""
+    q = 1 << (m - 1)
+    if kind == "uniform":
+        return rng.integers(0, 2, q, dtype=np.uint8)
+    if kind in ("kerdock", "flipped"):
+        g = cn.kerdock_fn(m).table[:q].copy()
+        g[rng.integers(0, q)] ^= kind == "flipped"
+        return g
+    bits = (np.arange(q)[:, None] >> np.arange(m - 1)) & 1
+    upper = np.triu(rng.integers(0, 2, (m - 1, m - 1)), 1)
+    return (((bits @ upper) * bits).sum(1) + bits @ rng.integers(0, 2, m - 1)).astype(np.uint8) & 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([4, 6, 8]),
+       kind=st.sampled_from(["uniform", "quadratic", "kerdock", "flipped"]),
+       seed=st.integers(0, 2**32 - 1), lam_at=st.floats(0, 1, exclude_max=True),
+       nu=st.integers(0, 1))
+def test_half_length_reduced_scan_matches_the_full_length_scan(m, kind, seed, lam_at, nu):
+    rng = np.random.default_rng(seed)
+    q = 1 << (m - 1)
+    lam = int(lam_at * q)  # 0 included
+    f = _with_difference(_random_g(kind, m, rng), lam, nu)
+    assert cn.affine_bit_difference(f) == (lam, nu)
+    _same(cn.is_cyclic_bent_reduced(f), cyclic_bent_reduced_by_full_rows(f))
+
+
+def test_half_rows_carry_the_spectrum_of_each_pair_sum():
+    # the lemma of the half-length scan, case by case at m = 6: with
+    # G(y) = g(d y) + g(c d y), d = theta / (lam (1 + c)), the |W| of
+    # f + f(c .) are |W_G(w) +- W_G(w + top)| over every w, as multisets
+    m, rng = 6, np.random.default_rng(6)
+    ctx = mk_field(m - 1)
+    q, top = ctx.order, ctx.order >> 1
+    theta = int(np.flatnonzero(ctx.dual_index_table() == top)[0])
+    for g, lam, nu in [(cn.kerdock_fn(m).table[:q], 1, 0),
+                       (rng.integers(0, 2, q, dtype=np.uint8), 7, 1),
+                       (_random_g("quadratic", m, rng), 19, 0)]:
+        f = _with_difference(g, lam, nu)
+        half = cn._half_rows(f, lam)
+        for k in range(q - 1):  # case k: f + f(c .), c = 0 for k = 0, else k + 1
+            c = k + 1 if k else 0
+            d = ctx.div(theta, ctx.mul(lam, 1 ^ c))
+            want = [int(g[ctx.mul(d, y)] ^ g[ctx.mul(c, ctx.mul(d, y))]) for y in range(q)]
+            row = half(k, k + 1)[0]
+            assert row.tolist() == want
+            v = bf.walsh_many(1 - 2 * row[None].astype(np.float32))[0]
+            pairs = np.abs(np.concatenate([v + np.roll(v, top), v - np.roll(v, top)]))
+            w = bf.walsh(bf.BoolFun(f.domain, f.table ^ bf.orbit_tables(f, c))).values
+            assert sorted(pairs.tolist()) == sorted(np.abs(w).tolist())
+
+
+def test_full_and_reduced_certify_kerdock_at_the_full_cap():
+    # the full scan checks the definition itself at m = 10: every a != b, eps
+    f = cn.kerdock_fn(cn.FULL_MODE_MAX_M)
+    assert cn.FULL_MODE_MAX_M == 10
+    assert cn.is_cyclic_bent_full(f) == cn.CyclicCertificate("bent", "full", True, 523264)
+    assert cn.is_cyclic_bent_reduced(f) == cn.CyclicCertificate("bent", "reduced", True, 511)
+    with pytest.raises(ValueError, match="exceeds the cap 10"):
+        cn.is_cyclic_bent_full(cn.kerdock_fn(12))

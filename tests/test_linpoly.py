@@ -430,11 +430,11 @@ def test_rank_route_memory_is_bounded():
 
 
 def test_tau_scan_memory_is_bounded_at_m19():
-    # the orbit arrays are int32, and orbit_minima drops its working arrays
-    # before its int64 counts: the scan of x^4 (e = 1) on either route, and
-    # the representatives of an L with e = m (all 2^19 - 2 tau), each stay
-    # near the 32 bytes per field element of the int64 log, antilog and
-    # power tables they read (16 MB)
+    # the orbit arrays are int32, orbit_minima drops its working arrays
+    # before its int64 counts, and the scan reads the field's own log and
+    # antilog tables: the scan of x^4 (e = 1) on either route, and the
+    # representatives of an L with e = m (all 2^19 - 2 tau), each stay
+    # near the 32 bytes per field element of four int64 tables (16 MB)
     ctx = mk_field(19)
     gold, dense = lp.LinPoly.from_dict(ctx, {2: 1}), lp.LinPoly.from_dict(ctx, {1: 2})
     for run in (lambda: lp.is_cyclic_semibent_quadratic(gold, "gcrd")[0],
