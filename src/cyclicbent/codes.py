@@ -18,7 +18,13 @@ block and every pair of blocks is transformed.
 
 Design checking is direct: every t-subset's coverage is counted over the
 weight-k words and compared; nothing is inferred from general
-design-theoretic results.
+design-theoretic results.  The count walks every (t-1)-subset head in
+lexicographic order: one logical AND of the head's point rows marks the
+words through it, and one float32 mat-vec of the later point rows with that
+mask counts every t-subset head + (p,).  The count stays exact: each partial
+sum is an integer of at most b, the number of weight-k words, and b is at
+most the 2KB words of the code, 2^24 under the builders'
+``codebook.MAX_BLOCK_ENTRIES`` of 2^23, which float32 holds exactly.
 """
 
 from __future__ import annotations
@@ -226,7 +232,15 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     """Exhaustive coverage count: is (points, weight-k supports) a t-design?
 
     Every t-subset of coordinates is counted; the result carries lambda on
-    success or the first deviating t-subset as a witness.
+    success or the first deviating t-subset as a witness.  The b weight-k
+    words are held point-major, a bool table ``cols`` of shape (v, b) and its
+    float32 copy.  Each (t-1)-subset head, in lexicographic order, ANDs its
+    point rows into one reused float32 mask (t = 1 has the empty head, and
+    every word passes through it); the coverage of every head + (p,) with p
+    past the head is then one mat-vec, the point rows from p = start on
+    times the mask.  The mat-vec is exact: every partial sum counts words,
+    an integer of at most b <= 2KB <= 2^24 under the builders' block-entry
+    cap, and float32 holds every integer up to 2^24.
     """
     if not 1 <= t <= k:
         raise ValueError("need 1 <= t <= k")
@@ -246,16 +260,22 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     for c, hit in ((0, wt == k), (1, wt == v - k)):
         blk, lam = np.nonzero(hit)
         words.append((cb.re[blk] < 0) ^ bf.char_bits(dom, lam) ^ c)
-    blocks = np.concatenate(words).astype(bool)
-    b = blocks.shape[0]
+    cols = np.ascontiguousarray(np.concatenate(words).T, dtype=bool)
+    b = cols.shape[1]
     if b == 0:
         raise ValueError(f"no codewords of weight {k}")
+    colsf = cols.astype(np.float32)
+    mask = np.ones(b, dtype=np.float32)
     lam = None
     # each (t-1)-subset head, t = 1 included as the empty head, with the
     # coverage of every t-subset head + (p,) with p past the head
     for head in combinations(range(v), t - 1):
         start = head[-1] + 1 if head else 0
-        cov = blocks[blocks[:, list(head)].all(axis=1), start:].sum(axis=0)
+        if head:
+            np.logical_and(cols[head[0]], cols[head[-1]], out=mask)
+            for p in head[1:-1]:
+                np.logical_and(mask, cols[p], out=mask)
+        cov = colsf[start:] @ mask
         if lam is None:
             lam = int(cov[0])
         off = np.flatnonzero(cov != lam)

@@ -323,7 +323,9 @@ class GF2m:
         q = self.order - 1
         p = np.empty(self.order, dtype=np.int64)
         p[0] = 0
-        p[1:] = self._exp[(self._log[1:] + int(self._log[b])) % q]
+        logs = np.add(self._log[1:], int(self._log[b]))
+        np.remainder(logs, q, out=logs)
+        np.take(self._exp, logs, out=p[1:], mode="clip")
         return p
 
     def pow_table(self, e: int) -> np.ndarray:
@@ -331,7 +333,11 @@ class GF2m:
         q = self.order - 1
         p = np.empty(self.order, dtype=np.int64)
         p[0] = 0 if e != 0 else 1
-        p[1:] = self._exp[(self._log[1:] * (e % q)) % q]
+        # the logs are the one int64 temporary beside p: reduced in place,
+        # and read by np.take unbuffered (mode="clip"; every log is in range)
+        logs = np.multiply(self._log[1:], e % q)
+        np.remainder(logs, q, out=logs)
+        np.take(self._exp, logs, out=p[1:], mode="clip")
         return p
 
     def dual_index_table(self) -> np.ndarray:

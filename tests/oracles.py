@@ -15,7 +15,8 @@ library's batch test), the dense Gram route of the codebook scans (int64 Grams o
 materialized rows, masked tiles, every cross-basis Gram of a MUB set), the
 per-cell CSV writer, the sequence-family members as rows of the dense
 basis with their per-symbol CSV writer, the codes as packed uint64 words
-with the popcount scan of their distributions and the pairwise XOR-closure test of linearity, and
+with the popcount scan of their distributions, the pairwise XOR-closure test of linearity and
+the support design count over every t-subset, and
 the codebook and code builders as per-block and per-label loops (without
 certification).  ``trace_pairing_by_rows`` is the reference of
 ``bf.char_bits``, in block form on field-times-bit domains.  The package
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -718,7 +720,7 @@ def code_g_by_labels(g: BoolFun) -> np.ndarray:
     return np.array(words, dtype=np.uint64)
 
 
-# -- codes as packed words: the popcount scan and the pairwise closure ---------------
+# -- codes as packed words: the popcount scan, the pairwise closure, the designs ------
 
 
 def packed_words(code: cd.NonlinearCode) -> np.ndarray:
@@ -758,3 +760,30 @@ def is_linear_by_pairs(words) -> bool:
         return False
     lst = sorted(ws)
     return all((a ^ b) in ws for i, a in enumerate(lst) for b in lst[i:])
+
+
+def support_design_by_subsets(code: cd.NonlinearCode, k: int, t: int) -> cd.DesignResult:
+    """The support t-design check by its definition on a code of length at
+    most 64: the weight-k words as packed uint64 words, and every t-subset S
+    of the points, in lexicographic order, covered by the words w with
+    w & S = S.  The subsets are counted a chunk at a time, and the count
+    stops at the chunk that holds the first subset whose coverage differs
+    from the first subset's."""
+    v = code.length
+    words = packed_words(code)
+    words = words[np.bitwise_count(words) == k]
+    subsets = combinations(range(v), t)
+    chunk = max(1, (1 << 20) // len(words))
+    lam = None
+    while len(flat := np.fromiter(chain.from_iterable(islice(subsets, chunk)), np.uint64)):
+        points = flat.reshape(-1, t)
+        masks = np.bitwise_or.reduce(np.uint64(1) << points, axis=1)
+        cov = ((words[None, :] & masks[:, None]) == masks[:, None]).sum(axis=1)
+        if lam is None:
+            lam = int(cov[0])
+        off = np.flatnonzero(cov != lam)
+        if len(off):
+            i = int(off[0])
+            subset = tuple(int(p) for p in points[i])
+            return cd.DesignResult(t, v, k, len(words), None, (subset, int(cov[i]), lam))
+    return cd.DesignResult(t, v, k, len(words), lam)

@@ -1,12 +1,15 @@
 """CLI subcommand tests (driven through main() for exit codes and reports)."""
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import cli
@@ -595,3 +598,126 @@ def test_seqfam_certifies_once_and_skips_the_direct_scan(capsys, monkeypatch):
     assert sum(rows) == 7
     assert certs == ["certify_cyclic_bent"]
     assert rep["r_max_sq"] == 36
+
+
+# -- the argv grammar fuzzer -----------------------------------------------------------
+
+# Every flag of the parser (help aside, which test_help_is_usage_text covers)
+# with its well-formed values, small sizes (m <= 6, n <= 5) among them, and
+# its malformed ones: sizes of the wrong parity or range, bad tokens and
+# paths, and None, the flag without its value (a switch's malformed value
+# is a stray token).  --t stays at most 4: the design count has no work cap,
+# and at m = 6 a large t runs for many seconds (--k 28 --t 12 takes about
+# 28 s on a 2-vCPU Xeon VM).
+_FLAG_VALUES = {
+    "--m": (["4", "6"], ["5", "2", "1", "0", "-4", "40", "x", "4.0", "", None]),
+    "--n": (["3", "5", "1"], ["4", "2", "0", "-3", "40", "y", None]),
+    "--chain": (["1,3", "1,5"], ["1,3,9", "1,x", "1,,3", ",", "", "3,1", "1,-1,5", "0", None]),
+    "--gamma": (["1", "0", "1,1"], ["1,,9999", "0x1", "y", "-1", "", None]),
+    "--gold": (["0", "1", "2", "7"], ["-1", "z", None]),
+    "--restrict-bent": ([], ["1"]),
+    "--eps-bit": (["0", "1"], ["2", "x", None]),
+    "--out": (["{tmp}/r.json", "{tmp}/r.csv"], ["{tmp}/no/dir/r.json", "{tmp}", "", None]),
+    "--format": (["json", "csv"], ["xml", None]),
+    "--mode": (["auto", "full", "reduced"], ["half", None]),
+    "--enumerate-gamma": ([], ["1"]),
+    "--threads": (["1", "2"], ["0", "-3", "t", None]),
+    "--kind": (["real", "complex", "semibent", "quaternary", "binary"], ["nope", None]),
+    "--eps": (["zeros", "ones", "random"], ["twos", None]),
+    "--seed": (["0", "7", "-1"], ["s", None]),
+    "--walsh-check": ([], ["1"]),
+    "--table-check": ([], ["1"]),
+    "--k": (["1", "3", "4", "6", "8", "12", "16", "28", "32", "36", "64"], ["0", "-2", "k", None]),
+    "--t": (["1", "2", "3", "4"], ["0", "-1", "t", None]),
+    "--L": (["x^4", "x^2+x^4", "3*x^2+x", "x"],
+            ["x^3", "y^2", "*x", "x^0", "99*x", "+", "", None]),
+}
+
+
+def _subcommand_flags() -> dict[str, set]:
+    """The option strings of each subcommand, read off the parser itself."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {cmd: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for cmd, p in sub.choices.items()}
+
+
+_SUBCOMMAND_NAMES = [argv.split()[0] for argv in _EVERY_SUBCOMMAND]
+
+
+def test_the_fuzzer_draws_every_subcommand_and_flag():
+    flags = _subcommand_flags()
+    assert sorted(flags) == sorted(_SUBCOMMAND_NAMES)
+    assert set().union(*flags.values()) == set(_FLAG_VALUES)
+
+
+# the flags a subcommand needs; every size-taking subcommand also needs --m or --n
+_REQUIRED = {"seqfam": ["--kind"], "design": ["--k", "--t"], "charquad": ["--m", "--L"]}
+# well-formed values that differ by subcommand
+_OWN_VALUES = {("charquad", "--m"): ["3", "5"],
+               ("codebook", "--kind"): ["real", "complex", "semibent"],
+               ("seqfam", "--kind"): ["quaternary", "binary", "semibent"]}
+
+
+@st.composite
+def _argvs(draw, tmp: str) -> list[str]:
+    """A subcommand (now and then a bogus one, or none) with the flags it
+    needs, each dropped one time in ten, up to three more of its own and
+    now and then any other, in any order; one value in ten malformed."""
+    own = _subcommand_flags()
+    cmd = draw(st.sampled_from(_SUBCOMMAND_NAMES + ["nope", None]))
+    pool = sorted(own.get(cmd, ()))
+    needed = list(_REQUIRED.get(cmd, []))
+    if "--n" in pool:
+        needed.append(draw(st.sampled_from(["--m", "--n"])))
+    elif "--m" in pool and "--m" not in needed:
+        needed.append("--m")
+    flags = [f for f in needed if draw(st.integers(0, 9))]
+    if pool:
+        flags += draw(st.lists(st.sampled_from(pool), max_size=3))
+    flags += draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES) + ["--bogus"]), max_size=1))
+    argv = [cmd] if cmd else []
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        good, bad = _FLAG_VALUES.get(flag, ([], ["1"]))
+        good = _OWN_VALUES.get((cmd, flag), good)
+        values = good if draw(st.integers(0, 9)) else bad
+        value = draw(st.sampled_from(values)) if values else None
+        if value is not None:
+            argv.append(value.format(tmp=tmp))
+    return argv
+
+
+def _outcome(argv: list[str]) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz"))
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_every_argv_exits_0_or_1_with_json_or_2_with_one_json_error(fuzz_dir, data):
+    """A traceback fails the property; so does any other exit or output."""
+    argv = data.draw(_argvs(fuzz_dir), label="argv")
+    code, out, err = _outcome(argv)
+    if code == 2:
+        assert out == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert set(json.loads(err)) == {"error"}
+        return
+    assert code in (0, 1) and err == ""
+    if argv[0] == "selftest":  # its lines are its report
+        assert out.endswith(" selftest checks passed\n")
+    elif out.startswith("wrote "):  # the JSON report went to --out
+        with open(out[len("wrote "):].rstrip("\n")) as fh:
+            assert json.load(fh)["command"] == argv[0]
+    else:
+        assert json.loads(out)["command"] == argv[0]

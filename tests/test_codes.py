@@ -30,6 +30,7 @@ from oracles import (
     from_field_fn,
     is_linear_by_pairs,
     packed_words,
+    support_design_by_subsets,
 )
 
 
@@ -189,6 +190,41 @@ def test_distributions_match_popcount_oracle(stock_codes):
     for code in stock_codes.values():
         want = distributions_by_popcount(packed_words(code), code.length)
         assert cd.weight_distance_distributions(code) == want
+
+
+# every nonzero weight k of C(f) at m = 4, 6 and C(g) at n = 3, 5, with
+# t = 1..4 (t <= k): 62 cases, each t = 4 case on 16 and more points fails
+_DESIGN_CASES = [
+    (kind, size, k, t)
+    for kind, size in (("f", 4), ("f", 6), ("g", 3), ("g", 5))
+    for k in sorted((cd.expected_weights_f if kind == "f" else cd.expected_weights_g)(size))
+    for t in range(1, min(k, 4) + 1)
+]
+
+
+@pytest.mark.parametrize("kind, size, k, t", _DESIGN_CASES,
+                         ids=[f"{kind}{size}-k{k}-t{t}" for kind, size, k, t in _DESIGN_CASES])
+def test_support_design_matches_subset_oracle(stock_codes, kind, size, k, t):
+    code = stock_codes[kind, size]
+    got = cd.support_design(code, k, t)
+    want = support_design_by_subsets(code, k, t)
+    assert (got.blocks, got.lam, got.witness) == (want.blocks, want.lam, want.witness)
+
+
+def test_support_design_sweep_covers_the_failing_t4_designs(stock_codes):
+    assert len(_DESIGN_CASES) == 62
+    r = cd.support_design(stock_codes["f", 6], 28, 4)
+    assert (r.blocks, r.lam, r.witness) == (1984, None, ((0, 1, 2, 4), 64, 60))
+    assert r == support_design_by_subsets(stock_codes["f", 6], 28, 4)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_support_design_matches_subset_oracle_on_the_fano_code(t):
+    # the seven lines of test_design_failure_witness, which miss the origin
+    code = _code(bf.Domain(mk_field(3)), np.eye(8, dtype=np.uint8)[:1])
+    got, want = cd.support_design(code, 3, t), support_design_by_subsets(code, 3, t)
+    assert (got.blocks, got.lam, got.witness) == (want.blocks, want.lam, want.witness)
+    assert not want.passed
 
 
 def _hand_built_block_sets():

@@ -8,6 +8,7 @@ Expected values for GF(8) were derived by hand-reduction modulo x^3 + x + 1
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,22 @@ def test_vector_tables_match_scalars():
             pt = ctx.pow_table(e)
             for x in range(ctx.order):
                 assert pt[x] == ctx.pow(x, e)
+
+
+def test_pow_and_mul_tables_hold_one_int64_temporary_at_m19():
+    # the 4 MB table and one int64 array of logs, reduced in place and read
+    # by np.take straight into the table: about 8 MB (two temporaries
+    # beside the table peaked at 12 MB)
+    ctx = mk_field(19)
+    table_bytes = ctx.order * 8
+    for run in (lambda: ctx.pow_table(2), lambda: ctx.mul_table(ctx.generator)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * table_bytes + (64 << 10)
 
 
 def test_trace_pairing_and_generator_powers_match_loops():
