@@ -181,6 +181,24 @@ def cmd_codebook(args) -> tuple[dict, bool]:
             "status": "OPTIMAL" if rep["optimal"] else "NOT OPTIMAL", **rep, **csv}, rep["optimal"]
 
 
+def _dense_gram(cb: cbk.Codebook, a: int, later) -> np.ndarray:
+    """The Grams of basis 1 + a against each basis 1 + a2, a2 in later,
+    stacked (a2, lam, lam'), as one complex128 GEMM b conj(B_later)^T: every
+    partial sum is a Gaussian integer of size at most 2K, so it is exact."""
+    k = cb.length
+    re, im, _ = cb.basis(1 + a)
+    conj = np.empty((len(later) * k, k), dtype=np.complex128)
+    for i, a2 in enumerate(later):
+        re2, im2, _ = cb.basis(1 + a2)
+        conj.real[i * k : (i + 1) * k] = re2
+        conj.imag[i * k : (i + 1) * k] = -im2
+    return ((re + 1j * im) @ conj.T).reshape(k, len(later), k).transpose(1, 0, 2)
+
+
+def _same_gram(gram: np.ndarray, walsh) -> bool:
+    return np.array_equal(gram.real, walsh[0]) and np.array_equal(gram.imag, walsh[1])
+
+
 def cmd_mub(args) -> tuple[dict, bool]:
     f = cn.chain_fn(_chain_spec(args))
     cb = cbk.build_mub(f)
@@ -189,17 +207,17 @@ def cmd_mub(args) -> tuple[dict, bool]:
     ok = rep["complete"] and rep["orthonormal"] and rep["unbiased"]
     report = {"command": "mub", "k": cb.length, **rep, **csv}
     if args.walsh_check:
+        k = cb.length
+        # basis a against all later bases at once, split only past about
+        # bf.BATCH_VALUES Gram entries
+        step = max(1, bf.BATCH_VALUES // (k * k))
         agree = True
-        for a in range(cb.length):
-            re, im, _ = cb.basis(1 + a)
-            b = re + 1j * im
-            for a2 in range(a + 1, cb.length):
-                re2, im2, _ = cb.basis(1 + a2)
-                # basis a times conj(basis a2): every partial sum is a Gaussian
-                # integer of size at most 2K, so the complex128 product is exact
-                gram = b @ (re2 - 1j * im2).T
-                wre, wim = cbk.mub_gram_via_walsh(f, a, a2)
-                agree = agree and np.array_equal(gram.real, wre) and np.array_equal(gram.imag, wim)
+        for a in range(k):
+            for lo in range(a + 1, k, step):
+                later = range(lo, min(k, lo + step))
+                # both stacks live only in this statement, so one batch's are held at a time
+                same = _same_gram(_dense_gram(cb, a, later), cbk.mub_gram_via_walsh(f, a, later))
+                agree = agree and same
         report["walsh_route_agrees"] = agree
         ok = ok and agree
     report["status"] = "PASS" if ok else "FAIL"
@@ -234,14 +252,17 @@ def cmd_seqfam(args) -> tuple[dict, bool]:
     return report, passed
 
 
-def _code_input(args) -> cd.NonlinearCode:
-    if args.n is not None:
-        return cd.build_code_g(_semibent_input(args))
-    return cd.build_code_f(cn.chain_fn(_chain_spec(args)))
+def _code_fn(args) -> bf.BoolFun:
+    """g of --n or f of --m, the function whose code C(g) or C(f) is read."""
+    return _semibent_input(args) if args.n is not None else cn.chain_fn(_chain_spec(args))
+
+
+def _code_of(args, fn: bf.BoolFun) -> cd.NonlinearCode:
+    return (cd.build_code_g if args.n is not None else cd.build_code_f)(fn)
 
 
 def cmd_code(args) -> tuple[dict, bool]:
-    code = _code_input(args)
+    code = _code_of(args, _code_fn(args))
     expected_weight = (cd.expected_weights_g(args.n) if args.n is not None
                        else cd.expected_weights_f(args.m))
     rep = cd.weight_distance_distributions(code)
@@ -261,7 +282,10 @@ def cmd_code(args) -> tuple[dict, bool]:
 
 
 def cmd_design(args) -> tuple[dict, bool]:
-    res = cd.support_design(_code_input(args), args.k, args.t)
+    fn = _code_fn(args)
+    # the caps that need only v, k and t, before the code is built
+    cd.check_design_work(fn.domain.size, args.k, args.t)
+    res = cd.support_design(_code_of(args, fn), args.k, args.t)
     return {"command": "design", **res.to_json_obj(),
             "status": "DESIGN" if res.passed else "NOT A DESIGN"}, res.passed
 

@@ -383,27 +383,36 @@ def verify_mub(cb: Codebook) -> dict:
     }
 
 
-def mub_gram_via_walsh(f: BoolFun, a: int, a2: int):
-    """Cross-basis Gram by the Walsh route: 2 <r, r'> = W_{f0}(lam+lam', 0)
-    + i W_{f1}(lam+lam', 1) with f0 = f(ax,.)+f(a'x,.) and
-    f1 = f(ax,.)+f(a'x,.+1).
+def mub_gram_via_walsh(f: BoolFun, a: int, others):
+    """Cross-basis Grams of block a against the blocks in others by the Walsh
+    route: 2 <r, r'> = W_{f0}(lam+lam', 0) + i W_{f1}(lam+lam', 1) with
+    f0 = f(ax,.)+f(a'x,.) and f1 = f(ax,.)+f(a'x,.+1), for each a' in others.
 
-    Returns exact (re, im) int64 matrices indexed by (lam, lam') for the
-    unnormalized rows; every division by 2 is checked exact.
+    Both sums of every a' are built by one ``bf.orbit_tables`` call and
+    transformed by one ``bf.walsh_many`` call, 2 len(others) rows; each
+    row's columns are read in dual order at lam ^ lam'.  Returns exact (re,
+    im) int64 stacks shaped (len(others), K, K), indexed by (a', lam, lam'),
+    for the unnormalized rows; every division by 2 is checked exact.  The
+    caller bounds len(others) K^2, the entries held.
     """
-    if a == a2:
+    others = np.asarray(others, dtype=np.int64).reshape(-1)
+    if np.any(others == a):
         raise ValueError("walsh route is for distinct bases")
-    fa, fb0, fb1 = bf.orbit_tables(f, [a, a2, a2], [0, 0, 1])
-    w0 = bf.walsh(BoolFun(f.domain, fa ^ fb0))
-    w1 = bf.walsh(BoolFun(f.domain, fa ^ fb1))
+    n = len(others)
+    tables = bf.orbit_tables(f, np.concatenate([[a], others, others]),
+                             np.repeat([0, 0, 1], [1, n, n]))
+    w = bf.walsh_many(1 - 2 * (tables[1:] ^ tables[0]).astype(np.float32))
     k = f.domain.ctx.order
-    lam = np.arange(k)
-    mix = lam[:, None] ^ lam[None, :]
-    re2 = w0.values[mix]  # W at (lam+lam', nu=0)
-    im2 = w1.values[mix + k]  # W at (lam+lam', nu=1)
+    dual = bf._dual_permutation(f.domain)
+    # W at (lam'', nu=0) of the f0 rows and at (lam'', nu=1) of the f1 rows:
+    # every value the Grams read, lam'' = lam + lam'
+    re2 = w[:n, dual[:k]].astype(np.int64)
+    im2 = w[n:, dual[k:]].astype(np.int64)
     if (re2 % 2).any() or (im2 % 2).any():
         raise AssertionError("walsh-route inner products must be even integers")
-    return re2 // 2, im2 // 2
+    lam = np.arange(k)
+    mix = lam[:, None] ^ lam[None, :]
+    return np.take(re2 // 2, mix, axis=1), np.take(im2 // 2, mix, axis=1)
 
 
 # build_mub already returns the codebook; this identity stays only because

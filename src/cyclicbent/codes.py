@@ -43,6 +43,12 @@ from cyclicbent.gf2 import linear_table, xor_rank
 
 # Points of the largest design whose t-subsets are all counted: C(f) at m = 6.
 MAX_DESIGN_LENGTH = 64
+# Work caps of the count, which visits C(v, t - 1) heads (one Python step of a
+# few microseconds each) and multiplies the b words of each head by its later
+# points (a few nanoseconds a head and word): a count at either cap takes a
+# few seconds (see README.md)
+MAX_DESIGN_HEADS = 1 << 18
+MAX_DESIGN_WORK = 1 << 28
 
 
 @dataclass
@@ -228,6 +234,32 @@ def weight_distance_distributions(code: NonlinearCode) -> DistributionReport:
     )
 
 
+def check_design_work(v: int, k: int, t: int, b: int | None = None) -> None:
+    """Raise ValueError unless the count of support_design on v points may
+    run: 1 <= t <= k, v <= MAX_DESIGN_LENGTH, at most MAX_DESIGN_HEADS heads
+    C(v, t - 1) and, once the number b of weight-k words is known, at most
+    MAX_DESIGN_WORK head-words C(v, t - 1) b.  The first three need only v,
+    k and t, so the CLI checks them before the code is built."""
+    if not 1 <= t <= k:
+        raise ValueError("need 1 <= t <= k")
+    if v > MAX_DESIGN_LENGTH:
+        raise ValueError(
+            f"design coverage is counted exhaustively over every t-subset of the "
+            f"points; {v} points exceed the cap of {MAX_DESIGN_LENGTH}"
+        )
+    heads = comb(v, t - 1)
+    if heads > MAX_DESIGN_HEADS:
+        raise ValueError(
+            f"the design count at t = {t} visits C({v}, {t - 1}) = {heads} heads, "
+            f"past the cap of {MAX_DESIGN_HEADS}"
+        )
+    if b is not None and heads * b > MAX_DESIGN_WORK:
+        raise ValueError(
+            f"the design count at t = {t} visits C({v}, {t - 1}) = {heads} heads of "
+            f"{b} words each, {heads * b} head-words past the cap of {MAX_DESIGN_WORK}"
+        )
+
+
 def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     """Exhaustive coverage count: is (points, weight-k supports) a t-design?
 
@@ -240,16 +272,11 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     past the head is then one mat-vec, the point rows from p = start on
     times the mask.  The mat-vec is exact: every partial sum counts words,
     an integer of at most b <= 2KB <= 2^24 under the builders' block-entry
-    cap, and float32 holds every integer up to 2^24.
+    cap, and float32 holds every integer up to 2^24.  Past the caps of
+    check_design_work it raises ValueError, before the first head.
     """
-    if not 1 <= t <= k:
-        raise ValueError("need 1 <= t <= k")
     v = code.length
-    if v > MAX_DESIGN_LENGTH:
-        raise ValueError(
-            f"design coverage is counted exhaustively over every t-subset of the "
-            f"points; {v} points exceed the cap of {MAX_DESIGN_LENGTH}"
-        )
+    check_design_work(v, k, t)
     # the weight-k words, by one Walsh row per block: t_b + chi_lam has
     # weight (v - W(s_b)(lam))/2 and its complement v minus that
     cb = code.codebook
@@ -264,6 +291,7 @@ def support_design(code: NonlinearCode, k: int, t: int) -> DesignResult:
     b = cols.shape[1]
     if b == 0:
         raise ValueError(f"no codewords of weight {k}")
+    check_design_work(v, k, t, b)
     colsf = cols.astype(np.float32)
     mask = np.ones(b, dtype=np.float32)
     lam = None

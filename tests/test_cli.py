@@ -7,9 +7,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclicbent import boolfun as bf
 from cyclicbent import cli
@@ -109,6 +110,78 @@ def test_mub_with_walsh_check(capsys):
     assert code == 0
     assert rep["status"] == "PASS" and rep["walsh_route_agrees"] is True
     assert rep["bases"] == 9
+
+
+def test_mub_walsh_check_fails_on_one_flipped_entry(capsys, monkeypatch):
+    # the dense Gram reads the built codebook and the Walsh route reads f, so
+    # one negated entry of one block vector makes them differ
+    def flipped(f):
+        cb = build(f)
+        cb.re[3, 5] *= -1
+        cb.im[3, 5] *= -1
+        return cb
+
+    build = cbk.build_mub
+    monkeypatch.setattr(cbk, "build_mub", flipped)
+    code, rep = run_json(capsys, "mub", "--m", "4", "--walsh-check")
+    assert code == 1
+    assert rep["walsh_route_agrees"] is False and rep["status"] == "FAIL"
+
+
+@pytest.mark.parametrize("part", [0, 1])
+def test_mub_walsh_check_compares_both_parts(capsys, monkeypatch, part):
+    # one entry off in the real or the imaginary stack of one batch
+    def tampered(f, a, later):
+        stacks = list(route(f, a, later))
+        if a == 2:
+            stacks[part][0, 1, 1] += 1
+        return tuple(stacks)
+
+    route = cbk.mub_gram_via_walsh
+    monkeypatch.setattr(cbk, "mub_gram_via_walsh", tampered)
+    code, rep = run_json(capsys, "mub", "--m", "4", "--walsh-check")
+    assert code == 1
+    assert rep["walsh_route_agrees"] is False and rep["status"] == "FAIL"
+
+
+def _walsh_rows_of(monkeypatch, capsys, *argv) -> int:
+    rows = []
+
+    def counted(signs, *args, **kwargs):
+        rows.append(len(signs))
+        return walsh_many(signs, *args, **kwargs)
+
+    walsh_many = bf.walsh_many
+    with monkeypatch.context() as mp:
+        mp.setattr(bf, "walsh_many", counted)
+        mp.setattr(bf, "walsh", lambda f: pytest.fail("scalar walsh"))
+        code, rep = run_json(capsys, *argv)
+    assert code == 0 and rep["status"] == "PASS"
+    return sum(rows)
+
+
+@pytest.mark.parametrize("m, step", [(4, None), (6, None), (4, 3)])
+def test_mub_walsh_check_transforms_k_times_k_minus_1_rows(capsys, monkeypatch, m, step):
+    # two rows for each of the C(k, 2) basis pairs, beside the certifier's,
+    # in one batch per basis, or in batches of step later bases when
+    # bf.BATCH_VALUES holds only step Grams
+    k = 1 << (m - 1)
+    if step:
+        monkeypatch.setattr(bf, "BATCH_VALUES", step * k * k)
+    batches = []
+
+    def counted(f, a, later):
+        batches.append((a, list(later)))
+        return route(f, a, later)
+
+    route = cbk.mub_gram_via_walsh
+    monkeypatch.setattr(cbk, "mub_gram_via_walsh", counted)
+    plain = _walsh_rows_of(monkeypatch, capsys, "mub", "--m", str(m))
+    checked = _walsh_rows_of(monkeypatch, capsys, "mub", "--m", str(m), "--walsh-check")
+    assert checked - plain == k * (k - 1)
+    step = step or k
+    assert batches == [(a, list(range(lo, min(k, lo + step))))
+                       for a in range(k) for lo in range(a + 1, k, step)]
 
 
 def test_seqfam_quaternary_table_check(capsys):
@@ -340,6 +413,37 @@ def test_sizes_past_every_certifier_exit_before_building(capsys, monkeypatch, ar
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == error
+
+
+@pytest.mark.parametrize("argv", ["design --m 6 --k 28 --t 12", "design --m 6 --k 64 --t 12"])
+def test_design_past_the_head_cap_exits_2_before_building_the_code(capsys, monkeypatch, argv):
+    # the 28 s witness scan and the C(64, 11)-head passing count both stop
+    # at the head count, before certifying f or building C(f)
+    monkeypatch.setattr(cd, "build_code_f", lambda *a: pytest.fail("built the code"))
+    t0 = time.perf_counter()
+    assert main(argv.split()) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "the design count at t = 12 visits C(64, 11) = 743595781824 heads, "
+        f"past the cap of {cd.MAX_DESIGN_HEADS}")
+
+
+def test_design_past_the_work_cap_exits_2_before_the_first_head(capsys, monkeypatch):
+    # 41664 heads of the 1984 weight-28 words: exit 1 at the cap, 2 past it
+    argv = "design --m 6 --k 28 --t 4".split()
+    monkeypatch.setattr(cd, "MAX_DESIGN_WORK", 41664 * 1984)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == [0, 1, 2, 4]
+    monkeypatch.setattr(cd, "MAX_DESIGN_WORK", 41664 * 1984 - 1)
+    monkeypatch.setattr(cd, "combinations", lambda *a: pytest.fail("visited a head"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "the design count at t = 4 visits C(64, 3) = 41664 heads of 1984 words each, "
+        f"{41664 * 1984} head-words past the cap of {41664 * 1984 - 1}")
 
 
 def test_seqfam_csv_past_the_output_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch):
@@ -606,9 +710,10 @@ def test_seqfam_certifies_once_and_skips_the_direct_scan(capsys, monkeypatch):
 # with its well-formed values, small sizes (m <= 6, n <= 5) among them, and
 # its malformed ones: sizes of the wrong parity or range, bad tokens and
 # paths, and None, the flag without its value (a switch's malformed value
-# is a stray token).  --t stays at most 4: the design count has no work cap,
-# and at m = 6 a large t runs for many seconds (--k 28 --t 12 takes about
-# 28 s on a 2-vCPU Xeon VM).
+# is a stray token).  --t runs past 4: the design count's caps stop a large
+# t at its C(v, t - 1) heads before the code is built (--m 6 --k 28 --t 12
+# exits 2 at once, where it used to count for 28 s), and t = 40 lies past
+# most k.
 _FLAG_VALUES = {
     "--m": (["4", "6"], ["5", "2", "1", "0", "-4", "40", "x", "4.0", "", None]),
     "--n": (["3", "5", "1"], ["4", "2", "0", "-3", "40", "y", None]),
@@ -628,7 +733,7 @@ _FLAG_VALUES = {
     "--walsh-check": ([], ["1"]),
     "--table-check": ([], ["1"]),
     "--k": (["1", "3", "4", "6", "8", "12", "16", "28", "32", "36", "64"], ["0", "-2", "k", None]),
-    "--t": (["1", "2", "3", "4"], ["0", "-1", "t", None]),
+    "--t": (["1", "2", "3", "4", "8", "12", "40"], ["0", "-1", "t", None]),
     "--L": (["x^4", "x^2+x^4", "3*x^2+x", "x"],
             ["x^3", "y^2", "*x", "x^0", "99*x", "+", "", None]),
 }
@@ -659,10 +764,11 @@ _OWN_VALUES = {("charquad", "--m"): ["3", "5"],
 
 
 @st.composite
-def _argvs(draw, tmp: str) -> list[str]:
+def _argvs(draw) -> list[str]:
     """A subcommand (now and then a bogus one, or none) with the flags it
     needs, each dropped one time in ten, up to three more of its own and
-    now and then any other, in any order; one value in ten malformed."""
+    now and then any other, in any order; one value in ten malformed.
+    Paths name the directory {tmp}."""
     own = _subcommand_flags()
     cmd = draw(st.sampled_from(_SUBCOMMAND_NAMES + ["nope", None]))
     pool = sorted(own.get(cmd, ()))
@@ -683,7 +789,7 @@ def _argvs(draw, tmp: str) -> list[str]:
         values = good if draw(st.integers(0, 9)) else bad
         value = draw(st.sampled_from(values)) if values else None
         if value is not None:
-            argv.append(value.format(tmp=tmp))
+            argv.append(value)
     return argv
 
 
@@ -702,11 +808,26 @@ def fuzz_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz"))
 
 
-@given(data=st.data())
+# The draw seldom reaches exit 1 (none in 3000 argvs), so the property
+# always runs two known failures: a design count that stops at its first
+# deviating 4-subset and a reduced semi-bent scan that fails on g itself.
+_EXIT_1_ARGVS = ["design --m 6 --k 28 --t 4", "verify --n 9 --gold 3 --mode reduced"]
+
+
+@pytest.mark.parametrize("argv", _EXIT_1_ARGVS)
+def test_the_fuzzer_examples_exit_1_with_json(argv):
+    code, out, err = _outcome(argv.split())
+    assert code == 1 and err == ""
+    assert json.loads(out)["command"] == argv.split()[0]
+
+
+@given(argv=_argvs())
+@example(argv=_EXIT_1_ARGVS[0].split())
+@example(argv=_EXIT_1_ARGVS[1].split())
 @settings(max_examples=400, deadline=None)
-def test_every_argv_exits_0_or_1_with_json_or_2_with_one_json_error(fuzz_dir, data):
+def test_every_argv_exits_0_or_1_with_json_or_2_with_one_json_error(fuzz_dir, argv):
     """A traceback fails the property; so does any other exit or output."""
-    argv = data.draw(_argvs(fuzz_dir), label="argv")
+    argv = [a.format(tmp=fuzz_dir) for a in argv]
     code, out, err = _outcome(argv)
     if code == 2:
         assert out == ""

@@ -126,17 +126,30 @@ def test_mub_entries_are_unit_gaussian():
 
 
 def test_mub_gram_walsh_route_agrees():
-    f = kerdock4()
-    mubs = cbk.build_mub(f)
-    for a in range(8):
-        for a2 in range(8):
-            if a == a2:
-                continue
-            (re, im, _), (re2, im2, _) = mubs.basis(1 + a), mubs.basis(1 + a2)
-            gre, gim = gram_int64(re, im, re2, im2)
-            wre, wim = cbk.mub_gram_via_walsh(f, a, a2)
-            assert np.array_equal(gre, wre)
-            assert np.array_equal(gim, wim)
+    # at m = 4 and 6, one batched call per block against every other block,
+    # earlier ones included, and against a single later block, each Gram
+    # against the int64 dense Gram of its pair
+    for f in (kerdock4(), cn.kerdock_fn(6)):
+        mubs = cbk.build_mub(f)
+        k = mubs.length
+        for a in range(k):
+            others = [a2 for a2 in range(k) if a2 != a]
+            wre, wim = cbk.mub_gram_via_walsh(f, a, others)
+            assert wre.shape == wim.shape == (k - 1, k, k)
+            assert wre.dtype == wim.dtype == np.int64
+            re, im, _ = mubs.basis(1 + a)
+            for i, a2 in enumerate(others):
+                re2, im2, _ = mubs.basis(1 + a2)
+                gre, gim = gram_int64(re, im, re2, im2)
+                assert np.array_equal(gre, wre[i])
+                assert np.array_equal(gim, wim[i])
+            one_re, one_im = cbk.mub_gram_via_walsh(f, a, [others[-1]])
+            assert np.array_equal(one_re[0], wre[-1]) and np.array_equal(one_im[0], wim[-1])
+
+
+def test_mub_gram_walsh_route_rejects_its_own_basis():
+    with pytest.raises(ValueError, match="distinct bases"):
+        cbk.mub_gram_via_walsh(kerdock4(), 2, [1, 2, 3])
 
 
 # -- verify_mub (one imax_sq over the blocks) against the pairwise oracle -------------

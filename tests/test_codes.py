@@ -11,6 +11,7 @@ The design lambdas below were frozen from the exhaustive coverage counts
 """
 
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -216,6 +217,24 @@ def test_support_design_sweep_covers_the_failing_t4_designs(stock_codes):
     r = cd.support_design(stock_codes["f", 6], 28, 4)
     assert (r.blocks, r.lam, r.witness) == (1984, None, ((0, 1, 2, 4), 64, 60))
     assert r == support_design_by_subsets(stock_codes["f", 6], 28, 4)
+
+
+def test_support_design_caps_its_heads_before_the_words_and_its_work_before_the_first_head(
+        stock_codes, monkeypatch):
+    code = stock_codes["f", 6]
+    # the shipped caps admit the t = 4 count of C(64, 3) heads of the 1984
+    # weight-28 words
+    assert comb(64, 3) <= cd.MAX_DESIGN_HEADS and comb(64, 3) * 1984 <= cd.MAX_DESIGN_WORK
+    spectra = cd._block_spectra
+    monkeypatch.setattr(cd, "_block_spectra", lambda *a: pytest.fail("read the words"))
+    for k in (28, 64):
+        with pytest.raises(ValueError, match=r"C\(64, 11\) = 743595781824 heads, past"):
+            cd.support_design(code, k, 12)
+    monkeypatch.setattr(cd, "_block_spectra", spectra)
+    monkeypatch.setattr(cd, "MAX_DESIGN_WORK", 41664 * 1984 - 1)
+    monkeypatch.setattr(cd, "combinations", lambda *a: pytest.fail("visited a head"))
+    with pytest.raises(ValueError, match="41664 heads of 1984 words each"):
+        cd.support_design(code, 28, 4)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
