@@ -47,7 +47,7 @@ from functools import cache
 
 import numpy as np
 
-from cyclicbent.gf2 import GF2m, mk_field
+from cyclicbent.gf2 import GF2m
 
 # float32 holds every integer of size at most 2^24 exactly
 MAX_WALSH_VARS = 24
@@ -128,15 +128,6 @@ class BoolFun:
                 "table_hex": packed.hex(),
             }
         )
-
-    @staticmethod
-    def from_json(s: str) -> "BoolFun":
-        obj = json.loads(s)
-        ctx = mk_field(obj["degree"], obj["modulus"])
-        dom = Domain(ctx, obj["domain"] == "field_x_bit")
-        raw = np.frombuffer(bytes.fromhex(obj["table_hex"]), dtype=np.uint8)
-        table = np.unpackbits(raw, bitorder="little")[: dom.size].astype(np.uint8)
-        return BoolFun(dom, table)
 
 
 @dataclass(frozen=True)

@@ -200,7 +200,12 @@ def _same_gram(gram: np.ndarray, walsh) -> bool:
 
 
 def cmd_mub(args) -> tuple[dict, bool]:
-    f = cn.chain_fn(_chain_spec(args))
+    spec = _chain_spec(args)
+    k = 1 << (args.m - 1)
+    if args.walsh_check and k ** 4 // 2 > cbk.MAX_WALSH_CHECK_ENTRIES:
+        raise ValueError(f"mub --walsh-check at K = {k} builds about K^4/2 = {k ** 4 // 2} "
+                         f"dense Gram entries, past the cap of {cbk.MAX_WALSH_CHECK_ENTRIES}")
+    f = cn.chain_fn(spec)
     cb = cbk.build_mub(f)
     csv = _csv(args, cb.write_csv)
     rep = cbk.verify_mub(cb)
@@ -425,7 +430,7 @@ def _parser() -> _JsonErrorParser:
     p = sub.add_parser("mub", help="build and verify the complete MUB set")
     _add_common(p, with_csv=True)
     p.add_argument("--walsh-check", action="store_true",
-                   help="also verify every cross Gram via the Walsh route")
+                   help="also verify every cross Gram via the Walsh route (m <= 8)")
     p.set_defaults(fn=cmd_mub)
 
     p = sub.add_parser("seqfam", help="build a sequence family and its distribution")

@@ -48,6 +48,10 @@ from cyclicbent.boolfun import BoolFun
 # scan takes well under a second (the scan of every block pair took about a
 # minute).  Sizes past it raise ValueError before anything is certified.
 MAX_BLOCK_ENTRIES = 1 << 23
+# Dense Gram entries (about K^4 / 2, a K x K Gram per pair of the K block
+# bases) of the largest MUB set ``mub --walsh-check`` cross-checks: m = 8,
+# K = 128, about 3.5 s; m = 10 would take about 15 minutes.
+MAX_WALSH_CHECK_ENTRIES = 1 << 27
 # Dense entries (N K) of the largest codebook or MUB set written out in
 # full; the real codebook at m = 10, (2^9 + 1) 2^20 entries, fits.
 MAX_ENTRIES = 1 << 30

@@ -7,7 +7,9 @@ is the routes the library replaced, kept as references: the sequential
 log-table loop, the carry-less multiply and square-and-multiply power that
 the log tables replaced, the per-scalar orbit compositions, the per-point
 trace and dual-index tables, the squaring-chain evaluation, elimination
-rank and per-point quadratic form of linearized polynomials, the per-tau
+rank and per-point quadratic form of linearized polynomials, the scalar
+skew-gcrd kernel dimension (``gcrd_kernel_dim``, with ``assoc`` and
+``x_pow_m_minus_1``), the per-tau
 loop of the quadratic semi-bent characterization, the int64 Walsh
 butterfly, the per-case certifier loops (which share the library's Walsh
 transform), the reduced bent scan on full-length rows (which shares the
@@ -332,15 +334,33 @@ def quad_form_by_points(L) -> BoolFun:
     return from_field_fn(ctx, lambda x: ctx.trace(ctx.mul(x, linpoly_eval_by_squaring(L, x))))
 
 
+def assoc(L) -> lp.SkewPoly:
+    """Associated skew polynomial of a linearized polynomial: a_i x^{2^i} -> a_i x^i."""
+    return lp.SkewPoly.make(L.ctx, L.coeffs)
+
+
+def x_pow_m_minus_1(ctx) -> lp.SkewPoly:
+    """x^m - 1 (= x^m + 1 in characteristic 2); its linearized mate is x^{2^m} + x."""
+    return lp.SkewPoly.make(ctx, [1] + [0] * (ctx.degree - 1) + [1])
+
+
+def gcrd_kernel_dim(L) -> int:
+    """dim ker L computed as deg gcrd(assoc(L), x^m - 1) by one scalar skew gcrd."""
+    if not any(L.coeffs):
+        return L.ctx.degree
+    return lp.skew_gcrd(assoc(L), x_pow_m_minus_1(L.ctx)).degree
+
+
 def phi_l_tau(L: lp.LinPoly, tau: int) -> lp.LinPoly:
-    """phi_{L,tau}(x) = (L+L*)(x) + tau (L+L*)(tau x), for tau outside GF(2).
+    """phi_{L,tau}(x) = (L+L*)(x) + tau (L+L*)(tau x), for tau != 1.
 
     Coefficientwise this is (a_i + a_{m-i}^{2^i}) (1 + tau^{2^i+1}) on x^{2^i}
-    for i >= 1, with zero constant-level coefficient.
+    for i >= 1, with zero constant-level coefficient.  phi_{L,1} = 0, and
+    phi_{L,0} = L + L*, the polynomial of condition (1).
     """
     ctx = L.ctx
-    if tau in (0, 1):
-        raise ValueError("tau must lie outside GF(2)")
+    if tau == 1:
+        raise ValueError("phi_{L,1} is zero")
     m = ctx.degree
     a = L.coeffs
     out = [0]
@@ -353,7 +373,7 @@ def phi_l_tau(L: lp.LinPoly, tau: int) -> lp.LinPoly:
 def cyclic_semibent_quadratic_by_tau(L, path: str = "gcrd") -> tuple[bool, dict]:
     """The gcrd characterization with one scalar skew gcrd (or GF(2) rank)
     of phi_{L,tau} per tau, stopping at the first failing tau."""
-    dim_of = lp.gcrd_kernel_dim if path == "gcrd" else lp.kernel_dim
+    dim_of = gcrd_kernel_dim if path == "gcrd" else lp.kernel_dim
     ctx = L.ctx
     d0 = dim_of(L.add(lp.adjoint(L)))
     report = {"path": path, "base_dim": d0, "tau_failures": []}

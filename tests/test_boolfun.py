@@ -1,5 +1,6 @@
 """Walsh transform and classification tests against brute-force oracles."""
 
+import json
 from collections import Counter
 from functools import cache
 
@@ -386,10 +387,12 @@ def test_xor_and_restrict():
         bf.xor(K, tr_cube(ctx))
 
 
-def test_json_roundtrip():
-    ctx = mk_field(4)
-    dom = bf.Domain(ctx, with_bit=True)
-    rng = np.random.default_rng(1)
-    f = bf.BoolFun(dom, rng.integers(0, 2, dom.size).astype(np.uint8))
-    g = bf.BoolFun.from_json(f.to_json())
-    assert g == f
+def test_to_json_packs_the_truth_table_little_endian():
+    # construct emits this form; bit i of the hex bytes is table[i]
+    dom = bf.Domain(mk_field(4), with_bit=True)
+    f = bf.BoolFun(dom, np.random.default_rng(1).integers(0, 2, dom.size).astype(np.uint8))
+    obj = json.loads(f.to_json())
+    assert {k: obj[k] for k in ("n", "domain", "degree", "modulus")} == {
+        "n": 5, "domain": dom.tag(), "degree": 4, "modulus": dom.ctx.modulus}
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(obj["table_hex"]), np.uint8), bitorder="little")
+    assert np.array_equal(bits, f.table)

@@ -237,6 +237,22 @@ def test_charquad_builds_one_tau_scan_set_up_for_both_routes(capsys, monkeypatch
     assert sorted(built) == ["_field_logs", "_tau_representatives"]
 
 
+def test_charquad_calls_no_scalar_skew_or_rank_routine(capsys, monkeypatch):
+    # condition (1) is the tau = 0 row of the batched kernels, so the scalar
+    # routes that stay in linpoly (as oracles, and for bench/tracer.py) are
+    # on no path of charquad
+    argvs = ["charquad --m 11 --L x^4", "charquad --m 9 --L x^8 --walsh-check"]
+    alone = [_call(capsys, argv) for argv in argvs]
+    for owner, name in ((lp, "skew_gcrd"), (lp, "rdivmod"), (lp, "kernel_dim"),
+                        (lp.LinPoly, "evaluate")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    assert [_call(capsys, argv) for argv in argvs] == alone
+    assert [code for code, _, _ in alone] == [0, 0]
+    base = [{p: json.loads(out)[p]["base_dim"] for p in ("gcrd_path", "rank_path")}
+            for _, out, _ in alone]
+    assert base == [{"gcrd_path": 1, "rank_path": 1}, {"gcrd_path": 3, "rank_path": 3}]
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
@@ -446,6 +462,32 @@ def test_design_past_the_work_cap_exits_2_before_the_first_head(capsys, monkeypa
         f"{41664 * 1984} head-words past the cap of {41664 * 1984 - 1}")
 
 
+def test_mub_walsh_check_past_its_cap_exits_2_before_building(capsys, monkeypatch):
+    # the dense Grams of mub --m 10 --walsh-check would take about 15 min
+    for mod, name in ((cn, "chain_fn"), (cbk, "build_mub")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    t0 = time.perf_counter()
+    assert main("mub --m 10 --walsh-check".split()) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == (
+        "mub --walsh-check at K = 512 builds about K^4/2 = 34359738368 dense Gram entries, "
+        f"past the cap of {cbk.MAX_WALSH_CHECK_ENTRIES}")
+
+
+def test_mub_walsh_check_cap_is_k4_over_2_entries(capsys, monkeypatch):
+    # m = 8 (K = 128) is the largest size under the cap; at m = 6, K^4/2 = 2^19
+    assert cbk.MAX_WALSH_CHECK_ENTRIES == 128 ** 4 // 2
+    monkeypatch.setattr(cbk, "MAX_WALSH_CHECK_ENTRIES", 1 << 19)
+    code, rep = run_json(capsys, "mub", "--m", "6", "--walsh-check")
+    assert code == 0 and rep["walsh_route_agrees"] is True and rep["status"] == "PASS"
+    monkeypatch.setattr(cbk, "MAX_WALSH_CHECK_ENTRIES", (1 << 19) - 1)
+    assert main("mub --m 6 --walsh-check".split()) == 2
+    assert "past the cap of 524287" in json.loads(capsys.readouterr().err)["error"]
+    assert main("mub --m 6".split()) == 0  # the cap reads --walsh-check only
+
+
 def test_seqfam_csv_past_the_output_cap_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cbk, "MAX_ENTRIES", 9 * 7 - 1)  # the n = 3 family is 9 x 7
     out = tmp_path / "fam.csv"
@@ -554,8 +596,9 @@ def test_importing_the_cli_builds_no_parser():
 
 
 def test_public_surface_is_what_the_package_runs():
-    # the correlation sum, the test-input builders, the divisor chains, phi_{L,tau}
-    # and the semi-bent Walsh histogram live in tests/oracles.py; a MUB set is
+    # the correlation sum, the test-input builders, the divisor chains, phi_{L,tau},
+    # the scalar skew-gcrd kernel dimension (with assoc and x^m - 1) and the
+    # semi-bent Walsh histogram live in tests/oracles.py; a MUB set is
     # the Codebook build_mub returns, and char_bits is the one character table;
     # bf.count_values is the one value counter, and a code keeps only its
     # packed coset leaders
@@ -570,7 +613,9 @@ def test_public_surface_is_what_the_package_runs():
             (lp, "phi_l_tau"), (sf, "expected_semibent_walsh_distribution"),
             (cbk.Codebook, "norm_sq"), (sf, "_count"), (sf, "_COUNT_VALUES"),
             (cd.NonlinearCode, "_coset_leaders"), (cli, "_check_semibent_cap"),
-            (gf2, "_linear_table"), (bf, "classify_values")]
+            (gf2, "_linear_table"), (bf, "classify_values"), (lp, "gcrd_kernel_dim"),
+            (lp, "assoc"), (lp, "x_pow_m_minus_1"), (lp.LinPoly, "is_zero"),
+            (bf.BoolFun, "from_json")]
     assert [name for owner, name in gone if hasattr(owner, name)] == []
     # bench/tracer.py wraps these by name
     assert all(hasattr(bf, name) for name in ("scale_compose", "scale_field", "xor", "restrict"))

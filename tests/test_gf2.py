@@ -7,7 +7,6 @@ Expected values for GF(8) were derived by hand-reduction modulo x^3 + x + 1
     tr(x)     = x + x^2 + x^4 = x + x^2 + (x^2 + x) = 0
 """
 
-import json
 import tracemalloc
 
 import numpy as np
@@ -45,10 +44,6 @@ def test_default_table_every_degree_validates():
 
 
 def test_library_calls_past_the_log_tables_raise():
-    table = {"n": 21, "domain": "field", "degree": 21, "modulus": 0b1000000000000000000101,
-             "table_hex": ""}
-    with pytest.raises(ValueError, match="got 21"):
-        bf.BoolFun.from_json(json.dumps(table))
     with pytest.raises(ValueError, match="got 21"):
         cn.kerdock_fn(22)
 

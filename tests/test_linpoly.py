@@ -23,11 +23,13 @@ from cyclicbent.gf2 import mk_field
 from oracles import (
     cyclic_semibent_quadratic_by_tau,
     from_field_fn,
+    gcrd_kernel_dim,
     is_semibent,
     kernel_dim_by_elimination,
     linpoly_eval_by_squaring,
     phi_l_tau,
     quad_form_by_points,
+    x_pow_m_minus_1,
 )
 
 
@@ -207,7 +209,7 @@ def test_skew_mul_is_associative(data):
 
 def test_gcrd_hand_examples_gf8():
     ctx = mk_field(3)
-    xm1 = lp.x_pow_m_minus_1(ctx)
+    xm1 = x_pow_m_minus_1(ctx)
     x_plus_1 = lp.SkewPoly.make(ctx, [1, 1])
     g = lp.skew_gcrd(x_plus_1, xm1)
     assert g.coeffs == (1, 1) and g.degree == 1
@@ -216,7 +218,7 @@ def test_gcrd_hand_examples_gf8():
     assert lp.skew_gcrd(p, lp.SkewPoly(ctx, ())).coeffs == p.monic().coeffs
     # L = x^2 + x^4 has assoc x + x^2; gcrd degree 1 = kernel_dim
     L = lp.LinPoly.from_dict(ctx, {1: 1, 2: 1})
-    assert lp.gcrd_kernel_dim(L) == 1 == lp.kernel_dim(L)
+    assert gcrd_kernel_dim(L) == 1 == lp.kernel_dim(L)
 
 
 def test_gcrd_degree_equals_rank_kernel_random():
@@ -225,12 +227,12 @@ def test_gcrd_degree_equals_rank_kernel_random():
         rng = np.random.default_rng(100 + m)
         for _ in range(200):
             L = lp.LinPoly(ctx, tuple(int(rng.integers(0, ctx.order)) for _ in range(m)))
-            assert lp.gcrd_kernel_dim(L) == lp.kernel_dim(L)
+            assert gcrd_kernel_dim(L) == lp.kernel_dim(L)
     # structured examples: Frobenius powers minus identity
     ctx = mk_field(9)
     for i in range(1, 9):
         L = lp.LinPoly.from_dict(ctx, {0: 1, i: 1})
-        assert lp.gcrd_kernel_dim(L) == lp.kernel_dim(L)
+        assert gcrd_kernel_dim(L) == lp.kernel_dim(L)
 
 
 def test_phi_l_tau_values():
@@ -355,12 +357,35 @@ def gf8_linpolys(draw):
     return lp.LinPoly(ctx, tuple(draw(coef) for _ in range(ctx.degree)))
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_condition_one_is_the_tau_0_row_of_the_batched_kernels(data):
+    # phi_{L,0} = L + L*, so condition (1) is the one row of its coefficient
+    # logs; L = a_0 x has L + L* = 0, kernel dimension m, on every draw
+    ctx = mk_field(data.draw(st.sampled_from([3, 5, 7, 9, 11, 13])))
+    coef = st.one_of(st.just(0), st.just(1), st.integers(0, ctx.order - 1))
+    a = tuple(data.draw(coef) for _ in range(ctx.degree))
+    for L in (lp.LinPoly(ctx, a), lp.LinPoly(ctx, a[:1] + (0,) * (ctx.degree - 1))):
+        base = L.add(lp.adjoint(L))
+        assert phi_l_tau(L, 0) == base
+        log, exp, c = L._tau_logs
+        dims = [int(lp._kernel_dims(c[None], path, log, exp)[0]) for path in ("gcrd", "rank")]
+        assert dims == [gcrd_kernel_dim(base), lp.kernel_dim(base)]
+        assert dims == [kernel_dim_by_elimination(base)] * 2
+        # the reports read that row; this skips the tau scan, which the
+        # tests above pin
+        with mock.patch.object(lp, "_phi_dims", lambda c, taus, *rest: np.ones(len(taus))):
+            assert [lp.is_cyclic_semibent_quadratic(L, path)[1]["base_dim"]
+                    for path in ("gcrd", "rank")] == dims
+    assert dims == [ctx.degree] * 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(L=st.one_of(odd_linpolys(), gf8_linpolys()), chunk=st.sampled_from([1, 7, 64, 1 << 12]))
 def test_batched_tau_scan_matches_the_per_tau_routes(L, chunk):
     taus = np.arange(2, L.ctx.order)
     phis = [phi_l_tau(L, int(tau)) for tau in taus]
-    assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [lp.gcrd_kernel_dim(p) for p in phis]
+    assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [gcrd_kernel_dim(p) for p in phis]
     assert lp.phi_kernel_dims(L, taus, "rank").tolist() == [lp.kernel_dim(p) for p in phis]
     with mock.patch.object(lp, "_SCAN_TAUS", chunk):
         for path in ("gcrd", "rank"):
@@ -399,7 +424,7 @@ def test_batched_tau_scan_at_even_m(m):
     for _ in range(10):
         L = lp.LinPoly(ctx, tuple(int(rng.integers(0, ctx.order)) for _ in range(m)))
         phis = [phi_l_tau(L, int(tau)) for tau in taus]
-        assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [lp.gcrd_kernel_dim(p) for p in phis]
+        assert lp.phi_kernel_dims(L, taus, "gcrd").tolist() == [gcrd_kernel_dim(p) for p in phis]
         assert lp.phi_kernel_dims(L, taus, "rank").tolist() == [lp.kernel_dim(p) for p in phis]
 
 
